@@ -70,12 +70,12 @@ from .manova import (
     SimulationSpec,
     SopDecomposition,
     StatisticFunctional,
+    batched_statistic_eigs,
     compute_sop,
     dof_map,
     scalar_statistic,
     simulate_design,
     sop_arrays,
-    test_statistic_eigs,
     univariate_f_test,
 )
 from .mc import CalibrationSummary, McConfig, PValueEstimate, mc_pvalue, null_calibration

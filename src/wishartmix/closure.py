@@ -33,14 +33,13 @@ from scipy.stats import ks_2samp
 
 from .distributions import (
     WishartParams,
-    _chunks,
+    _draw_stack,
     _require_integer_dof,
-    _sym_batch,
     sample_wishart,
     wishart_mean,
     wishart_mgf,
 )
-from .rng import RngStream, as_generator
+from .rng import RngStream, _chunk_spans, as_generator
 from .symmat import SpdMat, SymMat, _mirror_upper, sym_sqrt
 
 __all__ = [
@@ -59,14 +58,6 @@ __all__ = [
 MIN_VERIFY_DRAWS = 10_000
 
 _VERIFY_CHUNK = 1 << 16
-
-
-def _fixed_chunks(total: int, quota: int):
-    """Split ``total`` into fixed-quota chunks (the last may be short)."""
-    while total > 0:
-        n = min(quota, total)
-        yield n
-        total -= n
 
 
 @dataclass(frozen=True)
@@ -155,13 +146,13 @@ def _hierarchical_batch(spec: MixtureSpec, nu: int, gen: np.random.Generator, n:
     hh = sym_sqrt(spec.coupling).array
     y = sample_wishart(spec.mixing_params(), gen, size=n)
     g = ah @ hh
-    delta_cond = _sym_batch(g @ y @ g.T)
+    delta_cond = _mirror_upper(g @ y @ g.T)
     w, v = np.linalg.eigh(delta_cond)
     cond_root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.swapaxes(v, -1, -2)
     mean = np.zeros((n, nu, dim))
     mean[:, :dim, :] = cond_root
     draws = mean + gen.standard_normal((n, nu, dim)) @ ah
-    return _sym_batch(np.swapaxes(draws, -1, -2) @ draws)
+    return _mirror_upper(np.swapaxes(draws, -1, -2) @ draws)
 
 
 def sample_hierarchical(
@@ -180,12 +171,9 @@ def sample_hierarchical(
     gen = as_generator(rng)
     if size is None:
         return SpdMat._certified(_hierarchical_batch(spec, nu, gen, 1)[0], "PD")
-    out = np.empty((int(size), spec.dim, spec.dim))
-    pos = 0
-    for n in _chunks(int(size), 2 * nu * spec.dim):
-        out[pos : pos + n] = _hierarchical_batch(spec, nu, gen, n)
-        pos += n
-    return out
+    return _draw_stack(
+        (int(size), spec.dim, spec.dim), 2 * nu * spec.dim, lambda n: _hierarchical_batch(spec, nu, gen, n)
+    )
 
 
 def default_probes(scale: SpdMat, count: int = 5) -> list[SymMat]:
@@ -312,8 +300,7 @@ def verify_closure(
     direct_entries = np.empty((n_draws, iu.size))
     probe_arrays = [t.array for t in probes]
 
-    pos = 0
-    for k, n in enumerate(_fixed_chunks(n_draws, _VERIFY_CHUNK)):
+    for k, pos, n in _chunk_spans(n_draws, _VERIFY_CHUNK):
         x = sample_hierarchical(spec, rng.generator(1, k), size=n)
         sum_x += x.sum(axis=0)
         for idx, t_arr in enumerate(probe_arrays):
@@ -321,7 +308,6 @@ def verify_closure(
         hier_entries[pos : pos + n] = x[:, iu, ju]
         xd = sample_wishart(predicted, rng.generator(2, k), size=n)
         direct_entries[pos : pos + n] = xd[:, iu, ju]
-        pos += n
 
     mean_predicted = wishart_mean(predicted).array
     mean_rel = float(

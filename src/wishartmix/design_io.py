@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesign, EmptyFile, InsufficientCell, MissingColumn, UnparseableValue
+from .errors import DegenerateDesign, EmptyFile, InsufficientCell, MissingColumn, UnparseableValue, ValidationError
 from .manova import (
     FACTORS,
     DesignTable,
+    batched_statistic_eigs,
     compute_sop,
     dof_map,
     scalar_statistic,
-    test_statistic_eigs,
     univariate_f_test,
 )
 from .mc import McConfig, PValueEstimate, mc_pvalue
@@ -79,11 +79,14 @@ def load_design_csv(path, response_columns) -> RawDataset:
     response_columns = [str(c) for c in response_columns]
     if not response_columns:
         raise MissingColumn("at least one response column must be named")
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise EmptyFile(f"{path}: no header row")
         header = [h.strip() for h in reader.fieldnames]
+        for k, name in enumerate(header):
+            if name in header[:k]:
+                raise ValidationError(f"{path}: column {name!r} appears more than once in the header")
         for needed in [FACTOR_A_COLUMN, FACTOR_B_COLUMN, *response_columns]:
             if needed not in header:
                 raise MissingColumn(f"{path}: missing column {needed!r}")
@@ -212,7 +215,7 @@ def run_report(table: DesignTable, cfg: McConfig, sigma: SpdMat | None = None) -
         if degenerate:
             eigs = np.zeros(table.dim)
         else:
-            eigs = test_statistic_eigs(sop.factor(name), sop.sop_e, sigma)
+            eigs = batched_statistic_eigs(sop.factor(name).array, sop.sop_e.array, sigma)
         observed = float(scalar_statistic(eigs, cfg.functional))
         p = mc_pvalue(observed, factor_dof1[name], dofs.nu_e, table.dim, cfg)
         f_stat = f_pvalue = None

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPsd, OutsideDomain, UnsupportedDof
-from .rng import RngStream, as_generator
+from .rng import RngStream, _chunk_spans, as_generator
 from .symmat import SpdMat, SymMat, _mirror_upper, assert_pd, sym_sqrt
 
 __all__ = [
@@ -45,12 +45,6 @@ __all__ = [
 
 # Chunk budget for batched sampling, in scalar draws per chunk.
 _CHUNK_SCALARS = 1 << 22
-
-
-def _sym_batch(x: np.ndarray) -> np.ndarray:
-    """Mirror the upper triangle of a stack of matrices (bitwise symmetry)."""
-    u = np.triu(x)
-    return u + np.swapaxes(np.triu(x, 1), -1, -2)
 
 
 def _as_spd(value, name: str, *, require_pd: bool) -> SpdMat:
@@ -151,12 +145,13 @@ class BetaIIParams:
         object.__setattr__(self, "dim", dim)
 
 
-def _chunks(size: int, per_draw_scalars: int):
+def _draw_stack(shape: tuple[int, ...], per_draw_scalars: int, draw) -> np.ndarray:
+    """Fill a ``shape`` array with ``draw(n)`` batches of at most ``_CHUNK_SCALARS`` scalars each."""
+    out = np.empty(shape)
     step = max(1, _CHUNK_SCALARS // max(1, per_draw_scalars))
-    start = 0
-    while start < size:
-        yield min(step, size - start)
-        start += step
+    for _, start, n in _chunk_spans(shape[0], step):
+        out[start : start + n] = draw(n)
+    return out
 
 
 def sample_matrix_normal(
@@ -174,13 +169,11 @@ def sample_matrix_normal(
     root = sym_sqrt(params.scale).array
     if size is None:
         return params.mean + gen.standard_normal((params.rows, params.dim)) @ root
-    out = np.empty((int(size), params.rows, params.dim))
-    pos = 0
-    for n in _chunks(int(size), params.rows * params.dim):
-        z = gen.standard_normal((n, params.rows, params.dim))
-        out[pos : pos + n] = params.mean + z @ root
-        pos += n
-    return out
+    return _draw_stack(
+        (int(size), params.rows, params.dim),
+        params.rows * params.dim,
+        lambda n: params.mean + gen.standard_normal((n, params.rows, params.dim)) @ root,
+    )
 
 
 def _bartlett_factor(dof: float, dim: int, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -197,7 +190,7 @@ def _bartlett_factor(dof: float, dim: int, gen: np.random.Generator, n: int) -> 
 def _central_wishart_batch(dof: float, root: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarray:
     t = _bartlett_factor(dof, root.shape[0], gen, n)
     a = root @ t
-    return _sym_batch(a @ np.swapaxes(a, -1, -2))
+    return _mirror_upper(a @ np.swapaxes(a, -1, -2))
 
 
 def _noncentral_wishart_batch(
@@ -208,7 +201,7 @@ def _noncentral_wishart_batch(
     mean[:dim] = noncen_root
     z = gen.standard_normal((n, dof, dim))
     draws = mean + z @ root_scale
-    return _sym_batch(np.swapaxes(draws, -1, -2) @ draws)
+    return _mirror_upper(np.swapaxes(draws, -1, -2) @ draws)
 
 
 def _require_integer_dof(dof: float, dim: int) -> int:
@@ -266,12 +259,7 @@ def sample_wishart(
 
     if size is None:
         return SpdMat._certified(draw(1)[0], "PD")
-    out = np.empty((int(size), dim, dim))
-    pos = 0
-    for n in _chunks(int(size), per_draw):
-        out[pos : pos + n] = draw(n)
-        pos += n
-    return out
+    return _draw_stack((int(size), dim, dim), per_draw, draw)
 
 
 def _beta2_batch(params: BetaIIParams, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -280,7 +268,7 @@ def _beta2_batch(params: BetaIIParams, gen: np.random.Generator, n: int) -> np.n
     s2 = _central_wishart_batch(params.dof2, eye, gen, n)
     w, v = np.linalg.eigh(s2)
     inv_root = (v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return _sym_batch(inv_root @ s1 @ inv_root)
+    return _mirror_upper(inv_root @ s1 @ inv_root)
 
 
 def sample_beta2(
@@ -296,12 +284,11 @@ def sample_beta2(
     gen = as_generator(rng)
     if size is None:
         return SpdMat._certified(_beta2_batch(params, gen, 1)[0], "PD")
-    out = np.empty((int(size), params.dim, params.dim))
-    pos = 0
-    for n in _chunks(int(size), 4 * params.dim * params.dim):
-        out[pos : pos + n] = _beta2_batch(params, gen, n)
-        pos += n
-    return out
+    return _draw_stack(
+        (int(size), params.dim, params.dim),
+        4 * params.dim * params.dim,
+        lambda n: _beta2_batch(params, gen, n),
+    )
 
 
 def beta2_eigenvalues(
@@ -315,12 +302,11 @@ def beta2_eigenvalues(
     functionals are all symmetric functions of these eigenvalues.
     """
     gen = as_generator(rng)
-    out = np.empty((int(size), params.dim))
-    pos = 0
-    for n in _chunks(int(size), 4 * params.dim * params.dim):
-        b = _beta2_batch(params, gen, n)
-        out[pos : pos + n] = np.linalg.eigvalsh(b)[:, ::-1]
-        pos += n
+    out = _draw_stack(
+        (int(size), params.dim),
+        4 * params.dim * params.dim,
+        lambda n: np.linalg.eigvalsh(_beta2_batch(params, gen, n))[:, ::-1],
+    )
     return np.maximum(out, 0.0)
 
 

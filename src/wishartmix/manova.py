@@ -14,6 +14,12 @@ The factor statistics are eigenvalues of
 with ``S`` the factor SOP and ``V`` the residual SOP.  These eigenvalues equal
 those of ``S V^{-1}`` and do not depend on the choice of ``Sigma``, which is
 why the identity matrix is the default.
+
+Singularity policy: one path, :func:`batched_statistic_eigs`, computes every
+statistic, for one table or a stack.  It rejects a residual SOP as singular,
+raising :class:`SingularErrorMatrix`, when its smallest eigenvalue is at or
+below ``tolerances.pd`` times its largest, the same relative test that
+:class:`~wishartmix.symmat.SpdMat` uses to certify a matrix positive definite.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.stats import f as f_dist
 
-from .errors import DegenerateDesign, NotPsd, SingularErrorMatrix, UnbalancedDesign
+from .errors import DegenerateDesign, SingularErrorMatrix, UnbalancedDesign, ValidationError
 from .rng import RngStream, as_generator
-from .symmat import SpdMat, SymMat, assert_pd, conjugate, sym_inv, sym_inv_sqrt, sym_sqrt
+from .symmat import SpdMat, SymMat, _mirror_upper, sym_inv_sqrt, sym_sqrt, tolerances
 
 __all__ = [
     "DesignTable",
@@ -40,7 +46,6 @@ __all__ = [
     "DofMap",
     "sop_arrays",
     "compute_sop",
-    "test_statistic_eigs",
     "batched_statistic_eigs",
     "scalar_statistic",
     "univariate_f_test",
@@ -157,7 +162,10 @@ def compute_sop(table: DesignTable) -> SopDecomposition:
     """Orthogonal SOP decomposition of a balanced design table."""
     if table.reps < 2:
         raise DegenerateDesign("at least two replicates per cell are needed for a residual SOP")
-    parts = sop_arrays(table.responses)
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = sop_arrays(table.responses)
+    if not all(np.all(np.isfinite(p)) for p in parts):
+        raise ValidationError("the responses overflow the sum of outer products; rescale them before testing")
     return SopDecomposition(*(SymMat(p) for p in parts))
 
 
@@ -202,52 +210,44 @@ def scalar_statistic(eigs: np.ndarray, functional: StatisticFunctional) -> float
     return float(out) if out.ndim == 0 else out
 
 
-def test_statistic_eigs(numerator: SymMat, sop_e: SymMat, sigma: SpdMat | None = None) -> np.ndarray:
-    """Eigenvalues (descending) of the Beta Type II statistic matrix.
+def batched_statistic_eigs(numerators, residuals, sigma: SpdMat | None = None) -> np.ndarray:
+    """Eigenvalues (descending) of the Beta Type II statistic matrices.
 
-    Forms ``B = (V_S)^{-1/2} S_S (V_S)^{-1/2}`` with ``S`` the factor SOP,
-    ``V`` the residual SOP, and ``R_S`` the conjugation by ``sigma^{-1}``.
-    The result equals the eigenvalue list of ``S V^{-1}`` and is invariant to
-    the choice of positive definite ``sigma``; ``None`` means the identity.
-    Raises :class:`SingularErrorMatrix` when the residual SOP is not positive
-    definite (this needs ``a * b * (n - 1) >= d`` observations to hold).
+    ``numerators`` (factor SOPs ``S``) and ``residuals`` (residual SOPs
+    ``V``) have shape ``(..., d, d)``, one table being the 2-D case; the
+    result has shape ``(..., d)``.  Each table gives the eigenvalues of
+    ``B = (V_S)^{-1/2} S_S (V_S)^{-1/2}`` with ``R_S`` the conjugation by
+    ``sigma^{-1/2}``.  They equal the eigenvalues of ``S V^{-1}`` and do not
+    depend on the positive definite ``sigma``; ``None`` means the identity.
+    Raises :class:`SingularErrorMatrix` when any residual SOP has its smallest
+    eigenvalue at or below ``tolerances.pd`` times its largest (a PD residual
+    needs ``a * b * (n - 1) >= d`` observations).
     """
+    numerators = np.asarray(numerators, dtype=float)
+    residuals = np.asarray(residuals, dtype=float)
+    if numerators.shape != residuals.shape:
+        raise ValueError(f"numerator SOPs {numerators.shape} and residual SOPs {residuals.shape} differ in shape")
     if sigma is not None:
-        if not isinstance(sigma, SpdMat) or sigma.kind != "PD":
-            sigma = SpdMat(sigma.array if isinstance(sigma, (SpdMat, SymMat)) else sigma)
+        if not isinstance(sigma, SpdMat):
+            sigma = SpdMat(sigma)
         if sigma.kind != "PD":
             raise ValueError("sigma must be positive definite")
-        sigma_inv = sym_inv(sigma)
-        numerator = conjugate(numerator, sigma_inv)
-        sop_e = conjugate(sop_e, sigma_inv)
-    if numerator.dim != sop_e.dim:
-        raise ValueError("numerator and residual SOP dimensions differ")
-    try:
-        v = assert_pd(sop_e)
-        if v.kind != "PD":
-            raise NotPsd("residual SOP is singular")
-    except NotPsd as exc:
-        raise SingularErrorMatrix(str(exc)) from exc
-    w = sym_inv_sqrt(v).array
-    b = w @ numerator.array @ w
-    eigs = np.linalg.eigvalsh(SymMat(b).array)[::-1]
-    return np.maximum(eigs, 0.0)
-
-
-def batched_statistic_eigs(numerators: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """Identity-sigma statistic eigenvalues for stacks of SOP matrices.
-
-    ``numerators`` and ``residuals`` have shape ``(..., d, d)``; the result is
-    ``(..., d)`` descending.  Used by the simulation engines, where running
-    ``test_statistic_eigs`` a table at a time would dominate the cost.
-    """
+        if sigma.dim != numerators.shape[-1]:
+            raise ValueError(f"sigma is {sigma.dim}x{sigma.dim} but the SOPs are {numerators.shape[-1]}-dimensional")
+        c = sym_inv_sqrt(sigma).array
+        numerators = _mirror_upper(c @ numerators @ c)
+        residuals = _mirror_upper(c @ residuals @ c)
     w, v = np.linalg.eigh(residuals)
-    if np.any(w <= 0.0):
-        raise SingularErrorMatrix("a residual SOP in the batch is singular")
-    inv_root = (v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v, -1, -2)
-    b = inv_root @ numerators @ inv_root
-    eigs = np.linalg.eigvalsh(b)[..., ::-1]
-    return np.maximum(eigs, 0.0)
+    singular = w[..., 0] <= tolerances.pd * w[..., -1]
+    if np.any(singular):
+        w_bad = w[singular][0]
+        raise SingularErrorMatrix(
+            f"residual SOP is singular: smallest eigenvalue {w_bad[0]:.6g} is at most "
+            f"{tolerances.pd:g} * largest {w_bad[-1]:.6g}"
+        )
+    inv_root = _mirror_upper((v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v, -1, -2))
+    b = _mirror_upper(inv_root @ numerators @ inv_root)
+    return np.maximum(np.linalg.eigvalsh(b)[..., ::-1], 0.0)
 
 
 class DofMap(NamedTuple):

@@ -36,7 +36,7 @@ from .manova import (
     simulate_design,
     sop_arrays,
 )
-from .rng import RngStream
+from .rng import RngStream, _chunk_spans
 
 __all__ = [
     "McConfig",
@@ -123,13 +123,9 @@ def mc_pvalue(observed: float, dof1: float, dof2: float, dim: int, cfg: McConfig
         )
     stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
     n_extreme = 0
-    remaining, k = cfg.n_mc, 0
-    while remaining > 0:
-        n = min(_MC_CHUNK, remaining)
+    for k, _, n in _chunk_spans(cfg.n_mc, _MC_CHUNK):
         eigs = beta2_eigenvalues(params, stream.generator(k), n)
         n_extreme += _count_extreme(scalar_statistic(eigs, cfg.functional), observed, cfg.functional)
-        remaining -= n
-        k += 1
     return _estimate(n_extreme, cfg.n_mc)
 
 
@@ -209,10 +205,7 @@ def null_calibration(
         (f, fn): [] for f in FACTORS for fn in functionals
     }
 
-    done = 0
-    chunk_idx = 0
-    while done < n_datasets:
-        m = min(_DATASET_CHUNK, n_datasets - done)
+    for chunk_idx, done, m in _chunk_spans(n_datasets, _DATASET_CHUNK):
         tables = simulate_design(spec, rng.generator(0, chunk_idx), size=m)
         sop_a, sop_b, sop_ab, sop_e, _ = sop_arrays(tables)
         numerators = {"A": sop_a, "B": sop_b, "AB": sop_ab}
@@ -227,8 +220,6 @@ def null_calibration(
                     obs = float(scalar_statistic(eigs_obs[i], fn))
                     n_extreme = _count_extreme(np.asarray(stats_null), obs, fn)
                     pvals[(factor, fn)].append((1 + n_extreme) / (1 + cfg.n_mc))
-        done += m
-        chunk_idx += 1
 
     results = {}
     for factor in FACTORS:

@@ -52,6 +52,15 @@ class RngStream:
         return np.random.default_rng([int(self.seed), int(self.stream_index), *map(int, subkeys)])
 
 
+def _chunk_spans(total: int, step: int):
+    """Split ``range(total)`` into consecutive chunks of ``step`` items, the last possibly short.
+
+    Yields ``(k, start, n)``: the chunk index, its first item and its length.
+    """
+    for k, start in enumerate(range(0, total, step)):
+        yield k, start, min(step, total - start)
+
+
 def as_generator(rng: RngStream | np.random.Generator | int) -> np.random.Generator:
     """Normalize the accepted randomness inputs to a ``numpy`` generator.
 

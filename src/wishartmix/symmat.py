@@ -75,9 +75,8 @@ def _as_square(values) -> np.ndarray:
 
 
 def _mirror_upper(m: np.ndarray) -> np.ndarray:
-    """Rebuild a matrix from its upper triangle so symmetry holds bitwise."""
-    u = np.triu(m)
-    return u + np.triu(m, 1).T
+    """Rebuild a matrix, or each matrix of a stack, from its upper triangle so symmetry holds bitwise."""
+    return np.triu(m) + np.swapaxes(np.triu(m, 1), -1, -2)
 
 
 class SymMat:
@@ -136,13 +135,8 @@ class SpdMat:
                 f"matrix is not positive semidefinite: min eigenvalue {w[0]:.6g} "
                 f"is below -{tol.psd:g} * {lam_max:.6g}"
             )
-        self._init_certified(base, kind, w, v)
-
-    def _init_certified(self, base, kind, eigvals, eigvecs) -> None:
-        self._base = base
-        self._kind = kind
-        self._eigvals = eigvals
-        self._eigvecs = eigvecs
+        self._base, self._kind = base, kind
+        self._eigvals, self._eigvecs = w, v
         self._sqrt = None
 
     @classmethod
@@ -154,8 +148,18 @@ class SpdMat:
         eigendecomposition.
         """
         obj = cls.__new__(cls)
-        base = values if isinstance(values, SymMat) else SymMat(values)
-        obj._init_certified(base, kind, None, None)
+        obj._base = values if isinstance(values, SymMat) else SymMat(values)
+        obj._kind = kind
+        obj._eigvals = obj._eigvecs = obj._sqrt = None
+        return obj
+
+    @classmethod
+    def _from_spectrum(cls, w: np.ndarray, v: np.ndarray, kind: str) -> "SpdMat":
+        """The matrix ``v diag(w) v'`` for a known monotone spectrum, kept ascending."""
+        obj = cls._certified(_mirror_upper((v * w) @ v.T), kind)
+        if w[0] > w[-1]:
+            w, v = w[::-1], v[:, ::-1]
+        obj._eigvals, obj._eigvecs = w, v
         return obj
 
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -166,12 +170,11 @@ class SpdMat:
             self._eigvals, self._eigvecs = w, v
         return self._eigvals, self._eigvecs
 
-    def _sqrt_array(self) -> np.ndarray:
+    def _root(self) -> "SpdMat":
+        """The symmetric square root, built once from the spectrum and kept."""
         if self._sqrt is None:
             w, v = self._spectrum()
-            s = _mirror_upper((v * np.sqrt(np.maximum(w, 0.0))) @ v.T)
-            s.setflags(write=False)
-            self._sqrt = s
+            self._sqrt = SpdMat._from_spectrum(np.sqrt(np.maximum(w, 0.0)), v, self._kind)
         return self._sqrt
 
     @property
@@ -219,10 +222,7 @@ def sym_sqrt(p: SpdMat) -> SpdMat:
     """
     if not isinstance(p, SpdMat):
         p = assert_pd(p)
-    w, v = p._spectrum()
-    root = SpdMat._certified(p._sqrt_array(), p.kind)
-    root._eigvals, root._eigvecs = np.sqrt(np.maximum(w, 0.0)), v
-    return root
+    return p._root()
 
 
 def sym_inv(p: SpdMat) -> SpdMat:
@@ -232,9 +232,7 @@ def sym_inv(p: SpdMat) -> SpdMat:
     w, v = p._spectrum()
     if p.kind != "PD" or np.any(w <= 0.0):
         raise NotPsd("matrix must be positive definite to invert")
-    inv = SpdMat._certified(_mirror_upper((v / w) @ v.T), "PD")
-    inv._eigvals, inv._eigvecs = (1.0 / w)[::-1], v[:, ::-1]
-    return inv
+    return SpdMat._from_spectrum(1.0 / w, v, "PD")
 
 
 def sym_inv_sqrt(p: SpdMat) -> SpdMat:
@@ -244,10 +242,7 @@ def sym_inv_sqrt(p: SpdMat) -> SpdMat:
     w, v = p._spectrum()
     if p.kind != "PD" or np.any(w <= 0.0):
         raise NotPsd("matrix must be positive definite to form an inverse square root")
-    rw = 1.0 / np.sqrt(w)
-    out = SpdMat._certified(_mirror_upper((v * rw) @ v.T), "PD")
-    out._eigvals, out._eigvecs = rw[::-1], v[:, ::-1]
-    return out
+    return SpdMat._from_spectrum(1.0 / np.sqrt(w), v, "PD")
 
 
 def conjugate(r, p: SpdMat) -> SymMat:
@@ -262,7 +257,7 @@ def conjugate(r, p: SpdMat) -> SymMat:
     r_arr = r.array if isinstance(r, SymMat) else _mirror_upper(_as_square(r))
     if r_arr.shape[0] != p.dim:
         raise ValueError(f"dimension mismatch: R is {r_arr.shape[0]}x{r_arr.shape[0]}, P is {p.dim}x{p.dim}")
-    ph = p._sqrt_array()
+    ph = p._root().array
     return SymMat(ph @ r_arr @ ph)
 
 

@@ -89,6 +89,14 @@ class TestManovaCommand:
         ])
         assert code == EXIT_VALIDATION
 
+    def test_overflowing_responses_exit_two(self, tmp_path, capsys):
+        rows = [f"a{i},b{j},{1e200 * (i + j + k)!r}" for i in range(2) for j in range(2) for k in range(3)]
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("factor_a,factor_b,r1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["manova", "--input", str(csv_path), "--responses", "r1", "--n-per-cell", "3"])
+        assert code == EXIT_VALIDATION
+        assert "overflow the sum of outer products" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_passing_battery(self, capsys):

@@ -13,6 +13,7 @@ from wishartmix import (
     RngStream,
     StatisticFunctional,
     UnparseableValue,
+    ValidationError,
     assert_pd,
     load_design_csv,
     read_matrix_file,
@@ -56,6 +57,25 @@ class TestLoadDesignCsv:
         p = write_csv(tmp_path / "d.csv", ["x,y,1.0,2.0", "x,y,NaN,0.5"])
         with pytest.raises(UnparseableValue, match="row 3"):
             load_design_csv(p, ["r1", "r2"])
+
+    def test_utf8_bom_is_ignored(self, tmp_path):
+        # Spreadsheet exports often start with a byte-order mark.
+        rows = ["x,y,1.0,2.0", "x,z,3.5,-1.25"]
+        plain = load_design_csv(write_csv(tmp_path / "plain.csv", rows), ["r1", "r2"])
+        bom_path = tmp_path / "bom.csv"
+        bom_path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+        bom = load_design_csv(bom_path, ["r1", "r2"])
+        assert (bom.factor_a, bom.factor_b, bom.response_names) == (
+            plain.factor_a,
+            plain.factor_b,
+            plain.response_names,
+        )
+        assert np.array_equal(bom.responses, plain.responses)
+
+    def test_duplicate_column_rejected(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", ["x,y,1.0,2.0"], header="factor_a,factor_b,y, y")
+        with pytest.raises(ValidationError, match="'y'"):
+            load_design_csv(p, ["y"])
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -29,12 +29,12 @@ from wishartmix import (
     scalar_statistic,
     simulate_design,
     sop_arrays,
+    ValidationError,
     univariate_f_test,
     wishart_mean,
     WishartParams,
 )
 from wishartmix.manova import batched_statistic_eigs
-from wishartmix.manova import test_statistic_eigs as statistic_eigs
 from conftest import random_spd
 
 EYE2 = assert_pd(np.eye(2))
@@ -122,6 +122,12 @@ class TestComputeSop:
         for got, want in zip(permuted, base):
             np.testing.assert_allclose(got, want, atol=1e-10)
 
+    def test_overflowing_responses_rejected(self):
+        y = np.zeros((2, 2, 2, 1))
+        y[0, :, :, 0] = 1e200
+        with pytest.raises(ValidationError, match="overflow the sum of outer products.*rescale"):
+            compute_sop(DesignTable(y))
+
     def test_single_replicate_rejected(self):
         with pytest.raises(DegenerateDesign):
             compute_sop(DesignTable(np.zeros((2, 2, 1, 1))))
@@ -131,25 +137,25 @@ class TestStatisticEigs:
     def test_residual_as_numerator_gives_unit_eigenvalues(self, gen):
         y = gen.standard_normal((3, 3, 4, 2))
         sop = compute_sop(DesignTable(y))
-        eigs = statistic_eigs(sop.sop_e, sop.sop_e)
+        eigs = batched_statistic_eigs(sop.sop_e.array, sop.sop_e.array)
         np.testing.assert_allclose(eigs, np.ones(2), atol=1e-10)
 
     def test_scalar_ratio(self, gen):
         y = gen.standard_normal((3, 3, 3, 1))
         sop = compute_sop(DesignTable(y))
-        eigs = statistic_eigs(sop.sop_a, sop.sop_e)
+        eigs = batched_statistic_eigs(sop.sop_a.array, sop.sop_e.array)
         expected = sop.sop_a.array[0, 0] / sop.sop_e.array[0, 0]
         assert eigs[0] == pytest.approx(expected, rel=1e-12)
 
     def test_sigma_invariance(self, gen):
         y = gen.standard_normal((4, 3, 3, 2))
         sop = compute_sop(DesignTable(y))
-        base = statistic_eigs(sop.sop_a, sop.sop_e)
+        base = batched_statistic_eigs(sop.sop_a.array, sop.sop_e.array)
         direct = np.sort(np.linalg.eigvals(sop.sop_a.array @ np.linalg.inv(sop.sop_e.array)).real)[::-1]
         np.testing.assert_allclose(base, direct, rtol=1e-8)
         for _ in range(5):
             sigma = random_spd(2, gen)
-            eigs = statistic_eigs(sop.sop_a, sop.sop_e, sigma)
+            eigs = batched_statistic_eigs(sop.sop_a.array, sop.sop_e.array, sigma)
             np.testing.assert_allclose(eigs, base, rtol=1e-8, atol=1e-10)
 
     def test_singular_residual_rejected(self):
@@ -158,14 +164,31 @@ class TestStatisticEigs:
         y[..., 0] = np.arange(8.0).reshape(2, 2, 2)
         sop = compute_sop(DesignTable(y))
         with pytest.raises(SingularErrorMatrix):
-            statistic_eigs(sop.sop_a, sop.sop_e)
+            batched_statistic_eigs(sop.sop_a.array, sop.sop_e.array)
+
+    def test_ill_conditioned_residual_rejected_alone_and_in_a_stack(self, gen):
+        # Condition number 1e14 is below the relative tolerances.pd = 1e-12 floor.
+        q, _ = np.linalg.qr(gen.standard_normal((2, 2)))
+        bad = (q * np.array([1e-14, 1.0])) @ q.T
+        num = np.eye(2)
+        with pytest.raises(SingularErrorMatrix):
+            batched_statistic_eigs(num, bad)
+        good = np.stack([np.eye(2) + 0.1 * k * np.ones((2, 2)) for k in range(5)])
+        batched_statistic_eigs(np.stack([num] * 5), good)
+        with pytest.raises(SingularErrorMatrix):
+            batched_statistic_eigs(np.stack([num] * 6), np.concatenate([good[:3], bad[None], good[3:]]))
 
     def test_batched_agrees_with_single(self, gen):
         y = gen.standard_normal((6, 3, 3, 4, 2))
         sop_a, _, _, sop_e, _ = sop_arrays(y)
         batched = batched_statistic_eigs(sop_a, sop_e)
+        sigma = random_spd(2, gen)
+        batched_sigma = batched_statistic_eigs(sop_a, sop_e, sigma)
         for m in range(6):
-            single = statistic_eigs(compute_sop(DesignTable(y[m])).sop_a, compute_sop(DesignTable(y[m])).sop_e)
+            assert np.array_equal(batched[m], batched_statistic_eigs(sop_a[m], sop_e[m]))
+            assert np.array_equal(batched_sigma[m], batched_statistic_eigs(sop_a[m], sop_e[m], sigma))
+            sop = compute_sop(DesignTable(y[m]))
+            single = batched_statistic_eigs(sop.sop_a.array, sop.sop_e.array)
             np.testing.assert_allclose(batched[m], single, rtol=1e-9, atol=1e-12)
 
 
