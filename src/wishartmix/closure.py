@@ -34,7 +34,10 @@ from scipy.stats import ks_2samp
 from .distributions import (
     WishartParams,
     _draw_stack,
+    _gram,
+    _normal_factor,
     _require_integer_dof,
+    _wishart_factor,
     sample_wishart,
     wishart_mean,
     wishart_mgf,
@@ -141,18 +144,10 @@ def mixture_marginal_params(spec: MixtureSpec) -> WishartParams:
 
 
 def _hierarchical_batch(spec: MixtureSpec, nu: int, gen: np.random.Generator, n: int) -> np.ndarray:
-    dim = spec.dim
     ah = sym_sqrt(spec.inner_scale).array
-    hh = sym_sqrt(spec.coupling).array
-    y = sample_wishart(spec.mixing_params(), gen, size=n)
-    g = ah @ hh
-    delta_cond = _mirror_upper(g @ y @ g.T)
-    w, v = np.linalg.eigh(delta_cond)
-    cond_root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.swapaxes(v, -1, -2)
-    mean = np.zeros((n, nu, dim))
-    mean[:, :dim, :] = cond_root
-    draws = mean + gen.standard_normal((n, nu, dim)) @ ah
-    return _mirror_upper(np.swapaxes(draws, -1, -2) @ draws)
+    g = ah @ sym_sqrt(spec.coupling).array
+    mixing_factor, _ = _wishart_factor(spec.mixing_params())
+    return _gram(_normal_factor(mixing_factor(gen, n) @ g.T, nu, ah, gen, n))
 
 
 def sample_hierarchical(
@@ -160,20 +155,17 @@ def sample_hierarchical(
     rng: RngStream | np.random.Generator | int,
     size: int | None = None,
 ) -> SpdMat | np.ndarray:
-    """Draw from the two-level hierarchy: ``Y`` first, then ``X | Y``.
+    """Draw from the two-level hierarchy: ``Y = L' L`` first, then ``X | Y``.
 
-    The conditional noncentrality is formed in the symmetric-Delta shape
-    ``A^{1/2} Y_H A^{1/2}``, so the one Delta-parameterized sampler covers
-    both levels.  Requires an integer ``dof >= dim`` because the conditional
-    level is always noncentral.
+    With ``G = A^{1/2} H^{1/2}``, ``M = L G'`` has ``M' M = G Y G' = Delta_cond``,
+    so it is the conditional mean of the matrix-normal factor ``Z A^{1/2} + M``
+    and no root of ``Delta_cond`` is formed.  Requires an integer
+    ``dof >= dim`` because the conditional level is always noncentral.
     """
     nu = _require_integer_dof(spec.dof, spec.dim)
     gen = as_generator(rng)
-    if size is None:
-        return SpdMat._certified(_hierarchical_batch(spec, nu, gen, 1)[0], "PD")
-    return _draw_stack(
-        (int(size), spec.dim, spec.dim), 2 * nu * spec.dim, lambda n: _hierarchical_batch(spec, nu, gen, n)
-    )
+    draws = _draw_stack(size, (spec.dim, spec.dim), 2 * nu * spec.dim, lambda n: _hierarchical_batch(spec, nu, gen, n))
+    return draws if size is not None else SpdMat._certified(draws, "PD")
 
 
 def default_probes(scale: SpdMat, count: int = 5) -> list[SymMat]:

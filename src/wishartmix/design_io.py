@@ -24,11 +24,11 @@ from .errors import DegenerateDesign, EmptyFile, InsufficientCell, MissingColumn
 from .manova import (
     FACTORS,
     DesignTable,
+    _f_test,
     batched_statistic_eigs,
     compute_sop,
     dof_map,
     scalar_statistic,
-    univariate_f_test,
 )
 from .mc import McConfig, PValueEstimate, mc_pvalue
 from .rng import RngStream
@@ -220,7 +220,7 @@ def run_report(table: DesignTable, cfg: McConfig, sigma: SpdMat | None = None) -
         p = mc_pvalue(observed, factor_dof1[name], dofs.nu_e, table.dim, cfg)
         f_stat = f_pvalue = None
         if table.dim == 1 and not degenerate:
-            f_stat, f_pvalue = univariate_f_test(table, name)
+            f_stat, f_pvalue = _f_test(sop, dofs, name)
         results.append(FactorResult(name, observed, tuple(float(v) for v in eigs), p, f_stat, f_pvalue))
     return ReportTable(
         tuple(results),

@@ -10,12 +10,16 @@ noncentrality ``Theta = scale^{-1} Delta`` is generally non-symmetric, so
 on demand.  For an integer-dof draw built as ``N' N`` from a matrix normal
 with mean ``M``, ``Delta = M' M``.
 
-Sampling routes.  Central draws with any real ``dof > d - 1`` use the Bartlett
-decomposition.  Noncentral draws require an integer ``dof >= d`` and use the
-matrix-normal outer-product construction with the canonical mean choice
-``M = [Delta^{1/2}; 0]``; non-integer noncentral sampling is rejected rather
-than approximated.  All samplers accept ``size`` and then return a stacked
-``(size, d, d)`` array, drawing in fixed-size chunks to bound memory.
+Sampling routes.  Every Wishart draw is the Gram matrix ``L' L`` of a factor
+``L``.  Central draws with any real ``dof > d - 1`` use the Bartlett factor
+``L = (scale^{1/2} T)'``.  Noncentral draws require an integer ``dof >= d``
+and use the matrix-normal factor ``L = Z scale^{1/2} + M`` with the mean
+``M`` in the leading rows, canonically ``M = [Delta^{1/2}; 0]``; non-integer
+noncentral sampling is rejected rather than approximated.  The same
+``Z root + M`` construction draws the matrix normal itself and, with a
+per-draw ``M``, the conditional level of the closure hierarchy.  All samplers
+accept ``size`` and then return a stacked ``(size, d, d)`` array, drawing in
+fixed-size chunks to bound memory.
 """
 
 from __future__ import annotations
@@ -106,8 +110,8 @@ class WishartParams:
         if noncen.dim != scale.dim:
             raise ValueError(f"noncen is {noncen.dim}x{noncen.dim} but scale is {scale.dim}x{scale.dim}")
         dof = float(self.dof)
-        if not dof > scale.dim - 1:
-            raise ValueError(f"dof must exceed dim - 1 = {scale.dim - 1}, got {dof}")
+        if not (math.isfinite(dof) and dof > scale.dim - 1):
+            raise ValueError(f"dof must be finite and exceed dim - 1 = {scale.dim - 1}, got {dof}")
         object.__setattr__(self, "dof", dof)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "noncen", noncen)
@@ -139,19 +143,50 @@ class BetaIIParams:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
         for name in ("dof1", "dof2"):
             value = float(getattr(self, name))
-            if not value > dim - 1:
-                raise ValueError(f"{name} must exceed dim - 1 = {dim - 1}, got {value}")
+            if not (math.isfinite(value) and value > dim - 1):
+                raise ValueError(f"{name} must be finite and exceed dim - 1 = {dim - 1}, got {value}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "dim", dim)
 
 
-def _draw_stack(shape: tuple[int, ...], per_draw_scalars: int, draw) -> np.ndarray:
-    """Fill a ``shape`` array with ``draw(n)`` batches of at most ``_CHUNK_SCALARS`` scalars each."""
-    out = np.empty(shape)
+def _draw_stack(size: int | None, shape: tuple[int, ...], per_draw_scalars: int, draw) -> np.ndarray:
+    """Fill a ``(size, *shape)`` array with ``draw(n)`` batches of at most ``_CHUNK_SCALARS`` scalars.
+
+    ``size=None`` gives the single draw ``draw(1)[0]``.
+    """
+    if size is None:
+        return draw(1)[0]
+    out = np.empty((int(size), *shape))
     step = max(1, _CHUNK_SCALARS // max(1, per_draw_scalars))
-    for _, start, n in _chunk_spans(shape[0], step):
+    for _, start, n in _chunk_spans(out.shape[0], step):
         out[start : start + n] = draw(n)
     return out
+
+
+def _bartlett_factor(dof: float, dim: int, gen: np.random.Generator, n: int) -> np.ndarray:
+    """Lower-triangular Bartlett factor stack: ``T T'`` is ``W(dof, I)``."""
+    t = np.zeros((n, dim, dim))
+    rows, cols = np.tril_indices(dim, -1)
+    if rows.size:
+        t[:, rows, cols] = gen.standard_normal((n, rows.size))
+    for j in range(dim):
+        t[:, j, j] = np.sqrt(gen.chisquare(dof - j, n))
+    return t
+
+
+def _normal_factor(mean: np.ndarray, rows: int, root: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` matrix-normal factors ``Z root + M`` with ``Z`` of ``rows x dim`` standard normals.
+
+    ``mean``, shared or one per draw, is added to the leading rows.
+    """
+    f = gen.standard_normal((n, rows, root.shape[0])) @ root
+    f[:, : mean.shape[-2]] += mean
+    return f
+
+
+def _gram(factor: np.ndarray) -> np.ndarray:
+    """Wishart draws ``L' L`` from a stack of factors ``L``."""
+    return _mirror_upper(np.swapaxes(factor, -1, -2) @ factor)
 
 
 def sample_matrix_normal(
@@ -167,41 +202,10 @@ def sample_matrix_normal(
     """
     gen = as_generator(rng)
     root = sym_sqrt(params.scale).array
-    if size is None:
-        return params.mean + gen.standard_normal((params.rows, params.dim)) @ root
     return _draw_stack(
-        (int(size), params.rows, params.dim),
-        params.rows * params.dim,
-        lambda n: params.mean + gen.standard_normal((n, params.rows, params.dim)) @ root,
+        size, (params.rows, params.dim), params.rows * params.dim,
+        lambda n: _normal_factor(params.mean, params.rows, root, gen, n),
     )
-
-
-def _bartlett_factor(dof: float, dim: int, gen: np.random.Generator, n: int) -> np.ndarray:
-    """Lower-triangular Bartlett factor stack: ``T T'`` is ``W(dof, I)``."""
-    t = np.zeros((n, dim, dim))
-    rows, cols = np.tril_indices(dim, -1)
-    if rows.size:
-        t[:, rows, cols] = gen.standard_normal((n, rows.size))
-    for j in range(dim):
-        t[:, j, j] = np.sqrt(gen.chisquare(dof - j, n))
-    return t
-
-
-def _central_wishart_batch(dof: float, root: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarray:
-    t = _bartlett_factor(dof, root.shape[0], gen, n)
-    a = root @ t
-    return _mirror_upper(a @ np.swapaxes(a, -1, -2))
-
-
-def _noncentral_wishart_batch(
-    dof: int, root_scale: np.ndarray, noncen_root: np.ndarray, gen: np.random.Generator, n: int
-) -> np.ndarray:
-    dim = root_scale.shape[0]
-    mean = np.zeros((dof, dim))
-    mean[:dim] = noncen_root
-    z = gen.standard_normal((n, dof, dim))
-    draws = mean + z @ root_scale
-    return _mirror_upper(np.swapaxes(draws, -1, -2) @ draws)
 
 
 def _require_integer_dof(dof: float, dim: int) -> int:
@@ -211,6 +215,28 @@ def _require_integer_dof(dof: float, dim: int) -> int:
             f"noncentral sampling needs an integer dof >= dim = {dim}, got dof = {dof}"
         )
     return nu
+
+
+def _wishart_factor(params: WishartParams, method: str = "auto"):
+    """``(factor, per_draw)``: ``factor(gen, n)`` draws ``n`` factors whose Grams follow ``params``.
+
+    ``per_draw`` is the scalar count per draw that sizes the chunks.
+    """
+    if method not in ("auto", "bartlett", "outer"):
+        raise ValueError(f"unknown method {method!r}")
+    central = params.is_central
+    if method == "bartlett" and not central:
+        raise UnsupportedDof("the Bartlett construction only samples central Wisharts")
+    root = sym_sqrt(params.scale).array
+    dim = params.dim
+    if method == "bartlett" or (method == "auto" and central):
+        return (
+            lambda gen, n: np.swapaxes(root @ _bartlett_factor(params.dof, dim, gen, n), -1, -2),
+            max(dim * dim, dim * int(math.ceil(params.dof))),
+        )
+    nu = _require_integer_dof(params.dof, dim)
+    noncen_root = sym_sqrt(params.noncen).array
+    return (lambda gen, n: _normal_factor(noncen_root, nu, root, gen, n)), nu * dim
 
 
 def sample_wishart(
@@ -233,39 +259,15 @@ def sample_wishart(
     Returns an :class:`SpdMat` for ``size=None``, else a ``(size, dim, dim)``
     array of symmetric draws.
     """
-    if method not in ("auto", "bartlett", "outer"):
-        raise ValueError(f"unknown method {method!r}")
-    central = params.is_central
-    if method == "bartlett" and not central:
-        raise UnsupportedDof("the Bartlett construction only samples central Wisharts")
-    use_bartlett = method == "bartlett" or (method == "auto" and central)
-
+    factor, per_draw = _wishart_factor(params, method)
     gen = as_generator(rng)
-    root = sym_sqrt(params.scale).array
-    dim = params.dim
-    if use_bartlett:
-        def draw(n: int) -> np.ndarray:
-            return _central_wishart_batch(params.dof, root, gen, n)
-
-        per_draw = max(dim * dim, dim * int(math.ceil(params.dof)))
-    else:
-        nu = _require_integer_dof(params.dof, dim)
-        noncen_root = sym_sqrt(params.noncen).array
-
-        def draw(n: int) -> np.ndarray:
-            return _noncentral_wishart_batch(nu, root, noncen_root, gen, n)
-
-        per_draw = nu * dim
-
-    if size is None:
-        return SpdMat._certified(draw(1)[0], "PD")
-    return _draw_stack((int(size), dim, dim), per_draw, draw)
+    draws = _draw_stack(size, (params.dim, params.dim), per_draw, lambda n: _gram(factor(gen, n)))
+    return draws if size is not None else SpdMat._certified(draws, "PD")
 
 
 def _beta2_batch(params: BetaIIParams, gen: np.random.Generator, n: int) -> np.ndarray:
-    eye = np.eye(params.dim)
-    s1 = _central_wishart_batch(params.dof1, eye, gen, n)
-    s2 = _central_wishart_batch(params.dof2, eye, gen, n)
+    s1 = _gram(np.swapaxes(_bartlett_factor(params.dof1, params.dim, gen, n), -1, -2))
+    s2 = _gram(np.swapaxes(_bartlett_factor(params.dof2, params.dim, gen, n), -1, -2))
     w, v = np.linalg.eigh(s2)
     inv_root = (v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v, -1, -2)
     return _mirror_upper(inv_root @ s1 @ inv_root)
@@ -282,13 +284,10 @@ def sample_beta2(
     definite with probability one.
     """
     gen = as_generator(rng)
-    if size is None:
-        return SpdMat._certified(_beta2_batch(params, gen, 1)[0], "PD")
-    return _draw_stack(
-        (int(size), params.dim, params.dim),
-        4 * params.dim * params.dim,
-        lambda n: _beta2_batch(params, gen, n),
+    draws = _draw_stack(
+        size, (params.dim, params.dim), 4 * params.dim * params.dim, lambda n: _beta2_batch(params, gen, n)
     )
+    return draws if size is not None else SpdMat._certified(draws, "PD")
 
 
 def beta2_eigenvalues(
@@ -299,15 +298,19 @@ def beta2_eigenvalues(
     """Eigenvalues of Beta Type II draws, shape ``(size, dim)``, sorted descending.
 
     This is the null engine behind Monte Carlo p-values: the classical MANOVA
-    functionals are all symmetric functions of these eigenvalues.
+    functionals are all symmetric functions of these eigenvalues.  With the
+    Bartlett factors ``S_i = T_i T_i'`` of :func:`sample_beta2` (same stream,
+    same draws), ``S2^{-1/2} S1 S2^{-1/2}`` is similar to ``C C'`` for
+    ``C = T2^{-1} T1``.
     """
     gen = as_generator(rng)
-    out = _draw_stack(
-        (int(size), params.dim),
-        4 * params.dim * params.dim,
-        lambda n: np.linalg.eigvalsh(_beta2_batch(params, gen, n))[:, ::-1],
-    )
-    return np.maximum(out, 0.0)
+
+    def draw(n: int) -> np.ndarray:
+        t1 = _bartlett_factor(params.dof1, params.dim, gen, n)
+        c = np.linalg.solve(_bartlett_factor(params.dof2, params.dim, gen, n), t1)
+        return np.linalg.eigvalsh(c @ np.swapaxes(c, -1, -2))[:, ::-1]
+
+    return np.maximum(_draw_stack(int(size), (params.dim,), 4 * params.dim * params.dim, draw), 0.0)
 
 
 def sample_noncentral_chisq(
@@ -323,10 +326,10 @@ def sample_noncentral_chisq(
     """
     dof = float(dof)
     noncen = float(noncen)
-    if not dof > 0:
-        raise ValueError(f"dof must be positive, got {dof}")
-    if noncen < 0:
-        raise ValueError(f"noncen must be non-negative, got {noncen}")
+    if not (math.isfinite(dof) and dof > 0):
+        raise ValueError(f"dof must be finite and positive, got {dof}")
+    if not (math.isfinite(noncen) and noncen >= 0):
+        raise ValueError(f"noncen must be finite and non-negative, got {noncen}")
     gen = as_generator(rng)
     n = 1 if size is None else int(size)
     if noncen == 0.0:

@@ -281,7 +281,11 @@ def univariate_f_test(table: DesignTable, which: str) -> tuple[float, float]:
     if table.dim != 1:
         raise ValueError(f"the univariate F test needs d = 1, got d = {table.dim}")
     dofs = dof_map(table.levels_a, table.levels_b, table.reps)
-    sop = compute_sop(table)
+    return _f_test(compute_sop(table), dofs, which)
+
+
+def _f_test(sop: SopDecomposition, dofs: DofMap, which: str) -> tuple[float, float]:
+    """``(F, p)`` of :func:`univariate_f_test` from an already computed ``d = 1`` SOP."""
     nu_x = {"A": dofs.nu_a, "B": dofs.nu_b, "AB": dofs.nu_ab}[which]
     num = float(sop.factor(which).array[0, 0])
     den = float(sop.sop_e.array[0, 0])

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import wishartmix
 from wishartmix import RandomEffect, RngStream, SimulationSpec, assert_pd, simulate_design
 from wishartmix.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, main
 
@@ -147,6 +149,22 @@ class TestSampleCommand:
         assert main(["sample", "--dist", "chisq", "--params", str(pfile), "--n", "2", "--seed", "3"]) == EXIT_VALIDATION
 
 
+    @pytest.mark.parametrize(
+        "dist,params",
+        [
+            ("wishart", '{"dof": 1e400, "scale": [[1.0, 0.0], [0.0, 1.0]]}'),
+            ("beta2", '{"dof1": Infinity, "dof2": 10, "dim": 2}'),
+            ("chisq", '{"dof": Infinity}'),
+        ],
+    )
+    def test_infinite_dof_exit_two(self, tmp_path, capsys, dist, params):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(params, encoding="utf-8")
+        code = main(["sample", "--dist", dist, "--params", str(pfile), "--n", "2", "--seed", "3"])
+        assert code == EXIT_VALIDATION
+        assert "dof" in capsys.readouterr().err
+
+
 class TestCalibrateCommand:
     def test_smoke(self, capsys):
         code = main([
@@ -161,10 +179,14 @@ class TestCalibrateCommand:
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         csv_path, names = write_design_csv(tmp_path / "d.csv")
+        # The child interpreter imports the same package as this process,
+        # whether it is installed or only on pytest's path.
+        src = os.path.dirname(os.path.dirname(wishartmix.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-m", "wishartmix", "manova", "--input", str(csv_path),
              "--responses", ",".join(names), "--n-per-cell", "3", "--n-mc", "1000"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert "Beta Type II MANOVA" in result.stdout

@@ -21,6 +21,7 @@ from wishartmix import (
     report_to_text,
     run_report,
     subsample_balanced,
+    univariate_f_test,
 )
 
 
@@ -165,6 +166,25 @@ class TestRunReport:
         assert all(fr.f_stat is not None for fr in r1.factors)
         r2 = run_report(DesignTable(gen.standard_normal((3, 3, 2, 2))), McConfig(n_mc=1000, seed=1))
         assert all(fr.f_stat is None for fr in r2.factors)
+
+    def test_d1_report_computes_the_sop_once(self, monkeypatch):
+        import wishartmix.design_io as design_io_mod
+        import wishartmix.manova as manova_mod
+
+        table = DesignTable(RngStream(6).generator().standard_normal((3, 4, 3, 1)))
+        expected = [univariate_f_test(table, name) for name in ("A", "B", "AB")]
+        calls = []
+        original = manova_mod.compute_sop
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(manova_mod, "compute_sop", counting)
+        monkeypatch.setattr(design_io_mod, "compute_sop", counting)
+        report = run_report(table, McConfig(n_mc=1000, seed=1))
+        assert len(calls) == 1
+        assert [(fr.f_stat, fr.f_pvalue) for fr in report.factors] == expected
 
     def test_structure_and_echo(self):
         gen = RngStream(3).generator()

@@ -27,10 +27,12 @@ from wishartmix import (
     sample_matrix_normal,
     sample_noncentral_chisq,
     sample_wishart,
+    sym_sqrt,
     wishart_log_mgf,
     wishart_mean,
     wishart_mgf,
 )
+from wishartmix.symmat import _mirror_upper
 from conftest import random_psd, random_spd
 
 SIGMA_2D = assert_pd([[2.0, 1.0], [1.0, 2.0]])
@@ -52,6 +54,19 @@ class TestParams:
     def test_beta2_domain(self):
         with pytest.raises(ValueError):
             BetaIIParams(1.0, 5.0, dim=2)
+
+    def test_non_finite_dof_rejected(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="dof"):
+                WishartParams(bad, SIGMA_2D)
+            with pytest.raises(ValueError, match="dof1"):
+                BetaIIParams(bad, 5.0, dim=2)
+            with pytest.raises(ValueError, match="dof2"):
+                BetaIIParams(4.0, bad, dim=2)
+            with pytest.raises(ValueError, match="dof"):
+                sample_noncentral_chisq(bad, 1.0, RngStream(29))
+            with pytest.raises(ValueError, match="noncen"):
+                sample_noncentral_chisq(2.0, bad, RngStream(29))
 
 
 class TestMatrixNormal:
@@ -236,6 +251,26 @@ class TestBeta2:
         assert eigs.shape == (100, 3)
         assert np.all(np.diff(eigs, axis=1) <= 0.0)
         assert np.all(eigs >= 0.0)
+
+
+class TestFactorIdentities:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_eigenvalues_match_sample_beta2(self, dim):
+        # The eigenvalue path works from the Bartlett factors, the matrix path
+        # from the symmetric root of S2; both consume the stream alike.
+        p = BetaIIParams(dim + 2.0, dim + 8.0, dim)
+        for seed in (30, 31):
+            eigs = beta2_eigenvalues(p, RngStream(seed), 5000)
+            ref = np.linalg.eigvalsh(sample_beta2(p, RngStream(seed), 5000))[:, ::-1]
+            assert np.all(np.abs(eigs - ref) <= 1e-12 * ref[:, :1])
+
+    def test_outer_wishart_is_gram_of_matrix_normal(self):
+        noncen = assert_pd([[1.0, 0.5], [0.5, 2.0]])
+        mean = np.zeros((5, 2))
+        mean[:2] = sym_sqrt(noncen).array
+        n = sample_matrix_normal(MatrixNormalParams(5, mean, SIGMA_2D), RngStream(32), size=1000)
+        w = sample_wishart(WishartParams(5.0, SIGMA_2D, noncen), RngStream(32), size=1000, method="outer")
+        assert np.array_equal(_mirror_upper(np.swapaxes(n, -1, -2) @ n), w)
 
 
 class TestNoncentralChisq:

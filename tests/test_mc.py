@@ -101,6 +101,40 @@ class TestMcPvalue:
         assert stats.kstest(p, "uniform").statistic < 0.06
 
 
+def _within_band(est, p_exact):
+    return abs(est.p_hat - p_exact) <= 4.0 * est.mc_se + 1.0 / (est.n_mc + 1)
+
+
+def _wilks_d2_exact_pvalue(lam, nu_h, nu_e):
+    # Anderson (2003), section 8.4: for d = 2,
+    # ((1 - sqrt(L)) / sqrt(L)) (nu_e - 1) / nu_h ~ F(2 nu_h, 2 (nu_e - 1)).
+    root = np.sqrt(lam)
+    return stats.f.sf((1.0 - root) / root * (nu_e - 1) / nu_h, 2 * nu_h, 2 * (nu_e - 1))
+
+
+class TestExactOracles:
+    DOFS = [(4, 60), (5, 60), (20, 60)]
+    TAILS = [0.5, 0.1, 0.01]
+
+    @pytest.mark.parametrize("nu1,nu2", DOFS)
+    def test_d1_hotelling_lawley_matches_f(self, nu1, nu2):
+        # d = 1: the single eigenvalue is (nu1 / nu2) F(nu1, nu2).
+        cfg = McConfig(n_mc=20_000, seed=31, functional=HL)
+        for tail in self.TAILS:
+            observed = nu1 / nu2 * stats.f.isf(tail, nu1, nu2)
+            est = mc_pvalue(observed, nu1, nu2, 1, cfg)
+            assert _within_band(est, stats.f.sf(observed * nu2 / nu1, nu1, nu2))
+
+    @pytest.mark.parametrize("nu_h,nu_e", DOFS)
+    def test_d2_wilks_matches_exact_f_law(self, nu_h, nu_e):
+        cfg = McConfig(n_mc=20_000, seed=32, functional=StatisticFunctional.WILKS)
+        for tail in self.TAILS:
+            f_crit = stats.f.isf(tail, 2 * nu_h, 2 * (nu_e - 1))
+            observed = (1.0 / (1.0 + f_crit * nu_h / (nu_e - 1))) ** 2
+            est = mc_pvalue(observed, nu_h, nu_e, 2, cfg)
+            assert _within_band(est, _wilks_d2_exact_pvalue(observed, nu_h, nu_e))
+
+
 class TestNullCalibration:
     def test_empty_run(self):
         spec = SimulationSpec(3, 3, 2, 2, assert_pd(np.eye(2)))
