@@ -36,19 +36,20 @@ spec = SimulationSpec(
 )
 full = simulate_design(spec, RngStream(31))
 
-path = Path(tempfile.gettempdir()) / "wishartmix_demo_data.csv"
-with open(path, "w", newline="", encoding="utf-8") as handle:
-    writer = csv.writer(handle)
-    writer.writerow(["factor_a", "factor_b", "r1", "r2"])
-    for i in range(5):
-        for j in range(7):
-            # ragged cell sizes, as observational data would have
-            keep = 3 + int(gen.integers(0, 10))
-            for k in range(min(keep, 12)):
-                writer.writerow([f"group_a{i}", f"group_b{j}", *full.responses[i, j, k]])
-print(f"wrote {path}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_data.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["factor_a", "factor_b", "r1", "r2"])
+        for i in range(5):
+            for j in range(7):
+                # ragged cell sizes, as observational data would have
+                keep = 3 + int(gen.integers(0, 10))
+                for k in range(min(keep, 12)):
+                    writer.writerow([f"group_a{i}", f"group_b{j}", *full.responses[i, j, k]])
+    print(f"wrote {path}")
+    data = load_design_csv(path, ["r1", "r2"])
 
-data = load_design_csv(path, ["r1", "r2"])
 print(f"{data.n_rows} rows, d = {data.dim}")
 
 table = subsample_balanced(data, n_per_cell=3, seed=7)

@@ -175,7 +175,7 @@ def _cmd_sample(args) -> int:
         return EXIT_OK
     if args.dist == "matrix-normal":
         mn = MatrixNormalParams(
-            rows=int(_require_number(params, "rows")),
+            rows=_require_number(params, "rows"),
             mean=_matrix_from_json(params.get("mean"), "mean"),
             scale=assert_pd(_matrix_from_json(params.get("scale"), "scale")),
         )
@@ -200,7 +200,7 @@ def _cmd_sample(args) -> int:
     bp = BetaIIParams(
         dof1=_require_number(params, "dof1"),
         dof2=_require_number(params, "dof2"),
-        dim=int(_require_number(params, "dim", 1)),
+        dim=_require_number(params, "dim", 1),
     )
     draws = sample_beta2(bp, rng, size=n)
     names = [f"x{r + 1}_{c + 1}" for r in range(bp.dim) for c in range(bp.dim)]

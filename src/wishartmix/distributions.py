@@ -17,7 +17,10 @@ and use the matrix-normal factor ``L = Z scale^{1/2} + M`` with the mean
 ``M`` in the leading rows, canonically ``M = [Delta^{1/2}; 0]``; non-integer
 noncentral sampling is rejected rather than approximated.  The same
 ``Z root + M`` construction draws the matrix normal itself and, with a
-per-draw ``M``, the conditional level of the closure hierarchy.  All samplers
+per-draw ``M``, the conditional level of the closure hierarchy.  Beta Type II
+eigenvalues come straight from the two Bartlett factors: ``C = T2^{-1} T1`` is
+lower triangular and built by forward substitution, and its spectrum is
+closed form for ``d <= 2`` (``eigvalsh`` only for ``d >= 3``).  All samplers
 accept ``size`` and then return a stacked ``(size, d, d)`` array, drawing in
 fixed-size chunks to bound memory.
 """
@@ -58,6 +61,13 @@ def _as_spd(value, name: str, *, require_pd: bool) -> SpdMat:
     return m
 
 
+def _positive_int(value, name: str) -> int:
+    """``value`` as an ``int``; integral floats such as ``2.0`` pass, ``2.7`` or ``0`` raise."""
+    if not (float(value).is_integer() and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MatrixNormalParams:
     """Matrix-variate normal with independent rows: ``rows x dim`` mean, row-common scale."""
@@ -67,18 +77,17 @@ class MatrixNormalParams:
     scale: SpdMat
 
     def __post_init__(self) -> None:
-        if int(self.rows) < 1:
-            raise ValueError(f"rows must be a positive integer, got {self.rows}")
+        rows = _positive_int(self.rows, "rows")
         scale = _as_spd(self.scale, "scale", require_pd=True)
         mean = np.array(self.mean, dtype=float)
         if mean.ndim == 0:
-            mean = np.full((int(self.rows), scale.dim), float(mean))
-        if mean.shape != (int(self.rows), scale.dim):
-            raise ValueError(f"mean must have shape ({self.rows}, {scale.dim}), got {mean.shape}")
+            mean = np.full((rows, scale.dim), float(mean))
+        if mean.shape != (rows, scale.dim):
+            raise ValueError(f"mean must have shape ({rows}, {scale.dim}), got {mean.shape}")
         if not np.all(np.isfinite(mean)):
             raise ValueError("mean entries must be finite")
         mean.setflags(write=False)
-        object.__setattr__(self, "rows", int(self.rows))
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "scale", scale)
 
@@ -138,9 +147,7 @@ class BetaIIParams:
     dim: int = 1
 
     def __post_init__(self) -> None:
-        dim = int(self.dim)
-        if dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        dim = _positive_int(self.dim, "dim")
         for name in ("dof1", "dof2"):
             value = float(getattr(self, name))
             if not (math.isfinite(value) and value > dim - 1):
@@ -290,6 +297,37 @@ def sample_beta2(
     return draws if size is not None else SpdMat._certified(draws, "PD")
 
 
+def _beta2_eigs(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of ``C C'``, ``C = T2^{-1} T1``, for ``(n, d, d)`` lower-triangular stacks.
+
+    ``C`` is lower triangular and is built by forward substitution, one
+    ``(n,)`` column of entries at a time.  For ``d = 2``, with ``p = c00^2``,
+    ``q = c00 c10`` and ``r = c10^2 + c11^2``, the larger eigenvalue is
+    ``(p + r)/2 + hypot(p - r, 2q)/2`` and the smaller is
+    ``det(C C') / lambda_1 = (c00 c11)^2 / lambda_1``, which keeps full
+    relative accuracy where ``(p + r)/2 - hypot(...)/2`` would cancel.
+    ``d >= 3`` falls back to ``eigvalsh(C C')``.
+    """
+    dim = t1.shape[-1]
+    c = np.zeros_like(t1)
+    for j in range(dim):
+        for i in range(j, dim):
+            acc = t1[:, i, j]
+            for k in range(j, i):
+                acc = acc - t2[:, i, k] * c[:, k, j]
+            c[:, i, j] = acc / t2[:, i, i]
+    if dim == 1:
+        return c[:, 0] * c[:, 0]
+    if dim > 2:
+        return np.linalg.eigvalsh(c @ np.swapaxes(c, -1, -2))[:, ::-1]
+    c00, c10, c11 = c[:, 0, 0], c[:, 1, 0], c[:, 1, 1]
+    p = c00 * c00
+    r = c10 * c10 + c11 * c11
+    lam1 = (p + r) / 2 + np.hypot(p - r, 2.0 * c00 * c10) / 2
+    lam2 = np.divide((c00 * c11) ** 2, lam1, out=np.zeros_like(lam1), where=lam1 > 0.0)
+    return np.stack([lam1, lam2], axis=1)
+
+
 def beta2_eigenvalues(
     params: BetaIIParams,
     rng: RngStream | np.random.Generator | int,
@@ -301,14 +339,16 @@ def beta2_eigenvalues(
     functionals are all symmetric functions of these eigenvalues.  With the
     Bartlett factors ``S_i = T_i T_i'`` of :func:`sample_beta2` (same stream,
     same draws), ``S2^{-1/2} S1 S2^{-1/2}`` is similar to ``C C'`` for
-    ``C = T2^{-1} T1``.
+    ``C = T2^{-1} T1``.  ``C`` is lower triangular, formed by forward
+    substitution; for ``d = 1`` the eigenvalue is ``c00^2`` and for ``d = 2``
+    the pair is closed form, the smaller one as ``det(C C') / lambda_1`` with
+    full relative accuracy.  ``d >= 3`` uses ``eigvalsh(C C')``.
     """
     gen = as_generator(rng)
 
     def draw(n: int) -> np.ndarray:
         t1 = _bartlett_factor(params.dof1, params.dim, gen, n)
-        c = np.linalg.solve(_bartlett_factor(params.dof2, params.dim, gen, n), t1)
-        return np.linalg.eigvalsh(c @ np.swapaxes(c, -1, -2))[:, ::-1]
+        return _beta2_eigs(t1, _bartlett_factor(params.dof2, params.dim, gen, n))
 
     return np.maximum(_draw_stack(int(size), (params.dim,), 4 * params.dim * params.dim, draw), 0.0)
 

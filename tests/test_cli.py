@@ -150,6 +150,20 @@ class TestSampleCommand:
 
 
     @pytest.mark.parametrize(
+        "dist,params,name",
+        [
+            ("beta2", {"dof1": 4, "dof2": 10, "dim": 2.7}, "dim"),
+            ("matrix-normal", {"rows": 1.9, "mean": [[0, 0]], "scale": [[1.0, 0.0], [0.0, 1.0]]}, "rows"),
+        ],
+    )
+    def test_non_integral_size_exit_two(self, tmp_path, capsys, dist, params, name):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(params), encoding="utf-8")
+        code = main(["sample", "--dist", dist, "--params", str(pfile), "--n", "2", "--seed", "3"])
+        assert code == EXIT_VALIDATION
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "dist,params",
         [
             ("wishart", '{"dof": 1e400, "scale": [[1.0, 0.0], [0.0, 1.0]]}'),

@@ -32,6 +32,7 @@ from wishartmix import (
     wishart_mean,
     wishart_mgf,
 )
+from wishartmix.distributions import _bartlett_factor, _beta2_eigs
 from wishartmix.symmat import _mirror_upper
 from conftest import random_psd, random_spd
 
@@ -67,6 +68,15 @@ class TestParams:
                 sample_noncentral_chisq(bad, 1.0, RngStream(29))
             with pytest.raises(ValueError, match="noncen"):
                 sample_noncentral_chisq(2.0, bad, RngStream(29))
+
+    def test_non_integral_sizes_rejected(self):
+        with pytest.raises(ValueError, match="dim"):
+            BetaIIParams(4.0, 10.0, dim=2.7)
+        with pytest.raises(ValueError, match="rows"):
+            MatrixNormalParams(1.9, 0.0, SIGMA_2D)
+        # Integral floats, as parsed from JSON, are accepted.
+        assert BetaIIParams(4.0, 10.0, dim=2.0).dim == 2
+        assert MatrixNormalParams(2.0, 0.0, SIGMA_2D).rows == 2
 
 
 class TestMatrixNormal:
@@ -251,6 +261,75 @@ class TestBeta2:
         assert eigs.shape == (100, 3)
         assert np.all(np.diff(eigs, axis=1) <= 0.0)
         assert np.all(eigs >= 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_hotelling_lawley_mean_is_exact(self, dim):
+        # E[B] = dof1 / (dof2 - dim - 1) I, so E[tr B] = dim dof1 / (dof2 - dim - 1).
+        # dof2 = dim + 10 keeps the fourth moment of tr B finite, so the
+        # sample standard error is a stable band.
+        dof1, dof2 = dim + 2.0, dim + 10.0
+        n = 200_000
+        trace = beta2_eigenvalues(BetaIIParams(dof1, dof2, dim), RngStream(33, dim), n).sum(axis=1)
+        exact = dim * dof1 / (dof2 - dim - 1)
+        assert abs(trace.mean() - exact) <= 4.0 * trace.std() / math.sqrt(n)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_eigenvalues_of_no_draws(self, dim):
+        assert beta2_eigenvalues(BetaIIParams(dim + 2.0, dim + 8.0, dim), RngStream(34), 0).shape == (0, dim)
+
+
+class TestBeta2Kernel:
+    # Cases as (dof1 - (dim - 1), dof2).  At dim = 2 the spread case is
+    # dof1 = 1.05, dof2 = 500: lambda_2 then falls hundreds of orders of
+    # magnitude below lambda_1, where eigvalsh keeps no relative digit of
+    # lambda_2 and the closed form must keep them all.
+    CASES = [(3.0, 10.0), (0.05, 500.0)]
+
+    @staticmethod
+    def _factors(dim, excess, dof2, seed, n):
+        gen = RngStream(seed, dim).generator()
+        return _bartlett_factor(dim - 1 + excess, dim, gen, n), _bartlett_factor(dof2, dim, gen, n)
+
+    @staticmethod
+    def _hand_built():
+        t1 = np.array([
+            [[2.0, 0.0], [0.0, 1e-9]],
+            [[1.0, 0.0], [1.0, 1e-8]],
+            [[3.0, 0.0], [-4.0, 5.0]],
+        ])
+        t2 = np.array([
+            [[1.0, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, 1.0]],
+            [[2.0, 0.0], [7.0, 0.5]],
+        ])
+        return t1, t2
+
+    @pytest.mark.parametrize("excess,dof2", CASES)
+    def test_d2_determinant_and_trace_identities(self, excess, dof2):
+        for t1, t2 in (self._factors(2, excess, dof2, 35, 20_000), self._hand_built()):
+            eigs = _beta2_eigs(t1, t2)
+            ratio = np.diagonal(t1, axis1=1, axis2=2) / np.diagonal(t2, axis1=1, axis2=2)
+            np.testing.assert_allclose(eigs.prod(axis=1), np.prod(ratio**2, axis=1), rtol=1e-13, atol=0)
+            c = np.linalg.solve(t2, t1)
+            np.testing.assert_allclose(eigs.sum(axis=1), (c * c).sum(axis=(1, 2)), rtol=1e-13, atol=0)
+            assert np.all(eigs[:, 0] >= eigs[:, 1])
+
+    def test_d2_repeated_eigenvalue(self):
+        eye = np.broadcast_to(np.eye(2), (3, 2, 2))
+        assert np.array_equal(_beta2_eigs(3.0 * eye, eye), np.full((3, 2), 9.0))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_numerator_gives_zeros(self, dim):
+        _, t2 = self._factors(dim, 3.0, 10.0, 36, 4)
+        assert np.array_equal(_beta2_eigs(np.zeros((4, dim, dim)), t2), np.zeros((4, dim)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("excess,dof2", CASES)
+    def test_agrees_with_solve_and_eigvalsh(self, dim, excess, dof2):
+        t1, t2 = self._factors(dim, excess, dof2 + dim, 37, 5000)
+        c = np.linalg.solve(t2, t1)
+        ref = np.linalg.eigvalsh(c @ np.swapaxes(c, -1, -2))[:, ::-1]
+        assert np.all(np.abs(_beta2_eigs(t1, t2) - ref) <= 1e-12 * ref[:, :1])
 
 
 class TestFactorIdentities:
