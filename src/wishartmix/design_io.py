@@ -2,12 +2,17 @@
 
 Input data is long-format CSV with a header row: columns ``factor_a`` and
 ``factor_b`` hold level labels (taken verbatim after trimming surrounding
-whitespace), and the caller names the response columns.  Observational data
-is rarely balanced, so a seeded uniform subsample without replacement brings
-every cell down to a common count before testing.
+whitespace), and the caller names the distinct response columns.  The file
+is parsed column-wise: one list of fields per needed column, each response
+column converted in one pass.  Error messages give physical line numbers,
+so blank lines and multi-line quoted fields count.  CSV and matrix files
+may start with a UTF-8 byte-order mark.  Observational data is rarely
+balanced, so a seeded uniform subsample without replacement brings every
+cell down to a common count before testing.
 
 Determinism: factor levels are ordered lexicographically, never by file
-order, and rows are pre-sorted by a full-record key, so the same data, cell
+order, and rows are pre-sorted by a full-record key (integer level codes,
+then the responses, in one stable ``np.lexsort``), so the same data, cell
 size, and seed give the same design table even if the input rows are permuted.
 """
 
@@ -16,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,45 +78,77 @@ def load_design_csv(path, response_columns) -> RawDataset:
     """Parse a long-format design CSV.
 
     Requires the header columns ``factor_a``, ``factor_b``, and every name in
-    ``response_columns``.  Labels are trimmed but otherwise verbatim; every
-    response value must parse as a finite real, otherwise
-    :class:`UnparseableValue` names the offending row.
+    ``response_columns``, each named once.  Labels are trimmed but otherwise
+    verbatim; a short row's missing fields read as empty and blank lines are
+    skipped.  Every response value must parse as a finite real, otherwise
+    :class:`UnparseableValue` names the first offending value in file order
+    by its physical line number (the line on which its record ends).
     """
     response_columns = [str(c) for c in response_columns]
     if not response_columns:
         raise MissingColumn("at least one response column must be named")
+    for k, name in enumerate(response_columns):
+        if name in response_columns[:k]:
+            raise ValidationError(f"response column {name!r} is named more than once")
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        fieldnames = next(reader, None)
+        if fieldnames is None:
             raise EmptyFile(f"{path}: no header row")
-        header = [h.strip() for h in reader.fieldnames]
+        header = [h.strip() for h in fieldnames]
         for k, name in enumerate(header):
             if name in header[:k]:
                 raise ValidationError(f"{path}: column {name!r} appears more than once in the header")
         for needed in [FACTOR_A_COLUMN, FACTOR_B_COLUMN, *response_columns]:
             if needed not in header:
                 raise MissingColumn(f"{path}: missing column {needed!r}")
-        a_labels: list[str] = []
-        b_labels: list[str] = []
-        values: list[list[float]] = []
-        for row_number, row in enumerate(reader, start=2):
-            record = {(k or "").strip(): v for k, v in row.items()}
-            a_labels.append((record[FACTOR_A_COLUMN] or "").strip())
-            b_labels.append((record[FACTOR_B_COLUMN] or "").strip())
-            parsed = []
-            for col in response_columns:
-                raw = (record.get(col) or "").strip()
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise UnparseableValue(f"{path}: row {row_number}, column {col!r}: {raw!r} is not a finite number")
-                parsed.append(value)
-            values.append(parsed)
-    if not values:
+        # one list per needed column: factor_a, factor_b, then the responses
+        indices = [header.index(name) for name in (FACTOR_A_COLUMN, FACTOR_B_COLUMN, *response_columns)]
+        columns: list[list[str]] = [[] for _ in indices]
+        appends = list(zip(indices, [col.append for col in columns]))
+        lines = array("l")  # physical line number of each data row
+        width = max(indices) + 1
+        for row in reader:
+            if not row:
+                continue
+            lines.append(reader.line_num)
+            if len(row) < width:
+                row = row + [""] * (width - len(row))
+            for index, append in appends:
+                append(row[index])
+    n = len(lines)
+    if n == 0:
         raise EmptyFile(f"{path}: no data rows")
-    return RawDataset(tuple(a_labels), tuple(b_labels), np.array(values), tuple(response_columns))
+    values = np.empty((n, len(response_columns)))
+    parsed = True
+    try:
+        for j, raw in enumerate(columns[2:]):
+            values[:, j] = np.fromiter(map(float, map(str.strip, raw)), float, n)
+    except ValueError:
+        parsed = False
+    if not (parsed and np.isfinite(values).all()):
+        _raise_first_unparseable(path, lines, response_columns, columns[2:])
+    labels = [tuple(map(str.strip, column)) for column in columns[:2]]
+    return RawDataset(*labels, values, tuple(response_columns))
+
+
+def _raise_first_unparseable(path, lines, names, columns) -> None:
+    """Raise :class:`UnparseableValue` for the first non-finite response in file order."""
+    for row, line in enumerate(lines):
+        for name, column in zip(names, columns):
+            raw = column[row].strip()
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise UnparseableValue(f"{path}: row {line}, column {name!r}: {raw!r} is not a finite number")
+
+
+def _level_codes(levels: list[str], labels: tuple[str, ...]) -> np.ndarray:
+    """Index of each label in the sorted ``levels``."""
+    index = {label: k for k, label in enumerate(levels)}
+    return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
 
 
 def subsample_balanced(data: RawDataset, n_per_cell: int, seed: int) -> DesignTable:
@@ -126,29 +164,26 @@ def subsample_balanced(data: RawDataset, n_per_cell: int, seed: int) -> DesignTa
         raise ValueError("n_per_cell must be positive")
     levels_a = sorted(set(data.factor_a))
     levels_b = sorted(set(data.factor_b))
-    order = sorted(
-        range(data.n_rows),
-        key=lambda r: (data.factor_a[r], data.factor_b[r], tuple(data.responses[r])),
-    )
-    cells: dict[tuple[str, str], list[int]] = {}
-    for r in order:
-        cells.setdefault((data.factor_a[r], data.factor_b[r]), []).append(r)
+    # Level codes order like the labels, so one stable sort by cell code and
+    # then by the responses gives the full-record order; each cell's rows are
+    # then one contiguous run of ``order``.
+    cell = _level_codes(levels_a, data.factor_a) * len(levels_b) + _level_codes(levels_b, data.factor_b)
+    order = np.lexsort((*data.responses.T[::-1], cell))
+    bounds = np.searchsorted(cell[order], np.arange(len(levels_a) * len(levels_b) + 1))
 
     gen = RngStream(int(seed)).generator()
     out = np.empty((len(levels_a), len(levels_b), n_per_cell, data.dim))
     for i, la in enumerate(levels_a):
         for j, lb in enumerate(levels_b):
-            rows = cells.get((la, lb), [])
+            k = i * len(levels_b) + j
+            rows = order[bounds[k] : bounds[k + 1]]
             if len(rows) < n_per_cell:
                 raise InsufficientCell(
                     f"cell ({la!r}, {lb!r}) holds {len(rows)} rows, needs {n_per_cell}"
                 )
-            if len(rows) == n_per_cell:
-                chosen = rows
-            else:
-                picks = gen.choice(len(rows), size=n_per_cell, replace=False)
-                chosen = [rows[k] for k in sorted(picks)]
-            out[i, j] = data.responses[chosen]
+            if len(rows) > n_per_cell:
+                rows = rows[np.sort(gen.choice(len(rows), size=n_per_cell, replace=False))]
+            out[i, j] = data.responses[rows]
     return DesignTable(out, labels_a=tuple(levels_a), labels_b=tuple(levels_b))
 
 
@@ -238,9 +273,10 @@ def read_matrix_file(path) -> SymMat:
     """Read the plain-text square matrix format: a line with ``d``, then ``d`` rows.
 
     Rows hold ``d`` whitespace-separated reals; the matrix must be symmetric
-    to about eight significant digits.
+    to about eight significant digits.  A leading UTF-8 byte-order mark is
+    ignored.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         tokens = handle.read().split()
     if not tokens:
         raise EmptyFile(f"{path}: empty matrix file")

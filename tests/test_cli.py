@@ -80,6 +80,23 @@ class TestManovaCommand:
             assert fs["p"] == fb["p"]
             np.testing.assert_allclose(fs["eigenvalues"], fb["eigenvalues"], rtol=1e-8)
 
+    def test_sigma_file_with_bom(self, tmp_path, capsys):
+        csv_path, names = write_design_csv(tmp_path / "d.csv")
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_bytes(b"\xef\xbb\xbf2\n3.0 1.0\n1.0 2.0\n")
+        code = main([
+            "manova", "--input", str(csv_path), "--responses", ",".join(names),
+            "--n-per-cell", "3", "--n-mc", "1000", "--sigma", str(sigma),
+        ])
+        assert code == EXIT_OK
+        assert "Beta Type II MANOVA" in capsys.readouterr().out
+
+    def test_response_named_twice_exit_two(self, tmp_path, capsys):
+        csv_path, names = write_design_csv(tmp_path / "d.csv")
+        code = main(["manova", "--input", str(csv_path), "--responses", "r1,r1", "--n-per-cell", "3"])
+        assert code == EXIT_VALIDATION
+        assert "response column 'r1' is named more than once" in capsys.readouterr().err
+
     def test_missing_file_is_validation_error(self, capsys):
         code = main(["manova", "--input", "/nonexistent.csv", "--responses", "x", "--n-per-cell", "2"])
         assert code == EXIT_VALIDATION
