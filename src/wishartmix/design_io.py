@@ -99,11 +99,12 @@ def load_design_csv(path, response_columns) -> RawDataset:
         for k, name in enumerate(header):
             if name in header[:k]:
                 raise ValidationError(f"{path}: column {name!r} appears more than once in the header")
-        for needed in [FACTOR_A_COLUMN, FACTOR_B_COLUMN, *response_columns]:
-            if needed not in header:
-                raise MissingColumn(f"{path}: missing column {needed!r}")
+        needed = [FACTOR_A_COLUMN, FACTOR_B_COLUMN, *response_columns]
+        for name in needed:
+            if name not in header:
+                raise MissingColumn(f"{path}: missing column {name!r}")
         # one list per needed column: factor_a, factor_b, then the responses
-        indices = [header.index(name) for name in (FACTOR_A_COLUMN, FACTOR_B_COLUMN, *response_columns)]
+        indices = [header.index(name) for name in needed]
         columns: list[list[str]] = [[] for _ in indices]
         appends = list(zip(indices, [col.append for col in columns]))
         lines = array("l")  # physical line number of each data row

@@ -65,6 +65,14 @@ class TestLoadDesignCsv:
         p = write_csv(tmp_path / "d.csv", ["x,y,1.0,2.0", "x,y,NaN,0.5"])
         with pytest.raises(UnparseableValue, match="row 3"):
             load_design_csv(p, ["r1", "r2"])
+        # the first bad value in file order, across columns
+        p = write_csv(tmp_path / "d.csv", ["x,y,1.0,2.0", "x,y,1.0,oops", "x,y,nan,1.0"])
+        with pytest.raises(UnparseableValue, match="row 3, column 'r2': 'oops'"):
+            load_design_csv(p, ["r1", "r2"])
+        # a short row's missing fields read as empty
+        p = write_csv(tmp_path / "d.csv", ["x,y,1.0,2.0", "x"])
+        with pytest.raises(UnparseableValue, match="row 3, column 'r1': ''"):
+            load_design_csv(p, ["r1", "r2"])
 
     def test_row_number_is_the_physical_line(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -75,16 +83,6 @@ class TestLoadDesignCsv:
         p.write_text('factor_a,factor_b,y1\n"a\n1",b1,1.0\na1,b1,inf\n', encoding="utf-8")
         with pytest.raises(UnparseableValue, match="row 4, column 'y1'"):
             load_design_csv(p, ["y1"])
-
-    def test_first_bad_value_in_file_order(self, tmp_path):
-        p = write_csv(tmp_path / "d.csv", ["x,y,1.0,2.0", "x,y,1.0,oops", "x,y,nan,1.0"])
-        with pytest.raises(UnparseableValue, match="row 3, column 'r2': 'oops'"):
-            load_design_csv(p, ["r1", "r2"])
-
-    def test_short_rows_read_as_empty(self, tmp_path):
-        p = write_csv(tmp_path / "d.csv", ["x,y,1.0,2.0", "x"])
-        with pytest.raises(UnparseableValue, match="row 3, column 'r1': ''"):
-            load_design_csv(p, ["r1", "r2"])
 
     def test_response_named_twice_rejected(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", ["x,y,1.0,2.0"])
