@@ -85,10 +85,6 @@ from .symmat import (
     SymMat,
     Tolerances,
     assert_pd,
-    conjugate,
-    multivariate_gamma,
-    multivariate_log_gamma,
-    sym_inv,
     sym_inv_sqrt,
     sym_sqrt,
     tolerances,

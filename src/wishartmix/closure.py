@@ -42,8 +42,8 @@ from .distributions import (
     wishart_mean,
     wishart_mgf,
 )
-from .rng import RngStream, _chunk_spans, as_generator
-from .symmat import SpdMat, SymMat, _mirror_upper, sym_sqrt
+from .rng import RngStream, _as_stream, _chunk_spans, as_generator
+from .symmat import SpdMat, SymMat, _as_spd, _mirror_upper, sym_sqrt
 
 __all__ = [
     "MixtureSpec",
@@ -80,19 +80,15 @@ class MixtureSpec:
     mixing_noncen: SpdMat | None = None
 
     def __post_init__(self) -> None:
-        # WishartParams performs the PD/PSD/dof validation for the mixing law;
-        # reuse it and keep the certified values.
-        mixing = WishartParams(self.dof, self.mixing_scale, self.mixing_noncen)
-        for name in ("inner_scale", "coupling"):
-            value = getattr(self, name)
-            spd = value if isinstance(value, SpdMat) else SpdMat(value)
-            if spd.kind != "PD":
-                raise ValueError(f"{name} must be positive definite")
-            if spd.dim != mixing.dim:
-                raise ValueError(f"{name} is {spd.dim}x{spd.dim} but the mixing law is {mixing.dim}-dimensional")
+        for name in ("mixing_scale", "inner_scale", "coupling"):
+            spd = _as_spd(getattr(self, name), name, require_pd=True)
             object.__setattr__(self, name, spd)
+            dim = self.mixing_scale.dim
+            if spd.dim != dim:
+                raise ValueError(f"{name} is {spd.dim}x{spd.dim} but the mixing law is {dim}-dimensional")
+        # WishartParams checks the dof and the mixing noncentrality.
+        mixing = self.mixing_params()
         object.__setattr__(self, "dof", mixing.dof)
-        object.__setattr__(self, "mixing_scale", mixing.scale)
         object.__setattr__(self, "mixing_noncen", mixing.noncen)
 
     @property
@@ -109,10 +105,7 @@ def conjugation_params(params: WishartParams, c: SpdMat) -> WishartParams:
     Both parameters transform by congruence: the result is
     ``W(dof, C scale C, C noncen C)``.
     """
-    if not isinstance(c, SpdMat) or c.kind != "PD":
-        c = SpdMat(c.array if isinstance(c, (SpdMat, SymMat)) else c)
-        if c.kind != "PD":
-            raise ValueError("C must be positive definite")
+    c = _as_spd(c, "c", require_pd=True)
     if c.dim != params.dim:
         raise ValueError(f"C is {c.dim}x{c.dim} but the distribution is {params.dim}-dimensional")
     ca = c.array
@@ -178,8 +171,7 @@ def default_probes(scale: SpdMat, count: int = 5) -> list[SymMat]:
     eigenvalue; anything close to the 0.25 boundary would push ``M(2T)`` out
     of the domain and give the empirical MGF estimator infinite variance.
     """
-    if not isinstance(scale, SpdMat):
-        scale = SpdMat(scale)
+    scale = _as_spd(scale, "scale", require_pd=True)
     dim = scale.dim
     eps = 0.1 / float(scale.eigenvalues[-1])
     base = [np.zeros((dim, dim)), np.eye(dim), -np.eye(dim)]
@@ -249,7 +241,6 @@ def verify_closure(
     n_draws: int,
     rng: RngStream | int,
     probes: list[SymMat] | None = None,
-    thresholds: VerificationThresholds | None = None,
     predicted: WishartParams | None = None,
 ) -> VerificationReport:
     """Compare hierarchical draws against the predicted marginal law.
@@ -268,14 +259,11 @@ def verify_closure(
     distributed over workers.  ``predicted`` overrides the computed marginal
     law (useful as a negative control).
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = RngStream(int(rng))
-    if not isinstance(rng, RngStream):
-        raise TypeError("verify_closure needs an RngStream (or int seed) to derive chunk streams")
+    rng = _as_stream(rng, "verify_closure")
     n_draws = int(n_draws)
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
-    thresholds = thresholds or VerificationThresholds()
+    thresholds = VerificationThresholds()
     if predicted is None:
         predicted = mixture_marginal_params(spec)
     if probes is None:

@@ -82,7 +82,9 @@ def load_design_csv(path, response_columns) -> RawDataset:
     verbatim; a short row's missing fields read as empty and blank lines are
     skipped.  Every response value must parse as a finite real, otherwise
     :class:`UnparseableValue` names the first offending value in file order
-    by its physical line number (the line on which its record ends).
+    by its physical line number (the line on which its record ends).  A
+    record the ``csv`` module rejects, such as a field over its size limit,
+    raises :class:`ValidationError` with the line the reader stopped on.
     """
     response_columns = [str(c) for c in response_columns]
     if not response_columns:
@@ -92,31 +94,34 @@ def load_design_csv(path, response_columns) -> RawDataset:
             raise ValidationError(f"response column {name!r} is named more than once")
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        fieldnames = next(reader, None)
-        if fieldnames is None:
-            raise EmptyFile(f"{path}: no header row")
-        header = [h.strip() for h in fieldnames]
-        for k, name in enumerate(header):
-            if name in header[:k]:
-                raise ValidationError(f"{path}: column {name!r} appears more than once in the header")
-        needed = [FACTOR_A_COLUMN, FACTOR_B_COLUMN, *response_columns]
-        for name in needed:
-            if name not in header:
-                raise MissingColumn(f"{path}: missing column {name!r}")
-        # one list per needed column: factor_a, factor_b, then the responses
-        indices = [header.index(name) for name in needed]
-        columns: list[list[str]] = [[] for _ in indices]
-        appends = list(zip(indices, [col.append for col in columns]))
-        lines = array("l")  # physical line number of each data row
-        width = max(indices) + 1
-        for row in reader:
-            if not row:
-                continue
-            lines.append(reader.line_num)
-            if len(row) < width:
-                row = row + [""] * (width - len(row))
-            for index, append in appends:
-                append(row[index])
+        try:
+            fieldnames = next(reader, None)
+            if fieldnames is None:
+                raise EmptyFile(f"{path}: no header row")
+            header = [h.strip() for h in fieldnames]
+            for k, name in enumerate(header):
+                if name in header[:k]:
+                    raise ValidationError(f"{path}: column {name!r} appears more than once in the header")
+            needed = [FACTOR_A_COLUMN, FACTOR_B_COLUMN, *response_columns]
+            for name in needed:
+                if name not in header:
+                    raise MissingColumn(f"{path}: missing column {name!r}")
+            # one list per needed column: factor_a, factor_b, then the responses
+            indices = [header.index(name) for name in needed]
+            columns: list[list[str]] = [[] for _ in indices]
+            appends = list(zip(indices, [col.append for col in columns]))
+            lines = array("l")  # physical line number of each data row
+            width = max(indices) + 1
+            for row in reader:
+                if not row:
+                    continue
+                lines.append(reader.line_num)
+                if len(row) < width:
+                    row = row + [""] * (width - len(row))
+                for index, append in appends:
+                    append(row[index])
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
     n = len(lines)
     if n == 0:
         raise EmptyFile(f"{path}: no data rows")

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPsd, OutsideDomain, UnsupportedDof
+from .errors import OutsideDomain, UnsupportedDof
 from .rng import RngStream, _chunk_spans, as_generator
-from .symmat import SpdMat, SymMat, _mirror_upper, assert_pd, sym_sqrt
+from .symmat import SpdMat, SymMat, _as_spd, _mirror_upper, sym_sqrt
 
 __all__ = [
     "MatrixNormalParams",
@@ -54,16 +54,10 @@ __all__ = [
 _CHUNK_SCALARS = 1 << 22
 
 
-def _as_spd(value, name: str, *, require_pd: bool) -> SpdMat:
-    m = value if isinstance(value, SpdMat) else assert_pd(value)
-    if require_pd and m.kind != "PD":
-        raise NotPsd(f"{name} must be positive definite")
-    return m
-
-
 def _positive_int(value, name: str) -> int:
     """``value`` as an ``int``; integral floats such as ``2.0`` pass, ``2.7`` or ``0`` raise."""
-    if not (float(value).is_integer() and value >= 1):
+    integral = isinstance(value, (int, np.integer)) or float(value).is_integer()
+    if not (integral and value >= 1):
         raise ValueError(f"{name} must be a positive integer, got {value}")
     return int(value)
 
@@ -390,7 +384,7 @@ def wishart_log_mgf(params: WishartParams, t) -> float:
     ``log M(T) = tr{T scale (scale - 2 scale T scale)^{-1} Delta}
                  - dof/2 * log det(I - 2 T_scale)``.
     """
-    t_arr = t.array if isinstance(t, SymMat) else SymMat(t).array
+    t_arr = SymMat(t).array
     if t_arr.shape[0] != params.dim:
         raise ValueError(f"T is {t_arr.shape[0]}x{t_arr.shape[0]} but the distribution is {params.dim}-dimensional")
     sigma = params.scale.array

@@ -31,9 +31,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.stats import f as f_dist
 
+from .distributions import _positive_int
 from .errors import DegenerateDesign, SingularErrorMatrix, UnbalancedDesign, ValidationError
 from .rng import RngStream, as_generator
-from .symmat import SpdMat, SymMat, _mirror_upper, sym_inv_sqrt, sym_sqrt, tolerances
+from .symmat import SpdMat, SymMat, _as_spd, _mirror_upper, sym_inv_sqrt, sym_sqrt, tolerances
 
 __all__ = [
     "DesignTable",
@@ -228,10 +229,7 @@ def batched_statistic_eigs(numerators, residuals, sigma: SpdMat | None = None) -
     if numerators.shape != residuals.shape:
         raise ValueError(f"numerator SOPs {numerators.shape} and residual SOPs {residuals.shape} differ in shape")
     if sigma is not None:
-        if not isinstance(sigma, SpdMat):
-            sigma = SpdMat(sigma)
-        if sigma.kind != "PD":
-            raise ValueError("sigma must be positive definite")
+        sigma = _as_spd(sigma, "sigma", require_pd=True)
         if sigma.dim != numerators.shape[-1]:
             raise ValueError(f"sigma is {sigma.dim}x{sigma.dim} but the SOPs are {numerators.shape[-1]}-dimensional")
         c = sym_inv_sqrt(sigma).array
@@ -261,7 +259,7 @@ class DofMap(NamedTuple):
 
 def dof_map(a: int, b: int, n: int) -> DofMap:
     """``(a-1, b-1, (a-1)(b-1), ab(n-1))`` with domain validation."""
-    a, b, n = int(a), int(b), int(n)
+    a, b, n = _positive_int(a, "a"), _positive_int(b, "b"), _positive_int(n, "n")
     if a < 2 or b < 2:
         raise ValueError(f"both factors need at least two levels, got a={a}, b={b}")
     if n < 2:
@@ -273,8 +271,12 @@ def univariate_f_test(table: DesignTable, which: str) -> tuple[float, float]:
     """Exact variance-component F test for one factor of a ``d = 1`` design.
 
     ``F = (SOP_X / nu_X) / (SOP_E / nu_E)`` with the upper-tail p-value from
-    the ``F(nu_X, nu_E)`` distribution.  In balanced designs this test is
-    exact under both the fixed-effects null and the random-effects null.
+    the ``F(nu_X, nu_E)`` distribution.  In balanced designs the test of
+    ``AB`` is exact under its null, and the tests of ``A`` and ``B`` are exact
+    when the interaction is fixed or absent.  With a random interaction
+    (``Sigma_AB != 0``) ``SOP_A`` and ``SOP_B`` carry ``n Sigma_AB`` that
+    ``SOP_E`` lacks, so their nulls are not ``F(nu_X, nu_E)`` and these tests
+    over-reject.
     """
     if which not in FACTORS:
         raise ValueError(f"which must be one of {FACTORS}, got {which!r}")
@@ -310,8 +312,7 @@ class RandomEffect:
     cov: SpdMat
 
     def __post_init__(self) -> None:
-        cov = self.cov if isinstance(self.cov, SpdMat) else SpdMat(self.cov)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "cov", _as_spd(self.cov, "cov", require_pd=False))
 
 
 @dataclass(frozen=True)
@@ -361,13 +362,14 @@ class SimulationSpec:
     effect_ab: Effect = NO_EFFECT
 
     def __post_init__(self) -> None:
-        a, b, n, d = (int(getattr(self, k)) for k in ("levels_a", "levels_b", "reps", "dim"))
-        if min(a, b) < 2 or n < 1 or d < 1:
+        for name in ("levels_a", "levels_b", "reps", "dim"):
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
+        a, b, d = self.levels_a, self.levels_b, self.dim
+        if min(a, b) < 2:
             raise ValueError("need a, b >= 2 and n, d >= 1")
-        scale = self.error_scale if isinstance(self.error_scale, SpdMat) else SpdMat(self.error_scale)
-        if scale.kind != "PD" or scale.dim != d:
+        object.__setattr__(self, "error_scale", _as_spd(self.error_scale, "error_scale", require_pd=True))
+        if self.error_scale.dim != d:
             raise ValueError(f"error_scale must be a {d}x{d} positive definite matrix")
-        object.__setattr__(self, "error_scale", scale)
         for name, shape, axes in (
             ("effect_a", (a, d), (0,)),
             ("effect_b", (b, d), (0,)),

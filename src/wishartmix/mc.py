@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import kstest
 
-from .distributions import BetaIIParams, beta2_eigenvalues
+from .distributions import BetaIIParams, _positive_int, beta2_eigenvalues
 from .manova import (
     FACTORS,
     SimulationSpec,
@@ -36,7 +36,7 @@ from .manova import (
     simulate_design,
     sop_arrays,
 )
-from .rng import RngStream, _chunk_spans
+from .rng import RngStream, _as_stream, _chunk_spans
 
 __all__ = [
     "McConfig",
@@ -63,9 +63,7 @@ class McConfig:
     functional: StatisticFunctional = StatisticFunctional.HOTELLING_LAWLEY
 
     def __post_init__(self) -> None:
-        if int(self.n_mc) < 1:
-            raise ValueError(f"n_mc must be positive, got {self.n_mc}")
-        object.__setattr__(self, "n_mc", int(self.n_mc))
+        object.__setattr__(self, "n_mc", _positive_int(self.n_mc, "n_mc"))
         object.__setattr__(self, "functional", StatisticFunctional(self.functional))
 
 
@@ -183,10 +181,7 @@ def null_calibration(
     of null draws.  Every dataset gets an independent null draw set, derived
     deterministically from ``cfg.seed``.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = RngStream(int(rng))
-    if not isinstance(rng, RngStream):
-        raise TypeError("null_calibration needs an RngStream (or int seed)")
+    rng = _as_stream(rng, "null_calibration")
     n_datasets = int(n_datasets)
     if n_datasets < 0:
         raise ValueError("n_datasets must be non-negative")

@@ -61,6 +61,15 @@ def _chunk_spans(total: int, step: int):
         yield k, start, min(step, total - start)
 
 
+def _as_stream(rng: RngStream | int, caller: str) -> RngStream:
+    """``rng`` as an :class:`RngStream`, an int being its seed; engines that derive chunk streams need one."""
+    if isinstance(rng, (int, np.integer)):
+        return RngStream(int(rng))
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"{caller} needs an RngStream (or int seed) to derive chunk streams")
+    return rng
+
+
 def as_generator(rng: RngStream | np.random.Generator | int) -> np.random.Generator:
     """Normalize the accepted randomness inputs to a ``numpy`` generator.
 

@@ -12,7 +12,10 @@ fixes one explicit policy, applied everywhere:
 * definiteness is decided from the eigenvalue spectrum relative to the largest
   eigenvalue, with thresholds held in the module-global :data:`tolerances`;
 * eigenvalues in ``[-tol.psd * lambda_max, 0)`` are clipped to zero on the
-  semidefinite path, and anything below that is rejected as :class:`NotPsd`.
+  semidefinite path, and anything below that is rejected as :class:`NotPsd`;
+* every input that must be positive definite goes through :func:`_as_spd`,
+  which raises ``NotPsd("<name> must be positive definite")`` and passes an
+  already certified :class:`SpdMat` through without a new eigendecomposition.
 
 Square roots are computed by eigendecomposition, not Cholesky, because the
 symmetric root is the one the conjugation map is defined with.
@@ -20,11 +23,9 @@ symmetric root is the one the conjugation map is defined with.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NotPsd
 
@@ -35,28 +36,21 @@ __all__ = [
     "tolerances",
     "assert_pd",
     "sym_sqrt",
-    "sym_inv",
     "sym_inv_sqrt",
-    "conjugate",
-    "multivariate_gamma",
-    "multivariate_log_gamma",
 ]
 
 
 @dataclass
 class Tolerances:
-    """Relative eigenvalue thresholds for cone membership and reconstruction.
+    """Relative eigenvalue thresholds for cone membership.
 
-    All three are relative to the largest eigenvalue of the matrix under test.
-    ``pd`` separates "strictly positive" from "numerically zero", ``psd`` is
-    how far below zero an eigenvalue may dip before the matrix is rejected,
-    and ``reconstruction`` bounds round-trip identities such as
-    ``sym_sqrt(P) @ sym_sqrt(P) == P``.
+    Both are relative to the largest eigenvalue of the matrix under test.
+    ``pd`` separates "strictly positive" from "numerically zero", and ``psd``
+    is how far below zero an eigenvalue may dip before the matrix is rejected.
     """
 
     pd: float = 1e-12
     psd: float = 1e-10
-    reconstruction: float = 1e-8
 
 
 #: Global tolerance policy; mutate fields to reconfigure the whole package.
@@ -67,8 +61,8 @@ def _as_square(values) -> np.ndarray:
     m = np.array(values, dtype=float)
     if m.ndim == 0:
         m = m.reshape(1, 1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -85,13 +79,14 @@ class SymMat:
     Only the upper triangle of ``values`` is used; the lower triangle is the
     mirror image, which makes ``array == array.T`` hold exactly by
     construction.  Instances are immutable and safe to share across threads.
-    A scalar is accepted as the ``d = 1`` case.
+    A scalar is accepted as the ``d = 1`` case, and a :class:`SymMat` shares
+    its array.
     """
 
     __slots__ = ("_m",)
 
     def __init__(self, values) -> None:
-        m = _mirror_upper(_as_square(values))
+        m = values._m if isinstance(values, SymMat) else _mirror_upper(_as_square(values))
         m.setflags(write=False)
         self._m = m
 
@@ -108,7 +103,7 @@ class SymMat:
         return f"SymMat({self._m.tolist()!r})"
 
 
-class SpdMat:
+class SpdMat(SymMat):
     """A :class:`SymMat` certified positive definite or positive semidefinite.
 
     Construction runs the eigenvalue classification of :func:`assert_pd`;
@@ -118,24 +113,23 @@ class SpdMat:
     tolerance have already been clipped to zero.
     """
 
-    __slots__ = ("_base", "_kind", "_eigvals", "_eigvecs", "_sqrt")
+    __slots__ = ("_kind", "_eigvals", "_eigvecs", "_sqrt")
 
-    def __init__(self, values, tol: Tolerances | None = None) -> None:
-        base = values if isinstance(values, SymMat) else SymMat(values)
-        tol = tol if tol is not None else tolerances
-        w, v = np.linalg.eigh(base.array)
+    def __init__(self, values) -> None:
+        super().__init__(values)
+        w, v = np.linalg.eigh(self._m)
         lam_max = w[-1]
-        if np.all(w > tol.pd * lam_max):
+        if np.all(w > tolerances.pd * lam_max):
             kind = "PD"
-        elif np.all(w >= -tol.psd * lam_max):
+        elif np.all(w >= -tolerances.psd * lam_max):
             kind = "PSD"
             w = np.maximum(w, 0.0)
         else:
             raise NotPsd(
                 f"matrix is not positive semidefinite: min eigenvalue {w[0]:.6g} "
-                f"is below -{tol.psd:g} * {lam_max:.6g}"
+                f"is below -{tolerances.psd:g} * {lam_max:.6g}"
             )
-        self._base, self._kind = base, kind
+        self._kind = kind
         self._eigvals, self._eigvecs = w, v
         self._sqrt = None
 
@@ -148,7 +142,7 @@ class SpdMat:
         eigendecomposition.
         """
         obj = cls.__new__(cls)
-        obj._base = values if isinstance(values, SymMat) else SymMat(values)
+        SymMat.__init__(obj, values)
         obj._kind = kind
         obj._eigvals = obj._eigvecs = obj._sqrt = None
         return obj
@@ -164,7 +158,7 @@ class SpdMat:
 
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eigvals is None:
-            w, v = np.linalg.eigh(self._base.array)
+            w, v = np.linalg.eigh(self._m)
             if self._kind == "PSD":
                 w = np.maximum(w, 0.0)
             self._eigvals, self._eigvecs = w, v
@@ -178,18 +172,6 @@ class SpdMat:
         return self._sqrt
 
     @property
-    def array(self) -> np.ndarray:
-        return self._base.array
-
-    @property
-    def base(self) -> SymMat:
-        return self._base
-
-    @property
-    def dim(self) -> int:
-        return self._base.dim
-
-    @property
     def kind(self) -> str:
         """``"PD"`` or ``"PSD"``."""
         return self._kind
@@ -200,87 +182,44 @@ class SpdMat:
         return self._spectrum()[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SpdMat({self._base.array.tolist()!r}, kind={self._kind!r})"
+        return f"SpdMat({self._m.tolist()!r}, kind={self._kind!r})"
 
 
-def assert_pd(m, tol: Tolerances | None = None) -> SpdMat:
+def assert_pd(m) -> SpdMat:
     """Classify a symmetric matrix as PD or PSD, or raise :class:`NotPsd`.
 
     Eigenvalues are compared with the largest one: strictly above
-    ``tol.pd * lambda_max`` everywhere gives ``PD``; otherwise, nothing below
-    ``-tol.psd * lambda_max`` gives ``PSD`` with the negative part of the
-    spectrum clipped to zero.  Anything else fails.
+    ``tolerances.pd * lambda_max`` everywhere gives ``PD``; otherwise, nothing
+    below ``-tolerances.psd * lambda_max`` gives ``PSD`` with the negative part
+    of the spectrum clipped to zero.  Anything else fails.
     """
-    return SpdMat(m, tol=tol)
+    return SpdMat(m)
 
 
-def sym_sqrt(p: SpdMat) -> SpdMat:
-    """Symmetric square root ``S`` with ``S @ S == P`` up to reconstruction tolerance.
+def _as_spd(value, name: str, *, require_pd: bool) -> SpdMat:
+    """``value`` certified as an :class:`SpdMat`; one that already is passes through unchanged.
+
+    With ``require_pd`` a merely semidefinite matrix raises
+    ``NotPsd("<name> must be positive definite")``.
+    """
+    m = value if isinstance(value, SpdMat) else SpdMat(value)
+    if require_pd and m.kind != "PD":
+        raise NotPsd(f"{name} must be positive definite")
+    return m
+
+
+def sym_sqrt(p) -> SpdMat:
+    """Symmetric square root ``S`` with ``S @ S == P``.
 
     The eigenvalues of ``S`` are the square roots of the (clipped) eigenvalues
     of ``P``, so the result inherits ``P``'s kind.
     """
-    if not isinstance(p, SpdMat):
-        p = assert_pd(p)
-    return p._root()
+    return _as_spd(p, "p", require_pd=False)._root()
 
 
-def sym_inv(p: SpdMat) -> SpdMat:
-    """Inverse of a positive definite matrix via its eigendecomposition."""
-    if not isinstance(p, SpdMat):
-        p = assert_pd(p)
-    w, v = p._spectrum()
-    if p.kind != "PD" or np.any(w <= 0.0):
-        raise NotPsd("matrix must be positive definite to invert")
-    return SpdMat._from_spectrum(1.0 / w, v, "PD")
-
-
-def sym_inv_sqrt(p: SpdMat) -> SpdMat:
+def sym_inv_sqrt(p) -> SpdMat:
     """Symmetric inverse square root ``P^{-1/2}`` of a positive definite matrix."""
-    if not isinstance(p, SpdMat):
-        p = assert_pd(p)
-    w, v = p._spectrum()
-    if p.kind != "PD" or np.any(w <= 0.0):
-        raise NotPsd("matrix must be positive definite to form an inverse square root")
+    w, v = _as_spd(p, "p", require_pd=True)._spectrum()
+    if np.any(w <= 0.0):
+        raise NotPsd("p must be positive definite")
     return SpdMat._from_spectrum(1.0 / np.sqrt(w), v, "PD")
-
-
-def conjugate(r, p: SpdMat) -> SymMat:
-    """The conjugation map ``R_P = P^{1/2} R P^{1/2}``.
-
-    ``r`` may be a :class:`SymMat`, a square array, or a scalar (the ``d = 1``
-    case, where the map reduces to the product ``p * r``).  The result is
-    symmetric by construction and the map is linear in ``r``.
-    """
-    if not isinstance(p, SpdMat):
-        p = assert_pd(p)
-    r_arr = r.array if isinstance(r, SymMat) else _mirror_upper(_as_square(r))
-    if r_arr.shape[0] != p.dim:
-        raise ValueError(f"dimension mismatch: R is {r_arr.shape[0]}x{r_arr.shape[0]}, P is {p.dim}x{p.dim}")
-    ph = p._root().array
-    return SymMat(ph @ r_arr @ ph)
-
-
-def multivariate_log_gamma(beta: float, dim: int) -> float:
-    """Logarithm of the multivariate gamma function over the ``dim x dim`` PD cone.
-
-    Uses the product formula
-
-    ``log Gamma_d(beta) = d(d-1)/4 * log(pi) + sum_{j=0}^{d-1} log Gamma(beta - j/2)``,
-
-    which keeps large degrees of freedom from overflowing.  Requires
-    ``beta > (dim - 1) / 2``.
-    """
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim}")
-    beta = float(beta)
-    if not beta > (dim - 1) / 2.0:
-        raise ValueError(f"beta must exceed (dim - 1)/2 = {(dim - 1) / 2}, got {beta}")
-    offsets = np.arange(dim) / 2.0
-    return dim * (dim - 1) / 4.0 * math.log(math.pi) + float(gammaln(beta - offsets).sum())
-
-
-def multivariate_gamma(beta: float, dim: int) -> float:
-    """Multivariate gamma function ``Gamma_dim(beta)``; always strictly positive."""
-    return math.exp(multivariate_log_gamma(beta, dim))

@@ -116,6 +116,15 @@ class TestManovaCommand:
         assert code == EXIT_VALIDATION
         assert "overflow the sum of outer products" in capsys.readouterr().err
 
+    def test_oversized_field_exit_two(self, tmp_path, capsys):
+        # The csv module rejects fields over 131,072 characters.
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text(f"factor_a,factor_b,r1\na,b,1.0\na,b,{'9' * 200_000}\n", encoding="utf-8")
+        code = main(["manova", "--input", str(csv_path), "--responses", "r1", "--n-per-cell", "1"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{csv_path}: line 3: field larger than field limit" in err
+
 
 class TestVerifyCommand:
     def test_passing_battery(self, capsys):
@@ -133,6 +142,18 @@ class TestVerifyCommand:
             "--seed", "21", "--central", "--specs", "1",
         ])
         assert code == EXIT_VERIFICATION
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--dim", "0", "--dof", "4", "--n-draws", "2000", "--seed", "21", "--specs", "1"],
+        ["calibrate", "--a", "3", "--b", "3", "--n", "2", "--dim", "0", "--datasets", "4", "--seed", "6"],
+    ],
+)
+def test_zero_dimension_exit_two(argv, capsys):
+    assert main(argv) == EXIT_VALIDATION
+    assert "non-empty square matrix" in capsys.readouterr().err
 
 
 class TestSampleCommand:

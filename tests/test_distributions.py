@@ -15,14 +15,17 @@ from scipy import stats
 from wishartmix import (
     BetaIIParams,
     MatrixNormalParams,
+    McConfig,
     NotPsd,
     OutsideDomain,
     RngStream,
+    SimulationSpec,
     SymMat,
     UnsupportedDof,
     WishartParams,
     assert_pd,
     beta2_eigenvalues,
+    dof_map,
     sample_beta2,
     sample_matrix_normal,
     sample_noncentral_chisq,
@@ -74,9 +77,20 @@ class TestParams:
             BetaIIParams(4.0, 10.0, dim=2.7)
         with pytest.raises(ValueError, match="rows"):
             MatrixNormalParams(1.9, 0.0, SIGMA_2D)
-        # Integral floats, as parsed from JSON, are accepted.
+        with pytest.raises(ValueError, match="a must"):
+            dof_map(5.7, 3, 3)
+        with pytest.raises(ValueError, match="n_mc"):
+            McConfig(n_mc=2500.7)
+        with pytest.raises(ValueError, match="levels_a"):
+            SimulationSpec(3.5, 3, 2, 2, SIGMA_2D)
+        # Integral floats, as parsed from JSON, are accepted and stored as ints.
         assert BetaIIParams(4.0, 10.0, dim=2.0).dim == 2
         assert MatrixNormalParams(2.0, 0.0, SIGMA_2D).rows == 2
+        assert dof_map(5.0, 3.0, 3.0) == (4, 2, 8, 30)
+        assert type(McConfig(n_mc=2500.0).n_mc) is int
+        assert McConfig(n_mc=10**400).n_mc == 10**400  # ints never pass through float
+        spec = SimulationSpec(3.0, 3.0, 2.0, 2.0, SIGMA_2D)
+        assert [type(v) for v in (spec.levels_a, spec.levels_b, spec.reps, spec.dim)] == [int] * 4
 
 
 class TestMatrixNormal:

@@ -1,33 +1,33 @@
 """Tests for the symmetric-matrix primitives.
 
-Derived expected values come from independent oracles: closed-form
-eigendecompositions for square roots, and a Monte Carlo evaluation of the
-defining cone integral for the multivariate gamma function.
+Derived expected values come from closed-form eigendecompositions for square
+roots and from ``np.linalg.inv`` for inverses.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.special import beta as beta_fn
-from scipy.special import gammaln, multigammaln
 
 from wishartmix import (
+    MatrixNormalParams,
+    MixtureSpec,
     NotPsd,
-    RngStream,
+    SimulationSpec,
+    SpdMat,
     SymMat,
+    WishartParams,
     assert_pd,
-    conjugate,
-    multivariate_gamma,
-    multivariate_log_gamma,
-    sym_inv,
+    batched_statistic_eigs,
+    conjugation_params,
+    default_probes,
     sym_inv_sqrt,
     sym_sqrt,
-    tolerances,
 )
 from conftest import random_spd
+
+# Relative bound on round trips such as ``sym_sqrt(P) @ sym_sqrt(P) == P``.
+RECONSTRUCTION = 1e-8
 
 
 class TestSymMat:
@@ -44,6 +44,8 @@ class TestSymMat:
             SymMat(np.ones((2, 3)))
         with pytest.raises(ValueError):
             SymMat([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            SpdMat(np.eye(0))
 
     def test_array_is_read_only(self):
         m = SymMat(np.eye(2))
@@ -70,6 +72,45 @@ class TestAssertPd:
         assert assert_pd(np.zeros((3, 3))).kind == "PSD"
 
 
+EYE2 = np.eye(2)
+
+# Every input that must be positive definite, as (parameter name, call).
+PD_INPUTS = [
+    ("scale", lambda m: MatrixNormalParams(2, 0.0, m)),
+    ("scale", lambda m: WishartParams(3.0, m)),
+    ("mixing_scale", lambda m: MixtureSpec(3.0, EYE2, m, EYE2)),
+    ("inner_scale", lambda m: MixtureSpec(3.0, m, EYE2, EYE2)),
+    ("coupling", lambda m: MixtureSpec(3.0, EYE2, EYE2, m)),
+    ("c", lambda m: conjugation_params(WishartParams(3.0, EYE2), m)),
+    ("scale", lambda m: default_probes(m)),
+    ("sigma", lambda m: batched_statistic_eigs(EYE2, EYE2, m)),
+    ("error_scale", lambda m: SimulationSpec(2, 2, 2, 2, m)),
+    ("p", lambda m: sym_inv_sqrt(m)),
+]
+
+
+class TestOnePdRule:
+    @pytest.mark.parametrize("certified", [False, True], ids=["array", "SpdMat"])
+    @pytest.mark.parametrize("name,call", PD_INPUTS, ids=[f"{k}-{n}" for k, (n, _) in enumerate(PD_INPUTS)])
+    def test_singular_input_rejected_by_name(self, name, call, certified):
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])  # PSD, eigenvalues 0 and 2
+        with pytest.raises(NotPsd) as info:
+            call(assert_pd(singular) if certified else singular)
+        assert str(info.value) == f"{name} must be positive definite"
+
+    def test_certified_input_passes_through(self):
+        s = assert_pd([[2.0, 1.0], [1.0, 2.0]])
+        assert WishartParams(3.0, s).scale is s
+        spec = MixtureSpec(3.0, s, s, s)
+        assert spec.inner_scale is s and spec.mixing_scale is s and spec.coupling is s
+        assert SimulationSpec(2, 2, 2, 2, s).error_scale is s
+
+    def test_spd_is_a_symmat(self):
+        s = assert_pd(np.eye(2))
+        assert isinstance(s, SymMat)
+        assert SpdMat(SymMat([[2.0, 0.0], [5.0, 1.0]])).array.tolist() == [[2.0, 0.0], [0.0, 1.0]]
+
+
 class TestSymSqrt:
     def test_identity(self):
         assert np.allclose(sym_sqrt(assert_pd(np.eye(2))).array, np.eye(2))
@@ -91,7 +132,7 @@ class TestSymSqrt:
             p = random_spd(dim, gen)
             s = sym_sqrt(p).array
             err = np.linalg.norm(s @ s - p.array) / np.linalg.norm(p.array)
-            assert err < tolerances.reconstruction
+            assert err < RECONSTRUCTION
 
     def test_psd_input_gives_psd_root(self):
         root = sym_sqrt(assert_pd(np.diag([1.0, 0.0])))
@@ -100,104 +141,14 @@ class TestSymSqrt:
 
 
 class TestInverses:
-    def test_inverse_round_trip(self, gen):
-        p = random_spd(3, gen)
-        np.testing.assert_allclose(sym_inv(p).array @ p.array, np.eye(3), atol=1e-10)
-
     def test_inv_sqrt_squares_to_inverse(self, gen):
         p = random_spd(3, gen)
         w = sym_inv_sqrt(p).array
-        np.testing.assert_allclose(w @ w, sym_inv(p).array, atol=1e-10)
+        np.testing.assert_allclose(w @ w, np.linalg.inv(p.array), atol=1e-10)
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(NotPsd):
-            sym_inv(assert_pd(np.diag([1.0, 0.0])))
-
-
-class TestConjugate:
-    def test_identity_scale(self, gen):
-        r = SymMat(gen.standard_normal((3, 3)))
-        np.testing.assert_allclose(conjugate(r, assert_pd(np.eye(3))).array, r.array)
-
-    def test_scalar_case(self):
-        assert conjugate(3.0, assert_pd(4.0)).array[0, 0] == pytest.approx(12.0)
-
-    def test_conjugating_identity_returns_scale(self, gen):
-        p = random_spd(3, gen)
-        np.testing.assert_allclose(conjugate(np.eye(3), p).array, p.array, atol=1e-12)
-
-    def test_inverse_undoes(self, gen):
-        p = random_spd(4, gen)
-        r = SymMat(gen.standard_normal((4, 4)))
-        back = conjugate(conjugate(r, p), sym_inv(p))
-        err = np.linalg.norm(back.array - r.array) / np.linalg.norm(r.array)
-        assert err < tolerances.reconstruction
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            conjugate(np.eye(2), assert_pd(np.eye(3)))
-
-    @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
-    @settings(max_examples=25, deadline=None)
-    def test_linearity(self, a, b):
-        gen = RngStream(7).generator()
-        p = random_spd(3, gen)
-        r1 = SymMat(gen.standard_normal((3, 3)))
-        r2 = SymMat(gen.standard_normal((3, 3)))
-        lhs = conjugate(SymMat(a * r1.array + b * r2.array), p).array
-        rhs = a * conjugate(r1, p).array + b * conjugate(r2, p).array
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10 * (1 + abs(a) + abs(b)))
-
-
-def mc_gamma2_oracle(beta: float, n: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo evaluation of the defining integral of Gamma_2(beta).
-
-    Parameterize the 2x2 PD matrix X = [[x, z], [z, y]]; the region is
-    x > 0, y > 0, z^2 < x y, and etr(-X) = exp(-x - y).  The inner integral
-    over z is exact:
-
-        int_{-sqrt(xy)}^{sqrt(xy)} (x y - z^2)^{beta - 3/2} dz
-            = (x y)^{beta - 1} B(1/2, beta - 1/2),
-
-    so with (x, y) drawn iid Exp(1) the integral is
-    B(1/2, beta - 1/2) * E[(x y)^{beta - 1}].  Returns (estimate, std error).
-    """
-    gen = RngStream(seed).generator()
-    x = gen.exponential(size=n)
-    y = gen.exponential(size=n)
-    vals = beta_fn(0.5, beta - 0.5) * (x * y) ** (beta - 1.0)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
-
-
-class TestMultivariateGamma:
-    def test_univariate_base_case(self):
-        assert multivariate_gamma(1.0, 1) == pytest.approx(1.0)
-
-    def test_product_formula_values(self):
-        assert multivariate_gamma(1.5, 2) == pytest.approx(math.pi / 2, rel=1e-14)
-        assert multivariate_gamma(2.5, 2) == pytest.approx(3 * math.pi / 4, rel=1e-14)
-
-    @pytest.mark.parametrize("beta", [1.5, 2.5])
-    def test_against_monte_carlo_integral(self, beta):
-        estimate, se = mc_gamma2_oracle(beta, 400_000, seed=13)
-        assert abs(multivariate_gamma(beta, 2) - estimate) < 4.0 * se
-
-    @pytest.mark.parametrize("beta", [0.6, 1.0, 2.5, 10.0])
-    def test_matches_scalar_gamma_in_one_dimension(self, beta):
-        expected = float(gammaln(beta))
-        assert multivariate_log_gamma(beta, 1) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    def test_matches_scipy_multigammaln(self):
-        for beta, dim in [(2.0, 2), (3.7, 3), (10.5, 4)]:
-            assert multivariate_log_gamma(beta, dim) == pytest.approx(
-                float(multigammaln(beta, dim)), rel=1e-13
-            )
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            multivariate_gamma(0.5, 2)
-        with pytest.raises(ValueError):
-            multivariate_gamma(1.0, 3)
+            sym_inv_sqrt(assert_pd(np.diag([1.0, 0.0])))
 
 
 class TestNumericalFoundations:
