@@ -177,7 +177,7 @@ def _cmd_sample(args) -> int:
         mn = MatrixNormalParams(
             rows=_require_number(params, "rows"),
             mean=_matrix_from_json(params.get("mean"), "mean"),
-            scale=assert_pd(_matrix_from_json(params.get("scale"), "scale")),
+            scale=_matrix_from_json(params.get("scale"), "scale"),
         )
         draws = sample_matrix_normal(mn, rng, size=n)
         names = [f"x{r + 1}_{c + 1}" for r in range(mn.rows) for c in range(mn.dim)]
@@ -186,12 +186,8 @@ def _cmd_sample(args) -> int:
     if args.dist == "wishart":
         wp = WishartParams(
             dof=_require_number(params, "dof"),
-            scale=assert_pd(_matrix_from_json(params.get("scale"), "scale")),
-            noncen=(
-                assert_pd(_matrix_from_json(params["noncen"], "noncen"))
-                if params.get("noncen") is not None
-                else None
-            ),
+            scale=_matrix_from_json(params.get("scale"), "scale"),
+            noncen=_matrix_from_json(params["noncen"], "noncen") if params.get("noncen") is not None else None,
         )
         draws = sample_wishart(wp, rng, size=n)
         names = [f"x{r + 1}_{c + 1}" for r in range(wp.dim) for c in range(wp.dim)]

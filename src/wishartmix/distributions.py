@@ -18,11 +18,14 @@ and use the matrix-normal factor ``L = Z scale^{1/2} + M`` with the mean
 noncentral sampling is rejected rather than approximated.  The same
 ``Z root + M`` construction draws the matrix normal itself and, with a
 per-draw ``M``, the conditional level of the closure hierarchy.  Beta Type II
-eigenvalues come straight from the two Bartlett factors: ``C = T2^{-1} T1`` is
-lower triangular and built by forward substitution, and its spectrum is
-closed form for ``d <= 2`` (``eigvalsh`` only for ``d >= 3``).  All samplers
-accept ``size`` and then return a stacked ``(size, d, d)`` array, drawing in
-fixed-size chunks to bound memory.
+eigenvalues come straight from the two Bartlett factors, drawn as ``(n,)``
+columns of entries rather than ``(n, d, d)`` stacks: ``C = T2^{-1} T1`` is
+lower triangular and built column by column by forward substitution, and its
+spectrum is closed form for ``d <= 2`` (``C`` is assembled, for
+``eigvalsh``, only for ``d >= 3``).  The Bartlett stack that the Wishart and
+Beta II matrix samplers use is filled from the same columns, so both routes
+consume a stream alike.  All samplers accept ``size`` and then return a
+stacked ``(size, d, d)`` array, drawing in fixed-size chunks to bound memory.
 """
 
 from __future__ import annotations
@@ -54,12 +57,21 @@ __all__ = [
 _CHUNK_SCALARS = 1 << 22
 
 
+def _whole(value, name: str, minimum: int, kind: str) -> int:
+    integral = isinstance(value, (int, np.integer)) or float(value).is_integer()
+    if not (integral and value >= minimum):
+        raise ValueError(f"{name} must be {kind}, got {value}")
+    return int(value)
+
+
 def _positive_int(value, name: str) -> int:
     """``value`` as an ``int``; integral floats such as ``2.0`` pass, ``2.7`` or ``0`` raise."""
-    integral = isinstance(value, (int, np.integer)) or float(value).is_integer()
-    if not (integral and value >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {value}")
-    return int(value)
+    return _whole(value, name, 1, "a positive integer")
+
+
+def _nonnegative_int(value, name: str) -> int:
+    """``value`` as an ``int``; ``0`` and integral floats such as ``2.0`` pass, ``2.7`` or ``-1`` raise."""
+    return _whole(value, name, 0, "a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -164,14 +176,28 @@ def _draw_stack(size: int | None, shape: tuple[int, ...], per_draw_scalars: int,
     return out
 
 
+def _bartlett_columns(dof: float, dim: int, gen: np.random.Generator, n: int) -> list[list[np.ndarray]]:
+    """Bartlett factor ``T`` (``T T'`` is ``W(dof, I)``) as ``(n,)`` columns: ``t[i][k]`` is ``T[:, i, k]``, ``k <= i``.
+
+    The below-diagonal normals are drawn first, in ``np.tril_indices`` order,
+    then the diagonal ``sqrt(chi^2_{dof - j})`` in order of ``j``.
+    """
+    z = gen.standard_normal((n, dim * (dim - 1) // 2))
+    diag = [np.sqrt(gen.chisquare(dof - j, n)) for j in range(dim)]
+    return [[*(z[:, i * (i - 1) // 2 + k] for k in range(i)), diag[i]] for i in range(dim)]
+
+
 def _bartlett_factor(dof: float, dim: int, gen: np.random.Generator, n: int) -> np.ndarray:
     """Lower-triangular Bartlett factor stack: ``T T'`` is ``W(dof, I)``."""
-    t = np.zeros((n, dim, dim))
-    rows, cols = np.tril_indices(dim, -1)
-    if rows.size:
-        t[:, rows, cols] = gen.standard_normal((n, rows.size))
-    for j in range(dim):
-        t[:, j, j] = np.sqrt(gen.chisquare(dof - j, n))
+    return _lower_stack(_bartlett_columns(dof, dim, gen, n))
+
+
+def _lower_stack(cols: list[list[np.ndarray]]) -> np.ndarray:
+    """The ``(n, d, d)`` lower-triangular stack whose entry ``[:, i, k]`` is the ``(n,)`` column ``cols[i][k]``."""
+    t = np.zeros((cols[0][0].shape[0], len(cols), len(cols)))
+    for i, row in enumerate(cols):
+        for k, col in enumerate(row):
+            t[:, i, k] = col
     return t
 
 
@@ -291,30 +317,32 @@ def sample_beta2(
     return draws if size is not None else SpdMat._certified(draws, "PD")
 
 
-def _beta2_eigs(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of ``C C'``, ``C = T2^{-1} T1``, for ``(n, d, d)`` lower-triangular stacks.
+def _beta2_eigs(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> np.ndarray:
+    """Descending eigenvalues of ``C C'``, ``C = T2^{-1} T1``, for lower-triangular factors given as columns.
 
-    ``C`` is lower triangular and is built by forward substitution, one
-    ``(n,)`` column of entries at a time.  For ``d = 2``, with ``p = c00^2``,
-    ``q = c00 c10`` and ``r = c10^2 + c11^2``, the larger eigenvalue is
-    ``(p + r)/2 + hypot(p - r, 2q)/2`` and the smaller is
+    ``t1`` and ``t2`` hold ``(n,)`` columns as :func:`_bartlett_columns`
+    returns them.  ``C`` is lower triangular and is built by forward
+    substitution, one ``(n,)`` column of entries at a time.  For ``d = 2``,
+    with ``p = c00^2``, ``q = c00 c10`` and ``r = c10^2 + c11^2``, the larger
+    eigenvalue is ``(p + r)/2 + hypot(p - r, 2q)/2`` and the smaller is
     ``det(C C') / lambda_1 = (c00 c11)^2 / lambda_1``, which keeps full
     relative accuracy where ``(p + r)/2 - hypot(...)/2`` would cancel.
-    ``d >= 3`` falls back to ``eigvalsh(C C')``.
+    ``d >= 3`` assembles ``C`` only to pass ``C C'`` to ``eigvalsh``.
     """
-    dim = t1.shape[-1]
-    c = np.zeros_like(t1)
+    dim = len(t1)
+    c = [[None] * (i + 1) for i in range(dim)]
     for j in range(dim):
         for i in range(j, dim):
-            acc = t1[:, i, j]
+            acc = t1[i][j]
             for k in range(j, i):
-                acc = acc - t2[:, i, k] * c[:, k, j]
-            c[:, i, j] = acc / t2[:, i, i]
+                acc = acc - t2[i][k] * c[k][j]
+            c[i][j] = acc / t2[i][i]
     if dim == 1:
-        return c[:, 0] * c[:, 0]
+        return (c[0][0] * c[0][0])[:, None]
     if dim > 2:
-        return np.linalg.eigvalsh(c @ np.swapaxes(c, -1, -2))[:, ::-1]
-    c00, c10, c11 = c[:, 0, 0], c[:, 1, 0], c[:, 1, 1]
+        cm = _lower_stack(c)
+        return np.linalg.eigvalsh(cm @ np.swapaxes(cm, -1, -2))[:, ::-1]
+    (c00,), (c10, c11) = c
     p = c00 * c00
     r = c10 * c10 + c11 * c11
     lam1 = (p + r) / 2 + np.hypot(p - r, 2.0 * c00 * c10) / 2
@@ -333,16 +361,18 @@ def beta2_eigenvalues(
     functionals are all symmetric functions of these eigenvalues.  With the
     Bartlett factors ``S_i = T_i T_i'`` of :func:`sample_beta2` (same stream,
     same draws), ``S2^{-1/2} S1 S2^{-1/2}`` is similar to ``C C'`` for
-    ``C = T2^{-1} T1``.  ``C`` is lower triangular, formed by forward
+    ``C = T2^{-1} T1``.  The factors are drawn as ``(n,)`` columns of their
+    entries, never as stacks, and ``C`` is formed column by column by forward
     substitution; for ``d = 1`` the eigenvalue is ``c00^2`` and for ``d = 2``
     the pair is closed form, the smaller one as ``det(C C') / lambda_1`` with
-    full relative accuracy.  ``d >= 3`` uses ``eigvalsh(C C')``.
+    full relative accuracy.  ``d >= 3`` assembles ``C`` and uses
+    ``eigvalsh(C C')``.
     """
     gen = as_generator(rng)
 
     def draw(n: int) -> np.ndarray:
-        t1 = _bartlett_factor(params.dof1, params.dim, gen, n)
-        return _beta2_eigs(t1, _bartlett_factor(params.dof2, params.dim, gen, n))
+        t1 = _bartlett_columns(params.dof1, params.dim, gen, n)
+        return _beta2_eigs(t1, _bartlett_columns(params.dof2, params.dim, gen, n))
 
     return np.maximum(_draw_stack(int(size), (params.dim,), 4 * params.dim * params.dim, draw), 0.0)
 

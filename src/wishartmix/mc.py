@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import kstest
 
-from .distributions import BetaIIParams, _positive_int, beta2_eigenvalues
+from .distributions import BetaIIParams, _nonnegative_int, _positive_int, beta2_eigenvalues
 from .manova import (
     FACTORS,
     SimulationSpec,
@@ -182,9 +182,7 @@ def null_calibration(
     deterministically from ``cfg.seed``.
     """
     rng = _as_stream(rng, "null_calibration")
-    n_datasets = int(n_datasets)
-    if n_datasets < 0:
-        raise ValueError("n_datasets must be non-negative")
+    n_datasets = _nonnegative_int(n_datasets, "n_datasets")
     functionals = tuple(StatisticFunctional(f) for f in (functionals or (cfg.functional,)))
     if cfg.n_mc < 1000 and n_datasets > 0:
         warnings.warn(
@@ -206,14 +204,13 @@ def null_calibration(
         numerators = {"A": sop_a, "B": sop_b, "AB": sop_ab}
         for factor in FACTORS:
             eigs_obs = batched_statistic_eigs(numerators[factor], sop_e)
+            observed = {fn: scalar_statistic(eigs_obs, fn).tolist() for fn in functionals}
             params = BetaIIParams(factor_dof1[factor], dofs.nu_e, spec.dim)
             null_stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
             for i in range(m):
                 eigs_null = beta2_eigenvalues(params, null_stream.generator(done + i), cfg.n_mc)
                 for fn in functionals:
-                    stats_null = scalar_statistic(eigs_null, fn)
-                    obs = float(scalar_statistic(eigs_obs[i], fn))
-                    n_extreme = _count_extreme(np.asarray(stats_null), obs, fn)
+                    n_extreme = _count_extreme(scalar_statistic(eigs_null, fn), observed[fn][i], fn)
                     pvals[(factor, fn)].append((1 + n_extreme) / (1 + cfg.n_mc))
 
     results = {}

@@ -13,9 +13,11 @@ fixes one explicit policy, applied everywhere:
   eigenvalue, with thresholds held in the module-global :data:`tolerances`;
 * eigenvalues in ``[-tol.psd * lambda_max, 0)`` are clipped to zero on the
   semidefinite path, and anything below that is rejected as :class:`NotPsd`;
-* every input that must be positive definite goes through :func:`_as_spd`,
-  which raises ``NotPsd("<name> must be positive definite")`` and passes an
-  already certified :class:`SpdMat` through without a new eigendecomposition.
+* every input that must be positive (semi)definite goes through
+  :func:`_as_spd`, which raises ``NotPsd`` with the parameter's name (``"<name>
+  must be positive definite"``, or ``"<name> is not positive semidefinite:
+  ..."``) and passes an already certified :class:`SpdMat` through without a
+  new eigendecomposition.
 
 Square roots are computed by eigendecomposition, not Cholesky, because the
 symmetric root is the one the conjugation map is defined with.
@@ -110,12 +112,13 @@ class SpdMat(SymMat):
     ``kind`` records the outcome (``"PD"`` or ``"PSD"``).  The spectrum found
     during classification is kept, so square roots and inverses never repeat
     the eigendecomposition.  On the PSD path, negative eigenvalues within
-    tolerance have already been clipped to zero.
+    tolerance have already been clipped to zero.  ``name`` labels the matrix
+    in the :class:`NotPsd` raised for one that is not even semidefinite.
     """
 
     __slots__ = ("_kind", "_eigvals", "_eigvecs", "_sqrt")
 
-    def __init__(self, values) -> None:
+    def __init__(self, values, name: str = "matrix") -> None:
         super().__init__(values)
         w, v = np.linalg.eigh(self._m)
         lam_max = w[-1]
@@ -126,7 +129,7 @@ class SpdMat(SymMat):
             w = np.maximum(w, 0.0)
         else:
             raise NotPsd(
-                f"matrix is not positive semidefinite: min eigenvalue {w[0]:.6g} "
+                f"{name} is not positive semidefinite: min eigenvalue {w[0]:.6g} "
                 f"is below -{tolerances.psd:g} * {lam_max:.6g}"
             )
         self._kind = kind
@@ -199,10 +202,12 @@ def assert_pd(m) -> SpdMat:
 def _as_spd(value, name: str, *, require_pd: bool) -> SpdMat:
     """``value`` certified as an :class:`SpdMat`; one that already is passes through unchanged.
 
-    With ``require_pd`` a merely semidefinite matrix raises
+    A matrix that is not even semidefinite raises
+    ``NotPsd("<name> is not positive semidefinite: ...")``; with
+    ``require_pd`` a merely semidefinite one raises
     ``NotPsd("<name> must be positive definite")``.
     """
-    m = value if isinstance(value, SpdMat) else SpdMat(value)
+    m = value if isinstance(value, SpdMat) else SpdMat(value, name)
     if require_pd and m.kind != "PD":
         raise NotPsd(f"{name} must be positive definite")
     return m

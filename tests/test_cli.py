@@ -183,6 +183,11 @@ class TestSampleCommand:
         pfile.write_text(json.dumps({"dof": 2.5, "scale": [[1.0, 0.0], [0.0, 1.0]], "noncen": [[1.0, 0.0], [0.0, 1.0]]}))
         code = main(["sample", "--dist", "wishart", "--params", str(pfile), "--n", "2", "--seed", "3"])
         assert code == EXIT_VALIDATION  # noncentral sampling needs integer dof
+        pfile.write_text(json.dumps({"dof": 4, "scale": [[1.0, 0.0], [0.0, 1.0]], "noncen": [[1.0, 2.0], [2.0, 1.0]]}))
+        capsys.readouterr()
+        code = main(["sample", "--dist", "wishart", "--params", str(pfile), "--n", "2", "--seed", "3"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: noncen is not positive semidefinite")
         pfile.write_text("not json")
         assert main(["sample", "--dist", "chisq", "--params", str(pfile), "--n", "2", "--seed", "3"]) == EXIT_VALIDATION
 

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from wishartmix import (
@@ -30,7 +32,7 @@ from wishartmix import (
     wishart_mean,
     wishart_mgf,
 )
-from wishartmix.closure import MIN_VERIFY_DRAWS
+from wishartmix.closure import MIN_VERIFY_DRAWS, _ks_distance
 from conftest import random_psd, random_spd
 
 # Relative bound on round trips such as ``C^{-1} (C X C) C^{-1} == X``.
@@ -211,6 +213,30 @@ class TestVerifyClosure:
         r1 = verify_closure(spec, 20_000, RngStream(46))
         r2 = verify_closure(spec, 20_000, RngStream(46))
         assert r1 == r2
+
+
+class TestKsDistance:
+    # Heavy ties: values from a handful of integers, at unequal sizes.
+    tied = st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=60)
+
+    # scipy falls back from its exact p-value on some tied inputs and warns;
+    # its statistic is unaffected, and the p-value is not compared.
+    @pytest.mark.filterwarnings("ignore:ks_2samp. Exact calculation unsuccessful:RuntimeWarning")
+    @given(x=tied, y=tied, scale=st.sampled_from([1.0, 0.5, 1e-300]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scipy_statistic(self, x, y, scale):
+        x, y = np.array(x), scale * np.array(y)
+        assert _ks_distance(x, y) == float(stats.ks_2samp(x, y).statistic)
+
+    # Past 10,000 points scipy leaves its exact path; the first case is
+    # verify_closure's equal-size case on that side of the switch.
+    @pytest.mark.filterwarnings("ignore:ks_2samp. Exact calculation unsuccessful:RuntimeWarning")
+    @pytest.mark.parametrize("n1,n2", [(20_000, 20_000), (10_001, 7_919), (10_000, 10_000), (9_999, 6_000)])
+    def test_matches_scipy_statistic_large(self, n1, n2):
+        gen = np.random.default_rng([n1, n2])
+        x = gen.integers(0, 40, n1).astype(float)
+        y = gen.normal(20.0, 11.0, n2).round()
+        assert _ks_distance(x, y) == float(stats.ks_2samp(x, y).statistic)
 
 
 class TestDefaultProbes:

@@ -16,6 +16,7 @@ from wishartmix import (
     BetaIIParams,
     MatrixNormalParams,
     McConfig,
+    MixtureSpec,
     NotPsd,
     OutsideDomain,
     RngStream,
@@ -26,16 +27,18 @@ from wishartmix import (
     assert_pd,
     beta2_eigenvalues,
     dof_map,
+    null_calibration,
     sample_beta2,
     sample_matrix_normal,
     sample_noncentral_chisq,
     sample_wishart,
     sym_sqrt,
+    verify_closure,
     wishart_log_mgf,
     wishart_mean,
     wishart_mgf,
 )
-from wishartmix.distributions import _bartlett_factor, _beta2_eigs
+from wishartmix.distributions import _CHUNK_SCALARS, _bartlett_factor, _beta2_eigs
 from wishartmix.symmat import _mirror_upper
 from conftest import random_psd, random_spd
 
@@ -83,6 +86,16 @@ class TestParams:
             McConfig(n_mc=2500.7)
         with pytest.raises(ValueError, match="levels_a"):
             SimulationSpec(3.5, 3, 2, 2, SIGMA_2D)
+        spec = SimulationSpec(3, 3, 2, 2, SIGMA_2D)
+        with pytest.raises(ValueError, match="n_datasets must be a non-negative integer"):
+            null_calibration(spec, 3.7, McConfig(n_mc=1000), 1)
+        with pytest.raises(ValueError, match="n_datasets"):
+            null_calibration(spec, -1, McConfig(n_mc=1000), 1)
+        mixture = MixtureSpec(3.0, SIGMA_2D, SIGMA_2D, SIGMA_2D)
+        with pytest.raises(ValueError, match="n_draws must be a positive integer"):
+            verify_closure(mixture, 10_000.9, 1)
+        with pytest.raises(ValueError, match="n_draws"):
+            verify_closure(mixture, 0, 1)
         # Integral floats, as parsed from JSON, are accepted and stored as ints.
         assert BetaIIParams(4.0, 10.0, dim=2.0).dim == 2
         assert MatrixNormalParams(2.0, 0.0, SIGMA_2D).rows == 2
@@ -91,6 +104,7 @@ class TestParams:
         assert McConfig(n_mc=10**400).n_mc == 10**400  # ints never pass through float
         spec = SimulationSpec(3.0, 3.0, 2.0, 2.0, SIGMA_2D)
         assert [type(v) for v in (spec.levels_a, spec.levels_b, spec.reps, spec.dim)] == [int] * 4
+        assert null_calibration(spec, 2.0, McConfig(n_mc=1000), 1).n_datasets == 2
 
 
 class TestMatrixNormal:
@@ -292,6 +306,15 @@ class TestBeta2:
         assert beta2_eigenvalues(BetaIIParams(dim + 2.0, dim + 8.0, dim), RngStream(34), 0).shape == (0, dim)
 
 
+def _columns(t):
+    """The ``(n,)`` columns ``t[:, i, k]``, ``k <= i``, of a lower-triangular ``(n, d, d)`` stack."""
+    return [[t[:, i, k] for k in range(i + 1)] for i in range(t.shape[-1])]
+
+
+def _kernel(t1, t2):
+    return _beta2_eigs(_columns(t1), _columns(t2))
+
+
 class TestBeta2Kernel:
     # Cases as (dof1 - (dim - 1), dof2).  At dim = 2 the spread case is
     # dof1 = 1.05, dof2 = 500: lambda_2 then falls hundreds of orders of
@@ -321,7 +344,7 @@ class TestBeta2Kernel:
     @pytest.mark.parametrize("excess,dof2", CASES)
     def test_d2_determinant_and_trace_identities(self, excess, dof2):
         for t1, t2 in (self._factors(2, excess, dof2, 35, 20_000), self._hand_built()):
-            eigs = _beta2_eigs(t1, t2)
+            eigs = _kernel(t1, t2)
             ratio = np.diagonal(t1, axis1=1, axis2=2) / np.diagonal(t2, axis1=1, axis2=2)
             np.testing.assert_allclose(eigs.prod(axis=1), np.prod(ratio**2, axis=1), rtol=1e-13, atol=0)
             c = np.linalg.solve(t2, t1)
@@ -330,12 +353,12 @@ class TestBeta2Kernel:
 
     def test_d2_repeated_eigenvalue(self):
         eye = np.broadcast_to(np.eye(2), (3, 2, 2))
-        assert np.array_equal(_beta2_eigs(3.0 * eye, eye), np.full((3, 2), 9.0))
+        assert np.array_equal(_kernel(3.0 * eye, eye), np.full((3, 2), 9.0))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_zero_numerator_gives_zeros(self, dim):
         _, t2 = self._factors(dim, 3.0, 10.0, 36, 4)
-        assert np.array_equal(_beta2_eigs(np.zeros((4, dim, dim)), t2), np.zeros((4, dim)))
+        assert np.array_equal(_kernel(np.zeros((4, dim, dim)), t2), np.zeros((4, dim)))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("excess,dof2", CASES)
@@ -343,7 +366,72 @@ class TestBeta2Kernel:
         t1, t2 = self._factors(dim, excess, dof2 + dim, 37, 5000)
         c = np.linalg.solve(t2, t1)
         ref = np.linalg.eigvalsh(c @ np.swapaxes(c, -1, -2))[:, ::-1]
-        assert np.all(np.abs(_beta2_eigs(t1, t2) - ref) <= 1e-12 * ref[:, :1])
+        assert np.all(np.abs(_kernel(t1, t2) - ref) <= 1e-12 * ref[:, :1])
+
+
+def _stack_bartlett_factor(dof, dim, gen, n):
+    """Reference: the Bartlett stack filled by fancy indexing, as drawn before the column kernel."""
+    t = np.zeros((n, dim, dim))
+    rows, cols = np.tril_indices(dim, -1)
+    if rows.size:
+        t[:, rows, cols] = gen.standard_normal((n, rows.size))
+    for j in range(dim):
+        t[:, j, j] = np.sqrt(gen.chisquare(dof - j, n))
+    return t
+
+
+def _stack_beta2_eigs(t1, t2):
+    """Reference: forward substitution on ``(n, d, d)`` stacks, then the same closed forms."""
+    dim = t1.shape[-1]
+    c = np.zeros_like(t1)
+    for j in range(dim):
+        for i in range(j, dim):
+            acc = t1[:, i, j]
+            for k in range(j, i):
+                acc = acc - t2[:, i, k] * c[:, k, j]
+            c[:, i, j] = acc / t2[:, i, i]
+    if dim == 1:
+        return c[:, 0] * c[:, 0]
+    if dim > 2:
+        return np.linalg.eigvalsh(c @ np.swapaxes(c, -1, -2))[:, ::-1]
+    c00, c10, c11 = c[:, 0, 0], c[:, 1, 0], c[:, 1, 1]
+    p = c00 * c00
+    r = c10 * c10 + c11 * c11
+    lam1 = (p + r) / 2 + np.hypot(p - r, 2.0 * c00 * c10) / 2
+    lam2 = np.divide((c00 * c11) ** 2, lam1, out=np.zeros_like(lam1), where=lam1 > 0.0)
+    return np.stack([lam1, lam2], axis=1)
+
+
+def _stack_beta2_eigenvalues(params, gen, size):
+    """Reference: ``beta2_eigenvalues`` through the stack path, in the same chunks."""
+    dim = params.dim
+    out = np.empty((size, dim))
+    step = _CHUNK_SCALARS // (4 * dim * dim)
+    for start in range(0, size, step):
+        n = min(step, size - start)
+        t1 = _stack_bartlett_factor(params.dof1, dim, gen, n)
+        out[start : start + n] = _stack_beta2_eigs(t1, _stack_bartlett_factor(params.dof2, dim, gen, n))
+    return np.maximum(out, 0.0)
+
+
+class TestColumnsMatchStackPath:
+    # The column kernel must reproduce the stack path bit for bit: same
+    # stream, same arithmetic, only the storage of the factors differs.
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("size", ["0", "1", "2000", "past-chunk"])
+    def test_beta2_eigenvalues_bitwise(self, dim, size):
+        n = _CHUNK_SCALARS // (4 * dim * dim) + 3 if size == "past-chunk" else int(size)
+        p = BetaIIParams(dim + 0.5, dim + 12.0, dim)
+        got = beta2_eigenvalues(p, RngStream(38, dim), n)
+        ref = _stack_beta2_eigenvalues(p, RngStream(38, dim).generator(), n)
+        assert got.shape == ref.shape == (n, dim)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_bartlett_factor_bitwise(self, dim):
+        got = _bartlett_factor(dim + 1.5, dim, RngStream(39).generator(), 500)
+        ref = _stack_bartlett_factor(dim + 1.5, dim, RngStream(39).generator(), 500)
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestFactorIdentities:

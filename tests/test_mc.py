@@ -135,6 +135,31 @@ class TestExactOracles:
             assert _within_band(est, _wilks_d2_exact_pvalue(observed, nu_h, nu_e))
 
 
+def _per_dataset_pvalues(spec, n_datasets, cfg, rng, functionals):
+    """Reference: ``null_calibration``'s p-values, each observed statistic taken from its own dataset's eigenvalues."""
+    from wishartmix.manova import FACTORS, batched_statistic_eigs, dof_map, simulate_design, sop_arrays
+    from wishartmix.mc import _DATASET_CHUNK, _null_stream
+
+    dofs = dof_map(spec.levels_a, spec.levels_b, spec.reps)
+    dof1 = dict(zip(FACTORS, (dofs.nu_a, dofs.nu_b, dofs.nu_ab)))
+    pvals = {(f, fn): [] for f in FACTORS for fn in functionals}
+    for chunk, done in enumerate(range(0, n_datasets, _DATASET_CHUNK)):
+        m = min(_DATASET_CHUNK, n_datasets - done)
+        sops = sop_arrays(simulate_design(spec, rng.generator(0, chunk), size=m))
+        for factor, sop in zip(FACTORS, sops):
+            eigs_obs = batched_statistic_eigs(sop, sops[3])
+            params = BetaIIParams(dof1[factor], dofs.nu_e, spec.dim)
+            stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
+            for i in range(m):
+                eigs_null = beta2_eigenvalues(params, stream.generator(done + i), cfg.n_mc)
+                for fn in functionals:
+                    stats_null = scalar_statistic(eigs_null, fn)
+                    obs = float(scalar_statistic(eigs_obs[i], fn))
+                    extreme = stats_null <= obs if fn.lower_tail else stats_null >= obs
+                    pvals[(factor, fn)].append((1 + int(np.count_nonzero(extreme))) / (1 + cfg.n_mc))
+    return pvals
+
+
 class TestNullCalibration:
     def test_empty_run(self):
         spec = SimulationSpec(3, 3, 2, 2, assert_pd(np.eye(2)))
@@ -160,6 +185,17 @@ class TestNullCalibration:
         assert summary.get("A", HL).rejection_rates[0.05] >= 0.99
         # the other factors stay null-calibrated
         assert summary.get("B", HL).rejection_rates[0.05] < 0.15
+
+    @pytest.mark.parametrize("dim,n_datasets", [(1, 9), (2, 260), (3, 9)])
+    def test_pvalues_match_per_dataset_loop(self, dim, n_datasets):
+        # 260 datasets cross the 256-dataset chunk boundary.
+        spec = SimulationSpec(4, 4, 3, dim, assert_pd(np.eye(dim)))
+        cfg = McConfig(n_mc=1000, seed=15)
+        fns = tuple(StatisticFunctional)
+        summary = null_calibration(spec, n_datasets, cfg, RngStream(16), fns)
+        ref = _per_dataset_pvalues(spec, n_datasets, cfg, RngStream(16), fns)
+        for key, p in ref.items():
+            assert summary.results[key].pvalues.tobytes() == np.array(p).tobytes()
 
     def test_deterministic(self):
         spec = SimulationSpec(3, 3, 2, 2, assert_pd(np.eye(2)))

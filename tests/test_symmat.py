@@ -98,6 +98,11 @@ class TestOnePdRule:
             call(assert_pd(singular) if certified else singular)
         assert str(info.value) == f"{name} must be positive definite"
 
+    @pytest.mark.parametrize("name,call", [*PD_INPUTS, ("noncen", lambda m: WishartParams(3.0, EYE2, m))])
+    def test_indefinite_input_rejected_by_name(self, name, call):
+        with pytest.raises(NotPsd, match=rf"^{name} is not positive semidefinite: min eigenvalue -1 "):
+            call(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues -1 and 3
+
     def test_certified_input_passes_through(self):
         s = assert_pd([[2.0, 1.0], [1.0, 2.0]])
         assert WishartParams(3.0, s).scale is s
