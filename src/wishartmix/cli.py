@@ -34,7 +34,7 @@ from .errors import ValidationError
 from .manova import SimulationSpec, StatisticFunctional
 from .mc import McConfig, null_calibration
 from .rng import RngStream
-from .symmat import SpdMat, assert_pd
+from .symmat import SpdMat
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -91,7 +91,7 @@ def _cmd_manova(args) -> int:
     table = design_io.subsample_balanced(data, args.n_per_cell, args.subsample_seed)
     sigma = None
     if args.sigma:
-        sigma = assert_pd(design_io.read_matrix_file(args.sigma))
+        sigma = SpdMat(design_io.read_matrix_file(args.sigma), "sigma")
     cfg = McConfig(n_mc=args.n_mc, seed=args.mc_seed, functional=StatisticFunctional(args.functional))
     report = design_io.run_report(table, cfg, sigma)
     print(design_io.report_to_text(report, data.response_names))

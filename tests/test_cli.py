@@ -90,6 +90,13 @@ class TestManovaCommand:
         ])
         assert code == EXIT_OK
         assert "Beta Type II MANOVA" in capsys.readouterr().out
+        sigma.write_text("2\n1.0 2.0\n2.0 1.0\n")
+        code = main([
+            "manova", "--input", str(csv_path), "--responses", ",".join(names),
+            "--n-per-cell", "3", "--n-mc", "1000", "--sigma", str(sigma),
+        ])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: sigma is not positive semidefinite")
 
     def test_response_named_twice_exit_two(self, tmp_path, capsys):
         csv_path, names = write_design_csv(tmp_path / "d.csv")
