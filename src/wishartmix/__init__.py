@@ -16,7 +16,6 @@ The package has two halves that share one set of matrix-variate primitives:
 from .closure import (
     MixtureSpec,
     VerificationReport,
-    VerificationThresholds,
     conjugation_params,
     default_probes,
     mixture_marginal_params,
@@ -80,14 +79,6 @@ from .manova import (
 )
 from .mc import CalibrationSummary, McConfig, PValueEstimate, mc_pvalue, null_calibration
 from .rng import RngStream
-from .symmat import (
-    SpdMat,
-    SymMat,
-    Tolerances,
-    assert_pd,
-    sym_inv_sqrt,
-    sym_sqrt,
-    tolerances,
-)
+from .symmat import SpdMat, SymMat, assert_pd, sym_inv_sqrt, sym_sqrt
 
 __version__ = "0.1.0"

@@ -48,7 +48,6 @@ from .symmat import SpdMat, SymMat, _as_spd, _mirror_upper, sym_sqrt
 
 __all__ = [
     "MixtureSpec",
-    "VerificationThresholds",
     "VerificationReport",
     "conjugation_params",
     "mixture_marginal_params",
@@ -60,6 +59,11 @@ __all__ = [
 
 # A verification report never passes on fewer draws than this.
 MIN_VERIFY_DRAWS = 10_000
+
+# A report passes when every error is below its threshold.
+MEAN_REL_ERR_MAX = 0.01
+MGF_REL_ERR_MAX = 0.02
+KS_STAT_MAX = 0.015
 
 _VERIFY_CHUNK = 1 << 16
 
@@ -186,15 +190,6 @@ def default_probes(scale: SpdMat, count: int = 5) -> list[SymMat]:
 
 
 @dataclass(frozen=True)
-class VerificationThresholds:
-    """Acceptance thresholds for a closure verification run."""
-
-    mean_rel_err: float = 0.01
-    mgf_rel_err: float = 0.02
-    ks_stat: float = 0.015
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one Monte Carlo closure verification.
 
@@ -208,7 +203,6 @@ class VerificationReport:
     ks_stats: tuple[float, ...]
     n_draws: int
     passed: bool
-    thresholds: VerificationThresholds
 
     def to_dict(self) -> dict:
         return {
@@ -218,19 +212,18 @@ class VerificationReport:
             "n_draws": self.n_draws,
             "passed": self.passed,
             "thresholds": {
-                "mean_rel_err": self.thresholds.mean_rel_err,
-                "mgf_rel_err": self.thresholds.mgf_rel_err,
-                "ks_stat": self.thresholds.ks_stat,
+                "mean_rel_err": MEAN_REL_ERR_MAX,
+                "mgf_rel_err": MGF_REL_ERR_MAX,
+                "ks_stat": KS_STAT_MAX,
             },
         }
 
     def to_text(self) -> str:
-        th = self.thresholds
         lines = [
             f"closure verification over {self.n_draws} draws: {'PASS' if self.passed else 'FAIL'}",
-            f"  mean relative error      {self.mean_rel_err:.5f}  (threshold {th.mean_rel_err:g})",
-            f"  max MGF relative error   {max(self.mgf_rel_errs):.5f}  (threshold {th.mgf_rel_err:g}, {len(self.mgf_rel_errs)} probes)",
-            f"  max per-entry KS         {max(self.ks_stats):.5f}  (threshold {th.ks_stat:g}, {len(self.ks_stats)} entries)",
+            f"  mean relative error      {self.mean_rel_err:.5f}  (threshold {MEAN_REL_ERR_MAX:g})",
+            f"  max MGF relative error   {max(self.mgf_rel_errs):.5f}  (threshold {MGF_REL_ERR_MAX:g}, {len(self.mgf_rel_errs)} probes)",
+            f"  max per-entry KS         {max(self.ks_stats):.5f}  (threshold {KS_STAT_MAX:g}, {len(self.ks_stats)} entries)",
         ]
         if self.n_draws < MIN_VERIFY_DRAWS:
             lines.append(f"  note: fewer than {MIN_VERIFY_DRAWS} draws, report cannot pass")
@@ -281,7 +274,6 @@ def verify_closure(
     """
     rng = _as_stream(rng, "verify_closure")
     n_draws = _positive_int(n_draws, "n_draws")
-    thresholds = VerificationThresholds()
     if predicted is None:
         predicted = mixture_marginal_params(spec)
     if probes is None:
@@ -315,11 +307,11 @@ def verify_closure(
     ks = tuple(_ks_distance(hier_entries[:, e], direct_entries[:, e]) for e in range(iu.size))
     passed = (
         n_draws >= MIN_VERIFY_DRAWS
-        and mean_rel < thresholds.mean_rel_err
-        and all(v < thresholds.mgf_rel_err for v in mgf_rel)
-        and all(v < thresholds.ks_stat for v in ks)
+        and mean_rel < MEAN_REL_ERR_MAX
+        and all(v < MGF_REL_ERR_MAX for v in mgf_rel)
+        and all(v < KS_STAT_MAX for v in ks)
     )
-    return VerificationReport(mean_rel, mgf_rel, ks, n_draws, passed, thresholds)
+    return VerificationReport(mean_rel, mgf_rel, ks, n_draws, passed)
 
 
 def _random_spd(dim: int, gen: np.random.Generator) -> SpdMat:

@@ -26,16 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesign, EmptyFile, InsufficientCell, MissingColumn, UnparseableValue, ValidationError
-from .manova import (
-    FACTORS,
-    DesignTable,
-    _f_test,
-    batched_statistic_eigs,
-    compute_sop,
-    dof_map,
-    scalar_statistic,
-)
+from .distributions import _positive_int
+from .errors import EmptyFile, InsufficientCell, MissingColumn, UnparseableValue, ValidationError
+from .manova import FACTOR_TESTS, DesignTable, _f_test, _test_dofs, batched_statistic_eigs, compute_sop, scalar_statistic
 from .mc import McConfig, PValueEstimate, mc_pvalue
 from .rng import RngStream
 from .symmat import SpdMat, SymMat
@@ -165,9 +158,7 @@ def subsample_balanced(data: RawDataset, n_per_cell: int, seed: int) -> DesignTa
     :class:`InsufficientCell` names the first deficient cell.  A cell holding
     exactly ``n_per_cell`` rows is passed through unchanged.
     """
-    n_per_cell = int(n_per_cell)
-    if n_per_cell < 1:
-        raise ValueError("n_per_cell must be positive")
+    n_per_cell = _positive_int(n_per_cell, "n_per_cell")
     levels_a = sorted(set(data.factor_a))
     levels_b = sorted(set(data.factor_b))
     # Level codes order like the labels, so one stable sort by cell code and
@@ -177,7 +168,7 @@ def subsample_balanced(data: RawDataset, n_per_cell: int, seed: int) -> DesignTa
     order = np.lexsort((*data.responses.T[::-1], cell))
     bounds = np.searchsorted(cell[order], np.arange(len(levels_a) * len(levels_b) + 1))
 
-    gen = RngStream(int(seed)).generator()
+    gen = RngStream(seed).generator()
     out = np.empty((len(levels_a), len(levels_b), n_per_cell, data.dim))
     for i, la in enumerate(levels_a):
         for j, lb in enumerate(levels_b):
@@ -222,9 +213,6 @@ class ReportTable:
     n: int
     d: int
 
-    def factor(self, name: str) -> FactorResult:
-        return {fr.name: fr for fr in self.factors}[name]
-
 
 def run_report(table: DesignTable, cfg: McConfig, sigma: SpdMat | None = None) -> ReportTable:
     """Run the full three-factor battery on a balanced table.
@@ -236,32 +224,21 @@ def run_report(table: DesignTable, cfg: McConfig, sigma: SpdMat | None = None) -
     test is attached to each factor.  All-constant responses short-circuit to
     zero statistics rather than failing the residual PD check.
     """
-    dofs = dof_map(table.levels_a, table.levels_b, table.reps)
-    factor_dof1 = dict(zip(FACTORS, (dofs.nu_a, dofs.nu_b, dofs.nu_ab)))
-    for name, dof1 in factor_dof1.items():
-        if not dof1 > table.dim - 1:
-            raise DegenerateDesign(
-                f"factor {name} has {dof1} degrees of freedom, which cannot support a "
-                f"{table.dim}-dimensional statistic (need more factor levels or fewer responses)"
-            )
-    if not dofs.nu_e > table.dim - 1:
-        raise DegenerateDesign(
-            f"residual degrees of freedom {dofs.nu_e} cannot support a {table.dim}-dimensional statistic"
-        )
+    dofs = _test_dofs(table.levels_a, table.levels_b, table.reps, table.dim)
     sop = compute_sop(table)
     # all responses identical per component: every statistic is zero by convention
     degenerate = bool(np.all(np.ptp(table.responses.reshape(-1, table.dim), axis=0) == 0.0))
     results = []
-    for name in FACTORS:
+    for name, num, den in FACTOR_TESTS:
         if degenerate:
             eigs = np.zeros(table.dim)
         else:
-            eigs = batched_statistic_eigs(sop.factor(name).array, sop.sop_e.array, sigma)
+            eigs = batched_statistic_eigs(sop[num].array, sop[den].array, sigma)
         observed = float(scalar_statistic(eigs, cfg.functional))
-        p = mc_pvalue(observed, factor_dof1[name], dofs.nu_e, table.dim, cfg)
+        p = mc_pvalue(observed, dofs[num], dofs[den], table.dim, cfg)
         f_stat = f_pvalue = None
         if table.dim == 1 and not degenerate:
-            f_stat, f_pvalue = _f_test(sop, dofs, name)
+            f_stat, f_pvalue = _f_test(sop, dofs, num, den)
         results.append(FactorResult(name, observed, tuple(float(v) for v in eigs), p, f_stat, f_pvalue))
     return ReportTable(
         tuple(results),

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideDomain, UnsupportedDof
-from .rng import RngStream, _chunk_spans, as_generator
+from .rng import RngStream, _chunk_spans, _whole, as_generator
 from .symmat import SpdMat, SymMat, _as_spd, _mirror_upper, sym_sqrt
 
 __all__ = [
@@ -55,13 +55,6 @@ __all__ = [
 
 # Chunk budget for batched sampling, in scalar draws per chunk.
 _CHUNK_SCALARS = 1 << 22
-
-
-def _whole(value, name: str, minimum: int, kind: str) -> int:
-    integral = isinstance(value, (int, np.integer)) or float(value).is_integer()
-    if not (integral and value >= minimum):
-        raise ValueError(f"{name} must be {kind}, got {value}")
-    return int(value)
 
 
 def _positive_int(value, name: str) -> int:
@@ -244,19 +237,16 @@ def _require_integer_dof(dof: float, dim: int) -> int:
     return nu
 
 
-def _wishart_factor(params: WishartParams, method: str = "auto"):
+def _wishart_factor(params: WishartParams):
     """``(factor, per_draw)``: ``factor(gen, n)`` draws ``n`` factors whose Grams follow ``params``.
 
-    ``per_draw`` is the scalar count per draw that sizes the chunks.
+    Central parameters get the Bartlett factor, noncentral ones the
+    matrix-normal factor; ``per_draw`` is the scalar count per draw that
+    sizes the chunks.
     """
-    if method not in ("auto", "bartlett", "outer"):
-        raise ValueError(f"unknown method {method!r}")
-    central = params.is_central
-    if method == "bartlett" and not central:
-        raise UnsupportedDof("the Bartlett construction only samples central Wisharts")
     root = sym_sqrt(params.scale).array
     dim = params.dim
-    if method == "bartlett" or (method == "auto" and central):
+    if params.is_central:
         return (
             lambda gen, n: np.swapaxes(root @ _bartlett_factor(params.dof, dim, gen, n), -1, -2),
             max(dim * dim, dim * int(math.ceil(params.dof))),
@@ -270,23 +260,16 @@ def sample_wishart(
     params: WishartParams,
     rng: RngStream | np.random.Generator | int,
     size: int | None = None,
-    method: str = "auto",
 ) -> SpdMat | np.ndarray:
     """Draw from the (noncentral) Wishart distribution.
 
-    ``method`` selects the construction:
-
-    * ``"auto"`` — Bartlett for central parameters, matrix-normal outer
-      product otherwise;
-    * ``"bartlett"`` — central only, any real ``dof > dim - 1``;
-    * ``"outer"`` — outer product ``N' N`` of a matrix normal, requires an
-      integer ``dof >= dim``; works for central and noncentral parameters and
-      exists mainly to cross-validate the Bartlett path.
-
-    Returns an :class:`SpdMat` for ``size=None``, else a ``(size, dim, dim)``
-    array of symmetric draws.
+    Central parameters use the Bartlett construction, valid for any real
+    ``dof > dim - 1``; noncentral ones use the outer product ``N' N`` of a
+    matrix normal and need an integer ``dof >= dim``.  Returns an
+    :class:`SpdMat` for ``size=None``, else a ``(size, dim, dim)`` array of
+    symmetric draws.
     """
-    factor, per_draw = _wishart_factor(params, method)
+    factor, per_draw = _wishart_factor(params)
     gen = as_generator(rng)
     draws = _draw_stack(size, (params.dim, params.dim), per_draw, lambda n: _gram(factor(gen, n)))
     return draws if size is not None else SpdMat._certified(draws, "PD")

@@ -26,7 +26,7 @@ class UnbalancedDesign(ValidationError):
 
 
 class DegenerateDesign(ValidationError):
-    """Design has no residual degrees of freedom (fewer than two replicates per cell)."""
+    """Design cannot support its tests: fewer than two replicates per cell, or too few factor degrees of freedom."""
 
 
 class SingularErrorMatrix(ValidationError):

@@ -18,7 +18,7 @@ why the identity matrix is the default.
 Singularity policy: one path, :func:`batched_statistic_eigs`, computes every
 statistic, for one table or a stack.  It rejects a residual SOP as singular,
 raising :class:`SingularErrorMatrix`, when its smallest eigenvalue is at or
-below ``tolerances.pd`` times its largest, the same relative test that
+below ``PD_TOL`` times its largest, the same relative test that
 :class:`~wishartmix.symmat.SpdMat` uses to certify a matrix positive definite.
 """
 
@@ -34,7 +34,7 @@ from scipy.stats import f as f_dist
 from .distributions import _positive_int
 from .errors import DegenerateDesign, SingularErrorMatrix, UnbalancedDesign, ValidationError
 from .rng import RngStream, as_generator
-from .symmat import SpdMat, SymMat, _as_spd, _mirror_upper, sym_inv_sqrt, sym_sqrt, tolerances
+from .symmat import PD_TOL, SpdMat, SymMat, _as_spd, _mirror_upper, sym_inv_sqrt, sym_sqrt
 
 __all__ = [
     "DesignTable",
@@ -54,7 +54,11 @@ __all__ = [
     "simulate_design",
 ]
 
-FACTORS = ("A", "B", "AB")
+# Each factor test as (name, numerator, denominator): the positions of its two
+# SOPs in sop_arrays / SopDecomposition order, which are also the positions of
+# their degrees of freedom in DofMap order.
+FACTOR_TESTS = (("A", 0, 3), ("B", 1, 3), ("AB", 2, 3))
+FACTORS = tuple(name for name, _, _ in FACTOR_TESTS)
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,7 @@ class DesignTable:
         return self.responses.shape[3]
 
 
-@dataclass(frozen=True)
-class SopDecomposition:
+class SopDecomposition(NamedTuple):
     """The four effect SOP matrices plus the total; all symmetric PSD.
 
     Additivity ``sop_a + sop_b + sop_ab + sop_e == sop_total`` holds to
@@ -119,9 +122,6 @@ class SopDecomposition:
     sop_ab: SymMat
     sop_e: SymMat
     sop_total: SymMat
-
-    def factor(self, which: str) -> SymMat:
-        return {"A": self.sop_a, "B": self.sop_b, "AB": self.sop_ab}[which]
 
 
 def sop_arrays(y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -221,7 +221,7 @@ def batched_statistic_eigs(numerators, residuals, sigma: SpdMat | None = None) -
     ``sigma^{-1/2}``.  They equal the eigenvalues of ``S V^{-1}`` and do not
     depend on the positive definite ``sigma``; ``None`` means the identity.
     Raises :class:`SingularErrorMatrix` when any residual SOP has its smallest
-    eigenvalue at or below ``tolerances.pd`` times its largest (a PD residual
+    eigenvalue at or below ``PD_TOL`` times its largest (a PD residual
     needs ``a * b * (n - 1) >= d`` observations).
     """
     numerators = np.asarray(numerators, dtype=float)
@@ -236,12 +236,12 @@ def batched_statistic_eigs(numerators, residuals, sigma: SpdMat | None = None) -
         numerators = _mirror_upper(c @ numerators @ c)
         residuals = _mirror_upper(c @ residuals @ c)
     w, v = np.linalg.eigh(residuals)
-    singular = w[..., 0] <= tolerances.pd * w[..., -1]
+    singular = w[..., 0] <= PD_TOL * w[..., -1]
     if np.any(singular):
         w_bad = w[singular][0]
         raise SingularErrorMatrix(
             f"residual SOP is singular: smallest eigenvalue {w_bad[0]:.6g} is at most "
-            f"{tolerances.pd:g} * largest {w_bad[-1]:.6g}"
+            f"{PD_TOL:g} * largest {w_bad[-1]:.6g}"
         )
     inv_root = _mirror_upper((v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v, -1, -2))
     b = _mirror_upper(inv_root @ numerators @ inv_root)
@@ -267,6 +267,23 @@ def dof_map(a: int, b: int, n: int) -> DofMap:
     return DofMap(a - 1, b - 1, (a - 1) * (b - 1), a * b * (n - 1))
 
 
+def _test_dofs(a: int, b: int, n: int, dim: int) -> DofMap:
+    """:func:`dof_map`, checked to support the ``dim``-dimensional statistic of every factor test.
+
+    Raises :class:`DegenerateDesign` naming the first factor whose degrees of
+    freedom do not exceed ``dim - 1``.  The residual never binds first:
+    ``ab(n - 1) > (a - 1)(b - 1)`` for ``n >= 2``.
+    """
+    dofs = dof_map(a, b, n)
+    for name, num, _ in FACTOR_TESTS:
+        if not dofs[num] > dim - 1:
+            raise DegenerateDesign(
+                f"factor {name} has {dofs[num]} degrees of freedom, which cannot support a "
+                f"{dim}-dimensional statistic (need more factor levels or fewer responses)"
+            )
+    return dofs
+
+
 def univariate_f_test(table: DesignTable, which: str) -> tuple[float, float]:
     """Exact variance-component F test for one factor of a ``d = 1`` design.
 
@@ -282,17 +299,14 @@ def univariate_f_test(table: DesignTable, which: str) -> tuple[float, float]:
         raise ValueError(f"which must be one of {FACTORS}, got {which!r}")
     if table.dim != 1:
         raise ValueError(f"the univariate F test needs d = 1, got d = {table.dim}")
-    dofs = dof_map(table.levels_a, table.levels_b, table.reps)
-    return _f_test(compute_sop(table), dofs, which)
+    _, num, den = FACTOR_TESTS[FACTORS.index(which)]
+    return _f_test(compute_sop(table), dof_map(table.levels_a, table.levels_b, table.reps), num, den)
 
 
-def _f_test(sop: SopDecomposition, dofs: DofMap, which: str) -> tuple[float, float]:
-    """``(F, p)`` of :func:`univariate_f_test` from an already computed ``d = 1`` SOP."""
-    nu_x = {"A": dofs.nu_a, "B": dofs.nu_b, "AB": dofs.nu_ab}[which]
-    num = float(sop.factor(which).array[0, 0])
-    den = float(sop.sop_e.array[0, 0])
-    f_stat = (num / nu_x) / (den / dofs.nu_e)
-    return f_stat, float(f_dist.sf(f_stat, nu_x, dofs.nu_e))
+def _f_test(sop: SopDecomposition, dofs: DofMap, num: int, den: int) -> tuple[float, float]:
+    """``(F, p)`` of :func:`univariate_f_test` for one :data:`FACTOR_TESTS` entry of a ``d = 1`` SOP."""
+    f_stat = (float(sop[num].array[0, 0]) / dofs[num]) / (float(sop[den].array[0, 0]) / dofs[den])
+    return f_stat, float(f_dist.sf(f_stat, dofs[num], dofs[den]))
 
 
 class NoEffect:

@@ -27,11 +27,12 @@ from scipy.stats import kstest
 
 from .distributions import BetaIIParams, _nonnegative_int, _positive_int, beta2_eigenvalues
 from .manova import (
+    FACTOR_TESTS,
     FACTORS,
     SimulationSpec,
     StatisticFunctional,
+    _test_dofs,
     batched_statistic_eigs,
-    dof_map,
     scalar_statistic,
     simulate_design,
     sop_arrays,
@@ -184,6 +185,7 @@ def null_calibration(
     rng = _as_stream(rng, "null_calibration")
     n_datasets = _nonnegative_int(n_datasets, "n_datasets")
     functionals = tuple(StatisticFunctional(f) for f in (functionals or (cfg.functional,)))
+    dofs = _test_dofs(spec.levels_a, spec.levels_b, spec.reps, spec.dim)
     if cfg.n_mc < 1000 and n_datasets > 0:
         warnings.warn(
             f"n_mc = {cfg.n_mc} is below 1000; the p-value estimates will be coarse",
@@ -192,20 +194,17 @@ def null_calibration(
     if n_datasets == 0:
         return CalibrationSummary(0, cfg.n_mc, {})
 
-    dofs = dof_map(spec.levels_a, spec.levels_b, spec.reps)
-    factor_dof1 = dict(zip(FACTORS, (dofs.nu_a, dofs.nu_b, dofs.nu_ab)))
     pvals: dict[tuple[str, StatisticFunctional], list[float]] = {
         (f, fn): [] for f in FACTORS for fn in functionals
     }
 
     for chunk_idx, done, m in _chunk_spans(n_datasets, _DATASET_CHUNK):
         tables = simulate_design(spec, rng.generator(0, chunk_idx), size=m)
-        sop_a, sop_b, sop_ab, sop_e, _ = sop_arrays(tables)
-        numerators = {"A": sop_a, "B": sop_b, "AB": sop_ab}
-        for factor in FACTORS:
-            eigs_obs = batched_statistic_eigs(numerators[factor], sop_e)
+        sops = sop_arrays(tables)
+        for factor, num, den in FACTOR_TESTS:
+            eigs_obs = batched_statistic_eigs(sops[num], sops[den])
             observed = {fn: scalar_statistic(eigs_obs, fn).tolist() for fn in functionals}
-            params = BetaIIParams(factor_dof1[factor], dofs.nu_e, spec.dim)
+            params = BetaIIParams(dofs[num], dofs[den], spec.dim)
             null_stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
             for i in range(m):
                 eigs_null = beta2_eigenvalues(params, null_stream.generator(done + i), cfg.n_mc)

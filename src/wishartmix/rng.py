@@ -36,10 +36,9 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) <= _U64_MAX:
+        if _whole(self.seed, "seed", 0, "a non-negative integer") > _U64_MAX:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-        if int(self.stream_index) < 0:
-            raise ValueError(f"stream_index must be non-negative, got {self.stream_index}")
+        _whole(self.stream_index, "stream_index", 0, "a non-negative integer")
 
     def generator(self, *subkeys: int) -> np.random.Generator:
         """Return a fresh generator for this stream.
@@ -50,6 +49,14 @@ class RngStream:
         ``stream.generator()`` itself.
         """
         return np.random.default_rng([int(self.seed), int(self.stream_index), *map(int, subkeys)])
+
+
+def _whole(value, name: str, minimum: int, kind: str) -> int:
+    """``value`` as an ``int`` of at least ``minimum``; integral floats such as ``2.0`` pass, ``2.7`` raises."""
+    integral = isinstance(value, (int, np.integer)) or float(value).is_integer()
+    if not (integral and value >= minimum):
+        raise ValueError(f"{name} must be {kind}, got {value}")
+    return int(value)
 
 
 def _chunk_spans(total: int, step: int):

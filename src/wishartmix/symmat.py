@@ -10,8 +10,8 @@ fixes one explicit policy, applied everywhere:
   construction, so a stored matrix equals its transpose bitwise and no code
   ever asserts symmetry at runtime;
 * definiteness is decided from the eigenvalue spectrum relative to the largest
-  eigenvalue, with thresholds held in the module-global :data:`tolerances`;
-* eigenvalues in ``[-tol.psd * lambda_max, 0)`` are clipped to zero on the
+  eigenvalue, with the constant thresholds :data:`PD_TOL` and :data:`PSD_TOL`;
+* eigenvalues in ``[-PSD_TOL * lambda_max, 0)`` are clipped to zero on the
   semidefinite path, and anything below that is rejected as :class:`NotPsd`;
 * every input that must be positive (semi)definite goes through
   :func:`_as_spd`, which raises ``NotPsd`` with the parameter's name (``"<name>
@@ -25,8 +25,6 @@ symmetric root is the one the conjugation map is defined with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotPsd
@@ -34,29 +32,17 @@ from .errors import NotPsd
 __all__ = [
     "SymMat",
     "SpdMat",
-    "Tolerances",
-    "tolerances",
     "assert_pd",
     "sym_sqrt",
     "sym_inv_sqrt",
 ]
 
 
-@dataclass
-class Tolerances:
-    """Relative eigenvalue thresholds for cone membership.
-
-    Both are relative to the largest eigenvalue of the matrix under test.
-    ``pd`` separates "strictly positive" from "numerically zero", and ``psd``
-    is how far below zero an eigenvalue may dip before the matrix is rejected.
-    """
-
-    pd: float = 1e-12
-    psd: float = 1e-10
-
-
-#: Global tolerance policy; mutate fields to reconfigure the whole package.
-tolerances = Tolerances()
+# Eigenvalue thresholds relative to the largest eigenvalue of the matrix under
+# test: above PD_TOL is "strictly positive", and PSD_TOL is how far below zero
+# an eigenvalue may dip before the matrix is rejected.
+PD_TOL = 1e-12
+PSD_TOL = 1e-10
 
 
 def _as_square(values) -> np.ndarray:
@@ -122,15 +108,15 @@ class SpdMat(SymMat):
         super().__init__(values)
         w, v = np.linalg.eigh(self._m)
         lam_max = w[-1]
-        if np.all(w > tolerances.pd * lam_max):
+        if np.all(w > PD_TOL * lam_max):
             kind = "PD"
-        elif np.all(w >= -tolerances.psd * lam_max):
+        elif np.all(w >= -PSD_TOL * lam_max):
             kind = "PSD"
             w = np.maximum(w, 0.0)
         else:
             raise NotPsd(
                 f"{name} is not positive semidefinite: min eigenvalue {w[0]:.6g} "
-                f"is below -{tolerances.psd:g} * {lam_max:.6g}"
+                f"is below -{PSD_TOL:g} * {lam_max:.6g}"
             )
         self._kind = kind
         self._eigvals, self._eigvecs = w, v
@@ -192,8 +178,8 @@ def assert_pd(m) -> SpdMat:
     """Classify a symmetric matrix as PD or PSD, or raise :class:`NotPsd`.
 
     Eigenvalues are compared with the largest one: strictly above
-    ``tolerances.pd * lambda_max`` everywhere gives ``PD``; otherwise, nothing
-    below ``-tolerances.psd * lambda_max`` gives ``PSD`` with the negative part
+    ``PD_TOL * lambda_max`` everywhere gives ``PD``; otherwise, nothing
+    below ``-PSD_TOL * lambda_max`` gives ``PSD`` with the negative part
     of the spectrum clipped to zero.  Anything else fails.
     """
     return SpdMat(m)

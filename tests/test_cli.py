@@ -9,7 +9,18 @@ import numpy as np
 import pytest
 
 import wishartmix
-from wishartmix import RandomEffect, RngStream, SimulationSpec, assert_pd, simulate_design
+from wishartmix import (
+    DegenerateDesign,
+    DesignTable,
+    McConfig,
+    RandomEffect,
+    RngStream,
+    SimulationSpec,
+    assert_pd,
+    null_calibration,
+    run_report,
+    simulate_design,
+)
 from wishartmix.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, main
 
 
@@ -238,6 +249,20 @@ class TestCalibrateCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "factor A" in out and "KS" in out
+
+    @pytest.mark.parametrize("a, b, n, dim, factor", [(2, 3, 2, 2, "A"), (3, 2, 2, 2, "B"), (2, 2, 2, 5, "A")])
+    def test_undersized_design_names_the_factor(self, capsys, monkeypatch, a, b, n, dim, factor):
+        # Library and command line reject the design alike, before any table is simulated.
+        monkeypatch.setattr("wishartmix.mc.simulate_design", lambda *args, **kwargs: pytest.fail("table simulated"))
+        message = f"factor {factor} has 1 degrees of freedom, which cannot support a {dim}-dimensional statistic"
+        spec = SimulationSpec(a, b, n, dim, assert_pd(np.eye(dim)))
+        with pytest.raises(DegenerateDesign, match=message):
+            null_calibration(spec, 5, McConfig(n_mc=1000), RngStream(1))
+        with pytest.raises(DegenerateDesign, match=message):
+            run_report(DesignTable(np.zeros((a, b, n, dim))), McConfig(n_mc=1000))
+        argv = ["calibrate", "--a", str(a), "--b", str(b), "--n", str(n), "--dim", str(dim), "--datasets", "5", "--seed", "1"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestConsoleEntry:

@@ -212,6 +212,10 @@ class TestRunReport:
         assert all(fr.f_stat is not None for fr in r1.factors)
         r2 = run_report(DesignTable(gen.standard_normal((3, 3, 2, 2))), McConfig(n_mc=1000, seed=1))
         assert all(fr.f_stat is None for fr in r2.factors)
+        # The text report renders the F p-values as their own row, at 4 decimals.
+        (row,) = [line for line in report_to_text(r1, ("y",)).splitlines() if line.startswith("Variance-component")]
+        assert row.split()[-4:] == ["y", *(f"{fr.f_pvalue:.4f}" for fr in r1.factors)]
+        assert "Variance-component" not in report_to_text(r2, ("u", "v"))
 
     def test_d1_report_computes_the_sop_once(self, monkeypatch):
         import wishartmix.design_io as design_io_mod

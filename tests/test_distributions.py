@@ -19,6 +19,7 @@ from wishartmix import (
     MixtureSpec,
     NotPsd,
     OutsideDomain,
+    RawDataset,
     RngStream,
     SimulationSpec,
     SymMat,
@@ -32,6 +33,7 @@ from wishartmix import (
     sample_matrix_normal,
     sample_noncentral_chisq,
     sample_wishart,
+    subsample_balanced,
     sym_sqrt,
     verify_closure,
     wishart_log_mgf,
@@ -96,6 +98,15 @@ class TestParams:
             verify_closure(mixture, 10_000.9, 1)
         with pytest.raises(ValueError, match="n_draws"):
             verify_closure(mixture, 0, 1)
+        data = RawDataset(("x",) * 3, ("y",) * 3, np.arange(3.0)[:, None], ("r",))
+        with pytest.raises(ValueError, match="n_per_cell must be a positive integer"):
+            subsample_balanced(data, 2.7, 0)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            subsample_balanced(data, 2, 0.5)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            RngStream(1.9)
+        with pytest.raises(ValueError, match="stream_index must be a non-negative integer"):
+            RngStream(1, 1.9)
         # Integral floats, as parsed from JSON, are accepted and stored as ints.
         assert BetaIIParams(4.0, 10.0, dim=2.0).dim == 2
         assert MatrixNormalParams(2.0, 0.0, SIGMA_2D).rows == 2
@@ -105,6 +116,8 @@ class TestParams:
         spec = SimulationSpec(3.0, 3.0, 2.0, 2.0, SIGMA_2D)
         assert [type(v) for v in (spec.levels_a, spec.levels_b, spec.reps, spec.dim)] == [int] * 4
         assert null_calibration(spec, 2.0, McConfig(n_mc=1000), 1).n_datasets == 2
+        assert subsample_balanced(data, 2.0, 0.0).reps == 2
+        assert np.array_equal(RngStream(1.0, 2.0).generator().random(3), RngStream(1, 2).generator().random(3))
 
 
 class TestMatrixNormal:
@@ -144,11 +157,13 @@ class TestWishartSampling:
         assert err < 0.01
 
     def test_bartlett_and_outer_paths_agree(self):
-        # Same central law from two constructions: matching means and
-        # element-wise variances at a million draws each.
+        # Same central law from two constructions, the Bartlett sampler and
+        # the Gram of a matrix normal: matching means and element-wise
+        # variances at a million draws each.
         p = WishartParams(6.0, SIGMA_2D)
-        a = sample_wishart(p, RngStream(6), size=1_000_000, method="bartlett")
-        b = sample_wishart(p, RngStream(7), size=1_000_000, method="outer")
+        a = sample_wishart(p, RngStream(6), size=1_000_000)
+        n = sample_matrix_normal(MatrixNormalParams(6, 0.0, SIGMA_2D), RngStream(7), size=1_000_000)
+        b = _mirror_upper(np.swapaxes(n, -1, -2) @ n)
         np.testing.assert_allclose(a.mean(axis=0), b.mean(axis=0), rtol=0.02)
         np.testing.assert_allclose(a.var(axis=0), b.var(axis=0), rtol=0.02)
 
@@ -187,11 +202,6 @@ class TestWishartSampling:
         p = WishartParams(2.5, SIGMA_2D, assert_pd(np.eye(2)))
         with pytest.raises(UnsupportedDof):
             sample_wishart(p, RngStream(10))
-
-    def test_bartlett_cannot_do_noncentral(self):
-        p = WishartParams(3.0, SIGMA_2D, assert_pd(np.eye(2)))
-        with pytest.raises(UnsupportedDof):
-            sample_wishart(p, RngStream(10), method="bartlett")
 
     def test_stream_determinism(self):
         p = WishartParams(4.0, SIGMA_2D, assert_pd(np.eye(2)))
@@ -450,7 +460,7 @@ class TestFactorIdentities:
         mean = np.zeros((5, 2))
         mean[:2] = sym_sqrt(noncen).array
         n = sample_matrix_normal(MatrixNormalParams(5, mean, SIGMA_2D), RngStream(32), size=1000)
-        w = sample_wishart(WishartParams(5.0, SIGMA_2D, noncen), RngStream(32), size=1000, method="outer")
+        w = sample_wishart(WishartParams(5.0, SIGMA_2D, noncen), RngStream(32), size=1000)
         assert np.array_equal(_mirror_upper(np.swapaxes(n, -1, -2) @ n), w)
 
 

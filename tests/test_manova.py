@@ -167,7 +167,7 @@ class TestStatisticEigs:
             batched_statistic_eigs(sop.sop_a.array, sop.sop_e.array)
 
     def test_ill_conditioned_residual_rejected_alone_and_in_a_stack(self, gen):
-        # Condition number 1e14 is below the relative tolerances.pd = 1e-12 floor.
+        # Condition number 1e14 is below the relative PD_TOL = 1e-12 floor.
         q, _ = np.linalg.qr(gen.standard_normal((2, 2)))
         bad = (q * np.array([1e-14, 1.0])) @ q.T
         num = np.eye(2)
