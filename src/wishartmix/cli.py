@@ -141,7 +141,16 @@ def _require_number(params: dict, key: str, default=None) -> float:
     return float(value)
 
 
-def _load_params(path) -> dict:
+# The keys each ``sample --dist`` reads from its parameter file.
+_PARAM_KEYS = {
+    "matrix-normal": ("rows", "mean", "scale"),
+    "wishart": ("dof", "scale", "noncen"),
+    "beta2": ("dof1", "dof2", "dim"),
+    "chisq": ("dof", "noncen"),
+}
+
+
+def _load_params(path, dist: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             obj = json.load(handle)
@@ -149,11 +158,17 @@ def _load_params(path) -> dict:
         raise ValidationError(f"cannot read parameter file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: parameter file must hold a JSON object")
+    unknown = [key for key in obj if key not in _PARAM_KEYS[dist]]
+    if unknown:
+        raise ValidationError(
+            f"{path}: unknown parameter {', '.join(map(repr, unknown))} for --dist {dist}; "
+            f"accepted: {', '.join(_PARAM_KEYS[dist])}"
+        )
     return obj
 
 
 def _cmd_sample(args) -> int:
-    params = _load_params(args.params)
+    params = _load_params(args.params, args.dist)
     rng = RngStream(args.seed)
     n = int(args.n)
     if n < 1:

@@ -7,7 +7,9 @@ the closed-form marginal law, :func:`sample_hierarchical` draws from the
 two-level construction directly, and :func:`verify_closure` establishes the
 distributional equality by Monte Carlo: mean matrices, moment generating
 functions on a set of probe matrices, and per-entry two-sample KS statistics
-against draws from the predicted law.
+against draws from the predicted law.  Verification never forms ``(n, d, d)``
+stacks: it draws the hierarchical and the direct Wishart factors and works on
+their Gram entry columns, the same values the samplers return.
 
 The hierarchical model, with all matrices ``d x d`` and ``Y_H`` denoting the
 conjugation ``H^{1/2} Y H^{1/2}``:
@@ -35,11 +37,11 @@ from .distributions import (
     WishartParams,
     _draw_stack,
     _gram,
+    _gram_columns,
     _normal_factor,
     _positive_int,
     _require_integer_dof,
     _wishart_factor,
-    sample_wishart,
     wishart_mean,
     wishart_mgf,
 )
@@ -141,11 +143,18 @@ def mixture_marginal_params(spec: MixtureSpec) -> WishartParams:
     )
 
 
-def _hierarchical_batch(spec: MixtureSpec, nu: int, gen: np.random.Generator, n: int) -> np.ndarray:
+def _hierarchical_factor(spec: MixtureSpec):
+    """``(factor, per_draw)`` for the hierarchy, as :func:`_wishart_factor` gives them for one law.
+
+    ``factor(gen, n)`` draws ``n`` mixing factors ``L`` and then the
+    conditional factors ``Z A^{1/2} + L G'``, whose Grams are hierarchical
+    draws.  Requires an integer ``dof >= dim``.
+    """
+    nu = _require_integer_dof(spec.dof, spec.dim)
     ah = sym_sqrt(spec.inner_scale).array
     g = ah @ sym_sqrt(spec.coupling).array
     mixing_factor, _ = _wishart_factor(spec.mixing_params())
-    return _gram(_normal_factor(mixing_factor(gen, n) @ g.T, nu, ah, gen, n))
+    return (lambda gen, n: _normal_factor(mixing_factor(gen, n) @ g.T, nu, ah, gen, n)), 2 * nu * spec.dim
 
 
 def sample_hierarchical(
@@ -160,9 +169,9 @@ def sample_hierarchical(
     and no root of ``Delta_cond`` is formed.  Requires an integer
     ``dof >= dim`` because the conditional level is always noncentral.
     """
-    nu = _require_integer_dof(spec.dof, spec.dim)
+    factor, per_draw = _hierarchical_factor(spec)
     gen = as_generator(rng)
-    draws = _draw_stack(size, (spec.dim, spec.dim), 2 * nu * spec.dim, lambda n: _hierarchical_batch(spec, nu, gen, n))
+    draws = _draw_stack(size, (spec.dim, spec.dim), per_draw, lambda n: _gram(factor(gen, n)))
     return draws if size is not None else SpdMat._certified(draws, "PD")
 
 
@@ -234,19 +243,29 @@ def _ks_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov distance, bitwise equal to ``scipy.stats.ks_2samp(x, y).statistic``.
 
     Both empirical CDFs step only at sample points, so ``c_x/n_x - c_y/n_y``
-    (``c`` counting points at or below) is evaluated at every point of both
-    sorted samples, ties included.  As scipy does on its exact path, samples
-    of at most 10,000 points round the distance to the lattice
-    ``h / lcm(n_x, n_y)`` it lives on.  No p-value is computed.
+    (``c`` counting points at or below) is evaluated at the end of each tie
+    group of the merged sample.  The merge is a stable argsort of the two
+    sorted runs laid end to end; a cumulative count of the ``x`` labels gives
+    ``c_x``, and ``c_y`` is the rest of the position.  As scipy does on its
+    exact path, samples of at most 10,000 points round the distance to the
+    lattice ``h / lcm(n_x, n_y)`` it lives on.  No p-value is computed.
     """
-    x, y = np.sort(x), np.sort(y)
-    points = np.concatenate([x, y])
-    diff = np.searchsorted(x, points, side="right") / x.size - np.searchsorted(y, points, side="right") / y.size
-    d = float(np.abs(diff).max())
+    points = np.concatenate([np.sort(x), np.sort(y)])
+    order = np.argsort(points, kind="stable")
+    merged = points[order]
+    ends = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
+    cx = np.cumsum(order < x.size)[ends]
+    d = float(np.abs(cx / x.size - (ends + 1 - cx) / y.size).max())
     if max(x.size, y.size) <= 10_000:
         lcm = math.lcm(x.size, y.size)
         d = round(d * lcm) / lcm
     return d
+
+
+def _gram_entries(source, entries: int, gen: np.random.Generator, n: int) -> np.ndarray:
+    """``(n, entries)`` upper-triangle entries of ``n`` Grams drawn from ``source = (factor, per_draw)``."""
+    factor, per_draw = source
+    return _draw_stack(n, (entries,), per_draw, lambda b: np.column_stack(_gram_columns(factor(gen, b))))
 
 
 def verify_closure(
@@ -267,6 +286,12 @@ def verify_closure(
     3. two-sample Kolmogorov-Smirnov distance for each upper-triangle entry,
        hierarchical draws versus direct draws from the predicted law.
 
+    No ``(n, d, d)`` stack is formed: each chunk draws the hierarchical and
+    the direct factors and keeps only their Gram entry columns
+    (:func:`~wishartmix.distributions._gram_columns`), so the checks see the
+    same values :func:`sample_hierarchical` and ``sample_wishart`` return.
+    The mean comes from column sums, ``tr(T X)`` from the entries weighted 1
+    on the diagonal and 2 off it, and the KS distances from the columns.
     Draws are generated in fixed-size chunks, each from its own child stream
     of ``rng``, so the report is identical however the chunks would be
     distributed over workers.  ``predicted`` overrides the computed marginal
@@ -280,31 +305,28 @@ def verify_closure(
         probes = default_probes(predicted.scale)
     # Closed-form MGF values; raises OutsideDomain for an invalid probe.
     mgf_closed = np.array([wishart_mgf(predicted, t) for t in probes])
+    hier_source = _hierarchical_factor(spec)
+    direct_source = _wishart_factor(predicted)
 
     dim = spec.dim
-    nu = _require_integer_dof(spec.dof, dim)
     iu, ju = np.triu_indices(dim)
-    sum_x = np.zeros((dim, dim))
+    # tr(T X) over the upper entries: T_ij X_ij, twice off the diagonal.
+    weights = np.array([t.array[iu, ju] for t in probes]).T * np.where(iu == ju, 1.0, 2.0)[:, None]
     etr_sums = np.zeros(len(probes))
-    hier_entries = np.empty((n_draws, iu.size))
-    direct_entries = np.empty((n_draws, iu.size))
-    probe_arrays = [t.array for t in probes]
+    hier = np.empty((n_draws, iu.size))
+    direct = np.empty((n_draws, iu.size))
 
     for k, pos, n in _chunk_spans(n_draws, _VERIFY_CHUNK):
-        x = sample_hierarchical(spec, rng.generator(1, k), size=n)
-        sum_x += x.sum(axis=0)
-        for idx, t_arr in enumerate(probe_arrays):
-            etr_sums[idx] += np.exp(np.einsum("ij,nij->n", t_arr, x)).sum()
-        hier_entries[pos : pos + n] = x[:, iu, ju]
-        xd = sample_wishart(predicted, rng.generator(2, k), size=n)
-        direct_entries[pos : pos + n] = xd[:, iu, ju]
+        hier[pos : pos + n] = _gram_entries(hier_source, iu.size, rng.generator(1, k), n)
+        etr_sums += np.exp(hier[pos : pos + n] @ weights).sum(axis=0)
+        direct[pos : pos + n] = _gram_entries(direct_source, iu.size, rng.generator(2, k), n)
 
+    mean_x = np.empty((dim, dim))
+    mean_x[iu, ju] = mean_x[ju, iu] = hier.sum(axis=0) / n_draws
     mean_predicted = wishart_mean(predicted).array
-    mean_rel = float(
-        np.linalg.norm(sum_x / n_draws - mean_predicted) / np.linalg.norm(mean_predicted)
-    )
+    mean_rel = float(np.linalg.norm(mean_x - mean_predicted) / np.linalg.norm(mean_predicted))
     mgf_rel = tuple(float(abs(s / n_draws - c) / c) for s, c in zip(etr_sums, mgf_closed))
-    ks = tuple(_ks_distance(hier_entries[:, e], direct_entries[:, e]) for e in range(iu.size))
+    ks = tuple(_ks_distance(hier[:, e], direct[:, e]) for e in range(iu.size))
     passed = (
         n_draws >= MIN_VERIFY_DRAWS
         and mean_rel < MEAN_REL_ERR_MAX

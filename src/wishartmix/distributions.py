@@ -24,8 +24,13 @@ lower triangular and built column by column by forward substitution, and its
 spectrum is closed form for ``d <= 2`` (``C`` is assembled, for
 ``eigvalsh``, only for ``d >= 3``).  The Bartlett stack that the Wishart and
 Beta II matrix samplers use is filled from the same columns, so both routes
-consume a stream alike.  All samplers accept ``size`` and then return a
-stacked ``(size, d, d)`` array, drawing in fixed-size chunks to bound memory.
+consume a stream alike.  Grams have one route as well: the upper-triangle
+entries of ``L' L`` are computed as ``(n,)`` columns, one ``einsum`` over the
+factor per entry; the ``(n, d, d)`` stacks of :func:`sample_wishart`,
+:func:`sample_beta2` and the closure hierarchy are filled from those columns
+(symmetric bitwise), and the closure verification uses the columns directly.
+All samplers accept ``size`` and then return a stacked ``(size, d, d)``
+array, drawing in fixed-size chunks to bound memory.
 """
 
 from __future__ import annotations
@@ -204,9 +209,28 @@ def _normal_factor(mean: np.ndarray, rows: int, root: np.ndarray, gen: np.random
     return f
 
 
+def _gram_columns(factor: np.ndarray) -> list[np.ndarray]:
+    """Upper-triangle entries of the Grams ``L' L`` of a factor stack, as ``(n,)`` columns.
+
+    Columns come in ``np.triu_indices`` order; entry ``(i, j)`` is
+    ``einsum("nk,nk->n", L[:, :, i], L[:, :, j])``.  This is the one Gram
+    route: :func:`_gram` fills stacks from these columns, and
+    :func:`~wishartmix.closure.verify_closure` works on them directly.
+    """
+    return [np.einsum("nk,nk->n", factor[:, :, i], factor[:, :, j]) for i, j in zip(*np.triu_indices(factor.shape[-1]))]
+
+
 def _gram(factor: np.ndarray) -> np.ndarray:
-    """Wishart draws ``L' L`` from a stack of factors ``L``."""
-    return _mirror_upper(np.swapaxes(factor, -1, -2) @ factor)
+    """Wishart draws ``L' L`` from a stack of factors ``L``.
+
+    Each column of :func:`_gram_columns` is placed at ``[i, j]`` and
+    ``[j, i]``, so every draw is symmetric bitwise.
+    """
+    dim = factor.shape[-1]
+    out = np.empty((factor.shape[0], dim, dim))
+    for i, j, col in zip(*np.triu_indices(dim), _gram_columns(factor)):
+        out[:, i, j] = out[:, j, i] = col
+    return out
 
 
 def sample_matrix_normal(

@@ -211,6 +211,28 @@ class TestSampleCommand:
 
 
     @pytest.mark.parametrize(
+        "dist,params,key,accepted",
+        [
+            ("chisq", {"dof": 3, "scale": [[1.0]]}, "scale", "dof, noncen"),
+            ("wishart", {"dof": 4, "scale": [[1.0, 0.0], [0.0, 1.0]], "non_cen": [[1.0, 0.0], [0.0, 1.0]]},
+             "non_cen", "dof, scale, noncen"),
+            ("beta2", {"dof1": 4, "dof2": 10, "dim": 2, "scale": [[1.0, 0.0], [0.0, 1.0]]}, "scale", "dof1, dof2, dim"),
+            ("matrix-normal", {"rows": 1, "mean": [[0, 0]], "scale": [[1.0, 0.0], [0.0, 1.0]], "dof": 3},
+             "dof", "rows, mean, scale"),
+        ],
+    )
+    def test_unknown_key_exit_two(self, tmp_path, capsys, dist, params, key, accepted):
+        # A misspelled key must not fall back to a default (central draws for
+        # "non_cen"); it fails before any draw is written.
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(params), encoding="utf-8")
+        code = main(["sample", "--dist", dist, "--params", str(pfile), "--n", "2", "--seed", "3"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown parameter {key!r} for --dist {dist}; accepted: {accepted}" in captured.err
+
+    @pytest.mark.parametrize(
         "dist,params,name",
         [
             ("beta2", {"dof1": 4, "dof2": 10, "dim": 2.7}, "dim"),

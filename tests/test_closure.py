@@ -150,6 +150,23 @@ class TestSampleHierarchical:
         with pytest.raises(UnsupportedDof):
             sample_hierarchical(scalar_spec(4.5, 1.0, 0.0), RngStream(36))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_entry_variances_match_marginal(self, dim):
+        # Exact second moments of the predicted W(nu, V, Delta):
+        # Var(X_ij) = nu (V_ii V_jj + V_ij^2) + V_ii D_jj + V_jj D_ii + 2 V_ij D_ij,
+        # against batch means of per-batch sample variances.
+        spec = random_mixture_spec(dim, dim + 3.0, RngStream(47, dim))
+        p = mixture_marginal_params(spec)
+        v, delta = p.scale.array, p.noncen.array
+        dv, dd = np.diag(v), np.diag(delta)
+        exact = p.dof * (np.outer(dv, dv) + v * v) + np.outer(dv, dd) + np.outer(dd, dv) + 2.0 * v * delta
+        batches = 50
+        draws = sample_hierarchical(spec, RngStream(48, dim), size=200_000)
+        batch_vars = draws.reshape(batches, -1, dim, dim).var(axis=1, ddof=1)
+        se = batch_vars.std(axis=0, ddof=1) / math.sqrt(batches)
+        iu = np.triu_indices(dim)
+        assert np.all(np.abs(batch_vars.mean(axis=0) - exact)[iu] <= 4.0 * se[iu])
+
 
 def theorem_mgf_conditioning_oracle(spec: MixtureSpec, t: SymMat, n: int, seed: int) -> float:
     """Estimate E[M_{X|Y}(T)] by Monte Carlo over the mixing draw Y.

@@ -40,7 +40,7 @@ from wishartmix import (
     wishart_mean,
     wishart_mgf,
 )
-from wishartmix.distributions import _CHUNK_SCALARS, _bartlett_factor, _beta2_eigs
+from wishartmix.distributions import _CHUNK_SCALARS, _bartlett_factor, _beta2_eigs, _gram
 from wishartmix.symmat import _mirror_upper
 from conftest import random_psd, random_spd
 
@@ -461,7 +461,10 @@ class TestFactorIdentities:
         mean[:2] = sym_sqrt(noncen).array
         n = sample_matrix_normal(MatrixNormalParams(5, mean, SIGMA_2D), RngStream(32), size=1000)
         w = sample_wishart(WishartParams(5.0, SIGMA_2D, noncen), RngStream(32), size=1000)
-        assert np.array_equal(_mirror_upper(np.swapaxes(n, -1, -2) @ n), w)
+        # Bitwise through the package's one Gram route; the matmul Gram of the
+        # same factors agrees to rounding.
+        assert np.array_equal(_gram(n), w)
+        assert np.all(np.abs(np.swapaxes(n, -1, -2) @ n - w) <= 1e-12 * np.abs(w).max())
 
 
 class TestNoncentralChisq:
