@@ -33,7 +33,7 @@ from .distributions import (
 from .errors import ValidationError
 from .manova import SimulationSpec, StatisticFunctional
 from .mc import McConfig, null_calibration
-from .rng import RngStream
+from .rng import RngStream, _count
 from .symmat import SpdMat
 
 EXIT_OK = 0
@@ -41,6 +41,44 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 
 _FUNCTIONAL_CHOICES = [f.value for f in StatisticFunctional]
+
+
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"parameter {key!r} must be a finite number")
+    return float(value)
+
+
+def _matrix(value, key: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"parameter {key!r} is not a numeric array") from exc
+
+
+_REQUIRED = object()
+
+# Per ``sample --dist``: each key its parameter file may hold, as
+# ``key: (parser, default)`` with ``_REQUIRED`` for no default, and the draw
+# ``draw(params, rng, n)`` that takes the parsed keys as keyword arguments.
+_SAMPLE_DISTS = {
+    "matrix-normal": (
+        {"rows": (_number, _REQUIRED), "mean": (_matrix, _REQUIRED), "scale": (_matrix, _REQUIRED)},
+        lambda params, rng, n: sample_matrix_normal(MatrixNormalParams(**params), rng, n),
+    ),
+    "wishart": (
+        {"dof": (_number, _REQUIRED), "scale": (_matrix, _REQUIRED), "noncen": (_matrix, None)},
+        lambda params, rng, n: sample_wishart(WishartParams(**params), rng, n),
+    ),
+    "beta2": (
+        {"dof1": (_number, _REQUIRED), "dof2": (_number, _REQUIRED), "dim": (_number, 1)},
+        lambda params, rng, n: sample_beta2(BetaIIParams(**params), rng, n),
+    ),
+    "chisq": (
+        {"dof": (_number, _REQUIRED), "noncen": (_number, 0.0)},
+        lambda params, rng, n: sample_noncentral_chisq(**params, rng=rng, size=n),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_path", help="also write the verification reports here")
 
     p = sub.add_parser("sample", help="emit draws from one distribution as CSV")
-    p.add_argument("--dist", required=True, choices=["matrix-normal", "wishart", "beta2", "chisq"])
+    p.add_argument("--dist", required=True, choices=list(_SAMPLE_DISTS))
     p.add_argument("--params", required=True, help="JSON parameter file, see README")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--seed", required=True, type=int)
@@ -101,8 +139,7 @@ def _cmd_manova(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.specs < 1:
-        raise ValidationError("--specs must be positive")
+    _count(args.specs, "--specs")
     failures = 0
     reports = []
     for k in range(args.specs):
@@ -127,30 +164,8 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFICATION
 
 
-def _matrix_from_json(obj, name: str) -> np.ndarray:
-    try:
-        return np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"parameter {name!r} is not a numeric array") from exc
-
-
-def _require_number(params: dict, key: str, default=None) -> float:
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"parameter {key!r} must be a number")
-    return float(value)
-
-
-# The keys each ``sample --dist`` reads from its parameter file.
-_PARAM_KEYS = {
-    "matrix-normal": ("rows", "mean", "scale"),
-    "wishart": ("dof", "scale", "noncen"),
-    "beta2": ("dof1", "dof2", "dim"),
-    "chisq": ("dof", "noncen"),
-}
-
-
 def _load_params(path, dist: str) -> dict:
+    """``dist``'s draw arguments from the JSON object in ``path``; an absent or ``null`` key takes its default."""
     try:
         with open(path, encoding="utf-8") as handle:
             obj = json.load(handle)
@@ -158,63 +173,36 @@ def _load_params(path, dist: str) -> dict:
         raise ValidationError(f"cannot read parameter file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: parameter file must hold a JSON object")
-    unknown = [key for key in obj if key not in _PARAM_KEYS[dist]]
+    keys = _SAMPLE_DISTS[dist][0]
+    unknown = [key for key in obj if key not in keys]
     if unknown:
         raise ValidationError(
             f"{path}: unknown parameter {', '.join(map(repr, unknown))} for --dist {dist}; "
-            f"accepted: {', '.join(_PARAM_KEYS[dist])}"
+            f"accepted: {', '.join(keys)}"
         )
-    return obj
+    params = {}
+    for key, (parse, default) in keys.items():
+        value = obj.get(key)
+        if value is None and default is _REQUIRED:
+            raise ValidationError(f"{path}: missing parameter {key!r} for --dist {dist}")
+        params[key] = default if value is None else parse(value, key)
+    return params
+
+
+def _csv_header(shape: tuple[int, ...]) -> str:
+    """``value`` for scalar draws, else ``x<row>_<col>`` for each entry of a matrix draw."""
+    if not shape:
+        return "value"
+    return ",".join(f"x{r + 1}_{c + 1}" for r in range(shape[0]) for c in range(shape[1]))
 
 
 def _cmd_sample(args) -> int:
     params = _load_params(args.params, args.dist)
-    rng = RngStream(args.seed)
-    n = int(args.n)
-    if n < 1:
-        raise ValidationError("--n must be positive")
-    writer = sys.stdout
-
-    def emit(draws: np.ndarray, names: list[str]) -> None:
-        writer.write(",".join(names) + "\n")
-        flat = draws.reshape(n, -1)
-        for row in flat:
-            writer.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    if args.dist == "chisq":
-        draws = sample_noncentral_chisq(
-            _require_number(params, "dof"), _require_number(params, "noncen", 0.0), rng, size=n
-        )
-        emit(np.asarray(draws)[:, None], ["value"])
-        return EXIT_OK
-    if args.dist == "matrix-normal":
-        mn = MatrixNormalParams(
-            rows=_require_number(params, "rows"),
-            mean=_matrix_from_json(params.get("mean"), "mean"),
-            scale=_matrix_from_json(params.get("scale"), "scale"),
-        )
-        draws = sample_matrix_normal(mn, rng, size=n)
-        names = [f"x{r + 1}_{c + 1}" for r in range(mn.rows) for c in range(mn.dim)]
-        emit(draws, names)
-        return EXIT_OK
-    if args.dist == "wishart":
-        wp = WishartParams(
-            dof=_require_number(params, "dof"),
-            scale=_matrix_from_json(params.get("scale"), "scale"),
-            noncen=_matrix_from_json(params["noncen"], "noncen") if params.get("noncen") is not None else None,
-        )
-        draws = sample_wishart(wp, rng, size=n)
-        names = [f"x{r + 1}_{c + 1}" for r in range(wp.dim) for c in range(wp.dim)]
-        emit(draws, names)
-        return EXIT_OK
-    bp = BetaIIParams(
-        dof1=_require_number(params, "dof1"),
-        dof2=_require_number(params, "dof2"),
-        dim=_require_number(params, "dim", 1),
-    )
-    draws = sample_beta2(bp, rng, size=n)
-    names = [f"x{r + 1}_{c + 1}" for r in range(bp.dim) for c in range(bp.dim)]
-    emit(draws, names)
+    n = _count(args.n, "--n")
+    draws = _SAMPLE_DISTS[args.dist][1](params, RngStream(args.seed), n)
+    sys.stdout.write(_csv_header(draws.shape[1:]) + "\n")
+    for row in draws.reshape(n, -1):
+        sys.stdout.write(",".join(repr(float(v)) for v in row) + "\n")
     return EXIT_OK
 
 

@@ -39,14 +39,13 @@ from .distributions import (
     _gram,
     _gram_columns,
     _normal_factor,
-    _positive_int,
     _require_integer_dof,
     _wishart_factor,
     wishart_mean,
     wishart_mgf,
 )
-from .rng import RngStream, _as_stream, _chunk_spans, as_generator
-from .symmat import SpdMat, SymMat, _as_spd, _mirror_upper, sym_sqrt
+from .rng import RngStream, _as_stream, _chunk_spans, _count, as_generator
+from .symmat import SpdMat, SymMat, _as_spd, sym_sqrt
 
 __all__ = [
     "MixtureSpec",
@@ -116,8 +115,8 @@ def conjugation_params(params: WishartParams, c: SpdMat) -> WishartParams:
     if c.dim != params.dim:
         raise ValueError(f"C is {c.dim}x{c.dim} but the distribution is {params.dim}-dimensional")
     ca = c.array
-    scale = SpdMat._certified(_mirror_upper(ca @ params.scale.array @ ca), "PD")
-    noncen = SpdMat._certified(_mirror_upper(ca @ params.noncen.array @ ca), params.noncen.kind)
+    scale = SpdMat._certified(ca @ params.scale.array @ ca, "PD")
+    noncen = SpdMat._certified(ca @ params.noncen.array @ ca, params.noncen.kind)
     return WishartParams(params.dof, scale, noncen)
 
 
@@ -136,11 +135,7 @@ def mixture_marginal_params(spec: MixtureSpec) -> WishartParams:
     delta_h = hh @ spec.mixing_noncen.array @ hh
     v = ah @ (np.eye(spec.dim) + sigma_h) @ ah
     delta_x = ah @ delta_h @ ah
-    return WishartParams(
-        spec.dof,
-        SpdMat._certified(_mirror_upper(v), "PD"),
-        SpdMat._certified(_mirror_upper(delta_x), "PSD"),
-    )
+    return WishartParams(spec.dof, SpdMat._certified(v, "PD"), SpdMat._certified(delta_x, "PSD"))
 
 
 def _hierarchical_factor(spec: MixtureSpec):
@@ -185,6 +180,7 @@ def default_probes(scale: SpdMat, count: int = 5) -> list[SymMat]:
     eigenvalue; anything close to the 0.25 boundary would push ``M(2T)`` out
     of the domain and give the empirical MGF estimator infinite variance.
     """
+    count = _count(count, "count")
     scale = _as_spd(scale, "scale", require_pd=True)
     dim = scale.dim
     eps = 0.1 / float(scale.eigenvalues[-1])
@@ -298,7 +294,7 @@ def verify_closure(
     law (useful as a negative control).
     """
     rng = _as_stream(rng, "verify_closure")
-    n_draws = _positive_int(n_draws, "n_draws")
+    n_draws = _count(n_draws, "n_draws")
     if predicted is None:
         predicted = mixture_marginal_params(spec)
     if probes is None:
@@ -338,7 +334,7 @@ def verify_closure(
 
 def _random_spd(dim: int, gen: np.random.Generator) -> SpdMat:
     g = gen.standard_normal((dim, dim))
-    return SpdMat(_mirror_upper(g @ g.T / dim + 0.5 * np.eye(dim)))
+    return SpdMat(g @ g.T / dim + 0.5 * np.eye(dim))
 
 
 def random_mixture_spec(
@@ -356,5 +352,5 @@ def random_mixture_spec(
         noncen = None
     else:
         g = gen.standard_normal((dim, dim))
-        noncen = SpdMat(_mirror_upper(g @ g.T / dim))
+        noncen = SpdMat(g @ g.T / dim)
     return MixtureSpec(dof, inner, mixing, coupling, noncen)

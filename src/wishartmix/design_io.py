@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _positive_int
 from .errors import EmptyFile, InsufficientCell, MissingColumn, UnparseableValue, ValidationError
 from .manova import FACTOR_TESTS, DesignTable, _f_test, _test_dofs, batched_statistic_eigs, compute_sop, scalar_statistic
 from .mc import McConfig, PValueEstimate, mc_pvalue
-from .rng import RngStream
+from .rng import RngStream, _count
 from .symmat import SpdMat, SymMat
 
 __all__ = [
@@ -158,7 +157,7 @@ def subsample_balanced(data: RawDataset, n_per_cell: int, seed: int) -> DesignTa
     :class:`InsufficientCell` names the first deficient cell.  A cell holding
     exactly ``n_per_cell`` rows is passed through unchanged.
     """
-    n_per_cell = _positive_int(n_per_cell, "n_per_cell")
+    n_per_cell = _count(n_per_cell, "n_per_cell")
     levels_a = sorted(set(data.factor_a))
     levels_b = sorted(set(data.factor_b))
     # Level codes order like the labels, so one stable sort by cell code and

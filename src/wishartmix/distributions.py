@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideDomain, UnsupportedDof
-from .rng import RngStream, _chunk_spans, _whole, as_generator
+from .rng import RngStream, _chunk_spans, _count, _integral, as_generator
 from .symmat import SpdMat, SymMat, _as_spd, _mirror_upper, sym_sqrt
 
 __all__ = [
@@ -62,14 +62,12 @@ __all__ = [
 _CHUNK_SCALARS = 1 << 22
 
 
-def _positive_int(value, name: str) -> int:
-    """``value`` as an ``int``; integral floats such as ``2.0`` pass, ``2.7`` or ``0`` raise."""
-    return _whole(value, name, 1, "a positive integer")
-
-
-def _nonnegative_int(value, name: str) -> int:
-    """``value`` as an ``int``; ``0`` and integral floats such as ``2.0`` pass, ``2.7`` or ``-1`` raise."""
-    return _whole(value, name, 0, "a non-negative integer")
+def _dof(value, name: str, dim: int) -> float:
+    """``value`` as a finite ``float`` above ``dim - 1``: the one rule for every degrees of freedom."""
+    dof = float(value)
+    if not (math.isfinite(dof) and dof > dim - 1):
+        raise ValueError(f"{name} must be finite and exceed dim - 1 = {dim - 1}, got {dof}")
+    return dof
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ class MatrixNormalParams:
     scale: SpdMat
 
     def __post_init__(self) -> None:
-        rows = _positive_int(self.rows, "rows")
+        rows = _count(self.rows, "rows")
         scale = _as_spd(self.scale, "scale", require_pd=True)
         mean = np.array(self.mean, dtype=float)
         if mean.ndim == 0:
@@ -122,10 +120,7 @@ class WishartParams:
         noncen = _zero_noncen(scale.dim) if self.noncen is None else _as_spd(self.noncen, "noncen", require_pd=False)
         if noncen.dim != scale.dim:
             raise ValueError(f"noncen is {noncen.dim}x{noncen.dim} but scale is {scale.dim}x{scale.dim}")
-        dof = float(self.dof)
-        if not (math.isfinite(dof) and dof > scale.dim - 1):
-            raise ValueError(f"dof must be finite and exceed dim - 1 = {scale.dim - 1}, got {dof}")
-        object.__setattr__(self, "dof", dof)
+        object.__setattr__(self, "dof", _dof(self.dof, "dof", scale.dim))
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "noncen", noncen)
 
@@ -151,12 +146,9 @@ class BetaIIParams:
     dim: int = 1
 
     def __post_init__(self) -> None:
-        dim = _positive_int(self.dim, "dim")
+        dim = _count(self.dim, "dim")
         for name in ("dof1", "dof2"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > dim - 1):
-                raise ValueError(f"{name} must be finite and exceed dim - 1 = {dim - 1}, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _dof(getattr(self, name), name, dim))
         object.__setattr__(self, "dim", dim)
 
 
@@ -167,7 +159,7 @@ def _draw_stack(size: int | None, shape: tuple[int, ...], per_draw_scalars: int,
     """
     if size is None:
         return draw(1)[0]
-    out = np.empty((int(size), *shape))
+    out = np.empty((_count(size, "size", 0), *shape))
     step = max(1, _CHUNK_SCALARS // max(1, per_draw_scalars))
     for _, start, n in _chunk_spans(out.shape[0], step):
         out[start : start + n] = draw(n)
@@ -253,12 +245,10 @@ def sample_matrix_normal(
 
 
 def _require_integer_dof(dof: float, dim: int) -> int:
-    nu = int(round(dof))
-    if abs(dof - nu) > 1e-9 or nu < dim:
-        raise UnsupportedDof(
-            f"noncentral sampling needs an integer dof >= dim = {dim}, got dof = {dof}"
-        )
-    return nu
+    """``dof`` as an ``int`` of at least ``dim``, by the exact integral test of counts; ``3 + 1e-10`` raises."""
+    if not (_integral(dof) and dof >= dim):
+        raise UnsupportedDof(f"noncentral sampling needs an integer dof >= dim = {dim}, got dof = {dof}")
+    return int(dof)
 
 
 def _wishart_factor(params: WishartParams):
@@ -381,7 +371,7 @@ def beta2_eigenvalues(
         t1 = _bartlett_columns(params.dof1, params.dim, gen, n)
         return _beta2_eigs(t1, _bartlett_columns(params.dof2, params.dim, gen, n))
 
-    return np.maximum(_draw_stack(int(size), (params.dim,), 4 * params.dim * params.dim, draw), 0.0)
+    return np.maximum(_draw_stack(_count(size, "size", 0), (params.dim,), 4 * params.dim * params.dim, draw), 0.0)
 
 
 def sample_noncentral_chisq(
@@ -395,14 +385,12 @@ def sample_noncentral_chisq(
     Uses the Poisson mixture representation: ``K ~ Poisson(noncen / 2)`` and
     then a central chi-square with ``dof + 2 K`` degrees of freedom.
     """
-    dof = float(dof)
+    dof = _dof(dof, "dof", 1)
     noncen = float(noncen)
-    if not (math.isfinite(dof) and dof > 0):
-        raise ValueError(f"dof must be finite and positive, got {dof}")
     if not (math.isfinite(noncen) and noncen >= 0):
         raise ValueError(f"noncen must be finite and non-negative, got {noncen}")
     gen = as_generator(rng)
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _count(size, "size", 0)
     if noncen == 0.0:
         draws = gen.chisquare(dof, n)
     else:

@@ -31,9 +31,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.stats import f as f_dist
 
-from .distributions import _positive_int
 from .errors import DegenerateDesign, SingularErrorMatrix, UnbalancedDesign, ValidationError
-from .rng import RngStream, as_generator
+from .rng import RngStream, _count, as_generator
 from .symmat import PD_TOL, SpdMat, SymMat, _as_spd, _mirror_upper, sym_inv_sqrt, sym_sqrt
 
 __all__ = [
@@ -259,12 +258,16 @@ class DofMap(NamedTuple):
 
 def dof_map(a: int, b: int, n: int) -> DofMap:
     """``(a-1, b-1, (a-1)(b-1), ab(n-1))`` with domain validation."""
-    a, b, n = _positive_int(a, "a"), _positive_int(b, "b"), _positive_int(n, "n")
-    if a < 2 or b < 2:
-        raise ValueError(f"both factors need at least two levels, got a={a}, b={b}")
+    a, b, n = _count(a, "a"), _count(b, "b"), _count(n, "n")
+    _require_two_levels(a, b)
     if n < 2:
         raise DegenerateDesign(f"at least two replicates per cell are needed, got n={n}")
     return DofMap(a - 1, b - 1, (a - 1) * (b - 1), a * b * (n - 1))
+
+
+def _require_two_levels(a: int, b: int) -> None:
+    if a < 2 or b < 2:
+        raise ValueError(f"both factors need at least two levels, got a={a}, b={b}")
 
 
 def _test_dofs(a: int, b: int, n: int, dim: int) -> DofMap:
@@ -377,10 +380,9 @@ class SimulationSpec:
 
     def __post_init__(self) -> None:
         for name in ("levels_a", "levels_b", "reps", "dim"):
-            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         a, b, d = self.levels_a, self.levels_b, self.dim
-        if min(a, b) < 2:
-            raise ValueError("need a, b >= 2 and n, d >= 1")
+        _require_two_levels(a, b)
         object.__setattr__(self, "error_scale", _as_spd(self.error_scale, "error_scale", require_pd=True))
         if self.error_scale.dim != d:
             raise ValueError(f"error_scale must be a {d}x{d} positive definite matrix")
@@ -435,7 +437,7 @@ def simulate_design(
     """
     gen = as_generator(rng)
     a, b, n, d = spec.levels_a, spec.levels_b, spec.reps, spec.dim
-    m = 1 if size is None else int(size)
+    m = 1 if size is None else _count(size, "size", 0)
     alpha = _effect_values(spec.effect_a, (a,), d, gen, m)
     beta = _effect_values(spec.effect_b, (b,), d, gen, m)
     gamma = _effect_values(spec.effect_ab, (a, b), d, gen, m)

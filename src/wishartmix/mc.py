@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import kstest
 
-from .distributions import BetaIIParams, _nonnegative_int, _positive_int, beta2_eigenvalues
+from .distributions import BetaIIParams, beta2_eigenvalues
 from .manova import (
     FACTOR_TESTS,
     FACTORS,
@@ -37,7 +37,7 @@ from .manova import (
     simulate_design,
     sop_arrays,
 )
-from .rng import RngStream, _as_stream, _chunk_spans
+from .rng import RngStream, _as_stream, _chunk_spans, _count
 
 __all__ = [
     "McConfig",
@@ -64,7 +64,7 @@ class McConfig:
     functional: StatisticFunctional = StatisticFunctional.HOTELLING_LAWLEY
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_mc", _positive_int(self.n_mc, "n_mc"))
+        object.__setattr__(self, "n_mc", _count(self.n_mc, "n_mc"))
         object.__setattr__(self, "functional", StatisticFunctional(self.functional))
 
 
@@ -130,10 +130,8 @@ def mc_pvalue(observed: float, dof1: float, dof2: float, dim: int, cfg: McConfig
 
 @dataclass(frozen=True)
 class FactorCalibration:
-    """Calibration result for one factor under one functional."""
+    """Calibration result for the ``(factor, functional)`` key it has in :class:`CalibrationSummary`."""
 
-    factor: str
-    functional: StatisticFunctional
     pvalues: np.ndarray
     rejection_rates: dict[float, float]
     ks_stat: float
@@ -183,7 +181,7 @@ def null_calibration(
     deterministically from ``cfg.seed``.
     """
     rng = _as_stream(rng, "null_calibration")
-    n_datasets = _nonnegative_int(n_datasets, "n_datasets")
+    n_datasets = _count(n_datasets, "n_datasets", 0)
     functionals = tuple(StatisticFunctional(f) for f in (functionals or (cfg.functional,)))
     dofs = _test_dofs(spec.levels_a, spec.levels_b, spec.reps, spec.dim)
     if cfg.n_mc < 1000 and n_datasets > 0:
@@ -218,7 +216,5 @@ def null_calibration(
             p = np.array(pvals[(factor, fn)])
             rates = {lvl: float(np.mean(p <= lvl)) for lvl in CALIBRATION_LEVELS}
             ks = kstest(p, "uniform")
-            results[(factor, fn)] = FactorCalibration(
-                factor, fn, p, rates, float(ks.statistic), float(ks.pvalue)
-            )
+            results[(factor, fn)] = FactorCalibration(p, rates, float(ks.statistic), float(ks.pvalue))
     return CalibrationSummary(n_datasets, cfg.n_mc, results)

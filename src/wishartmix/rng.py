@@ -36,9 +36,9 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if _whole(self.seed, "seed", 0, "a non-negative integer") > _U64_MAX:
+        if _count(self.seed, "seed", 0) > _U64_MAX:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-        _whole(self.stream_index, "stream_index", 0, "a non-negative integer")
+        _count(self.stream_index, "stream_index", 0)
 
     def generator(self, *subkeys: int) -> np.random.Generator:
         """Return a fresh generator for this stream.
@@ -51,11 +51,15 @@ class RngStream:
         return np.random.default_rng([int(self.seed), int(self.stream_index), *map(int, subkeys)])
 
 
-def _whole(value, name: str, minimum: int, kind: str) -> int:
-    """``value`` as an ``int`` of at least ``minimum``; integral floats such as ``2.0`` pass, ``2.7`` raises."""
-    integral = isinstance(value, (int, np.integer)) or float(value).is_integer()
-    if not (integral and value >= minimum):
-        raise ValueError(f"{name} must be {kind}, got {value}")
+def _integral(value) -> bool:
+    """Whether ``value`` is a whole number: an integer or an integral float such as ``2.0``, never a bool."""
+    return not isinstance(value, (bool, np.bool_)) and (isinstance(value, (int, np.integer)) or float(value).is_integer())
+
+
+def _count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an ``int`` of at least ``minimum`` (1 or 0): the one rule for every count, size and seed."""
+    if not (_integral(value) and value >= minimum):
+        raise ValueError(f"{name} must be {'a positive' if minimum else 'a non-negative'} integer, got {value}")
     return int(value)
 
 

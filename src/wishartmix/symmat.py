@@ -139,7 +139,7 @@ class SpdMat(SymMat):
     @classmethod
     def _from_spectrum(cls, w: np.ndarray, v: np.ndarray, kind: str) -> "SpdMat":
         """The matrix ``v diag(w) v'`` for a known monotone spectrum, kept ascending."""
-        obj = cls._certified(_mirror_upper((v * w) @ v.T), kind)
+        obj = cls._certified((v * w) @ v.T, kind)
         if w[0] > w[-1]:
             w, v = w[::-1], v[:, ::-1]
         obj._eigvals, obj._eigvecs = w, v

@@ -233,6 +233,58 @@ class TestSampleCommand:
         assert f"unknown parameter {key!r} for --dist {dist}; accepted: {accepted}" in captured.err
 
     @pytest.mark.parametrize(
+        "dist,params,key",
+        [
+            ("chisq", {"dof": 3.0}, "noncen"),
+            ("wishart", {"dof": 2.5, "scale": [[2.0, 1.0], [1.0, 2.0]]}, "noncen"),
+            ("beta2", {"dof1": 4, "dof2": 10}, "dim"),
+        ],
+    )
+    def test_null_key_reads_as_absent(self, tmp_path, capsys, dist, params, key):
+        pfile = tmp_path / "p.json"
+        argv = ["sample", "--dist", dist, "--params", str(pfile), "--n", "3", "--seed", "3"]
+        outputs = []
+        for obj in (params, {**params, key: None}):
+            pfile.write_text(json.dumps(obj), encoding="utf-8")
+            assert main(argv) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "dist,params,key",
+        [
+            ("chisq", {"noncen": 1.0}, "dof"),
+            ("wishart", {"dof": 4}, "scale"),
+            ("beta2", {"dof1": None, "dof2": 10}, "dof1"),
+            ("matrix-normal", {"rows": 2, "scale": [[1.0, 0.0], [0.0, 1.0]]}, "mean"),
+        ],
+    )
+    def test_missing_required_key_exit_two(self, tmp_path, capsys, dist, params, key):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(params), encoding="utf-8")
+        code = main(["sample", "--dist", dist, "--params", str(pfile), "--n", "2", "--seed", "3"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"missing parameter {key!r} for --dist {dist}" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sample", "--dist", "chisq", "--n", "0", "--seed", "3"], "--n must be a positive integer, got 0"),
+            (["verify", "--dim", "1", "--dof", "4", "--n-draws", "2000", "--seed", "1", "--specs", "0"],
+             "--specs must be a positive integer, got 0"),
+        ],
+    )
+    def test_count_options_exit_two(self, tmp_path, capsys, argv, message):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps({"dof": 3.0}), encoding="utf-8")
+        if argv[0] == "sample":
+            argv = [*argv, "--params", str(pfile)]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "dist,params,name",
         [
             ("beta2", {"dof1": 4, "dof2": 10, "dim": 2.7}, "dim"),
@@ -252,6 +304,8 @@ class TestSampleCommand:
             ("wishart", '{"dof": 1e400, "scale": [[1.0, 0.0], [0.0, 1.0]]}'),
             ("beta2", '{"dof1": Infinity, "dof2": 10, "dim": 2}'),
             ("chisq", '{"dof": Infinity}'),
+            # An integer past the float range fails cleanly, not with an OverflowError traceback.
+            pytest.param("chisq", '{"dof": 1' + "0" * 400 + "}", id="chisq-int-past-float-range"),
         ],
     )
     def test_infinite_dof_exit_two(self, tmp_path, capsys, dist, params):

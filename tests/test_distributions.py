@@ -27,12 +27,15 @@ from wishartmix import (
     WishartParams,
     assert_pd,
     beta2_eigenvalues,
+    default_probes,
     dof_map,
     null_calibration,
     sample_beta2,
+    sample_hierarchical,
     sample_matrix_normal,
     sample_noncentral_chisq,
     sample_wishart,
+    simulate_design,
     subsample_balanced,
     sym_sqrt,
     verify_closure,
@@ -107,6 +110,29 @@ class TestParams:
             RngStream(1.9)
         with pytest.raises(ValueError, match="stream_index must be a non-negative integer"):
             RngStream(1, 1.9)
+        # No sampler truncates its size: 2.7 used to give 2 draws and True 1.
+        samplers = {
+            "sample_wishart": lambda size: sample_wishart(WishartParams(3.0, SIGMA_2D), 1, size),
+            "sample_matrix_normal": lambda size: sample_matrix_normal(MatrixNormalParams(2, 0.0, SIGMA_2D), 1, size),
+            "sample_beta2": lambda size: sample_beta2(BetaIIParams(4.0, 10.0, 2), 1, size),
+            "beta2_eigenvalues": lambda size: beta2_eigenvalues(BetaIIParams(4.0, 10.0, 2), 1, size),
+            "sample_hierarchical": lambda size: sample_hierarchical(mixture, 1, size),
+            "sample_noncentral_chisq": lambda size: sample_noncentral_chisq(3.0, 1.0, 1, size),
+            "simulate_design": lambda size: simulate_design(spec, 1, size),
+        }
+        for name, draw in samplers.items():
+            for size in (2.7, True, -1):
+                with pytest.raises(ValueError, match="size must be a non-negative integer"):
+                    draw(size)
+            assert draw(2.0).shape[0] == 2, name
+            assert draw(0).shape[0] == 0, name
+        for count in (-1, 2.5, True):
+            with pytest.raises(ValueError, match="count must be a positive integer"):
+                default_probes(SIGMA_2D, count)
+        with pytest.raises(ValueError, match="n_mc must be a positive integer"):
+            McConfig(n_mc=True)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            RngStream(True)
         # Integral floats, as parsed from JSON, are accepted and stored as ints.
         assert BetaIIParams(4.0, 10.0, dim=2.0).dim == 2
         assert MatrixNormalParams(2.0, 0.0, SIGMA_2D).rows == 2
@@ -118,6 +144,7 @@ class TestParams:
         assert null_calibration(spec, 2.0, McConfig(n_mc=1000), 1).n_datasets == 2
         assert subsample_balanced(data, 2.0, 0.0).reps == 2
         assert np.array_equal(RngStream(1.0, 2.0).generator().random(3), RngStream(1, 2).generator().random(3))
+        assert len(default_probes(SIGMA_2D, 2.0)) == 2
 
 
 class TestMatrixNormal:
@@ -202,6 +229,12 @@ class TestWishartSampling:
         p = WishartParams(2.5, SIGMA_2D, assert_pd(np.eye(2)))
         with pytest.raises(UnsupportedDof):
             sample_wishart(p, RngStream(10))
+        # Near an integer is not an integer: this used to be rounded down to 3.
+        p = WishartParams(3 + 1e-10, SIGMA_2D, assert_pd(np.eye(2)))
+        with pytest.raises(UnsupportedDof, match="got dof = 3.0000000001"):
+            sample_wishart(p, RngStream(10))
+        with pytest.raises(UnsupportedDof):
+            sample_hierarchical(MixtureSpec(3 + 1e-10, SIGMA_2D, SIGMA_2D, SIGMA_2D, np.eye(2)), RngStream(10))
 
     def test_stream_determinism(self):
         p = WishartParams(4.0, SIGMA_2D, assert_pd(np.eye(2)))

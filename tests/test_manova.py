@@ -278,6 +278,13 @@ class TestUnivariateFTest:
 
 
 class TestSimulationSpecValidation:
+    def test_levels_named_like_dof_map(self):
+        message = "both factors need at least two levels, got a=1, b=2"
+        with pytest.raises(ValueError, match=message):
+            SimulationSpec(1, 2, 2, 1, assert_pd(1.0))
+        with pytest.raises(ValueError, match=message):
+            dof_map(1, 2, 2)
+
     def test_fixed_effect_constraints_enforced(self):
         with pytest.raises(ValueError):
             SimulationSpec(2, 2, 2, 1, assert_pd(1.0), effect_a=FixedEffect([[1.0], [0.5]]))
