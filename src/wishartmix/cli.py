@@ -43,16 +43,29 @@ EXIT_VERIFICATION = 3
 _FUNCTIONAL_CHOICES = [f.value for f in StatisticFunctional]
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite JSON number: an int or a float, never a bool or a string."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
 def _number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+    if not _finite(value):
         raise ValidationError(f"parameter {key!r} must be a finite number")
     return float(value)
 
 
+def _leaves(value) -> list:
+    """The non-list items of a nested JSON list, or ``[value]`` for anything else."""
+    return [leaf for item in value for leaf in _leaves(item)] if isinstance(value, list) else [value]
+
+
 def _matrix(value, key: str) -> np.ndarray:
+    """``value`` as a float array; only finite JSON numbers and nested lists of them pass."""
+    if not all(map(_finite, _leaves(value))):
+        raise ValidationError(f"parameter {key!r} must be a finite number or nested lists of finite numbers")
     try:
         return np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"parameter {key!r} is not a numeric array") from exc
 
 

@@ -191,12 +191,26 @@ def _lower_stack(cols: list[list[np.ndarray]]) -> np.ndarray:
     return t
 
 
+def _times(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``stack @ m`` for an ``(n, rows, d)`` stack, as one ``(n * rows, d) @ m`` product.
+
+    One gemm is 1.5 to 3 times faster than ``n`` small products on
+    ``(n, 6, 3)`` stacks and, on the OpenBLAS 0.3 build tested, gives the
+    batched product's bits.  A one-row
+    stack keeps the batched product: numpy computes it per draw as a
+    vector-matrix product, whose sums differ from gemm's in the last bit.
+    """
+    if stack.shape[-2] == 1:
+        return stack @ m
+    return (stack.reshape(-1, m.shape[0]) @ m).reshape(*stack.shape[:-1], m.shape[1])
+
+
 def _normal_factor(mean: np.ndarray, rows: int, root: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarray:
     """``n`` matrix-normal factors ``Z root + M`` with ``Z`` of ``rows x dim`` standard normals.
 
     ``mean``, shared or one per draw, is added to the leading rows.
     """
-    f = gen.standard_normal((n, rows, root.shape[0])) @ root
+    f = _times(gen.standard_normal((n, rows, root.shape[0])), root)
     f[:, : mean.shape[-2]] += mean
     return f
 

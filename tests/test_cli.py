@@ -315,6 +315,28 @@ class TestSampleCommand:
         assert code == EXIT_VALIDATION
         assert "dof" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dist,params,key",
+        [
+            ("wishart", {"dof": 4, "scale": "2"}, "scale"),
+            ("wishart", {"dof": 4, "scale": True}, "scale"),
+            ("wishart", {"dof": 4, "scale": [[1, 0], [0, "1"]]}, "scale"),
+            ("matrix-normal", {"rows": 2, "mean": [[0, 0], ["1", 1]], "scale": [[1.0, 0.0], [0.0, 1.0]]}, "mean"),
+            # An integer past the float range fails cleanly, not with an OverflowError traceback.
+            pytest.param("wishart", {"dof": 4, "scale": [[10**400]]}, "scale", id="wishart-int-past-float-range"),
+        ],
+    )
+    def test_non_numeric_matrix_exit_two(self, tmp_path, capsys, dist, params, key):
+        # numpy would read the string "2" as 2.0 and true as 1.0; a parameter
+        # file holds JSON numbers only.
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(params), encoding="utf-8")
+        code = main(["sample", "--dist", dist, "--params", str(pfile), "--n", "2", "--seed", "3"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: parameter {key!r} must be a finite number or nested lists of finite numbers\n"
+
 
 class TestCalibrateCommand:
     def test_smoke(self, capsys):

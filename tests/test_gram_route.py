@@ -86,8 +86,8 @@ def stack_verify_closure(spec, n_draws: int, rng: RngStream):
     [
         (1, 3.0, False, 30_000),
         (2, 4.0, True, 20_000),
-        # Two verify chunks, the first split in two draw batches (2 * 11 * 3
-        # scalars per hierarchical draw).
+        # Nine verify chunks of 1 << 13 draws, the last one short
+        # (8 * 8,192 + 4,464).
         (3, 11.0, False, 70_000),
         # At most 10,000 draws: the KS distance is rounded to its lattice.
         (3, 6.0, False, 10_000),
