@@ -9,9 +9,7 @@ distributional equality by Monte Carlo: mean matrices, moment generating
 functions on a set of probe matrices, and per-entry two-sample KS statistics
 against draws from the predicted law.  Verification never forms ``(n, d, d)``
 stacks: it draws the hierarchical and the direct Wishart factors and works on
-their Gram entry columns, the same values the samplers return.  Its chunks
-and KS distances run on a thread pool, and its report does not depend on the
-number of workers.
+their Gram entry columns, the same values the samplers return.
 
 The hierarchical model, with all matrices ``d x d`` and ``Y_H`` denoting the
 conjugation ``H^{1/2} Y H^{1/2}``:
@@ -31,8 +29,6 @@ identity ``X / (1 + h) ~ chi^2_dof(h * delta / (1 + h))``.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +67,8 @@ MEAN_REL_ERR_MAX = 0.01
 MGF_REL_ERR_MAX = 0.02
 KS_STAT_MAX = 0.015
 
-# Draws per verification chunk.  Small chunks keep the per-thread
-# temporaries, and so the peak resident memory, low.
+# Draws per verification chunk.  Small chunks keep the chunk temporaries,
+# and so the peak resident memory, low.
 _VERIFY_CHUNK = 1 << 13
 
 
@@ -246,29 +242,24 @@ def _ks_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov distance, bitwise equal to ``scipy.stats.ks_2samp(x, y).statistic``.
 
     Both empirical CDFs step only at sample points, so, as scipy does,
-    ``searchsorted(x, p, "right")/n_x - searchsorted(y, p, "right")/n_y`` is
-    evaluated at every sample point ``p``; the points of each sorted sample
-    are taken in turn, which keeps the temporaries at one sample's size.  As
-    scipy does on its exact path, samples of at most 10,000 points round the
-    distance to the lattice ``h / lcm(n_x, n_y)`` it lives on.  No p-value is
-    computed.
+    ``c_x/n_x - c_y/n_y`` (``c`` counting points at or below) is evaluated at
+    every sample point.  Within a tie group of a sorted sample both counts
+    are those at the group's last point, so each sample is taken at its
+    group ends only: there its own count is the position plus one, and a
+    ``searchsorted`` into the other sorted sample gives the other count.
+    The temporaries stay at one sample's size.  As scipy does on its exact
+    path, samples of at most 10,000 points round the distance to the lattice
+    ``h / lcm(n_x, n_y)`` it lives on.  No p-value is computed.
     """
     x, y = np.sort(x), np.sort(y)
-    d = max(
-        float(np.abs(np.searchsorted(x, p, "right") / x.size - np.searchsorted(y, p, "right") / y.size).max())
-        for p in (x, y)
-    )
+    d = 0.0
+    for a, b in ((x, y), (y, x)):
+        ends = np.flatnonzero(np.append(a[1:] != a[:-1], True))
+        d = max(d, float(np.abs((ends + 1) / a.size - np.searchsorted(b, a[ends], "right") / b.size).max()))
     if max(x.size, y.size) <= 10_000:
         lcm = math.lcm(x.size, y.size)
         d = round(d * lcm) / lcm
     return d
-
-
-def _cpus() -> int:
-    """Number of CPUs this process may run on: its affinity mask where the OS has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _gram_entries(source, entries: int, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -302,12 +293,9 @@ def verify_closure(
     The mean comes from column sums, ``tr(T X)`` from the entries weighted 1
     on the diagonal and 2 off it, and the KS distances from the columns.
     Draws are generated in fixed-size chunks, each from its own child stream
-    of ``rng``.  The chunks, and then the per-entry KS distances, run on a
-    thread pool with one worker per CPU in the affinity mask, at most one per
-    chunk (numpy releases the GIL in its draws, products and sorts).  The MGF
-    partial sums are added in chunk order, so the report is identical for
-    any number of workers.  ``predicted`` overrides the computed marginal law
-    (useful as a negative control).
+    of ``rng``, so the report is identical however the chunks would be
+    distributed over workers.  ``predicted`` overrides the computed marginal
+    law (useful as a negative control).
     """
     rng = _as_stream(rng, "verify_closure")
     n_draws = _count(n_draws, "n_draws")
@@ -324,26 +312,21 @@ def verify_closure(
     iu, ju = np.triu_indices(dim)
     # tr(T X) over the upper entries: T_ij X_ij, twice off the diagonal.
     weights = np.array([t.array[iu, ju] for t in probes]).T * np.where(iu == ju, 1.0, 2.0)[:, None]
+    etr_sums = np.zeros(len(probes))
     hier = np.empty((n_draws, iu.size))
     direct = np.empty((n_draws, iu.size))
 
-    def chunk(span) -> np.ndarray:
-        """Fill chunk ``k``'s rows of ``hier`` and ``direct``; return its ``etr(T X)`` sums."""
-        k, pos, n = span
+    for k, pos, n in _chunk_spans(n_draws, _VERIFY_CHUNK):
         hier[pos : pos + n] = _gram_entries(hier_source, iu.size, rng.generator(1, k), n)
+        etr_sums += np.exp(hier[pos : pos + n] @ weights).sum(axis=0)
         direct[pos : pos + n] = _gram_entries(direct_source, iu.size, rng.generator(2, k), n)
-        return np.exp(hier[pos : pos + n] @ weights).sum(axis=0)
-
-    spans = list(_chunk_spans(n_draws, _VERIFY_CHUNK))
-    with ThreadPoolExecutor(min(_cpus(), len(spans))) as pool:
-        etr_sums = sum(pool.map(chunk, spans), np.zeros(len(probes)))
-        ks = tuple(pool.map(lambda e: _ks_distance(hier[:, e], direct[:, e]), range(iu.size)))
 
     mean_x = np.empty((dim, dim))
     mean_x[iu, ju] = mean_x[ju, iu] = hier.sum(axis=0) / n_draws
     mean_predicted = wishart_mean(predicted).array
     mean_rel = float(np.linalg.norm(mean_x - mean_predicted) / np.linalg.norm(mean_predicted))
     mgf_rel = tuple(float(abs(s / n_draws - c) / c) for s, c in zip(etr_sums, mgf_closed))
+    ks = tuple(_ks_distance(hier[:, e], direct[:, e]) for e in range(iu.size))
     passed = (
         n_draws >= MIN_VERIFY_DRAWS
         and mean_rel < MEAN_REL_ERR_MAX

@@ -6,8 +6,6 @@ hierarchical construction.
 """
 
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -34,8 +32,7 @@ from wishartmix import (
     wishart_mean,
     wishart_mgf,
 )
-from wishartmix import closure
-from wishartmix.closure import _VERIFY_CHUNK, MIN_VERIFY_DRAWS, _ks_distance
+from wishartmix.closure import MIN_VERIFY_DRAWS, _ks_distance
 from conftest import random_psd, random_spd
 
 # Relative bound on round trips such as ``C^{-1} (C X C) C^{-1} == X``.
@@ -233,33 +230,6 @@ class TestVerifyClosure:
         r1 = verify_closure(spec, 20_000, RngStream(46))
         r2 = verify_closure(spec, 20_000, RngStream(46))
         assert r1 == r2
-
-
-class TestVerifyWorkers:
-    # Four full chunks and a short fifth, so four workers all get work.
-    n_draws = 4 * _VERIFY_CHUNK + 1_000
-
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_report_does_not_depend_on_worker_count(self, monkeypatch, dim):
-        # Four workers on fewer cores, switching threads as often as the
-        # interpreter allows: a chunk written to the wrong rows, or MGF sums
-        # added out of chunk order, changes the report.
-        spec = random_mixture_spec(dim, dim + 3.0, RngStream(47, dim))
-        monkeypatch.setattr(closure, "_cpus", lambda: 1)
-        serial = verify_closure(spec, self.n_draws, RngStream(48, dim))
-        monkeypatch.setattr(closure, "_cpus", lambda: 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pooled = verify_closure(spec, self.n_draws, RngStream(48, dim))
-        finally:
-            sys.setswitchinterval(interval)
-        assert pooled == serial
-
-    def test_no_threads_left_behind(self):
-        before = threading.active_count()
-        verify_closure(random_mixture_spec(2, 5.0, RngStream(49)), self.n_draws, RngStream(50))
-        assert threading.active_count() == before
 
 
 class TestKsDistance:
