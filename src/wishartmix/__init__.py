@@ -63,8 +63,6 @@ from .manova import (
     DesignTable,
     DofMap,
     FixedEffect,
-    NO_EFFECT,
-    NoEffect,
     RandomEffect,
     SimulationSpec,
     SopDecomposition,

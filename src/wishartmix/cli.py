@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import design_io
-from .closure import KS_STAT_MAX, MEAN_REL_ERR_MAX, MGF_REL_ERR_MAX, random_mixture_spec, verify_closure
+from .closure import KS_STAT_MAX, MEAN_REL_ERR_MAX, MGF_REL_ERR_MAX, MIN_VERIFY_DRAWS, random_mixture_spec, verify_closure
 from .distributions import (
     BetaIIParams,
     MatrixNormalParams,
@@ -136,18 +136,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(obj, path) -> None:
+    """Write ``obj`` to ``path`` as two-space indented JSON and a final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(obj, handle, indent=2)
+        handle.write("\n")
+
+
 def _cmd_manova(args) -> int:
     responses = [c.strip() for c in args.responses.split(",") if c.strip()]
     data = design_io.load_design_csv(args.input, responses)
     table = design_io.subsample_balanced(data, args.n_per_cell, args.subsample_seed)
-    sigma = None
-    if args.sigma:
-        sigma = SpdMat(design_io.read_matrix_file(args.sigma), "sigma")
+    sigma = design_io.read_matrix_file(args.sigma) if args.sigma else None
     cfg = McConfig(n_mc=args.n_mc, seed=args.mc_seed, functional=StatisticFunctional(args.functional))
     report = design_io.run_report(table, cfg, sigma)
     print(design_io.report_to_text(report, data.response_names))
     if args.json_path:
-        design_io.write_report_json(report, args.json_path)
+        _write_json(design_io.report_to_dict(report), args.json_path)
     return EXIT_OK
 
 
@@ -161,15 +166,14 @@ def _cmd_verify(args) -> int:
         report = verify_closure(spec, args.n_draws, RngStream(args.seed, 1000 + k))
         reports.append(report)
         status = "PASS" if report.passed else "FAIL"
+        floor = f"  (fewer than {MIN_VERIFY_DRAWS} draws, cannot pass)" if report.n_draws < MIN_VERIFY_DRAWS else ""
         print(
             f"spec {k + 1:2d}/{args.specs}: {status}  mean {report.mean_rel_err:.5f}  "
-            f"mgf_max {max(report.mgf_rel_errs):.5f}  ks_max {max(report.ks_stats):.5f}"
+            f"mgf_max {max(report.mgf_rel_errs):.5f}  ks_max {max(report.ks_stats):.5f}{floor}"
         )
         failures += not report.passed
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump([r.to_dict() for r in reports], handle, indent=2)
-            handle.write("\n")
+        _write_json([r.to_dict() for r in reports], args.json_path)
     print(
         f"{args.specs - failures}/{args.specs} specs passed at thresholds "
         f"(mean {MEAN_REL_ERR_MAX:g}, mgf {MGF_REL_ERR_MAX:g}, ks {KS_STAT_MAX:g})"

@@ -36,10 +36,10 @@ import numpy as np
 from .distributions import (
     WishartParams,
     _draw_stack,
-    _gram,
     _gram_columns,
     _normal_factor,
     _require_integer_dof,
+    _sample_grams,
     _times,
     _wishart_factor,
     wishart_mean,
@@ -167,10 +167,7 @@ def sample_hierarchical(
     and no root of ``Delta_cond`` is formed.  Requires an integer
     ``dof >= dim`` because the conditional level is always noncentral.
     """
-    factor, per_draw = _hierarchical_factor(spec)
-    gen = as_generator(rng)
-    draws = _draw_stack(size, (spec.dim, spec.dim), per_draw, lambda n: _gram(factor(gen, n)))
-    return draws if size is not None else SpdMat._certified(draws, "PD")
+    return _sample_grams(_hierarchical_factor(spec), spec.dim, rng, size)
 
 
 def default_probes(scale: SpdMat, count: int = 5) -> list[SymMat]:

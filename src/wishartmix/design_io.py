@@ -19,7 +19,6 @@ size, and seed give the same design table even if the input rows are permuted.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -27,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyFile, InsufficientCell, MissingColumn, UnparseableValue, ValidationError
-from .manova import FACTOR_TESTS, DesignTable, _f_test, _test_dofs, batched_statistic_eigs, compute_sop, scalar_statistic
+from .manova import FACTOR_TESTS, DesignTable, _certify_sigma, _f_test, _test_dofs, batched_statistic_eigs, compute_sop, scalar_statistic
 from .mc import McConfig, PValueEstimate, mc_pvalue
 from .rng import RngStream, _count
-from .symmat import SpdMat, SymMat
+from .symmat import SymMat
 
 __all__ = [
     "RawDataset",
@@ -213,16 +212,18 @@ class ReportTable:
     d: int
 
 
-def run_report(table: DesignTable, cfg: McConfig, sigma: SpdMat | None = None) -> ReportTable:
+def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None) -> ReportTable:
     """Run the full three-factor battery on a balanced table.
 
     Computes the SOP decomposition, the statistic eigenvalues per factor
     (optionally conjugated by a user-supplied ``sigma``, which provably does
     not change them), the scalar statistic, and its Monte Carlo p-value with
     the factor's degrees of freedom.  For ``d = 1`` the exact univariate F
-    test is attached to each factor.  All-constant responses short-circuit to
-    zero statistics rather than failing the residual PD check.
+    test is attached to each factor.  ``sigma`` is checked first; all-constant
+    responses then short-circuit to zero statistics, not a residual PD check.
     """
+    if sigma is not None:
+        sigma = _certify_sigma(sigma, table.dim)
     dofs = _test_dofs(table.levels_a, table.levels_b, table.reps, table.dim)
     sop = compute_sop(table)
     # all responses identical per component: every statistic is zero by convention
@@ -313,12 +314,6 @@ def report_to_dict(report: ReportTable) -> dict:
             "d": report.d,
         },
     }
-
-
-def write_report_json(report: ReportTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report_to_dict(report), handle, indent=2)
-        handle.write("\n")
 
 
 def report_to_text(report: ReportTable, response_names: tuple[str, ...] | None = None) -> str:

@@ -239,6 +239,14 @@ def _gram(factor: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sample_grams(source, dim: int, rng: RngStream | np.random.Generator | int, size: int | None) -> SpdMat | np.ndarray:
+    """Grams ``L' L`` from ``source = (factor, per_draw)``: an :class:`SpdMat`, or a stack for a ``size``."""
+    factor, per_draw = source
+    gen = as_generator(rng)
+    draws = _draw_stack(size, (dim, dim), per_draw, lambda n: _gram(factor(gen, n)))
+    return draws if size is not None else SpdMat._certified(draws, "PD")
+
+
 def sample_matrix_normal(
     params: MatrixNormalParams,
     rng: RngStream | np.random.Generator | int,
@@ -297,10 +305,7 @@ def sample_wishart(
     :class:`SpdMat` for ``size=None``, else a ``(size, dim, dim)`` array of
     symmetric draws.
     """
-    factor, per_draw = _wishart_factor(params)
-    gen = as_generator(rng)
-    draws = _draw_stack(size, (params.dim, params.dim), per_draw, lambda n: _gram(factor(gen, n)))
-    return draws if size is not None else SpdMat._certified(draws, "PD")
+    return _sample_grams(_wishart_factor(params), params.dim, rng, size)
 
 
 def _beta2_batch(params: BetaIIParams, gen: np.random.Generator, n: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Balanced two-factor factorial designs with multivariate responses.
 
 Covers the model ``Y_ijk = mu + alpha_i + beta_j + (alphabeta)_ij + eps_ijk``
-with ``d``-dimensional normal errors: the orthogonal sum-of-outer-products
-(SOP) decomposition, the matrix-variate Beta Type II test statistics for the
-three factor hypotheses, the four classical scalar functionals of their
-eigenvalues, the exact univariate variance-component F tests for ``d = 1``,
-and a simulator for fixed, random, and null effect configurations.
+with ``d``-dimensional normal errors: the orthogonal decomposition into the
+four effect sum-of-outer-products (SOP) matrices ``A``, ``B``, ``AB`` and
+``E``, the matrix-variate Beta Type II test statistics for the three factor
+hypotheses, the four classical scalar functionals of their eigenvalues, the
+exact univariate variance-component F tests for ``d = 1``, and a simulator
+for fixed, random, and absent effects.
 
 The factor statistics are eigenvalues of
 
@@ -39,7 +40,6 @@ __all__ = [
     "DesignTable",
     "SopDecomposition",
     "StatisticFunctional",
-    "NoEffect",
     "RandomEffect",
     "FixedEffect",
     "SimulationSpec",
@@ -110,27 +110,25 @@ class DesignTable:
 
 
 class SopDecomposition(NamedTuple):
-    """The four effect SOP matrices plus the total; all symmetric PSD.
+    """The four effect SOP matrices, all symmetric PSD, in :data:`FACTOR_TESTS` position order.
 
-    Additivity ``sop_a + sop_b + sop_ab + sop_e == sop_total`` holds to
-    floating-point accuracy on every instance.
+    They sum to the total SOP ``sum (y - grand)(y - grand)'`` to
+    floating-point accuracy.
     """
 
     sop_a: SymMat
     sop_b: SymMat
     sop_ab: SymMat
     sop_e: SymMat
-    sop_total: SymMat
 
 
 def sop_arrays(y: np.ndarray) -> tuple[np.ndarray, ...]:
     """SOP matrices for responses of shape ``(..., a, b, n, d)``.
 
-    Returns ``(sop_a, sop_b, sop_ab, sop_e, sop_total)``, each of shape
-    ``(..., d, d)``.  Leading axes are treated as independent tables, which is
-    what makes large simulation batches cheap.  Means are taken first and
-    outer products second, so large response magnitudes do not cancel
-    catastrophically.
+    Returns ``(sop_a, sop_b, sop_ab, sop_e)``, each of shape ``(..., d, d)``.
+    Leading axes are treated as independent tables, which is what makes large
+    simulation batches cheap.  Means are taken first and outer products
+    second, so large response magnitudes do not cancel catastrophically.
     """
     y = np.asarray(y, dtype=float)
     a, b, n = y.shape[-4], y.shape[-3], y.shape[-2]
@@ -148,14 +146,12 @@ def sop_arrays(y: np.ndarray) -> tuple[np.ndarray, ...]:
         + grand[..., None, None, :]
     )
     dev_e = y - mean_cell[..., None, :]
-    dev_t = y - grand[..., None, None, None, :]
 
     sop_a = b * n * np.einsum("...iu,...iv->...uv", dev_a, dev_a)
     sop_b = a * n * np.einsum("...ju,...jv->...uv", dev_b, dev_b)
     sop_ab = n * np.einsum("...iju,...ijv->...uv", dev_ab, dev_ab)
     sop_e = np.einsum("...ijku,...ijkv->...uv", dev_e, dev_e)
-    sop_total = np.einsum("...ijku,...ijkv->...uv", dev_t, dev_t)
-    return sop_a, sop_b, sop_ab, sop_e, sop_total
+    return sop_a, sop_b, sop_ab, sop_e
 
 
 def compute_sop(table: DesignTable) -> SopDecomposition:
@@ -210,6 +206,14 @@ def scalar_statistic(eigs: np.ndarray, functional: StatisticFunctional) -> float
     return float(out) if out.ndim == 0 else out
 
 
+def _certify_sigma(sigma, dim: int) -> SpdMat:
+    """``sigma`` certified positive definite and checked to be ``dim x dim``."""
+    sigma = _as_spd(sigma, "sigma", require_pd=True)
+    if sigma.dim != dim:
+        raise ValueError(f"sigma is {sigma.dim}x{sigma.dim} but the SOPs are {dim}-dimensional")
+    return sigma
+
+
 def batched_statistic_eigs(numerators, residuals, sigma: SpdMat | None = None) -> np.ndarray:
     """Eigenvalues (descending) of the Beta Type II statistic matrices.
 
@@ -228,10 +232,7 @@ def batched_statistic_eigs(numerators, residuals, sigma: SpdMat | None = None) -
     if numerators.shape != residuals.shape:
         raise ValueError(f"numerator SOPs {numerators.shape} and residual SOPs {residuals.shape} differ in shape")
     if sigma is not None:
-        sigma = _as_spd(sigma, "sigma", require_pd=True)
-        if sigma.dim != numerators.shape[-1]:
-            raise ValueError(f"sigma is {sigma.dim}x{sigma.dim} but the SOPs are {numerators.shape[-1]}-dimensional")
-        c = sym_inv_sqrt(sigma).array
+        c = sym_inv_sqrt(_certify_sigma(sigma, numerators.shape[-1])).array
         numerators = _mirror_upper(c @ numerators @ c)
         residuals = _mirror_upper(c @ residuals @ c)
     w, v = np.linalg.eigh(residuals)
@@ -312,16 +313,6 @@ def _f_test(sop: SopDecomposition, dofs: DofMap, num: int, den: int) -> tuple[fl
     return f_stat, float(f_dist.sf(f_stat, dofs[num], dofs[den]))
 
 
-class NoEffect:
-    """Marker: the factor contributes nothing to the response."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "NoEffect()"
-
-
-NO_EFFECT = NoEffect()
-
-
 @dataclass(frozen=True)
 class RandomEffect:
     """Zero-mean normal effects with the given covariance (PSD allowed)."""
@@ -357,16 +348,16 @@ class FixedEffect:
                 raise ValueError("fixed-effect vectors must average to zero over each factor index")
 
 
-Effect = NoEffect | RandomEffect | FixedEffect
+Effect = RandomEffect | FixedEffect | None
 
 
 @dataclass(frozen=True)
 class SimulationSpec:
     """Generator configuration for a balanced two-factor design.
 
-    The three effect slots each take :data:`NO_EFFECT`, a
-    :class:`RandomEffect`, or a :class:`FixedEffect`; errors are always iid
-    ``N_d(0, error_scale)``.
+    The three effect slots each take a :class:`RandomEffect`, a
+    :class:`FixedEffect`, or ``None`` for a factor that contributes nothing;
+    errors are always iid ``N_d(0, error_scale)``.
     """
 
     levels_a: int
@@ -374,9 +365,9 @@ class SimulationSpec:
     reps: int
     dim: int
     error_scale: SpdMat
-    effect_a: Effect = NO_EFFECT
-    effect_b: Effect = NO_EFFECT
-    effect_ab: Effect = NO_EFFECT
+    effect_a: Effect = None
+    effect_b: Effect = None
+    effect_ab: Effect = None
 
     def __post_init__(self) -> None:
         for name in ("levels_a", "levels_b", "reps", "dim"):
@@ -399,23 +390,13 @@ class SimulationSpec:
             elif isinstance(eff, RandomEffect):
                 if eff.cov.dim != d:
                     raise ValueError(f"{name} covariance must be {d}x{d}")
-            elif not isinstance(eff, NoEffect):
-                raise TypeError(f"{name} must be NoEffect, RandomEffect, or FixedEffect")
-
-    @property
-    def is_null(self) -> bool:
-        """True when no factor contributes anything to the response."""
-        for eff in (self.effect_a, self.effect_b, self.effect_ab):
-            if isinstance(eff, RandomEffect) and np.any(eff.cov.array):
-                return False
-            if isinstance(eff, FixedEffect) and np.any(eff.values):
-                return False
-        return True
+            elif eff is not None:
+                raise TypeError(f"{name} must be None, RandomEffect, or FixedEffect")
 
 
 def _effect_values(eff: Effect, shape: tuple[int, ...], dim: int, gen: np.random.Generator, size: int) -> np.ndarray:
     """Effect vectors of shape ``(size, *shape, dim)``."""
-    if isinstance(eff, NoEffect):
+    if eff is None:
         return np.zeros((size, *shape, dim))
     if isinstance(eff, FixedEffect):
         return np.broadcast_to(eff.values, (size, *shape, dim))

@@ -22,6 +22,7 @@ from wishartmix import (
     simulate_design,
 )
 from wishartmix.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, main
+from wishartmix.closure import MIN_VERIFY_DRAWS
 
 
 def write_design_csv(path, a=4, b=3, n_raw=6, dim=2, seed=123, effect_scale=9.0):
@@ -109,6 +110,29 @@ class TestManovaCommand:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: sigma is not positive semidefinite")
 
+    @pytest.mark.parametrize(
+        "sigma_text, message",
+        [
+            ("2\n1 1\n1 1\n", "error: sigma must be positive definite"),
+            ("3\n1 0 0\n0 1 0\n0 0 1\n", "error: sigma is 3x3 but the SOPs are 2-dimensional"),
+        ],
+        ids=["singular", "wrong-size"],
+    )
+    def test_bad_sigma_on_constant_responses_exit_two(self, tmp_path, capsys, sigma_text, message):
+        rows = [f"a{i},b{j},1.5,-2" for i in range(3) for j in range(4) for _ in range(3)]
+        csv_path = tmp_path / "const.csv"
+        csv_path.write_text("factor_a,factor_b,r1,r2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_text(sigma_text, encoding="utf-8")
+        code = main([
+            "manova", "--input", str(csv_path), "--responses", "r1,r2",
+            "--n-per-cell", "3", "--n-mc", "1000", "--sigma", str(sigma),
+        ])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
     def test_response_named_twice_exit_two(self, tmp_path, capsys):
         csv_path, names = write_design_csv(tmp_path / "d.csv")
         code = main(["manova", "--input", str(csv_path), "--responses", "r1,r1", "--n-per-cell", "3"])
@@ -154,12 +178,15 @@ class TestVerifyCommand:
         assert "PASS" in capsys.readouterr().out
 
     def test_underpowered_run_exits_three(self, capsys):
-        # Below the minimum draw budget a report can never pass.
+        # Below the minimum draw budget a report can never pass, and says why.
         code = main([
             "verify", "--dim", "1", "--dof", "4", "--n-draws", "2000",
             "--seed", "21", "--central", "--specs", "1",
         ])
         assert code == EXIT_VERIFICATION
+        (spec_line, _) = capsys.readouterr().out.splitlines()
+        assert spec_line.startswith("spec  1/1: FAIL")
+        assert spec_line.endswith(f"  (fewer than {MIN_VERIFY_DRAWS} draws, cannot pass)")
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from wishartmix import (
     InsufficientCell,
     McConfig,
     MissingColumn,
+    NotPsd,
     RawDataset,
     RngStream,
     StatisticFunctional,
@@ -205,6 +206,30 @@ class TestRunReport:
         for fr in report.factors:
             assert fr.observed == 0.0
             assert fr.p.p_hat == 1.0
+
+    @pytest.mark.parametrize("constant", [True, False], ids=["constant", "varying"])
+    @pytest.mark.parametrize(
+        "sigma, error, message",
+        [
+            ([[1.0, 1.0], [1.0, 1.0]], NotPsd, "sigma must be positive definite"),
+            (np.eye(3), ValueError, "sigma is 3x3 but the SOPs are 2-dimensional"),
+        ],
+        ids=["singular", "wrong-size"],
+    )
+    def test_sigma_checked_before_any_work(self, monkeypatch, constant, sigma, error, message):
+        # All-constant responses skip the statistic, so sigma must be checked
+        # up front, before the SOP and any Monte Carlo, whatever the data.
+        import wishartmix.design_io as design_io_mod
+
+        def never(*args):
+            raise AssertionError("run_report did work before checking sigma")
+
+        monkeypatch.setattr(design_io_mod, "compute_sop", never)
+        monkeypatch.setattr(design_io_mod, "mc_pvalue", never)
+        gen = RngStream(7).generator()
+        responses = np.full((3, 4, 3, 2), 5.0) if constant else gen.standard_normal((3, 4, 3, 2))
+        with pytest.raises(error, match=message):
+            run_report(DesignTable(responses), McConfig(n_mc=1000, seed=1), sigma)
 
     def test_univariate_rows_present_only_for_d1(self):
         gen = RngStream(2).generator()

@@ -43,7 +43,7 @@ from wishartmix import (
     wishart_mean,
     wishart_mgf,
 )
-from wishartmix.distributions import _CHUNK_SCALARS, _bartlett_factor, _beta2_eigs, _gram
+from wishartmix.distributions import _CHUNK_SCALARS, _bartlett_factor, _beta2_eigs, _gram, _times
 from wishartmix.symmat import _mirror_upper
 from conftest import random_psd, random_spd
 
@@ -478,6 +478,19 @@ class TestColumnsMatchStackPath:
 
 
 class TestFactorIdentities:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_times_matches_batched_matmul(self, gen, rows, dim, n):
+        # One row takes the batched branch, more rows the one-gemm reshape.
+        # Summation order may differ with the BLAS build, so the bound is
+        # relative to |stack| @ |m|, not bitwise.
+        stack = gen.standard_normal((n, rows, dim))
+        m = gen.standard_normal((dim, dim))
+        got = _times(stack, m)
+        assert got.shape == (n, rows, dim)
+        assert np.all(np.abs(got - stack @ m) <= 1e-14 * (np.abs(stack) @ np.abs(m)))
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_eigenvalues_match_sample_beta2(self, dim):
         # The eigenvalue path works from the Bartlett factors, the matrix path

@@ -41,7 +41,7 @@ EYE2 = assert_pd(np.eye(2))
 
 
 def brute_force_sop(y: np.ndarray) -> list[np.ndarray]:
-    """Straight-line evaluation of the five displayed SOP sums."""
+    """Straight-line evaluation of the four displayed SOP sums."""
     a, b, n, d = y.shape
     grand = y.mean(axis=(0, 1, 2))
     mean_i = y.mean(axis=(1, 2))
@@ -61,15 +61,12 @@ def brute_force_sop(y: np.ndarray) -> list[np.ndarray]:
             dev = mean_ij[i, j] - mean_i[i] - mean_j[j] + grand
             sop_ab += n * np.outer(dev, dev)
     sop_e = np.zeros((d, d))
-    sop_t = np.zeros((d, d))
     for i in range(a):
         for j in range(b):
             for k in range(n):
                 dev = y[i, j, k] - mean_ij[i, j]
                 sop_e += np.outer(dev, dev)
-                dev = y[i, j, k] - grand
-                sop_t += np.outer(dev, dev)
-    return [sop_a, sop_b, sop_ab, sop_e, sop_t]
+    return [sop_a, sop_b, sop_ab, sop_e]
 
 
 class TestComputeSop:
@@ -82,29 +79,30 @@ class TestComputeSop:
         assert sop.sop_b.array[0, 0] == pytest.approx(8.0)
         assert sop.sop_ab.array[0, 0] == pytest.approx(0.0)
         assert sop.sop_e.array[0, 0] == pytest.approx(2.0)
-        assert sop.sop_total.array[0, 0] == pytest.approx(42.0)
-        for got, want in zip(
-            (sop.sop_a, sop.sop_b, sop.sop_ab, sop.sop_e, sop.sop_total), brute_force_sop(y)
-        ):
+        # the total SOP, sum (y - 4.5)^2 over 1..8
+        assert sum(m.array[0, 0] for m in sop) == pytest.approx(42.0)
+        for got, want in zip(sop, brute_force_sop(y), strict=True):
             np.testing.assert_allclose(got.array, want, atol=1e-12)
 
     def test_matches_brute_force_on_random_tables(self, gen):
         for _ in range(5):
             y = gen.standard_normal((3, 4, 2, 2)) * 3.0 + 10.0
             parts = sop_arrays(y)
-            for got, want in zip(parts, brute_force_sop(y)):
+            for got, want in zip(parts, brute_force_sop(y), strict=True):
                 np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_additivity(self, gen):
         y = 1e4 + 50.0 * gen.standard_normal((4, 3, 3, 2))
-        sop_a, sop_b, sop_ab, sop_e, sop_t = sop_arrays(y)
-        total = sop_a + sop_b + sop_ab + sop_e
+        dev = y - y.mean(axis=(0, 1, 2), keepdims=True)
+        sop_t = np.einsum("ijku,ijkv->uv", dev, dev)
+        total = sum(sop_arrays(y))
         assert np.linalg.norm(total - sop_t) / np.linalg.norm(sop_t) < 1e-10
 
     def test_constant_responses_give_zero_sops(self):
         y = np.full((3, 3, 2, 2), 7.0)
         sop = compute_sop(DesignTable(y))
-        for m in (sop.sop_a, sop.sop_b, sop.sop_ab, sop.sop_e, sop.sop_total):
+        assert len(sop) == 4
+        for m in sop:
             assert not np.any(m.array)
 
     def test_rank_bounds(self, gen):
@@ -180,7 +178,7 @@ class TestStatisticEigs:
 
     def test_batched_agrees_with_single(self, gen):
         y = gen.standard_normal((6, 3, 3, 4, 2))
-        sop_a, _, _, sop_e, _ = sop_arrays(y)
+        sop_a, _, _, sop_e = sop_arrays(y)
         batched = batched_statistic_eigs(sop_a, sop_e)
         sigma = random_spd(2, gen)
         batched_sigma = batched_statistic_eigs(sop_a, sop_e, sigma)
@@ -266,7 +264,7 @@ class TestUnivariateFTest:
         # 500 all-null datasets; exact test, so p-values are exactly uniform.
         spec = SimulationSpec(5, 6, 5, 1, assert_pd(1.0))
         tables = simulate_design(spec, RngStream(50), size=500)
-        sop_a, _, _, sop_e, _ = sop_arrays(tables)
+        sop_a, _, _, sop_e = sop_arrays(tables)
         dofs = dof_map(5, 6, 5)
         f = (sop_a[:, 0, 0] / dofs.nu_a) / (sop_e[:, 0, 0] / dofs.nu_e)
         p = stats.f.sf(f, dofs.nu_a, dofs.nu_e)
@@ -303,13 +301,10 @@ class TestSimulationSpecValidation:
         with pytest.raises(ValueError):
             SimulationSpec(3, 2, 2, 1, assert_pd(1.0), effect_a=FixedEffect([[1.0], [-1.0]]))
 
-    def test_is_null_detection(self):
-        base = SimulationSpec(2, 2, 2, 2, EYE2)
-        assert base.is_null
-        zero_cov = SimulationSpec(2, 2, 2, 2, EYE2, effect_a=RandomEffect(assert_pd(np.zeros((2, 2)))))
-        assert zero_cov.is_null
-        live = SimulationSpec(2, 2, 2, 2, EYE2, effect_a=RandomEffect(EYE2))
-        assert not live.is_null
+    def test_effect_slot_takes_none_or_an_effect(self):
+        assert SimulationSpec(2, 2, 2, 1, assert_pd(1.0), effect_b=None).effect_b is None
+        with pytest.raises(TypeError, match="effect_b must be None, RandomEffect, or FixedEffect"):
+            SimulationSpec(2, 2, 2, 1, assert_pd(1.0), effect_b=0.0)
 
 
 class TestSimulateDesign:
@@ -348,7 +343,7 @@ class TestSimulateDesign:
         # direct draws from that law.
         spec = SimulationSpec(3, 3, 2, 2, EYE2)
         tables = simulate_design(spec, RngStream(54), size=100_000)
-        sop_a, _, _, sop_e, _ = sop_arrays(tables)
+        sop_a, _, _, sop_e = sop_arrays(tables)
         sim_stats = scalar_statistic(
             batched_statistic_eigs(sop_a, sop_e), StatisticFunctional.HOTELLING_LAWLEY
         )
@@ -364,7 +359,7 @@ class TestSimulateDesign:
         stats_pair = []
         for seed, spec in ((56, fixed), (57, random)):
             tables = simulate_design(spec, RngStream(seed), size=4_000)
-            sop_a, _, _, sop_e, _ = sop_arrays(tables)
+            sop_a, _, _, sop_e = sop_arrays(tables)
             eigs = batched_statistic_eigs(sop_a, sop_e)
             stats_pair.append(scalar_statistic(eigs, StatisticFunctional.HOTELLING_LAWLEY))
         assert stats.ks_2samp(*stats_pair).pvalue > 0.01
