@@ -73,7 +73,6 @@ from .manova import (
     scalar_statistic,
     simulate_design,
     sop_arrays,
-    univariate_f_test,
 )
 from .mc import CalibrationSummary, McConfig, PValueEstimate, mc_pvalue, null_calibration
 from .rng import RngStream

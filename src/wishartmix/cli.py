@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -239,11 +240,16 @@ def main(argv=None) -> int:
         "sample": _cmd_sample,
         "calibrate": _cmd_calibrate,
     }
+    # A warning prints as one ``warning: ...`` line, without a source location.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return handlers[args.command](args)
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":  # pragma: no cover

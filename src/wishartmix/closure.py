@@ -118,9 +118,7 @@ def conjugation_params(params: WishartParams, c: SpdMat) -> WishartParams:
     if c.dim != params.dim:
         raise ValueError(f"C is {c.dim}x{c.dim} but the distribution is {params.dim}-dimensional")
     ca = c.array
-    scale = SpdMat._certified(ca @ params.scale.array @ ca, "PD")
-    noncen = SpdMat._certified(ca @ params.noncen.array @ ca, params.noncen.kind)
-    return WishartParams(params.dof, scale, noncen)
+    return WishartParams(params.dof, SpdMat(ca @ params.scale.array @ ca), SpdMat(ca @ params.noncen.array @ ca))
 
 
 def mixture_marginal_params(spec: MixtureSpec) -> WishartParams:
@@ -138,7 +136,7 @@ def mixture_marginal_params(spec: MixtureSpec) -> WishartParams:
     delta_h = hh @ spec.mixing_noncen.array @ hh
     v = ah @ (np.eye(spec.dim) + sigma_h) @ ah
     delta_x = ah @ delta_h @ ah
-    return WishartParams(spec.dof, SpdMat._certified(v, "PD"), SpdMat._certified(delta_x, "PSD"))
+    return WishartParams(spec.dof, SpdMat(v), SpdMat(delta_x))
 
 
 def _hierarchical_factor(spec: MixtureSpec):

@@ -98,10 +98,6 @@ class MatrixNormalParams:
         return self.scale.dim
 
 
-def _zero_noncen(dim: int) -> SpdMat:
-    return SpdMat._certified(np.zeros((dim, dim)), "PSD")
-
-
 @dataclass(frozen=True)
 class WishartParams:
     """Noncentral Wishart ``(dof, scale, noncen)`` in the symmetric-``Delta`` form.
@@ -117,7 +113,7 @@ class WishartParams:
 
     def __post_init__(self) -> None:
         scale = _as_spd(self.scale, "scale", require_pd=True)
-        noncen = _zero_noncen(scale.dim) if self.noncen is None else _as_spd(self.noncen, "noncen", require_pd=False)
+        noncen = SpdMat(np.zeros((scale.dim, scale.dim))) if self.noncen is None else _as_spd(self.noncen, "noncen", require_pd=False)
         if noncen.dim != scale.dim:
             raise ValueError(f"noncen is {noncen.dim}x{noncen.dim} but scale is {scale.dim}x{scale.dim}")
         object.__setattr__(self, "dof", _dof(self.dof, "dof", scale.dim))
@@ -244,7 +240,7 @@ def _sample_grams(source, dim: int, rng: RngStream | np.random.Generator | int, 
     factor, per_draw = source
     gen = as_generator(rng)
     draws = _draw_stack(size, (dim, dim), per_draw, lambda n: _gram(factor(gen, n)))
-    return draws if size is not None else SpdMat._certified(draws, "PD")
+    return draws if size is not None else SpdMat(draws)
 
 
 def sample_matrix_normal(
@@ -330,7 +326,7 @@ def sample_beta2(
     draws = _draw_stack(
         size, (params.dim, params.dim), 4 * params.dim * params.dim, lambda n: _beta2_batch(params, gen, n)
     )
-    return draws if size is not None else SpdMat._certified(draws, "PD")
+    return draws if size is not None else SpdMat(draws)
 
 
 def _beta2_eigs(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> np.ndarray:

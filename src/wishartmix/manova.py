@@ -48,7 +48,6 @@ __all__ = [
     "compute_sop",
     "batched_statistic_eigs",
     "scalar_statistic",
-    "univariate_f_test",
     "dof_map",
     "simulate_design",
 ]
@@ -288,27 +287,17 @@ def _test_dofs(a: int, b: int, n: int, dim: int) -> DofMap:
     return dofs
 
 
-def univariate_f_test(table: DesignTable, which: str) -> tuple[float, float]:
-    """Exact variance-component F test for one factor of a ``d = 1`` design.
-
-    ``F = (SOP_X / nu_X) / (SOP_E / nu_E)`` with the upper-tail p-value from
-    the ``F(nu_X, nu_E)`` distribution.  In balanced designs the test of
-    ``AB`` is exact under its null, and the tests of ``A`` and ``B`` are exact
-    when the interaction is fixed or absent.  With a random interaction
-    (``Sigma_AB != 0``) ``SOP_A`` and ``SOP_B`` carry ``n Sigma_AB`` that
-    ``SOP_E`` lacks, so their nulls are not ``F(nu_X, nu_E)`` and these tests
-    over-reject.
-    """
-    if which not in FACTORS:
-        raise ValueError(f"which must be one of {FACTORS}, got {which!r}")
-    if table.dim != 1:
-        raise ValueError(f"the univariate F test needs d = 1, got d = {table.dim}")
-    _, num, den = FACTOR_TESTS[FACTORS.index(which)]
-    return _f_test(compute_sop(table), dof_map(table.levels_a, table.levels_b, table.reps), num, den)
-
-
 def _f_test(sop: SopDecomposition, dofs: DofMap, num: int, den: int) -> tuple[float, float]:
-    """``(F, p)`` of :func:`univariate_f_test` for one :data:`FACTOR_TESTS` entry of a ``d = 1`` SOP."""
+    """Exact variance-component F test for one :data:`FACTOR_TESTS` entry of a ``d = 1`` SOP.
+
+    ``F = (SOP_num / nu_num) / (SOP_den / nu_den)`` with the upper-tail
+    p-value from the ``F(nu_num, nu_den)`` distribution.  In balanced designs
+    the test of ``AB`` is exact under its null, and the tests of ``A`` and
+    ``B`` are exact when the interaction is fixed or absent.  With a random
+    interaction (``Sigma_AB != 0``) ``SOP_A`` and ``SOP_B`` carry
+    ``n Sigma_AB`` that ``SOP_E`` lacks, so their nulls are not
+    ``F(nu_X, nu_E)`` and these tests over-reject.
+    """
     f_stat = (float(sop[num].array[0, 0]) / dofs[num]) / (float(sop[den].array[0, 0]) / dofs[den])
     return f_stat, float(f_dist.sf(f_stat, dofs[num], dofs[den]))
 

@@ -103,6 +103,12 @@ def _count_extreme(stats: np.ndarray, observed: float, functional: StatisticFunc
     return int(np.count_nonzero(stats >= observed))
 
 
+def _warn_if_coarse(n_mc: int) -> None:
+    """Warn, at the caller of the public function that calls this, when ``n_mc`` is below 1000."""
+    if n_mc < 1000:
+        warnings.warn(f"n_mc = {n_mc} is below 1000; the p-value estimates will be coarse", stacklevel=3)
+
+
 def mc_pvalue(observed: float, dof1: float, dof2: float, dim: int, cfg: McConfig) -> PValueEstimate:
     """Monte Carlo p-value of an observed functional value under the Beta II null.
 
@@ -115,11 +121,7 @@ def mc_pvalue(observed: float, dof1: float, dof2: float, dim: int, cfg: McConfig
     observed = float(observed)
     if not np.isfinite(observed):
         raise ValueError(f"observed statistic must be finite, got {observed}")
-    if cfg.n_mc < 1000:
-        warnings.warn(
-            f"n_mc = {cfg.n_mc} is below 1000; the p-value estimate will be coarse",
-            stacklevel=2,
-        )
+    _warn_if_coarse(cfg.n_mc)
     stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
     n_extreme = 0
     for k, _, n in _chunk_spans(cfg.n_mc, _MC_CHUNK):
@@ -184,13 +186,9 @@ def null_calibration(
     n_datasets = _count(n_datasets, "n_datasets", 0)
     functionals = tuple(StatisticFunctional(f) for f in (functionals or (cfg.functional,)))
     dofs = _test_dofs(spec.levels_a, spec.levels_b, spec.reps, spec.dim)
-    if cfg.n_mc < 1000 and n_datasets > 0:
-        warnings.warn(
-            f"n_mc = {cfg.n_mc} is below 1000; the p-value estimates will be coarse",
-            stacklevel=2,
-        )
     if n_datasets == 0:
         return CalibrationSummary(0, cfg.n_mc, {})
+    _warn_if_coarse(cfg.n_mc)
 
     pvals: dict[tuple[str, StatisticFunctional], list[float]] = {
         (f, fn): [] for f in FACTORS for fn in functionals

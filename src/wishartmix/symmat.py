@@ -13,6 +13,10 @@ fixes one explicit policy, applied everywhere:
   eigenvalue, with the constant thresholds :data:`PD_TOL` and :data:`PSD_TOL`;
 * eigenvalues in ``[-PSD_TOL * lambda_max, 0)`` are clipped to zero on the
   semidefinite path, and anything below that is rejected as :class:`NotPsd`;
+* every :class:`SpdMat` is made by its one constructor, which runs this
+  classification and keeps the spectrum: inputs, the parameters the library
+  computes from them, single draws, and square roots alike, so no caller
+  asserts a kind;
 * every input that must be positive (semi)definite goes through
   :func:`_as_spd`, which raises ``NotPsd`` with the parameter's name (``"<name>
   must be positive definite"``, or ``"<name> is not positive semidefinite:
@@ -94,12 +98,14 @@ class SymMat:
 class SpdMat(SymMat):
     """A :class:`SymMat` certified positive definite or positive semidefinite.
 
-    Construction runs the eigenvalue classification of :func:`assert_pd`;
-    ``kind`` records the outcome (``"PD"`` or ``"PSD"``).  The spectrum found
-    during classification is kept, so square roots and inverses never repeat
-    the eigendecomposition.  On the PSD path, negative eigenvalues within
-    tolerance have already been clipped to zero.  ``name`` labels the matrix
-    in the :class:`NotPsd` raised for one that is not even semidefinite.
+    The constructor is the only way to make one.  It runs ``eigh`` and the
+    eigenvalue classification of :func:`assert_pd`, and ``kind`` records the
+    outcome (``"PD"`` or ``"PSD"``); no caller states a kind.  The spectrum
+    found during classification is stored, so square roots and inverses never
+    repeat the eigendecomposition.  On the PSD path, negative eigenvalues
+    within tolerance have already been clipped to zero.  ``name`` labels the
+    matrix in the :class:`NotPsd` raised for one that is not even
+    semidefinite.
     """
 
     __slots__ = ("_kind", "_eigvals", "_eigvecs", "_sqrt")
@@ -122,42 +128,11 @@ class SpdMat(SymMat):
         self._eigvals, self._eigvecs = w, v
         self._sqrt = None
 
-    @classmethod
-    def _certified(cls, values, kind: str) -> "SpdMat":
-        """Wrap a matrix known PD/PSD by construction, deferring the eigh.
-
-        Internal fast path for matrices such as ``C @ S @ C`` with ``C``, ``S``
-        both certified, where re-running the classification would only burn an
-        eigendecomposition.
-        """
-        obj = cls.__new__(cls)
-        SymMat.__init__(obj, values)
-        obj._kind = kind
-        obj._eigvals = obj._eigvecs = obj._sqrt = None
-        return obj
-
-    @classmethod
-    def _from_spectrum(cls, w: np.ndarray, v: np.ndarray, kind: str) -> "SpdMat":
-        """The matrix ``v diag(w) v'`` for a known monotone spectrum, kept ascending."""
-        obj = cls._certified((v * w) @ v.T, kind)
-        if w[0] > w[-1]:
-            w, v = w[::-1], v[:, ::-1]
-        obj._eigvals, obj._eigvecs = w, v
-        return obj
-
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eigvals is None:
-            w, v = np.linalg.eigh(self._m)
-            if self._kind == "PSD":
-                w = np.maximum(w, 0.0)
-            self._eigvals, self._eigvecs = w, v
-        return self._eigvals, self._eigvecs
-
     def _root(self) -> "SpdMat":
         """The symmetric square root, built once from the spectrum and kept."""
         if self._sqrt is None:
-            w, v = self._spectrum()
-            self._sqrt = SpdMat._from_spectrum(np.sqrt(np.maximum(w, 0.0)), v, self._kind)
+            w, v = self._eigvals, self._eigvecs
+            self._sqrt = SpdMat((v * np.sqrt(w)) @ v.T)
         return self._sqrt
 
     @property
@@ -168,7 +143,7 @@ class SpdMat(SymMat):
     @property
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues, clipped on the PSD path."""
-        return self._spectrum()[0]
+        return self._eigvals
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SpdMat({self._m.tolist()!r}, kind={self._kind!r})"
@@ -202,15 +177,14 @@ def _as_spd(value, name: str, *, require_pd: bool) -> SpdMat:
 def sym_sqrt(p) -> SpdMat:
     """Symmetric square root ``S`` with ``S @ S == P``.
 
-    The eigenvalues of ``S`` are the square roots of the (clipped) eigenvalues
-    of ``P``, so the result inherits ``P``'s kind.
+    ``S`` is built from the stored (clipped) spectrum of ``P`` and, like every
+    :class:`SpdMat`, classified by its own spectrum; a PD ``P`` gives a PD ``S``.
     """
     return _as_spd(p, "p", require_pd=False)._root()
 
 
 def sym_inv_sqrt(p) -> SpdMat:
     """Symmetric inverse square root ``P^{-1/2}`` of a positive definite matrix."""
-    w, v = _as_spd(p, "p", require_pd=True)._spectrum()
-    if np.any(w <= 0.0):
-        raise NotPsd("p must be positive definite")
-    return SpdMat._from_spectrum(1.0 / np.sqrt(w), v, "PD")
+    m = _as_spd(p, "p", require_pd=True)
+    w, v = m._eigvals, m._eigvecs
+    return SpdMat((v * (1.0 / np.sqrt(w))) @ v.T)

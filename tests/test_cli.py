@@ -390,17 +390,33 @@ class TestCalibrateCommand:
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+def run_module(*argv):
+    """``python -m wishartmix ARGV`` in a child interpreter.
+
+    The child imports the same package as this process, whether it is
+    installed or only on pytest's path.
+    """
+    src = os.path.dirname(os.path.dirname(wishartmix.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "wishartmix", *argv], capture_output=True, text=True, env=env)
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         csv_path, names = write_design_csv(tmp_path / "d.csv")
-        # The child interpreter imports the same package as this process,
-        # whether it is installed or only on pytest's path.
-        src = os.path.dirname(os.path.dirname(wishartmix.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-m", "wishartmix", "manova", "--input", str(csv_path),
-             "--responses", ",".join(names), "--n-per-cell", "3", "--n-mc", "1000"],
-            capture_output=True, text=True, env=env,
+        result = run_module(
+            "manova", "--input", str(csv_path), "--responses", ",".join(names), "--n-per-cell", "3", "--n-mc", "1000"
         )
         assert result.returncode == 0
         assert "Beta Type II MANOVA" in result.stdout
+
+    @pytest.mark.parametrize("command, n_mc", [("calibrate", 500), ("manova", 300)])
+    def test_small_n_mc_prints_one_warning_line(self, tmp_path, command, n_mc):
+        csv_path, names = write_design_csv(tmp_path / "d.csv")
+        args = {
+            "calibrate": ["--a", "3", "--b", "4", "--n", "3", "--dim", "1", "--datasets", "20", "--seed", "7"],
+            "manova": ["--input", str(csv_path), "--responses", ",".join(names), "--n-per-cell", "3"],
+        }[command]
+        result = run_module(command, *args, "--n-mc", str(n_mc))
+        assert result.returncode == 0
+        assert result.stderr.splitlines() == [f"warning: n_mc = {n_mc} is below 1000; the p-value estimates will be coarse"]

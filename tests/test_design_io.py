@@ -29,8 +29,8 @@ from wishartmix import (
     report_to_text,
     run_report,
     subsample_balanced,
-    univariate_f_test,
 )
+from wishartmix.manova import FACTOR_TESTS, _f_test, compute_sop, dof_map
 
 
 def write_csv(path, rows, header="factor_a,factor_b,r1,r2"):
@@ -247,7 +247,8 @@ class TestRunReport:
         import wishartmix.manova as manova_mod
 
         table = DesignTable(RngStream(6).generator().standard_normal((3, 4, 3, 1)))
-        expected = [univariate_f_test(table, name) for name in ("A", "B", "AB")]
+        dofs = dof_map(table.levels_a, table.levels_b, table.reps)
+        expected = [_f_test(compute_sop(table), dofs, num, den) for _, num, den in FACTOR_TESTS]
         calls = []
         original = manova_mod.compute_sop
 

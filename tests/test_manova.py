@@ -17,6 +17,7 @@ from wishartmix import (
     DegenerateDesign,
     DesignTable,
     FixedEffect,
+    McConfig,
     RandomEffect,
     RngStream,
     SimulationSpec,
@@ -25,12 +26,12 @@ from wishartmix import (
     assert_pd,
     compute_sop,
     dof_map,
+    run_report,
     sample_beta2,
     scalar_statistic,
     simulate_design,
     sop_arrays,
     ValidationError,
-    univariate_f_test,
     wishart_mean,
     WishartParams,
 )
@@ -245,10 +246,16 @@ class TestDofMap:
 
 
 class TestUnivariateFTest:
+    @staticmethod
+    def f_test_of_a(y: np.ndarray) -> tuple[float, float]:
+        fr = run_report(DesignTable(y), McConfig(n_mc=1000, seed=0)).factors[0]
+        assert fr.name == "A"
+        return fr.f_stat, fr.f_pvalue
+
     def test_zero_statistic_has_pvalue_one(self):
         y = np.zeros((2, 2, 2, 1))
         y[..., 0] = [[[0.0, 2.0], [1.0, 3.0]], [[0.0, 2.0], [1.0, 3.0]]]  # A-means equal
-        f, p = univariate_f_test(DesignTable(y), "A")
+        f, p = self.f_test_of_a(y)
         assert f == pytest.approx(0.0)
         assert p == pytest.approx(1.0)
 
@@ -256,7 +263,7 @@ class TestUnivariateFTest:
         y = np.arange(1.0, 9.0).reshape(2, 2, 2, 1)
         sop = brute_force_sop(y)
         f_expected = (sop[0][0, 0] / 1.0) / (sop[3][0, 0] / 4.0)
-        f, p = univariate_f_test(DesignTable(y), "A")
+        f, p = self.f_test_of_a(y)
         assert f == pytest.approx(f_expected)
         assert p == pytest.approx(float(stats.f.sf(f_expected, 1, 4)), rel=1e-12)
 
@@ -269,10 +276,6 @@ class TestUnivariateFTest:
         f = (sop_a[:, 0, 0] / dofs.nu_a) / (sop_e[:, 0, 0] / dofs.nu_e)
         p = stats.f.sf(f, dofs.nu_a, dofs.nu_e)
         assert stats.kstest(p, "uniform").pvalue > 0.01
-
-    def test_requires_univariate(self):
-        with pytest.raises(ValueError):
-            univariate_f_test(DesignTable(np.zeros((2, 2, 2, 2))), "A")
 
 
 class TestSimulationSpecValidation:

@@ -76,8 +76,9 @@ class TestMcPvalue:
         assert a.n_extreme == b.n_extreme
 
     def test_small_n_mc_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             mc_pvalue(1.0, 4.0, 20.0, 2, McConfig(n_mc=100, seed=5))
+        assert record[0].filename == __file__
 
     def test_dof_validation(self):
         with pytest.raises(ValueError):
@@ -200,7 +201,8 @@ class TestNullCalibration:
     def test_deterministic(self):
         spec = SimulationSpec(3, 3, 2, 2, assert_pd(np.eye(2)))
         cfg = McConfig(n_mc=500, seed=13)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             a = null_calibration(spec, 50, cfg, RngStream(14))
             b = null_calibration(spec, 50, cfg, RngStream(14))
+        assert {w.filename for w in record} == {__file__}
         np.testing.assert_array_equal(a.get("A", HL).pvalues, b.get("A", HL).pvalues)

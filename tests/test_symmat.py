@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from wishartmix import (
+    BetaIIParams,
     MatrixNormalParams,
     MixtureSpec,
     NotPsd,
+    RngStream,
     SimulationSpec,
     SpdMat,
     SymMat,
@@ -21,6 +23,11 @@ from wishartmix import (
     batched_statistic_eigs,
     conjugation_params,
     default_probes,
+    mixture_marginal_params,
+    random_mixture_spec,
+    sample_beta2,
+    sample_hierarchical,
+    sample_wishart,
     sym_inv_sqrt,
     sym_sqrt,
 )
@@ -114,6 +121,33 @@ class TestOnePdRule:
         s = assert_pd(np.eye(2))
         assert isinstance(s, SymMat)
         assert SpdMat(SymMat([[2.0, 0.0], [5.0, 1.0]])).array.tolist() == [[2.0, 0.0], [0.0, 1.0]]
+
+
+SPEC = random_mixture_spec(3, 6, RngStream(1))
+MARGINAL = mixture_marginal_params(SPEC)
+
+# Every kind of SpdMat the library computes, as (label, thunk).
+LIBRARY_SPDMATS = [
+    ("marginal-scale", lambda: MARGINAL.scale),
+    ("marginal-noncen", lambda: MARGINAL.noncen),
+    ("conjugation-scale", lambda: conjugation_params(MARGINAL, SPEC.coupling).scale),
+    ("conjugation-noncen", lambda: conjugation_params(MARGINAL, SPEC.coupling).noncen),
+    ("wishart-draw", lambda: sample_wishart(MARGINAL, RngStream(2))),
+    ("hierarchical-draw", lambda: sample_hierarchical(SPEC, RngStream(3))),
+    ("beta2-draw", lambda: sample_beta2(BetaIIParams(4.0, 10.0, 3), RngStream(4))),
+    ("sym-sqrt", lambda: sym_sqrt(MARGINAL.noncen)),
+    ("sym-inv-sqrt", lambda: sym_inv_sqrt(MARGINAL.scale)),
+    ("central-noncen", lambda: WishartParams(4.0, EYE2).noncen),
+]
+
+
+class TestOneRuleForEverySpdMat:
+    @pytest.mark.parametrize("make", [m for _, m in LIBRARY_SPDMATS], ids=[label for label, _ in LIBRARY_SPDMATS])
+    def test_kind_and_spectrum_are_classified(self, make):
+        m = make()
+        assert isinstance(m, SpdMat)
+        assert m.kind == assert_pd(m.array).kind
+        assert np.array_equal(m.eigenvalues, np.maximum(np.linalg.eigh(m.array)[0], 0.0))
 
 
 class TestSymSqrt:

@@ -1,0 +1,129 @@
+"""Write the outputs of a fixed set of command-line runs, to compare two checkouts byte for byte.
+
+Each run calls ``wishartmix.cli.main`` in-process on inputs that this script
+writes from fixed seeds with numpy alone, and saves what the run produced in
+OUTDIR: ``<run>.stdout``, ``<run>.stderr``, ``<run>.exit`` and, for a run
+that writes a report, ``<run>.json``.  The inputs are kept in
+``OUTDIR/inputs``.  Two checkouts give the same outputs when
+
+    PYTHONPATH=<old>/src python tools/cli_outputs.py a
+    PYTHONPATH=<new>/src python tools/cli_outputs.py b
+    diff -r a b
+
+prints nothing.  The runs cover every subcommand: ``manova`` at d = 1, 2
+and 3 with each functional, and once with ``--sigma`` at more null draws than
+one p-value chunk holds; ``verify`` central, noncentral and below the draw
+floor; ``calibrate`` at d = 1, 2 and 3; ``sample`` for each distribution,
+with central, fractional-dof and noncentral Wishart parameters.  Every run
+draws at least 1,000 null samples per p-value, so none warns.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from wishartmix import StatisticFunctional, cli
+
+# Design size per response dimension: 5 x 4 levels, 5 rows per cell, so the
+# d = 3 tests keep more than d - 1 degrees of freedom for every factor.
+LEVELS_A, LEVELS_B, ROWS_PER_CELL = 5, 4, 5
+
+SAMPLE_PARAMS = {
+    "matrix-normal": ("matrix-normal", {"rows": 3, "mean": [[0, 0], [1, 1], [2, 2]], "scale": [[1, 0], [0, 1]]}),
+    "wishart-central": ("wishart", {"dof": 5, "scale": [[2, 1], [1, 3]]}),
+    "wishart-fractional": ("wishart", {"dof": 2.5, "scale": [[2, 1], [1, 3]]}),
+    "wishart-noncentral": ("wishart", {"dof": 5, "scale": [[2, 1], [1, 3]], "noncen": [[1, 0.5], [0.5, 2]]}),
+    "beta2": ("beta2", {"dof1": 4, "dof2": 12, "dim": 2}),
+    "chisq": ("chisq", {"dof": 3, "noncen": 1.5}),
+}
+
+
+def write_design_csv(path: Path, dim: int, seed: int) -> None:
+    """A long-format design with an A main effect and unit-variance noise, responses ``y1..yd``."""
+    gen = np.random.default_rng(seed)
+    effect_a = gen.standard_normal((LEVELS_A, dim))
+    lines = ["factor_a,factor_b," + ",".join(f"y{k + 1}" for k in range(dim))]
+    for i in range(LEVELS_A):
+        for j in range(LEVELS_B):
+            for _ in range(ROWS_PER_CELL):
+                y = effect_a[i] + gen.standard_normal(dim)
+                lines.append(f"a{i},b{j}," + ",".join(repr(float(v)) for v in y))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_inputs() -> None:
+    """The design CSVs, the ``--sigma`` matrix file and the ``sample`` parameter files, under ``inputs/``."""
+    Path("inputs").mkdir(exist_ok=True)
+    for dim in (1, 2, 3):
+        write_design_csv(Path(f"inputs/design_d{dim}.csv"), dim, seed=dim)
+    Path("inputs/sigma_d2.txt").write_text("2\n2.0 0.5\n0.5 1.0\n", encoding="utf-8")
+    for name, (_, params) in SAMPLE_PARAMS.items():
+        Path(f"inputs/{name}.json").write_text(json.dumps(params) + "\n", encoding="utf-8")
+
+
+def runs() -> list[tuple[str, list[str]]]:
+    """``(name, argv)`` of every run; an argv naming ``<name>.json`` writes that report."""
+    out = []
+    for dim in (1, 2, 3):
+        responses = ",".join(f"y{k + 1}" for k in range(dim))
+        for functional in StatisticFunctional:
+            name = f"manova-d{dim}-{functional.value}"
+            out.append((name, [
+                "manova", "--input", f"inputs/design_d{dim}.csv", "--responses", responses, "--n-per-cell", "3",
+                "--subsample-seed", "1", "--n-mc", "2000", "--mc-seed", "2", "--functional", functional.value,
+                "--json", f"{name}.json",
+            ]))
+    out.append(("manova-d2-sigma-chunked", [
+        "manova", "--input", "inputs/design_d2.csv", "--responses", "y1,y2", "--n-per-cell", "4",
+        "--n-mc", "70000", "--mc-seed", "3", "--sigma", "inputs/sigma_d2.txt", "--json", "manova-d2-sigma-chunked.json",
+    ]))
+    verify = [
+        ("verify-central", ["--dim", "3", "--dof", "5", "--n-draws", "20000", "--central"]),
+        ("verify-noncentral", ["--dim", "2", "--dof", "4", "--n-draws", "20000"]),
+        ("verify-below-floor", ["--dim", "2", "--dof", "3", "--n-draws", "5000"]),
+    ]
+    for name, args in verify:
+        out.append((name, ["verify", *args, "--seed", "4", "--specs", "2", "--json", f"{name}.json"]))
+    for dim in (1, 2, 3):
+        out.append((f"calibrate-d{dim}", [
+            "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", str(dim),
+            "--datasets", "40", "--n-mc", "1000", "--seed", "5",
+        ]))
+    for name, (dist, _) in SAMPLE_PARAMS.items():
+        out.append((f"sample-{name}", ["sample", "--dist", dist, "--params", f"inputs/{name}.json", "--n", "50", "--seed", "6"]))
+    return out
+
+
+def run(name: str, argv: list[str]) -> None:
+    """Call the command line on ``argv`` and save its stdout, stderr and exit code under ``name``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    Path(f"{name}.stdout").write_text(stdout.getvalue(), encoding="utf-8")
+    Path(f"{name}.stderr").write_text(stderr.getvalue(), encoding="utf-8")
+    Path(f"{name}.exit").write_text(f"{code}\n", encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/cli_outputs.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    # Inputs are named relative to OUTDIR, so no output holds a path that differs between two OUTDIRs.
+    os.chdir(outdir)
+    write_inputs()
+    for name, run_argv in runs():
+        run(name, run_argv)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
