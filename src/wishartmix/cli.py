@@ -158,6 +158,7 @@ def _cmd_manova(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _count(args.dim, "--dim")
     _count(args.specs, "--specs")
     failures = 0
     reports = []
@@ -225,6 +226,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    _count(args.dim, "--dim")
     spec = SimulationSpec(args.a, args.b, args.n, args.dim, SpdMat(np.eye(args.dim)))
     cfg = McConfig(n_mc=args.n_mc, seed=args.seed, functional=StatisticFunctional(args.functional))
     summary = null_calibration(spec, args.datasets, cfg, RngStream(args.seed))

@@ -21,6 +21,12 @@ statistic, for one table or a stack.  It rejects a residual SOP as singular,
 raising :class:`SingularErrorMatrix`, when its smallest eigenvalue is at or
 below ``PD_TOL`` times its largest, the same relative test that
 :class:`~wishartmix.symmat.SpdMat` uses to certify a matrix positive definite.
+
+Imports: ``scipy.special`` is imported inside :func:`_f_test`, its one
+user, and ``scipy.stats`` not at all.  Importing ``scipy.stats`` takes over a
+second on a 2-core x86-64 host, several times the work of a small command, so
+importing this module loads no scipy module, and only a ``d = 1`` report loads
+``scipy.special``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import f as f_dist
 
 from .errors import DegenerateDesign, SingularErrorMatrix, UnbalancedDesign, ValidationError
 from .rng import RngStream, _count, as_generator
@@ -291,15 +296,18 @@ def _f_test(sop: SopDecomposition, dofs: DofMap, num: int, den: int) -> tuple[fl
     """Exact variance-component F test for one :data:`FACTOR_TESTS` entry of a ``d = 1`` SOP.
 
     ``F = (SOP_num / nu_num) / (SOP_den / nu_den)`` with the upper-tail
-    p-value from the ``F(nu_num, nu_den)`` distribution.  In balanced designs
-    the test of ``AB`` is exact under its null, and the tests of ``A`` and
-    ``B`` are exact when the interaction is fixed or absent.  With a random
-    interaction (``Sigma_AB != 0``) ``SOP_A`` and ``SOP_B`` carry
-    ``n Sigma_AB`` that ``SOP_E`` lacks, so their nulls are not
-    ``F(nu_X, nu_E)`` and these tests over-reject.
+    p-value from the ``F(nu_num, nu_den)`` distribution, computed by
+    ``scipy.special.fdtrc``, the function ``scipy.stats.f.sf`` calls for it.
+    In balanced designs the test of ``AB`` is exact under its null, and the
+    tests of ``A`` and ``B`` are exact when the interaction is fixed or
+    absent.  With a random interaction (``Sigma_AB != 0``) ``SOP_A`` and
+    ``SOP_B`` carry ``n Sigma_AB`` that ``SOP_E`` lacks, so their nulls are
+    not ``F(nu_X, nu_E)`` and these tests over-reject.
     """
+    from scipy.special import fdtrc  # deferred: see the module docstring
+
     f_stat = (float(sop[num].array[0, 0]) / dofs[num]) / (float(sop[den].array[0, 0]) / dofs[den])
-    return f_stat, float(f_dist.sf(f_stat, dofs[num], dofs[den]))
+    return f_stat, float(fdtrc(dofs[num], dofs[den], f_stat))
 
 
 @dataclass(frozen=True)

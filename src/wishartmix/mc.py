@@ -14,6 +14,11 @@ factor tests whose degrees of freedom coincide automatically share one draw
 set, while different degrees of freedom get independent sets.  Draws are
 produced in fixed-quota chunks with one child stream each, making every
 estimate independent of worker scheduling.
+
+Imports: ``scipy.stats`` is imported inside :func:`null_calibration`, its one
+user, for the KS test.  Importing it takes over a second on a 2-core x86-64
+host, several times the work of a small command, so only ``calibrate`` pays
+for it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kstest
 
 from .distributions import BetaIIParams, beta2_eigenvalues
 from .manova import (
@@ -207,6 +211,8 @@ def null_calibration(
                 for fn in functionals:
                     n_extreme = _count_extreme(scalar_statistic(eigs_null, fn), observed[fn][i], fn)
                     pvals[(factor, fn)].append((1 + n_extreme) / (1 + cfg.n_mc))
+
+    from scipy.stats import kstest  # deferred: see the module docstring
 
     results = {}
     for factor in FACTORS:

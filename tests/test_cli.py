@@ -194,11 +194,14 @@ class TestVerifyCommand:
     [
         ["verify", "--dim", "0", "--dof", "4", "--n-draws", "2000", "--seed", "21", "--specs", "1"],
         ["calibrate", "--a", "3", "--b", "3", "--n", "2", "--dim", "0", "--datasets", "4", "--seed", "6"],
+        ["verify", "--dim", "-1", "--dof", "4", "--n-draws", "2000", "--seed", "21", "--specs", "1"],
+        ["calibrate", "--a", "3", "--b", "3", "--n", "2", "--dim", "-1", "--datasets", "4", "--seed", "6"],
     ],
 )
 def test_zero_dimension_exit_two(argv, capsys):
     assert main(argv) == EXIT_VALIDATION
-    assert "non-empty square matrix" in capsys.readouterr().err
+    dim = argv[argv.index("--dim") + 1]
+    assert capsys.readouterr().err == f"error: --dim must be a positive integer, got {dim}\n"
 
 
 class TestSampleCommand:
@@ -390,15 +393,38 @@ class TestCalibrateCommand:
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
-def run_module(*argv):
-    """``python -m wishartmix ARGV`` in a child interpreter.
+def run_python(*args):
+    """``python ARGS`` in a child interpreter.
 
     The child imports the same package as this process, whether it is
     installed or only on pytest's path.
     """
     src = os.path.dirname(os.path.dirname(wishartmix.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "wishartmix", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_module(*argv):
+    """``python -m wishartmix ARGV`` in a child interpreter."""
+    return run_python("-m", "wishartmix", *argv)
+
+
+# Runs each command line of the JSON list in argv[1] through cli.main and
+# prints, as its last stdout line, the scipy modules loaded after the import
+# and after each command.  The import is the one at the top.
+_SCIPY_PROBE = """
+import json, sys
+import wishartmix.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+loaded = [scipy_modules()]
+for argv in json.loads(sys.argv[1]):
+    assert wishartmix.cli.main(argv) == 0, argv
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
 
 
 class TestConsoleEntry:
@@ -420,3 +446,22 @@ class TestConsoleEntry:
         result = run_module(command, *args, "--n-mc", str(n_mc))
         assert result.returncode == 0
         assert result.stderr.splitlines() == [f"warning: n_mc = {n_mc} is below 1000; the p-value estimates will be coarse"]
+
+    def test_cold_start_loads_scipy_only_where_used(self, tmp_path):
+        # This process has scipy.stats loaded by the test modules; a child starts clean.
+        csv2, names2 = write_design_csv(tmp_path / "d2.csv")
+        csv1, names1 = write_design_csv(tmp_path / "d1.csv", dim=1)
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"dof": 4, "scale": [[2.0, 1.0], [1.0, 2.0]]}), encoding="utf-8")
+        commands = [
+            ["verify", "--dim", "2", "--dof", "5", "--n-draws", "10000", "--seed", "3", "--specs", "1"],
+            ["sample", "--dist", "wishart", "--params", str(params), "--n", "3", "--seed", "3"],
+            ["manova", "--input", str(csv2), "--responses", ",".join(names2), "--n-per-cell", "3", "--n-mc", "1000"],
+            ["manova", "--input", str(csv1), "--responses", ",".join(names1), "--n-per-cell", "3", "--n-mc", "1000"],
+        ]
+        result = run_python("-c", _SCIPY_PROBE, json.dumps(commands))
+        assert result.returncode == 0, result.stderr
+        *loaded, after_d1 = json.loads(result.stdout.splitlines()[-1])
+        assert loaded == [[], [], [], []]  # import, verify, sample, d = 2 manova
+        assert "scipy.special" in after_d1
+        assert not [name for name in after_d1 if name.startswith("scipy.stats")]

@@ -23,6 +23,7 @@ from wishartmix import (
     SimulationSpec,
     SingularErrorMatrix,
     StatisticFunctional,
+    SymMat,
     assert_pd,
     compute_sop,
     dof_map,
@@ -35,7 +36,7 @@ from wishartmix import (
     wishart_mean,
     WishartParams,
 )
-from wishartmix.manova import batched_statistic_eigs
+from wishartmix.manova import DofMap, SopDecomposition, _f_test, batched_statistic_eigs
 from conftest import random_spd
 
 EYE2 = assert_pd(np.eye(2))
@@ -276,6 +277,18 @@ class TestUnivariateFTest:
         f = (sop_a[:, 0, 0] / dofs.nu_a) / (sop_e[:, 0, 0] / dofs.nu_e)
         p = stats.f.sf(f, dofs.nu_a, dofs.nu_e)
         assert stats.kstest(p, "uniform").pvalue > 0.01
+
+    def test_pvalue_is_scipy_f_sf(self):
+        # _f_test calls scipy.special.fdtrc, which scipy.stats.f.sf calls for the same value.
+        dofs = (1, 2, 3, 4, 7, 12, 30, 100, 250, 600)
+        f_values = (0.0, 1e-300, 1e-100, 1e-20, 1e-5, 0.01, 0.3, 1.0, 1.7, 5.0, 40.0, 1e3, 1e10, 1e100, 1e300)
+        for nu_num in dofs:
+            for nu_den in dofs:
+                for f in f_values:
+                    sop = SopDecomposition(SymMat(f * nu_num), SymMat(1.0), SymMat(1.0), SymMat(float(nu_den)))
+                    f_stat, p = _f_test(sop, DofMap(nu_num, 1, 1, nu_den), 0, 3)
+                    assert f_stat == pytest.approx(f, rel=1e-15)
+                    assert p == float(stats.f.sf(f_stat, nu_num, nu_den)), (nu_num, nu_den, f)
 
 
 class TestSimulationSpecValidation:
