@@ -4,12 +4,24 @@ A noncentral Wishart whose noncentrality is itself driven by an independent
 noncentral Wishart with the *same* degrees of freedom is again noncentral
 Wishart.  :func:`mixture_marginal_params` maps a hierarchical specification to
 the closed-form marginal law, :func:`sample_hierarchical` draws from the
-two-level construction directly, and :func:`verify_closure` establishes the
-distributional equality by Monte Carlo: mean matrices, moment generating
-functions on a set of probe matrices, and per-entry two-sample KS statistics
-against draws from the predicted law.  Verification never forms ``(n, d, d)``
-stacks: it draws the hierarchical and the direct Wishart factors and works on
-their Gram entry columns, the same values the samplers return.
+two-level construction directly, and :func:`verify_closure` checks the draws
+against that law with :func:`check_law`, which judges any Gram sampler
+against the exact law it should follow.  The ``n`` draws are streamed once,
+in chunks, and never stored; three checks form one Bonferroni family at
+level :data:`VERIFY_ALPHA` per report:
+
+* distribution — for each ``a`` in ``{e_i, e_i + e_j}``, ``a'Xa / a'Va`` is
+  exactly ``chi^2_dof(a'Delta a / a'Va)``; the empirical CDF of ``a'Xa`` is
+  compared with ``k / 1000`` at the exact quantiles, and the largest gap is
+  bounded by the DKW-Massart ``eps = sqrt(ln(2 m / alpha) / (2 n))`` over
+  the ``m`` checks of the report;
+* mean — each upper entry's empirical mean lies within ``z`` closed-form
+  standard errors ``sqrt(Var X_ij / n)`` of ``dof V + Delta``;
+* MGF — at each probe ``T``, ``mean etr(T X)`` lies within ``z`` standard
+  errors ``sqrt((M(2T) - M(T)^2) / n)`` of the closed-form ``M(T)``;
+
+with ``z`` the two-sided normal quantile at ``alpha / m``.  No second sampler
+is needed: every bound is closed form.
 
 The hierarchical model, with all matrices ``d x d`` and ``Y_H`` denoting the
 conjugation ``H^{1/2} Y H^{1/2}``:
@@ -55,6 +67,7 @@ __all__ = [
     "mixture_marginal_params",
     "sample_hierarchical",
     "default_probes",
+    "check_law",
     "verify_closure",
     "random_mixture_spec",
 ]
@@ -62,10 +75,14 @@ __all__ = [
 # A verification report never passes on fewer draws than this.
 MIN_VERIFY_DRAWS = 10_000
 
-# A report passes when every error is below its threshold.
-MEAN_REL_ERR_MAX = 0.01
-MGF_REL_ERR_MAX = 0.02
-KS_STAT_MAX = 0.015
+# Family level of one report: its ``m`` checks are each made at
+# ``VERIFY_ALPHA / m`` (Bonferroni), so a correct law fails a report with
+# probability at most ``VERIFY_ALPHA``.
+VERIFY_ALPHA = 1e-6
+
+# The CDF check evaluates each projection at the exact quantiles of the
+# levels ``k / _GRID_POINTS``, ``0 < k < _GRID_POINTS``.
+_GRID_POINTS = 1000
 
 # Draws per verification chunk.  Small chunks keep the chunk temporaries,
 # and so the peak resident memory, low.
@@ -192,75 +209,144 @@ def default_probes(scale: SpdMat, count: int = 5) -> list[SymMat]:
     return [SymMat(eps * p) for p in base[:count]]
 
 
+# The checks of one report, each an ``(errors, bounds)`` pair of tuples.
+CHECKS = ("cdf", "mean", "mgf")
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one Monte Carlo closure verification.
+    """Outcome of one exact-law check: every error beside its bound.
 
-    ``passed`` is true only when every error is below its threshold *and* at
-    least :data:`MIN_VERIFY_DRAWS` draws were used — smaller runs are reported
-    but never pass.
+    ``errors`` and ``bounds`` map each of :data:`CHECKS` to one value per
+    projection (``cdf``, the largest grid gap), per upper entry (``mean``)
+    or per probe (``mgf``).  ``passed`` is true only when no error exceeds
+    its bound *and* at least :data:`MIN_VERIFY_DRAWS` draws were used —
+    smaller runs are reported but never pass.
     """
 
-    mean_rel_err: float
-    mgf_rel_errs: tuple[float, ...]
-    ks_stats: tuple[float, ...]
     n_draws: int
-    passed: bool
+    errors: dict[str, tuple[float, ...]]
+    bounds: dict[str, tuple[float, ...]]
+
+    @property
+    def passed(self) -> bool:
+        return self.n_draws >= MIN_VERIFY_DRAWS and all(
+            e <= b for c in CHECKS for e, b in zip(self.errors[c], self.bounds[c])
+        )
+
+    def worst(self) -> dict[str, float]:
+        """Largest ``error / bound`` of each check; the report passes only if none exceeds 1.
+
+        A zero error against a zero bound (the zero probe) counts 0.
+        """
+        return {
+            c: max(e / b if b else (math.inf if e else 0.0) for e, b in zip(self.errors[c], self.bounds[c]))
+            for c in CHECKS
+        }
 
     def to_dict(self) -> dict:
         return {
-            "mean_rel_err": self.mean_rel_err,
-            "mgf_rel_errs": list(self.mgf_rel_errs),
-            "ks_stats": list(self.ks_stats),
             "n_draws": self.n_draws,
+            "alpha": VERIFY_ALPHA,
             "passed": self.passed,
-            "thresholds": {
-                "mean_rel_err": MEAN_REL_ERR_MAX,
-                "mgf_rel_err": MGF_REL_ERR_MAX,
-                "ks_stat": KS_STAT_MAX,
-            },
+            **{c: {"errors": list(self.errors[c]), "bounds": list(self.bounds[c])} for c in CHECKS},
         }
 
     def to_text(self) -> str:
+        worst = self.worst()
+        checks = sum(len(self.errors[c]) for c in CHECKS)
         lines = [
-            f"closure verification over {self.n_draws} draws: {'PASS' if self.passed else 'FAIL'}",
-            f"  mean relative error      {self.mean_rel_err:.5f}  (threshold {MEAN_REL_ERR_MAX:g})",
-            f"  max MGF relative error   {max(self.mgf_rel_errs):.5f}  (threshold {MGF_REL_ERR_MAX:g}, {len(self.mgf_rel_errs)} probes)",
-            f"  max per-entry KS         {max(self.ks_stats):.5f}  (threshold {KS_STAT_MAX:g}, {len(self.ks_stats)} entries)",
+            f"exact-law check over {self.n_draws} draws: {'PASS' if self.passed else 'FAIL'} "
+            f"(family level {VERIFY_ALPHA:g} over {checks} checks)",
+            f"  max CDF gap            {max(self.errors['cdf']):.5f}  (DKW bound {self.bounds['cdf'][0]:.5f}, "
+            f"{len(self.errors['cdf'])} projections)",
+            f"  max mean error/bound   {worst['mean']:.3f}  ({len(self.errors['mean'])} entries)",
+            f"  max MGF error/bound    {worst['mgf']:.3f}  ({len(self.errors['mgf'])} probes)",
         ]
         if self.n_draws < MIN_VERIFY_DRAWS:
             lines.append(f"  note: fewer than {MIN_VERIFY_DRAWS} draws, report cannot pass")
         return "\n".join(lines)
 
 
-def _ks_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov distance, bitwise equal to ``scipy.stats.ks_2samp(x, y).statistic``.
-
-    Both empirical CDFs step only at sample points, so, as scipy does,
-    ``c_x/n_x - c_y/n_y`` (``c`` counting points at or below) is evaluated at
-    every sample point.  Within a tie group of a sorted sample both counts
-    are those at the group's last point, so each sample is taken at its
-    group ends only: there its own count is the position plus one, and a
-    ``searchsorted`` into the other sorted sample gives the other count.
-    The temporaries stay at one sample's size.  As scipy does on its exact
-    path, samples of at most 10,000 points round the distance to the lattice
-    ``h / lcm(n_x, n_y)`` it lives on.  No p-value is computed.
-    """
-    x, y = np.sort(x), np.sort(y)
-    d = 0.0
-    for a, b in ((x, y), (y, x)):
-        ends = np.flatnonzero(np.append(a[1:] != a[:-1], True))
-        d = max(d, float(np.abs((ends + 1) / a.size - np.searchsorted(b, a[ends], "right") / b.size).max()))
-    if max(x.size, y.size) <= 10_000:
-        lcm = math.lcm(x.size, y.size)
-        d = round(d * lcm) / lcm
-    return d
-
-
 def _gram_entries(source, entries: int, gen: np.random.Generator, n: int) -> np.ndarray:
     """``(n, entries)`` upper-triangle entries of ``n`` Grams drawn from ``source = (factor, per_draw)``."""
     factor, per_draw = source
     return _draw_stack(n, (entries,), per_draw, lambda b: np.column_stack(_gram_columns(factor(gen, b))))
+
+
+def check_law(
+    source,
+    law: WishartParams,
+    n_draws: int,
+    rng: RngStream | int,
+    probes: list[SymMat] | None = None,
+) -> VerificationReport:
+    """Judge ``n_draws`` Grams drawn from ``source = (factor, per_draw)`` against the exact law ``law``.
+
+    Runs the module docstring's three checks as one family of ``m`` checks,
+    each at ``VERIFY_ALPHA / m``.  The draws are streamed once, in chunks of
+    ``_VERIFY_CHUNK`` from the child streams ``rng.generator(1, k)``, and
+    only per-chunk temporaries are kept.  The CDF grid, ``chndtrix`` at the
+    levels ``k / 1000`` times ``a'Va``, is set before any draw; each chunk's
+    projections are sorted and counted against it with ``searchsorted``.
+    The mean bound uses ``Var X_ij = dof (V_ii V_jj + V_ij^2) + V_ii
+    Delta_jj + V_jj Delta_ii + 2 V_ij Delta_ij``; the zero probe has error
+    and bound 0.  The probes default to :func:`default_probes` of the law's
+    scale, and each ``2T`` must lie in the MGF's domain.
+    """
+    from scipy.special import chndtrix, ndtri
+
+    rng = _as_stream(rng, "check_law")
+    n = _count(n_draws, "n_draws")
+    if probes is None:
+        probes = default_probes(law.scale)
+    # Closed-form MGF values; raises OutsideDomain where T or 2T is outside the domain.
+    mgf = np.array([wishart_mgf(law, t) for t in probes])
+    mgf_twice = np.array([wishart_mgf(law, 2.0 * t.array) for t in probes])
+
+    dim, dof = law.dim, law.dof
+    v, delta = law.scale.array, law.noncen.array
+    iu, ju = np.triu_indices(dim)
+    m = iu.size
+    off = np.where(iu == ju, 1.0, 2.0)
+    # tr(T X) over the upper entries: T_ij X_ij, twice off the diagonal.
+    etr_weights = np.array([t.array[iu, ju] for t in probes]).T * off[:, None]
+    # Projection p is a = e_i + e_j for entry (i, j), a = e_i on the diagonal;
+    # a'Xa is the upper entries weighted a_k a_l, twice off the diagonal.
+    a = np.zeros((m, dim))
+    a[np.arange(m), iu] = a[np.arange(m), ju] = 1.0
+    proj_weights = a[:, iu] * a[:, ju] * off
+    a_scale = np.einsum("pi,ij,pj->p", a, v, a)
+    levels = np.arange(1, _GRID_POINTS) / _GRID_POINTS
+    grid = chndtrix(levels, dof, (np.einsum("pi,ij,pj->p", a, delta, a) / a_scale)[:, None]) * a_scale[:, None]
+
+    checks = 2 * m + len(probes)
+    eps = math.sqrt(math.log(2 * checks / VERIFY_ALPHA) / (2 * n))
+    z = -float(ndtri(VERIFY_ALPHA / (2 * checks)))
+    dv, dd = np.diag(v), np.diag(delta)
+    entry_var = (dof * (np.outer(dv, dv) + v * v) + np.outer(dv, dd) + np.outer(dd, dv) + 2.0 * v * delta)[iu, ju]
+
+    counts = np.zeros(grid.shape, dtype=np.int64)
+    sums = np.zeros(m)
+    etr_sums = np.zeros(len(probes))
+    for k, _, size in _chunk_spans(n, _VERIFY_CHUNK):
+        x = _gram_entries(source, m, rng.generator(1, k), size)
+        sums += x.sum(axis=0)
+        etr_sums += np.exp(x @ etr_weights).sum(axis=0)
+        for p, col in enumerate(np.sort(proj_weights @ x.T)):
+            counts[p] += np.searchsorted(col, grid[p], "right")
+
+    errors = {
+        "cdf": np.abs(counts / n - levels).max(axis=1),
+        "mean": np.abs(sums / n - wishart_mean(law).array[iu, ju]),
+        "mgf": np.abs(etr_sums / n - mgf),
+    }
+    bounds = {
+        "cdf": np.full(m, eps),
+        "mean": z * np.sqrt(entry_var / n),
+        "mgf": z * np.sqrt(np.maximum(mgf_twice - mgf * mgf, 0.0) / n),
+    }
+    return VerificationReport(n, *({c: tuple(map(float, d[c])) for c in CHECKS} for d in (errors, bounds)))
 
 
 def verify_closure(
@@ -270,65 +356,15 @@ def verify_closure(
     probes: list[SymMat] | None = None,
     predicted: WishartParams | None = None,
 ) -> VerificationReport:
-    """Compare hierarchical draws against the predicted marginal law.
+    """Check hierarchical draws against the predicted marginal law with :func:`check_law`.
 
-    Three checks are run and collected into a :class:`VerificationReport`:
-
-    1. relative Frobenius error between the empirical mean of hierarchical
-       draws and the closed-form mean of the predicted law;
-    2. relative error between the empirical MGF estimate ``mean(etr(T X))``
-       and the closed-form MGF, at every probe ``T``;
-    3. two-sample Kolmogorov-Smirnov distance for each upper-triangle entry,
-       hierarchical draws versus direct draws from the predicted law.
-
-    No ``(n, d, d)`` stack is formed: each chunk draws the hierarchical and
-    the direct factors and keeps only their Gram entry columns
-    (:func:`~wishartmix.distributions._gram_columns`), so the checks see the
-    same values :func:`sample_hierarchical` and ``sample_wishart`` return.
-    The mean comes from column sums, ``tr(T X)`` from the entries weighted 1
-    on the diagonal and 2 off it, and the KS distances from the columns.
-    Draws are generated in fixed-size chunks, each from its own child stream
-    of ``rng``, so the report is identical however the chunks would be
-    distributed over workers.  ``predicted`` overrides the computed marginal
-    law (useful as a negative control).
+    The draws are those :func:`sample_hierarchical` returns, streamed from
+    ``rng``'s chunk streams, so the report is identical however the chunks
+    would be distributed over workers.  ``predicted`` overrides the computed
+    marginal law (useful as a negative control).
     """
-    rng = _as_stream(rng, "verify_closure")
-    n_draws = _count(n_draws, "n_draws")
-    if predicted is None:
-        predicted = mixture_marginal_params(spec)
-    if probes is None:
-        probes = default_probes(predicted.scale)
-    # Closed-form MGF values; raises OutsideDomain for an invalid probe.
-    mgf_closed = np.array([wishart_mgf(predicted, t) for t in probes])
-    hier_source = _hierarchical_factor(spec)
-    direct_source = _wishart_factor(predicted)
-
-    dim = spec.dim
-    iu, ju = np.triu_indices(dim)
-    # tr(T X) over the upper entries: T_ij X_ij, twice off the diagonal.
-    weights = np.array([t.array[iu, ju] for t in probes]).T * np.where(iu == ju, 1.0, 2.0)[:, None]
-    etr_sums = np.zeros(len(probes))
-    hier = np.empty((n_draws, iu.size))
-    direct = np.empty((n_draws, iu.size))
-
-    for k, pos, n in _chunk_spans(n_draws, _VERIFY_CHUNK):
-        hier[pos : pos + n] = _gram_entries(hier_source, iu.size, rng.generator(1, k), n)
-        etr_sums += np.exp(hier[pos : pos + n] @ weights).sum(axis=0)
-        direct[pos : pos + n] = _gram_entries(direct_source, iu.size, rng.generator(2, k), n)
-
-    mean_x = np.empty((dim, dim))
-    mean_x[iu, ju] = mean_x[ju, iu] = hier.sum(axis=0) / n_draws
-    mean_predicted = wishart_mean(predicted).array
-    mean_rel = float(np.linalg.norm(mean_x - mean_predicted) / np.linalg.norm(mean_predicted))
-    mgf_rel = tuple(float(abs(s / n_draws - c) / c) for s, c in zip(etr_sums, mgf_closed))
-    ks = tuple(_ks_distance(hier[:, e], direct[:, e]) for e in range(iu.size))
-    passed = (
-        n_draws >= MIN_VERIFY_DRAWS
-        and mean_rel < MEAN_REL_ERR_MAX
-        and all(v < MGF_REL_ERR_MAX for v in mgf_rel)
-        and all(v < KS_STAT_MAX for v in ks)
-    )
-    return VerificationReport(mean_rel, mgf_rel, ks, n_draws, passed)
+    law = mixture_marginal_params(spec) if predicted is None else predicted
+    return check_law(_hierarchical_factor(spec), law, n_draws, rng, probes)
 
 
 def _random_spd(dim: int, gen: np.random.Generator) -> SpdMat:

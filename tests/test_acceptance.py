@@ -37,7 +37,7 @@ from wishartmix import (
     wishart_mgf,
 )
 from wishartmix.cli import EXIT_OK, main
-from wishartmix.closure import MixtureSpec
+from wishartmix.closure import VERIFY_ALPHA, MixtureSpec
 from wishartmix.manova import batched_statistic_eigs, dof_map
 from conftest import random_psd, random_spd
 
@@ -45,19 +45,29 @@ RATE_BAND = (0.032, 0.071)  # binomial 99% band around 5% at 500 datasets
 
 
 def run_battery(central: bool) -> tuple[int, dict]:
+    """Failures over the 30 specs, and the worst ``error / bound`` of each check with the CDF gap and its bound."""
     start = time.time()
-    worst = {"mean": 0.0, "mgf": 0.0, "ks": 0.0}
+    worst = {"cdf": 0.0, "mean": 0.0, "mgf": 0.0, "gap": 0.0, "eps": 0.0}
     failures = 0
     for d in (1, 2, 3):
         for k in range(10):
             spec = random_mixture_spec(d, d + 3, RngStream(20260809, 10 * d + k), central=central)
             report = verify_closure(spec, 200_000, RngStream(77, 10 * d + k))
-            worst["mean"] = max(worst["mean"], report.mean_rel_err)
-            worst["mgf"] = max(worst["mgf"], max(report.mgf_rel_errs))
-            worst["ks"] = max(worst["ks"], max(report.ks_stats))
+            for check, ratio in report.worst().items():
+                worst[check] = max(worst[check], ratio)
+            worst["gap"] = max(worst["gap"], max(report.errors["cdf"]))
+            worst["eps"] = max(worst["eps"], report.bounds["cdf"][0])
             failures += not report.passed
     worst["seconds"] = time.time() - start
     return failures, worst
+
+
+def battery_line(worst: dict) -> str:
+    return (
+        f"worst CDF gap {worst['gap']:.4f} (DKW bound up to {worst['eps']:.4f}), "
+        f"worst error/bound cdf {worst['cdf']:.2f}, mean {worst['mean']:.2f}, mgf {worst['mgf']:.2f} "
+        f"at family level {VERIFY_ALPHA:g}, {worst['seconds']:.0f}s"
+    )
 
 
 class TestAcceptance:
@@ -66,21 +76,13 @@ class TestAcceptance:
         failures, worst = run_battery(central=False)
         assert failures == 0
         assert worst["seconds"] < 120.0
-        print(
-            f"ACCEPTANCE 1 PASS: closure theorem, 30/30 specs at 2e5 draws "
-            f"(worst mean {worst['mean']:.4f} < 0.01, mgf {worst['mgf']:.4f} < 0.02, "
-            f"ks {worst['ks']:.4f} < 0.015, {worst['seconds']:.0f}s)"
-        )
+        print(f"ACCEPTANCE 1 PASS: closure theorem, 30/30 specs at 2e5 draws ({battery_line(worst)})")
 
     def test_criterion_02_central_corollary(self):
-        """Central mixing (zero noncentrality): same battery, same thresholds."""
+        """Central mixing (zero noncentrality): same battery, same bounds."""
         failures, worst = run_battery(central=True)
         assert failures == 0
-        print(
-            f"ACCEPTANCE 2 PASS: central-mixing corollary, 30/30 specs "
-            f"(worst mean {worst['mean']:.4f}, mgf {worst['mgf']:.4f}, ks {worst['ks']:.4f}, "
-            f"{worst['seconds']:.0f}s)"
-        )
+        print(f"ACCEPTANCE 2 PASS: central-mixing corollary, 30/30 specs ({battery_line(worst)})")
 
     @pytest.mark.parametrize("nu,h,delta", [(4, 1.0, 0.0), (5, 2.0, 3.0)])
     def test_criterion_03_scalar_reduction(self, nu, h, delta):

@@ -14,15 +14,19 @@ from wishartmix import (
     DesignTable,
     McConfig,
     RandomEffect,
+    MixtureSpec,
     RngStream,
     SimulationSpec,
+    SpdMat,
     assert_pd,
+    mixture_marginal_params,
     null_calibration,
     run_report,
     simulate_design,
+    verify_closure,
 )
 from wishartmix.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, main
-from wishartmix.closure import MIN_VERIFY_DRAWS
+from wishartmix.closure import MIN_VERIFY_DRAWS, VERIFY_ALPHA
 
 
 def write_design_csv(path, a=4, b=3, n_raw=6, dim=2, seed=123, effect_scale=9.0):
@@ -187,6 +191,39 @@ class TestVerifyCommand:
         (spec_line, _) = capsys.readouterr().out.splitlines()
         assert spec_line.startswith("spec  1/1: FAIL")
         assert spec_line.endswith(f"  (fewer than {MIN_VERIFY_DRAWS} draws, cannot pass)")
+
+    def test_json_replays_from_its_provenance(self, tmp_path, capsys):
+        json_path = tmp_path / "v.json"
+        argv = ["verify", "--dim", "2", "--dof", "4", "--n-draws", "10000", "--seed", "5", "--specs", "2"]
+        assert main([*argv, "--json", str(json_path)]) == EXIT_OK
+        entries = json.loads(json_path.read_text())
+        assert [e["stream"] for e in entries] == [{"seed": 5, "stream_index": 1000 + k} for k in range(2)]
+        for entry in entries:
+            s = entry["spec"]
+            spec = MixtureSpec(
+                s["dof"], *(SpdMat(np.array(s[name])) for name in ("inner_scale", "mixing_scale", "coupling", "mixing_noncen"))
+            )
+            predicted = mixture_marginal_params(spec)
+            assert entry["predicted"] == {
+                "dof": predicted.dof, "scale": predicted.scale.array.tolist(), "noncen": predicted.noncen.array.tolist(),
+            }
+            report = verify_closure(spec, entry["n_draws"], RngStream(**entry["stream"]))
+            assert {k: entry[k] for k in report.to_dict()} == report.to_dict()
+            assert entry["alpha"] == VERIFY_ALPHA
+
+    @pytest.mark.parametrize("command", ["verify", "manova"])
+    def test_unwritable_json_fails_before_any_work(self, tmp_path, capsys, command):
+        csv_path, names = write_design_csv(tmp_path / "d.csv")
+        target = tmp_path / "missing" / "x.json"
+        args = {
+            "verify": ["--dim", "2", "--dof", "4", "--n-draws", "20000", "--seed", "1", "--specs", "2"],
+            "manova": ["--input", str(csv_path), "--responses", ",".join(names), "--n-per-cell", "3", "--n-mc", "1000"],
+        }[command]
+        code = main([command, *args, "--json", str(target)])
+        assert code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: cannot write the report to {target}: No such file or directory"]
 
 
 @pytest.mark.parametrize(
@@ -453,15 +490,17 @@ class TestConsoleEntry:
         csv1, names1 = write_design_csv(tmp_path / "d1.csv", dim=1)
         params = tmp_path / "p.json"
         params.write_text(json.dumps({"dof": 4, "scale": [[2.0, 1.0], [1.0, 2.0]]}), encoding="utf-8")
+        # Modules stay loaded, so the commands that load none run first.
         commands = [
-            ["verify", "--dim", "2", "--dof", "5", "--n-draws", "10000", "--seed", "3", "--specs", "1"],
             ["sample", "--dist", "wishart", "--params", str(params), "--n", "3", "--seed", "3"],
             ["manova", "--input", str(csv2), "--responses", ",".join(names2), "--n-per-cell", "3", "--n-mc", "1000"],
+            ["verify", "--dim", "2", "--dof", "5", "--n-draws", "10000", "--seed", "3", "--specs", "1"],
             ["manova", "--input", str(csv1), "--responses", ",".join(names1), "--n-per-cell", "3", "--n-mc", "1000"],
         ]
         result = run_python("-c", _SCIPY_PROBE, json.dumps(commands))
         assert result.returncode == 0, result.stderr
-        *loaded, after_d1 = json.loads(result.stdout.splitlines()[-1])
-        assert loaded == [[], [], [], []]  # import, verify, sample, d = 2 manova
-        assert "scipy.special" in after_d1
-        assert not [name for name in after_d1 if name.startswith("scipy.stats")]
+        *loaded, after_verify, after_d1 = json.loads(result.stdout.splitlines()[-1])
+        assert loaded == [[], [], []]  # import, sample, d = 2 manova
+        for after in (after_verify, after_d1):  # verify's quantile grid, d = 1 manova's F tests
+            assert "scipy.special" in after
+            assert not [name for name in after if name.startswith("scipy.stats")]

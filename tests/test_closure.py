@@ -5,12 +5,11 @@ exact algebraic identities of the MGFs, and Monte Carlo draws from the
 hierarchical construction.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from wishartmix import (
@@ -32,7 +31,7 @@ from wishartmix import (
     wishart_mean,
     wishart_mgf,
 )
-from wishartmix.closure import MIN_VERIFY_DRAWS, _ks_distance
+from wishartmix.closure import CHECKS, MIN_VERIFY_DRAWS, VERIFY_ALPHA
 from conftest import random_psd, random_spd
 
 # Relative bound on round trips such as ``C^{-1} (C X C) C^{-1} == X``.
@@ -205,7 +204,9 @@ class TestVerifyClosure:
         spec = scalar_spec(4.0, 1.0, 0.0)
         probes = default_probes(mixture_marginal_params(spec).scale, 3)
         report = verify_closure(spec, 20_000, RngStream(40), probes=probes)
-        assert report.mgf_rel_errs[0] == 0.0
+        assert report.errors["mgf"][0] == 0.0
+        assert report.bounds["mgf"][0] == 0.0
+        assert report.worst()["mgf"] < 1.0
 
     def test_corrupted_prediction_fails(self):
         spec = random_mixture_spec(2, 5.0, RngStream(41))
@@ -222,7 +223,11 @@ class TestVerifyClosure:
     def test_report_round_trips_to_dict(self):
         report = verify_closure(scalar_spec(4.0, 1.0, 0.0), 20_000, RngStream(44))
         d = report.to_dict()
-        assert set(d) == {"mean_rel_err", "mgf_rel_errs", "ks_stats", "n_draws", "passed", "thresholds"}
+        assert set(d) == {"n_draws", "alpha", "passed", *CHECKS}
+        assert d["alpha"] == VERIFY_ALPHA
+        for check in CHECKS:
+            assert d[check] == {"errors": list(report.errors[check]), "bounds": list(report.bounds[check])}
+        assert json.loads(json.dumps(d)) == d
         assert isinstance(report.to_text(), str)
 
     def test_deterministic_given_stream(self):
@@ -230,30 +235,6 @@ class TestVerifyClosure:
         r1 = verify_closure(spec, 20_000, RngStream(46))
         r2 = verify_closure(spec, 20_000, RngStream(46))
         assert r1 == r2
-
-
-class TestKsDistance:
-    # Heavy ties: values from a handful of integers, at unequal sizes.
-    tied = st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=60)
-
-    # scipy falls back from its exact p-value on some tied inputs and warns;
-    # its statistic is unaffected, and the p-value is not compared.
-    @pytest.mark.filterwarnings("ignore:ks_2samp. Exact calculation unsuccessful:RuntimeWarning")
-    @given(x=tied, y=tied, scale=st.sampled_from([1.0, 0.5, 1e-300]))
-    @settings(max_examples=400, deadline=None)
-    def test_matches_scipy_statistic(self, x, y, scale):
-        x, y = np.array(x), scale * np.array(y)
-        assert _ks_distance(x, y) == float(stats.ks_2samp(x, y).statistic)
-
-    # Past 10,000 points scipy leaves its exact path; the first case is
-    # verify_closure's equal-size case on that side of the switch.
-    @pytest.mark.filterwarnings("ignore:ks_2samp. Exact calculation unsuccessful:RuntimeWarning")
-    @pytest.mark.parametrize("n1,n2", [(20_000, 20_000), (10_001, 7_919), (10_000, 10_000), (9_999, 6_000)])
-    def test_matches_scipy_statistic_large(self, n1, n2):
-        gen = np.random.default_rng([n1, n2])
-        x = gen.integers(0, 40, n1).astype(float)
-        y = gen.normal(20.0, 11.0, n2).round()
-        assert _ks_distance(x, y) == float(stats.ks_2samp(x, y).statistic)
 
 
 class TestDefaultProbes:

@@ -4,16 +4,18 @@ Every Wishart draw is the Gram ``L' L`` of a factor ``L``, computed once as
 upper-triangle entry columns (``distributions._gram_columns``).  The stack
 path kept here is the former construction: a batched matmul
 ``swapaxes(L) @ L`` mirrored from its upper triangle, and a
-``verify_closure`` loop that gathers entries, MGF terms and KS distances from
-``(n, d, d)`` stacks.  Both paths consume the same streams, so KS statistics
-(which depend on the ranks only) agree bitwise, and the floating-point
-summaries agree to rounding.
+exact-law check of ``verify_closure`` computed from ``(n, d, d)`` stacks, with
+its quantile grid and normal quantile from ``scipy.stats``.  Both paths
+consume the same streams, so the CDF grid counts (which depend on
+comparisons only) agree bitwise, and the floating-point summaries agree to
+rounding.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from wishartmix import (
     BetaIIParams,
@@ -30,7 +32,7 @@ from wishartmix import (
     wishart_mean,
     wishart_mgf,
 )
-from wishartmix.closure import _VERIFY_CHUNK, _hierarchical_factor
+from wishartmix.closure import _VERIFY_CHUNK, CHECKS, VERIFY_ALPHA, _hierarchical_factor
 from wishartmix.distributions import _bartlett_factor, _draw_stack, _wishart_factor
 from wishartmix.rng import _chunk_spans
 from wishartmix.symmat import _mirror_upper
@@ -45,40 +47,51 @@ def stack_draws(source, dim: int, gen: np.random.Generator, n: int) -> np.ndarra
     return _draw_stack(n, (dim, dim), per_draw, lambda b: stack_gram(factor(gen, b)))
 
 
-def searchsorted_ks(x: np.ndarray, y: np.ndarray) -> float:
-    x, y = np.sort(x), np.sort(y)
-    points = np.concatenate([x, y])
-    diff = np.searchsorted(x, points, side="right") / x.size - np.searchsorted(y, points, side="right") / y.size
-    d = float(np.abs(diff).max())
-    if max(x.size, y.size) <= 10_000:
-        lcm = math.lcm(x.size, y.size)
-        d = round(d * lcm) / lcm
-    return d
+def stack_check_law(spec, n_draws: int, rng: RngStream):
+    """``(errors, bounds)`` of the exact-law check from ``(n, d, d)`` stacks, by check name.
 
-
-def stack_verify_closure(spec, n_draws: int, rng: RngStream):
-    """``(mean_rel_err, mgf_rel_errs, ks_stats)`` from ``(n, d, d)`` stacks, as verify_closure once ran."""
-    predicted = mixture_marginal_params(spec)
-    probes = default_probes(predicted.scale)
-    mgf_closed = np.array([wishart_mgf(predicted, t) for t in probes])
-    dim = spec.dim
+    The quantile grid comes from ``scipy.stats.ncx2``, the projections from
+    ``a' X a`` on each stack, the normal quantile from ``scipy.stats.norm``.
+    """
+    law = mixture_marginal_params(spec)
+    probes = default_probes(law.scale)
+    dim, dof = spec.dim, law.dof
+    v, delta = law.scale.array, law.noncen.array
     iu, ju = np.triu_indices(dim)
+    a = [np.eye(dim)[i] + (np.eye(dim)[j] if i != j else 0.0) for i, j in zip(iu, ju)]
+    a_scale = np.array([u @ v @ u for u in a])
+    levels = np.arange(1, 1000) / 1000
+    grid = [stats.ncx2.ppf(levels, dof, (u @ delta @ u) / s) * s for u, s in zip(a, a_scale)]
+    counts = np.zeros((iu.size, levels.size), dtype=np.int64)
     sum_x = np.zeros((dim, dim))
     etr_sums = np.zeros(len(probes))
-    hier = np.empty((n_draws, iu.size))
-    direct = np.empty((n_draws, iu.size))
-    for k, pos, n in _chunk_spans(n_draws, _VERIFY_CHUNK):
+    for k, _, n in _chunk_spans(n_draws, _VERIFY_CHUNK):
         x = stack_draws(_hierarchical_factor(spec), dim, rng.generator(1, k), n)
         sum_x += x.sum(axis=0)
         for idx, t in enumerate(probes):
             etr_sums[idx] += np.exp(np.einsum("ij,nij->n", t.array, x)).sum()
-        hier[pos : pos + n] = x[:, iu, ju]
-        direct[pos : pos + n] = stack_draws(_wishart_factor(predicted), dim, rng.generator(2, k), n)[:, iu, ju]
-    mean_predicted = wishart_mean(predicted).array
-    mean_rel = float(np.linalg.norm(sum_x / n_draws - mean_predicted) / np.linalg.norm(mean_predicted))
-    mgf_rel = [float(abs(s / n_draws - c) / c) for s, c in zip(etr_sums, mgf_closed)]
-    ks = [searchsorted_ks(hier[:, e], direct[:, e]) for e in range(iu.size)]
-    return mean_rel, mgf_rel, ks
+        for p, u in enumerate(a):
+            projections = np.einsum("i,nij,j->n", u, x, u)
+            counts[p] += (projections[:, None] <= grid[p]).sum(axis=0)
+    mgf = np.array([wishart_mgf(law, t) for t in probes])
+    mgf_twice = np.array([wishart_mgf(law, 2.0 * t.array) for t in probes])
+    exact_var = np.array([
+        dof * (v[i, i] * v[j, j] + v[i, j] ** 2) + v[i, i] * delta[j, j] + v[j, j] * delta[i, i] + 2 * v[i, j] * delta[i, j]
+        for i, j in zip(iu, ju)
+    ])
+    checks = 2 * iu.size + len(probes)
+    z = stats.norm.isf(VERIFY_ALPHA / (2 * checks))
+    errors = {
+        "cdf": np.abs(counts / n_draws - levels).max(axis=1),
+        "mean": np.abs(sum_x / n_draws - wishart_mean(law).array)[iu, ju],
+        "mgf": np.abs(etr_sums / n_draws - mgf),
+    }
+    bounds = {
+        "cdf": np.full(iu.size, math.sqrt(math.log(2 * checks / VERIFY_ALPHA) / (2 * n_draws))),
+        "mean": z * np.sqrt(exact_var / n_draws),
+        "mgf": z * np.sqrt((mgf_twice - mgf**2) / n_draws),
+    }
+    return errors, bounds
 
 
 @pytest.mark.parametrize(
@@ -89,17 +102,19 @@ def stack_verify_closure(spec, n_draws: int, rng: RngStream):
         # Nine verify chunks of 1 << 13 draws, the last one short
         # (8 * 8,192 + 4,464).
         (3, 11.0, False, 70_000),
-        # At most 10,000 draws: the KS distance is rounded to its lattice.
+        # At the draw floor.
         (3, 6.0, False, 10_000),
     ],
 )
 def test_verify_matches_stack_path(dim, dof, central, n_draws):
     spec = random_mixture_spec(dim, dof, RngStream(90, dim), central=central)
     report = verify_closure(spec, n_draws, RngStream(91, dim))
-    mean_rel, mgf_rel, ks = stack_verify_closure(spec, n_draws, RngStream(91, dim))
-    assert list(report.ks_stats) == ks
-    np.testing.assert_allclose(report.mean_rel_err, mean_rel, rtol=1e-9, atol=0.0)
-    np.testing.assert_allclose(report.mgf_rel_errs, mgf_rel, rtol=1e-9, atol=0.0)
+    errors, bounds = stack_check_law(spec, n_draws, RngStream(91, dim))
+    # The grid counts depend on comparisons only, so the CDF gaps agree bitwise.
+    assert list(report.errors["cdf"]) == list(errors["cdf"])
+    for check in CHECKS:
+        np.testing.assert_allclose(report.errors[check], errors[check], rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(report.bounds[check], bounds[check], rtol=1e-9, atol=0.0)
 
 
 def _beta2_stack(params: BetaIIParams, gen: np.random.Generator, n: int) -> np.ndarray:
