@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -140,15 +141,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_json_target(path) -> None:
     """Fail now, before any work, if a report could not be written to ``path`` (``None``: no report).
 
-    The file is opened for appending, so an existing file is left as it is.
+    The file is opened for appending, so an existing file is left as it is,
+    and a file the probe created is removed: nothing is written until the
+    command completes.
     """
     if path is None:
         return
+    existed = os.path.exists(path)
     try:
         with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
         raise ValidationError(f"cannot write the report to {path}: {exc.strerror or exc}") from exc
+    if not existed:
+        os.remove(path)
 
 
 def _write_json(obj, path) -> None:

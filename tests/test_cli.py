@@ -147,6 +147,14 @@ class TestManovaCommand:
         code = main(["manova", "--input", "/nonexistent.csv", "--responses", "x", "--n-per-cell", "2"])
         assert code == EXIT_VALIDATION
 
+    def test_failed_run_leaves_no_json(self, tmp_path, capsys):
+        json_path = tmp_path / "report.json"
+        code = main([
+            "manova", "--input", "/nonexistent.csv", "--responses", "x", "--n-per-cell", "2", "--json", str(json_path),
+        ])
+        assert code == EXIT_VALIDATION
+        assert not json_path.exists()
+
     def test_insufficient_cell_is_validation_error(self, tmp_path, capsys):
         csv_path, names = write_design_csv(tmp_path / "d.csv", n_raw=2)
         code = main([
