@@ -185,6 +185,7 @@ def _params(obj, matrices: tuple[str, ...]) -> dict:
 
 def _cmd_verify(args) -> int:
     _count(args.dim, "--dim")
+    _count(args.n_draws, "--n-draws")
     _count(args.specs, "--specs")
     _check_json_target(args.json_path)
     failures = 0
@@ -259,6 +260,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     _count(args.dim, "--dim")
+    _count(args.datasets, "--datasets")
+    _count(args.n_mc, "--n-mc")
     spec = SimulationSpec(args.a, args.b, args.n, args.dim, SpdMat(np.eye(args.dim)))
     cfg = McConfig(n_mc=args.n_mc, seed=args.seed, functional=StatisticFunctional(args.functional))
     summary = null_calibration(spec, args.datasets, cfg, RngStream(args.seed))

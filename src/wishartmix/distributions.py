@@ -156,10 +156,14 @@ def _draw_stack(size: int | None, shape: tuple[int, ...], per_draw_scalars: int,
     if size is None:
         return draw(1)[0]
     out = np.empty((_count(size, "size", 0), *shape))
-    step = max(1, _CHUNK_SCALARS // max(1, per_draw_scalars))
-    for _, start, n in _chunk_spans(out.shape[0], step):
+    for _, start, n in _chunk_spans(out.shape[0], _batch(per_draw_scalars)):
         out[start : start + n] = draw(n)
     return out
+
+
+def _batch(per_draw_scalars: int) -> int:
+    """Draws per batch: as many as fit in ``_CHUNK_SCALARS`` scalars, and at least one."""
+    return max(1, _CHUNK_SCALARS // max(1, per_draw_scalars))
 
 
 def _bartlett_columns(dof: float, dim: int, gen: np.random.Generator, n: int) -> list[list[np.ndarray]]:
@@ -187,39 +191,62 @@ def _lower_stack(cols: list[list[np.ndarray]]) -> np.ndarray:
     return t
 
 
-def _times(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``stack @ m`` for an ``(n, rows, d)`` stack, as one ``(n * rows, d) @ m`` product.
+def _fresh(key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The default workspace of a factor: a new array for every request.
+
+    A workspace ``ws(key, shape)`` returns an array of ``shape`` whose
+    contents the caller overwrites; ``closure.check_law`` passes one that
+    keeps each ``key``'s buffer from chunk to chunk.
+    """
+    return np.empty(shape)
+
+
+def _times(stack: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``stack @ m`` for an ``(n, rows, d)`` stack, as one ``(n * rows, d) @ m`` product, into ``out`` if given.
 
     One gemm is 1.5 to 3 times faster than ``n`` small products on
     ``(n, 6, 3)`` stacks and, on the OpenBLAS 0.3 build tested, gives the
     batched product's bits.  A one-row
     stack keeps the batched product: numpy computes it per draw as a
     vector-matrix product, whose sums differ from gemm's in the last bit.
+    ``out``, a workspace array under ``closure.check_law`` (see
+    :func:`_fresh`), must be C-contiguous, so that its 2-D view is the
+    gemm's output; the bits are those of a new array.
     """
     if stack.shape[-2] == 1:
-        return stack @ m
-    return (stack.reshape(-1, m.shape[0]) @ m).reshape(*stack.shape[:-1], m.shape[1])
+        return np.matmul(stack, m, out=out)
+    out = np.empty((*stack.shape[:-1], m.shape[1])) if out is None else out
+    np.matmul(stack.reshape(-1, m.shape[0]), m, out=out.reshape(-1, m.shape[1]))
+    return out
 
 
-def _normal_factor(mean: np.ndarray, rows: int, root: np.ndarray, gen: np.random.Generator, n: int) -> np.ndarray:
+def _normal_factor(
+    mean: np.ndarray, rows: int, root: np.ndarray, gen: np.random.Generator, n: int, ws=_fresh
+) -> np.ndarray:
     """``n`` matrix-normal factors ``Z root + M`` with ``Z`` of ``rows x dim`` standard normals.
 
-    ``mean``, shared or one per draw, is added to the leading rows.
+    ``mean``, shared or one per draw, is added to the leading rows.  ``Z``
+    is drawn into the workspace array ``"normals"`` and the factor written
+    to ``"factor"``, over any factor drawn before with the same workspace,
+    so ``mean`` must not be that array.
     """
-    f = _times(gen.standard_normal((n, rows, root.shape[0])), root)
+    shape = (n, rows, root.shape[0])
+    f = _times(gen.standard_normal(out=ws("normals", shape)), root, ws("factor", shape))
     f[:, : mean.shape[-2]] += mean
     return f
 
 
-def _gram_columns(factor: np.ndarray) -> list[np.ndarray]:
-    """Upper-triangle entries of the Grams ``L' L`` of a factor stack, as ``(n,)`` columns.
+def _gram_columns(factor: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Upper-triangle entries of the Grams ``L' L`` of a factor stack, written to the ``(n, entries)`` ``out``.
 
     Columns come in ``np.triu_indices`` order; entry ``(i, j)`` is
     ``einsum("nk,nk->n", L[:, :, i], L[:, :, j])``.  This is the one Gram
     route: :func:`_gram` fills stacks from these columns, and
-    :func:`~wishartmix.closure.verify_closure` works on them directly.
+    :func:`~wishartmix.closure.check_law` works on them directly.
     """
-    return [np.einsum("nk,nk->n", factor[:, :, i], factor[:, :, j]) for i, j in zip(*np.triu_indices(factor.shape[-1]))]
+    for e, (i, j) in enumerate(zip(*np.triu_indices(factor.shape[-1]))):
+        np.einsum("nk,nk->n", factor[:, :, i], factor[:, :, j], out=out[:, e])
+    return out
 
 
 def _gram(factor: np.ndarray) -> np.ndarray:
@@ -228,10 +255,10 @@ def _gram(factor: np.ndarray) -> np.ndarray:
     Each column of :func:`_gram_columns` is placed at ``[i, j]`` and
     ``[j, i]``, so every draw is symmetric bitwise.
     """
-    dim = factor.shape[-1]
-    out = np.empty((factor.shape[0], dim, dim))
-    for i, j, col in zip(*np.triu_indices(dim), _gram_columns(factor)):
-        out[:, i, j] = out[:, j, i] = col
+    n, dim = factor.shape[0], factor.shape[-1]
+    iu, ju = np.triu_indices(dim)
+    out = np.empty((n, dim, dim))
+    out[:, iu, ju] = out[:, ju, iu] = _gram_columns(factor, np.empty((n, iu.size)))
     return out
 
 
@@ -270,22 +297,25 @@ def _require_integer_dof(dof: float, dim: int) -> int:
 
 
 def _wishart_factor(params: WishartParams):
-    """``(factor, per_draw)``: ``factor(gen, n)`` draws ``n`` factors whose Grams follow ``params``.
+    """``(factor, per_draw)``: ``factor(gen, n, ws)`` draws ``n`` factors whose Grams follow ``params``.
 
     Central parameters get the Bartlett factor, noncentral ones the
     matrix-normal factor; ``per_draw`` is the scalar count per draw that
-    sizes the chunks.
+    sizes the chunks.  The factor's large arrays come from the workspace
+    ``ws`` (see :func:`_fresh`).
     """
     root = sym_sqrt(params.scale).array
     dim = params.dim
     if params.is_central:
         return (
-            lambda gen, n: np.swapaxes(root @ _bartlett_factor(params.dof, dim, gen, n), -1, -2),
+            lambda gen, n, ws=_fresh: np.swapaxes(
+                np.matmul(root, _bartlett_factor(params.dof, dim, gen, n), out=ws("bartlett", (n, dim, dim))), -1, -2
+            ),
             max(dim * dim, dim * int(math.ceil(params.dof))),
         )
     nu = _require_integer_dof(params.dof, dim)
     noncen_root = sym_sqrt(params.noncen).array
-    return (lambda gen, n: _normal_factor(noncen_root, nu, root, gen, n)), nu * dim
+    return (lambda gen, n, ws=_fresh: _normal_factor(noncen_root, nu, root, gen, n, ws)), nu * dim
 
 
 def sample_wishart(

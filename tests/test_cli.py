@@ -349,15 +349,27 @@ class TestSampleCommand:
             (["sample", "--dist", "chisq", "--n", "0", "--seed", "3"], "--n must be a positive integer, got 0"),
             (["verify", "--dim", "1", "--dof", "4", "--n-draws", "2000", "--seed", "1", "--specs", "0"],
              "--specs must be a positive integer, got 0"),
+            (["verify", "--dim", "2", "--dof", "4", "--n-draws", "0", "--seed", "1", "--specs", "1"],
+             "--n-draws must be a positive integer, got 0"),
+            (["calibrate", "--a", "3", "--b", "3", "--n", "2", "--dim", "2", "--datasets", "4", "--n-mc", "0", "--seed", "6"],
+             "--n-mc must be a positive integer, got 0"),
+            (["calibrate", "--a", "3", "--b", "3", "--n", "2", "--dim", "2", "--datasets", "-1", "--seed", "6"],
+             "--datasets must be a positive integer, got -1"),
+            # Zero datasets would print an empty calibration and exit 0.
+            (["calibrate", "--a", "3", "--b", "3", "--n", "2", "--dim", "2", "--datasets", "0", "--seed", "6"],
+             "--datasets must be a positive integer, got 0"),
         ],
     )
-    def test_count_options_exit_two(self, tmp_path, capsys, argv, message):
+    def test_count_options_exit_two(self, tmp_path, capsys, monkeypatch, argv, message):
+        # The counts are checked before any spec or design is built.
+        for name in ("random_mixture_spec", "SimulationSpec", "null_calibration"):
+            monkeypatch.setattr(f"wishartmix.cli.{name}", lambda *args, **kwargs: pytest.fail("work began"))
         pfile = tmp_path / "p.json"
         pfile.write_text(json.dumps({"dof": 3.0}), encoding="utf-8")
         if argv[0] == "sample":
             argv = [*argv, "--params", str(pfile)]
         assert main(argv) == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "dist,params,name",

@@ -32,10 +32,10 @@ from wishartmix import (
     wishart_mean,
     wishart_mgf,
 )
-from wishartmix.closure import _VERIFY_CHUNK, CHECKS, VERIFY_ALPHA, _hierarchical_factor
+from wishartmix.closure import _VERIFY_CHUNK, CHECKS, VERIFY_ALPHA, _hierarchical_factor, _Workspace, check_law
 from wishartmix.distributions import _bartlett_factor, _draw_stack, _wishart_factor
 from wishartmix.rng import _chunk_spans
-from wishartmix.symmat import _mirror_upper
+from wishartmix.symmat import _mirror_upper, sym_sqrt
 
 
 def stack_gram(factor: np.ndarray) -> np.ndarray:
@@ -104,6 +104,9 @@ def stack_check_law(spec, n_draws: int, rng: RngStream):
         (3, 11.0, False, 70_000),
         # At the draw floor.
         (3, 6.0, False, 10_000),
+        # 540 scalars per draw: the first chunk is drawn in two batches
+        # (7,767 + 425), as _draw_stack splits it.
+        (3, 90.0, False, 10_000),
     ],
 )
 def test_verify_matches_stack_path(dim, dof, central, n_draws):
@@ -115,6 +118,58 @@ def test_verify_matches_stack_path(dim, dof, central, n_draws):
     for check in CHECKS:
         np.testing.assert_allclose(report.errors[check], errors[check], rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(report.bounds[check], bounds[check], rtol=1e-9, atol=0.0)
+
+
+def explicit_hierarchical_factor(spec, gen: np.random.Generator, n: int) -> np.ndarray:
+    """The hierarchy's conditional factors, drawn step by step with plain numpy calls.
+
+    Mixing level ``Z0 R + M0`` (``R`` the mixing scale's root, ``M0`` the
+    noncentrality's root in the leading rows), or the Bartlett factor
+    ``(R T)'`` for a central mixing law; then ``Z A^{1/2} + L G'``.  Every
+    ``(n, rows, d) @ m`` product is one 2-D product, as the sampler forms it.
+    """
+    dim, nu = spec.dim, int(spec.dof)
+    r = sym_sqrt(spec.mixing_scale).array
+    ah = sym_sqrt(spec.inner_scale).array
+    g = ah @ sym_sqrt(spec.coupling).array
+    if spec.mixing_params().is_central:
+        t = np.zeros((n, dim, dim))
+        below = np.tril_indices(dim, -1)
+        t[:, below[0], below[1]] = gen.standard_normal((n, dim * (dim - 1) // 2))
+        for j in range(dim):
+            t[:, j, j] = np.sqrt(gen.chisquare(nu - j, n))
+        mixing = np.swapaxes(r @ t, 1, 2)
+    else:
+        mixing = (gen.standard_normal((n * nu, dim)) @ r).reshape(n, nu, dim)
+        mixing[:, :dim] += sym_sqrt(spec.mixing_noncen).array
+    mean = (mixing.reshape(-1, dim) @ g.T).reshape(mixing.shape)
+    factor = (gen.standard_normal((n * nu, dim)) @ ah).reshape(n, nu, dim)
+    factor[:, : mean.shape[1]] += mean
+    return factor
+
+
+@pytest.mark.parametrize("central", [False, True], ids=["noncentral", "central"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hierarchical_factor_matches_explicit_draws(dim, central):
+    spec = random_mixture_spec(dim, dim + 3.0, RngStream(94, dim), central=central)
+    factor, _ = _hierarchical_factor(spec)
+    ws = _Workspace()
+    gen, ref = RngStream(95, dim).generator(), RngStream(95, dim).generator()
+    # A full chunk, then a short last one drawn into the same workspace.
+    for n in (1_000, 357):
+        got = factor(gen, n, ws)
+        assert got.shape == (n, dim + 3, dim)
+        np.testing.assert_array_equal(got, explicit_hierarchical_factor(spec, ref, n))
+
+
+def test_check_law_keeps_no_state_between_calls():
+    spec = random_mixture_spec(3, 6.0, RngStream(96))
+    source, law = _hierarchical_factor(spec), mixture_marginal_params(spec)
+    first = check_law(source, law, 12_345, RngStream(97))
+    # A larger run on the same source, then the first run again.
+    check_law(source, law, 30_000, RngStream(98))
+    assert check_law(source, law, 12_345, RngStream(97)) == first
+    assert check_law(_hierarchical_factor(spec), law, 12_345, RngStream(97)) == first
 
 
 def _beta2_stack(params: BetaIIParams, gen: np.random.Generator, n: int) -> np.ndarray:
