@@ -11,9 +11,9 @@ from wishartmix import (
     BetaIIParams,
     MatrixNormalParams,
     RngStream,
+    SpdMat,
     SymMat,
     WishartParams,
-    assert_pd,
     sample_beta2,
     sample_matrix_normal,
     sample_noncentral_chisq,
@@ -23,7 +23,7 @@ from wishartmix import (
 )
 
 N = 200_000
-sigma = assert_pd([[2.0, 1.0], [1.0, 3.0]])
+sigma = SpdMat([[2.0, 1.0], [1.0, 3.0]])
 
 print("== matrix normal ==")
 mean = np.array([[1.0, -1.0], [0.0, 2.0], [3.0, 0.5]])
@@ -33,7 +33,7 @@ print("empirical mean:\n", draws.mean(axis=0).round(3))
 print("target:\n", mean)
 
 print("\n== noncentral Wishart ==")
-wp = WishartParams(dof=5, scale=sigma, noncen=assert_pd([[1.0, 0.5], [0.5, 2.0]]))
+wp = WishartParams(dof=5, scale=sigma, noncen=SpdMat([[1.0, 0.5], [0.5, 2.0]]))
 draws = sample_wishart(wp, RngStream(2), size=N)
 print("empirical mean:\n", draws.mean(axis=0).round(3))
 print("closed form dof*scale + noncen:\n", wishart_mean(wp).array.round(3))

@@ -15,7 +15,7 @@ from scipy.special import chndtr
 from wishartmix import (
     MixtureSpec,
     RngStream,
-    assert_pd,
+    SpdMat,
     mixture_marginal_params,
     sample_hierarchical,
     verify_closure,
@@ -24,10 +24,10 @@ from wishartmix import (
 
 spec = MixtureSpec(
     dof=5,
-    inner_scale=assert_pd([[1.5, 0.4], [0.4, 1.0]]),
-    mixing_scale=assert_pd([[0.8, -0.2], [-0.2, 1.2]]),
-    coupling=assert_pd([[1.0, 0.3], [0.3, 0.7]]),
-    mixing_noncen=assert_pd([[0.6, 0.0], [0.0, 1.1]]),
+    inner_scale=SpdMat([[1.5, 0.4], [0.4, 1.0]]),
+    mixing_scale=SpdMat([[0.8, -0.2], [-0.2, 1.2]]),
+    coupling=SpdMat([[1.0, 0.3], [0.3, 0.7]]),
+    mixing_noncen=SpdMat([[0.6, 0.0], [0.0, 1.1]]),
 )
 
 predicted = mixture_marginal_params(spec)
@@ -39,13 +39,13 @@ print("\nempirical mean of hierarchical draws:\n", draws.mean(axis=0).round(3))
 print("closed-form mean of the predicted law:\n", wishart_mean(predicted).array.round(3))
 
 report = verify_closure(spec, 200_000, RngStream(11))
-print("\n" + report.to_text())
+print(f"\nexact-law check over {report.n_draws} draws: {report.summary()}")
 
 print("\n== scalar special case ==")
 # Unit scales, coupling h, mixing noncentrality delta:
 # X / (1 + h) is noncentral chi-square with h * delta / (1 + h).
 nu, h, delta = 4, 2.0, 3.0
-scalar = MixtureSpec(nu, assert_pd(1.0), assert_pd(1.0), assert_pd(h), assert_pd(delta))
+scalar = MixtureSpec(nu, SpdMat(1.0), SpdMat(1.0), SpdMat(h), SpdMat(delta))
 x = sample_hierarchical(scalar, RngStream(12), size=100_000)[:, 0, 0] / (1 + h)
 ks = stats.kstest(x, lambda q: chndtr(q, nu, h * delta / (1 + h)))
 print(f"KS distance of X/(1+h) against the exact chi-square mixture CDF: "

@@ -13,15 +13,15 @@ from wishartmix import (
     RandomEffect,
     RngStream,
     SimulationSpec,
+    SpdMat,
     StatisticFunctional,
-    assert_pd,
     null_calibration,
     run_report,
     report_to_text,
     simulate_design,
 )
 
-eye = assert_pd(np.eye(2))
+eye = SpdMat(np.eye(2))
 cfg = McConfig(n_mc=10_000, seed=5, functional=StatisticFunctional.HOTELLING_LAWLEY)
 
 print("== all-null design ==")
@@ -30,7 +30,7 @@ table = simulate_design(null_spec, RngStream(20))
 print(report_to_text(run_report(table, cfg)))
 
 print("\n== random effect on factor A (covariance 2 I) ==")
-effect_spec = SimulationSpec(5, 6, 5, 2, eye, effect_a=RandomEffect(assert_pd(2.0 * np.eye(2))))
+effect_spec = SimulationSpec(5, 6, 5, 2, eye, effect_a=RandomEffect(SpdMat(2.0 * np.eye(2))))
 table = simulate_design(effect_spec, RngStream(21))
 print(report_to_text(run_report(table, cfg)))
 

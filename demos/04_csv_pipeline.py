@@ -19,7 +19,7 @@ from wishartmix import (
     RandomEffect,
     RngStream,
     SimulationSpec,
-    assert_pd,
+    SpdMat,
     load_design_csv,
     report_to_dict,
     report_to_text,
@@ -30,9 +30,9 @@ from wishartmix import (
 
 gen = RngStream(30).generator()
 spec = SimulationSpec(
-    5, 7, 12, 2, assert_pd(np.eye(2)),
-    effect_a=RandomEffect(assert_pd(16.0 * np.eye(2))),
-    effect_b=RandomEffect(assert_pd(16.0 * np.eye(2))),
+    5, 7, 12, 2, SpdMat(np.eye(2)),
+    effect_a=RandomEffect(SpdMat(16.0 * np.eye(2))),
+    effect_b=RandomEffect(SpdMat(16.0 * np.eye(2))),
 )
 full = simulate_design(spec, RngStream(31))
 

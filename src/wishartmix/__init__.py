@@ -76,6 +76,6 @@ from .manova import (
 )
 from .mc import CalibrationSummary, McConfig, PValueEstimate, mc_pvalue, null_calibration
 from .rng import RngStream
-from .symmat import SpdMat, SymMat, assert_pd, sym_inv_sqrt, sym_sqrt
+from .symmat import SpdMat, SymMat, sym_inv_sqrt, sym_sqrt
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import design_io
-from .closure import MIN_VERIFY_DRAWS, VERIFY_ALPHA, mixture_marginal_params, random_mixture_spec, verify_closure
+from .closure import VERIFY_ALPHA, mixture_marginal_params, random_mixture_spec, verify_closure
 from .distributions import (
     BetaIIParams,
     MatrixNormalParams,
@@ -43,6 +43,13 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 
 _FUNCTIONAL_CHOICES = [f.value for f in StatisticFunctional]
+
+# The count and seed options of every subcommand, by ``args`` name, with
+# their least values; :func:`main` checks those a command has before any work.
+_COUNTS = {
+    "a": 1, "b": 1, "dim": 1, "n_draws": 1, "specs": 1, "n": 1, "datasets": 1, "n_mc": 1, "n_per_cell": 1,
+    "seed": 0, "mc_seed": 0, "subsample_seed": 0,
+}
 
 
 def _finite(value) -> bool:
@@ -184,9 +191,9 @@ def _params(obj, matrices: tuple[str, ...]) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    _count(args.dim, "--dim")
-    _count(args.n_draws, "--n-draws")
-    _count(args.specs, "--specs")
+    # Hierarchical sampling needs an integer dof of at least the dimension.
+    if args.dof < args.dim:
+        raise ValidationError(f"--dof must be at least --dim = {args.dim}, got {args.dof}")
     _check_json_target(args.json_path)
     failures = 0
     entries = []
@@ -200,12 +207,7 @@ def _cmd_verify(args) -> int:
             "stream": {"seed": stream.seed, "stream_index": stream.stream_index},
             **report.to_dict(),
         })
-        worst = report.worst()
-        floor = f"  (fewer than {MIN_VERIFY_DRAWS} draws, cannot pass)" if report.n_draws < MIN_VERIFY_DRAWS else ""
-        print(
-            f"spec {k + 1:2d}/{args.specs}: {'PASS' if report.passed else 'FAIL'}  error/bound  "
-            f"cdf {worst['cdf']:.3f}  mean {worst['mean']:.3f}  mgf {worst['mgf']:.3f}{floor}"
-        )
+        print(f"spec {k + 1:2d}/{args.specs}: {report.summary()}")
         failures += not report.passed
     if args.json_path:
         _write_json(entries, args.json_path)
@@ -250,18 +252,14 @@ def _csv_header(shape: tuple[int, ...]) -> str:
 
 def _cmd_sample(args) -> int:
     params = _load_params(args.params, args.dist)
-    n = _count(args.n, "--n")
-    draws = _SAMPLE_DISTS[args.dist][1](params, RngStream(args.seed), n)
+    draws = _SAMPLE_DISTS[args.dist][1](params, RngStream(args.seed), args.n)
     sys.stdout.write(_csv_header(draws.shape[1:]) + "\n")
-    for row in draws.reshape(n, -1):
+    for row in draws.reshape(args.n, -1):
         sys.stdout.write(",".join(repr(float(v)) for v in row) + "\n")
     return EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:
-    _count(args.dim, "--dim")
-    _count(args.datasets, "--datasets")
-    _count(args.n_mc, "--n-mc")
     spec = SimulationSpec(args.a, args.b, args.n, args.dim, SpdMat(np.eye(args.dim)))
     cfg = McConfig(n_mc=args.n_mc, seed=args.seed, functional=StatisticFunctional(args.functional))
     summary = null_calibration(spec, args.datasets, cfg, RngStream(args.seed))
@@ -281,6 +279,9 @@ def main(argv=None) -> int:
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
+        for name, least in _COUNTS.items():
+            if hasattr(args, name):
+                _count(getattr(args, name), f"--{name.replace('_', '-')}", least)
         return handlers[args.command](args)
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

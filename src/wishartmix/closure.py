@@ -48,13 +48,13 @@ import numpy as np
 from .distributions import (
     WishartParams,
     _batch,
-    _fresh,
     _gram_columns,
     _normal_factor,
     _require_integer_dof,
     _sample_grams,
     _times,
     _wishart_factor,
+    _Workspace,
     wishart_mean,
     wishart_mgf,
 )
@@ -171,7 +171,7 @@ def _hierarchical_factor(spec: MixtureSpec):
     g = ah @ sym_sqrt(spec.coupling).array
     mixing_factor, _ = _wishart_factor(spec.mixing_params())
 
-    def factor(gen: np.random.Generator, n: int, ws=_fresh) -> np.ndarray:
+    def factor(gen: np.random.Generator, n: int, ws: _Workspace) -> np.ndarray:
         mixing = mixing_factor(gen, n, ws)
         return _normal_factor(_times(mixing, g.T, ws("mean", mixing.shape)), nu, ah, gen, n, ws)
 
@@ -193,28 +193,24 @@ def sample_hierarchical(
     return _sample_grams(_hierarchical_factor(spec), spec.dim, rng, size)
 
 
-def default_probes(scale: SpdMat, count: int = 5) -> list[SymMat]:
-    """Probe matrices for MGF comparison against a predicted scale ``V``.
+def default_probes(scale: SpdMat) -> list[SymMat]:
+    """The five probe matrices of the MGF check against a predicted scale ``V``.
 
-    Starts with ``0`` and ``+/- eps * I`` and continues with symmetrized unit
-    matrices ``eps * (E_ij + E_ji) / 2``; further probes repeat the pattern at
-    ``eps / 2``.  The scale ``eps = 0.1 / lambda_max(V)`` keeps
-    ``V^{-1} - 2 T`` positive definite with a margin of 0.8 of its smallest
-    eigenvalue; anything close to the 0.25 boundary would push ``M(2T)`` out
-    of the domain and give the empirical MGF estimator infinite variance.
+    ``0``, ``+/- eps * I``, ``eps * E_11`` and ``eps * (E_12 + E_21) / 2``
+    (``eps * I / 2`` at ``d = 1``).  The scale ``eps = 0.1 / lambda_max(V)``
+    keeps ``V^{-1} - 2 T`` positive definite with a margin of 0.8 of its
+    smallest eigenvalue; anything close to the 0.25 boundary would push
+    ``M(2T)`` out of the domain and give the empirical MGF estimator
+    infinite variance.
     """
-    count = _count(count, "count")
     scale = _as_spd(scale, "scale", require_pd=True)
     dim = scale.dim
     eps = 0.1 / float(scale.eigenvalues[-1])
-    base = [np.zeros((dim, dim)), np.eye(dim), -np.eye(dim)]
-    n_patterns = dim * (dim + 1) // 2
-    for k in range(max(0, count - 3)):
-        i, j = np.triu_indices(dim)[0][k % n_patterns], np.triu_indices(dim)[1][k % n_patterns]
-        e = np.zeros((dim, dim))
-        e[i, j] = e[j, i] = 0.5 if i != j else 1.0
-        base.append(e / (1 << (k // n_patterns)))
-    return [SymMat(eps * p) for p in base[:count]]
+    e11, e12 = np.zeros((2, dim, dim))
+    e11[0, 0] = 1.0
+    j = min(1, dim - 1)
+    e12[0, j] = e12[j, 0] = 0.5
+    return [SymMat(eps * p) for p in (np.zeros((dim, dim)), np.eye(dim), -np.eye(dim), e11, e12)]
 
 
 # The checks of one report, each an ``(errors, bounds)`` pair of tuples.
@@ -260,35 +256,14 @@ class VerificationReport:
             **{c: {"errors": list(self.errors[c]), "bounds": list(self.bounds[c])} for c in CHECKS},
         }
 
-    def to_text(self) -> str:
+    def summary(self) -> str:
+        """One line: the verdict, the worst ``error / bound`` of each check, and the draw-floor note."""
         worst = self.worst()
-        checks = sum(len(self.errors[c]) for c in CHECKS)
-        lines = [
-            f"exact-law check over {self.n_draws} draws: {'PASS' if self.passed else 'FAIL'} "
-            f"(family level {VERIFY_ALPHA:g} over {checks} checks)",
-            f"  max CDF gap            {max(self.errors['cdf']):.5f}  (DKW bound {self.bounds['cdf'][0]:.5f}, "
-            f"{len(self.errors['cdf'])} projections)",
-            f"  max mean error/bound   {worst['mean']:.3f}  ({len(self.errors['mean'])} entries)",
-            f"  max MGF error/bound    {worst['mgf']:.3f}  ({len(self.errors['mgf'])} probes)",
-        ]
-        if self.n_draws < MIN_VERIFY_DRAWS:
-            lines.append(f"  note: fewer than {MIN_VERIFY_DRAWS} draws, report cannot pass")
-        return "\n".join(lines)
-
-
-class _Workspace(dict):
-    """A workspace (see :func:`~wishartmix.distributions._fresh`) that keeps one buffer per key.
-
-    ``ws(key, shape)`` is the leading ``shape`` of ``key``'s buffer, which is
-    allocated on the first request and again only for a larger one: the
-    chunks of one pass, the first of them the largest, reuse its memory.
-    """
-
-    def __call__(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        if key not in self or self[key].size < size:
-            self[key] = np.empty(size)
-        return self[key][:size].reshape(shape)
+        floor = f"  (fewer than {MIN_VERIFY_DRAWS} draws, cannot pass)" if self.n_draws < MIN_VERIFY_DRAWS else ""
+        return (
+            f"{'PASS' if self.passed else 'FAIL'}  error/bound  "
+            f"cdf {worst['cdf']:.3f}  mean {worst['mean']:.3f}  mgf {worst['mgf']:.3f}{floor}"
+        )
 
 
 def check_law(
@@ -296,7 +271,6 @@ def check_law(
     law: WishartParams,
     n_draws: int,
     rng: RngStream | int,
-    probes: list[SymMat] | None = None,
 ) -> VerificationReport:
     """Judge ``n_draws`` Grams drawn from ``source = (factor, per_draw)`` against the exact law ``law``.
 
@@ -306,24 +280,25 @@ def check_law(
     are not kept; a chunk of more draws than ``per_draw`` allows in one
     batch (see :func:`~wishartmix.distributions._batch`) is drawn in
     batches.  Every array of a chunk (normals, factors, entry columns,
-    projections, ``etr(T X)``) is written into one :class:`_Workspace`
-    allocated for the call, so memory freed after one chunk is not faulted
-    in again for the next: at ``d = 3``, 200,000 draws, 1,104 minor page
+    projections, ``etr(T X)``) is written into one
+    :class:`~wishartmix.distributions._Workspace` allocated for the call,
+    so memory freed after one chunk is not faulted in again for the next:
+    at ``d = 3``, 200,000 draws, 1,104 minor page
     faults per call against 19,518 to 19,935 with new arrays per chunk,
     and the same bits.  The CDF grid, ``chndtrix`` at the levels
     ``k / 1000`` times ``a'Va``, is set before any draw; each chunk's
     projections are sorted and counted against it with ``searchsorted``.
     The mean bound uses ``Var X_ij = dof (V_ii V_jj + V_ij^2) + V_ii
     Delta_jj + V_jj Delta_ii + 2 V_ij Delta_ij``; the zero probe has error
-    and bound 0.  The probes default to :func:`default_probes` of the law's
-    scale, and each ``2T`` must lie in the MGF's domain.
+    and bound 0.  The probes are :func:`default_probes` of the law's scale.
+    A ``law`` other than the one ``source`` follows makes a negative
+    control: ``check_law(_hierarchical_factor(spec), wrong_law, n, rng)``.
     """
     from scipy.special import chndtrix, ndtri
 
     rng = _as_stream(rng, "check_law")
     n = _count(n_draws, "n_draws")
-    if probes is None:
-        probes = default_probes(law.scale)
+    probes = default_probes(law.scale)
     # Closed-form MGF values; raises OutsideDomain where T or 2T is outside the domain.
     mgf = np.array([wishart_mgf(law, t) for t in probes])
     mgf_twice = np.array([wishart_mgf(law, 2.0 * t.array) for t in probes])
@@ -381,22 +356,14 @@ def check_law(
     return VerificationReport(n, *({c: tuple(map(float, d[c])) for c in CHECKS} for d in (errors, bounds)))
 
 
-def verify_closure(
-    spec: MixtureSpec,
-    n_draws: int,
-    rng: RngStream | int,
-    probes: list[SymMat] | None = None,
-    predicted: WishartParams | None = None,
-) -> VerificationReport:
+def verify_closure(spec: MixtureSpec, n_draws: int, rng: RngStream | int) -> VerificationReport:
     """Check hierarchical draws against the predicted marginal law with :func:`check_law`.
 
     The draws are those :func:`sample_hierarchical` returns, streamed from
     ``rng``'s chunk streams, so the report is identical however the chunks
-    would be distributed over workers.  ``predicted`` overrides the computed
-    marginal law (useful as a negative control).
+    would be distributed over workers.
     """
-    law = mixture_marginal_params(spec) if predicted is None else predicted
-    return check_law(_hierarchical_factor(spec), law, n_draws, rng, probes)
+    return check_law(_hierarchical_factor(spec), mixture_marginal_params(spec), n_draws, rng)
 
 
 def _random_spd(dim: int, gen: np.random.Generator) -> SpdMat:

@@ -191,37 +191,41 @@ def _lower_stack(cols: list[list[np.ndarray]]) -> np.ndarray:
     return t
 
 
-def _fresh(key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The default workspace of a factor: a new array for every request.
+class _Workspace(dict):
+    """The arrays a factor draws into: ``ws(key, shape)`` is the leading ``shape`` of ``key``'s buffer.
 
-    A workspace ``ws(key, shape)`` returns an array of ``shape`` whose
-    contents the caller overwrites; ``closure.check_law`` passes one that
-    keeps each ``key``'s buffer from chunk to chunk.
+    A buffer is allocated on the first request and again only for a larger
+    one, so the batches of one sampler call and the chunks of one
+    ``closure.check_law`` call, the first of them the largest, reuse its
+    memory.  The caller overwrites the contents.
     """
-    return np.empty(shape)
+
+    def __call__(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if key not in self or self[key].size < size:
+            self[key] = np.empty(size)
+        return self[key][:size].reshape(shape)
 
 
-def _times(stack: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``stack @ m`` for an ``(n, rows, d)`` stack, as one ``(n * rows, d) @ m`` product, into ``out`` if given.
+def _times(stack: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``stack @ m`` for an ``(n, rows, d)`` stack, as one ``(n * rows, d) @ m`` product, into ``out``.
 
     One gemm is 1.5 to 3 times faster than ``n`` small products on
     ``(n, 6, 3)`` stacks and, on the OpenBLAS 0.3 build tested, gives the
     batched product's bits.  A one-row
     stack keeps the batched product: numpy computes it per draw as a
     vector-matrix product, whose sums differ from gemm's in the last bit.
-    ``out``, a workspace array under ``closure.check_law`` (see
-    :func:`_fresh`), must be C-contiguous, so that its 2-D view is the
-    gemm's output; the bits are those of a new array.
+    ``out``, a workspace array, must be C-contiguous, so that its 2-D view
+    is the gemm's output; the bits are those of a new array.
     """
     if stack.shape[-2] == 1:
         return np.matmul(stack, m, out=out)
-    out = np.empty((*stack.shape[:-1], m.shape[1])) if out is None else out
     np.matmul(stack.reshape(-1, m.shape[0]), m, out=out.reshape(-1, m.shape[1]))
     return out
 
 
 def _normal_factor(
-    mean: np.ndarray, rows: int, root: np.ndarray, gen: np.random.Generator, n: int, ws=_fresh
+    mean: np.ndarray, rows: int, root: np.ndarray, gen: np.random.Generator, n: int, ws: _Workspace
 ) -> np.ndarray:
     """``n`` matrix-normal factors ``Z root + M`` with ``Z`` of ``rows x dim`` standard normals.
 
@@ -265,8 +269,8 @@ def _gram(factor: np.ndarray) -> np.ndarray:
 def _sample_grams(source, dim: int, rng: RngStream | np.random.Generator | int, size: int | None) -> SpdMat | np.ndarray:
     """Grams ``L' L`` from ``source = (factor, per_draw)``: an :class:`SpdMat`, or a stack for a ``size``."""
     factor, per_draw = source
-    gen = as_generator(rng)
-    draws = _draw_stack(size, (dim, dim), per_draw, lambda n: _gram(factor(gen, n)))
+    gen, ws = as_generator(rng), _Workspace()
+    draws = _draw_stack(size, (dim, dim), per_draw, lambda n: _gram(factor(gen, n, ws)))
     return draws if size is not None else SpdMat(draws)
 
 
@@ -281,11 +285,11 @@ def sample_matrix_normal(
     the vectorized draw has covariance ``I_rows (x) scale``.  Returns
     ``(rows, dim)`` for ``size=None`` and ``(size, rows, dim)`` otherwise.
     """
-    gen = as_generator(rng)
+    gen, ws = as_generator(rng), _Workspace()
     root = sym_sqrt(params.scale).array
     return _draw_stack(
         size, (params.rows, params.dim), params.rows * params.dim,
-        lambda n: _normal_factor(params.mean, params.rows, root, gen, n),
+        lambda n: _normal_factor(params.mean, params.rows, root, gen, n, ws),
     )
 
 
@@ -301,21 +305,21 @@ def _wishart_factor(params: WishartParams):
 
     Central parameters get the Bartlett factor, noncentral ones the
     matrix-normal factor; ``per_draw`` is the scalar count per draw that
-    sizes the chunks.  The factor's large arrays come from the workspace
-    ``ws`` (see :func:`_fresh`).
+    sizes the chunks.  The factor is drawn into the :class:`_Workspace`
+    ``ws``, over any factor drawn before into it.
     """
     root = sym_sqrt(params.scale).array
     dim = params.dim
     if params.is_central:
         return (
-            lambda gen, n, ws=_fresh: np.swapaxes(
+            lambda gen, n, ws: np.swapaxes(
                 np.matmul(root, _bartlett_factor(params.dof, dim, gen, n), out=ws("bartlett", (n, dim, dim))), -1, -2
             ),
             max(dim * dim, dim * int(math.ceil(params.dof))),
         )
     nu = _require_integer_dof(params.dof, dim)
     noncen_root = sym_sqrt(params.noncen).array
-    return (lambda gen, n, ws=_fresh: _normal_factor(noncen_root, nu, root, gen, n, ws)), nu * dim
+    return (lambda gen, n, ws: _normal_factor(noncen_root, nu, root, gen, n, ws)), nu * dim
 
 
 def sample_wishart(

@@ -36,7 +36,6 @@ from .errors import NotPsd
 __all__ = [
     "SymMat",
     "SpdMat",
-    "assert_pd",
     "sym_sqrt",
     "sym_inv_sqrt",
 ]
@@ -98,9 +97,11 @@ class SymMat:
 class SpdMat(SymMat):
     """A :class:`SymMat` certified positive definite or positive semidefinite.
 
-    The constructor is the only way to make one.  It runs ``eigh`` and the
-    eigenvalue classification of :func:`assert_pd`, and ``kind`` records the
-    outcome (``"PD"`` or ``"PSD"``); no caller states a kind.  The spectrum
+    The constructor is the only way to make one.  It runs ``eigh`` and
+    compares the eigenvalues with the largest one: all strictly above
+    ``PD_TOL * lambda_max`` is ``"PD"``; otherwise none below ``-PSD_TOL *
+    lambda_max`` is ``"PSD"``, and anything else raises :class:`NotPsd`.
+    ``kind`` records the outcome; no caller states a kind.  The spectrum
     found during classification is stored, so square roots and inverses never
     repeat the eigendecomposition.  On the PSD path, negative eigenvalues
     within tolerance have already been clipped to zero.  ``name`` labels the
@@ -147,17 +148,6 @@ class SpdMat(SymMat):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SpdMat({self._m.tolist()!r}, kind={self._kind!r})"
-
-
-def assert_pd(m) -> SpdMat:
-    """Classify a symmetric matrix as PD or PSD, or raise :class:`NotPsd`.
-
-    Eigenvalues are compared with the largest one: strictly above
-    ``PD_TOL * lambda_max`` everywhere gives ``PD``; otherwise, nothing
-    below ``-PSD_TOL * lambda_max`` gives ``PSD`` with the negative part
-    of the spectrum clipped to zero.  Anything else fails.
-    """
-    return SpdMat(m)
 
 
 def _as_spd(value, name: str, *, require_pd: bool) -> SpdMat:

@@ -19,10 +19,10 @@ from wishartmix import (
     RandomEffect,
     RngStream,
     SimulationSpec,
+    SpdMat,
     StatisticFunctional,
     SymMat,
     WishartParams,
-    assert_pd,
     conjugation_params,
     null_calibration,
     random_mixture_spec,
@@ -88,8 +88,8 @@ class TestAcceptance:
     def test_criterion_03_scalar_reduction(self, nu, h, delta):
         """d = 1: X / (1 + h) is noncentral chi-square with h*delta/(1+h)."""
         spec = MixtureSpec(
-            float(nu), assert_pd(1.0), assert_pd(1.0), assert_pd(h),
-            assert_pd(delta) if delta else None,
+            float(nu), SpdMat(1.0), SpdMat(1.0), SpdMat(h),
+            SpdMat(delta) if delta else None,
         )
         n = 100_000
         x = sample_hierarchical(spec, RngStream(301, nu), size=n)[:, 0, 0] / (1.0 + h)
@@ -188,7 +188,7 @@ class TestAcceptance:
     def test_criterion_07_null_calibration(self):
         """500 all-null 5x6x5 d=2 datasets, n_mc = 2000, all factors and functionals."""
         start = time.time()
-        spec = SimulationSpec(5, 6, 5, 2, assert_pd(np.eye(2)))
+        spec = SimulationSpec(5, 6, 5, 2, SpdMat(np.eye(2)))
         summary = null_calibration(
             spec, 500, McConfig(n_mc=2000, seed=11), RngStream(12),
             functionals=tuple(StatisticFunctional),
@@ -210,8 +210,8 @@ class TestAcceptance:
     def test_criterion_08_fixed_random_null_equivalence(self):
         """Fixed-all-zero and random-zero-covariance nulls are KS-indistinguishable."""
         a, b, n, d = 3, 3, 2, 2
-        eye = assert_pd(np.eye(d))
-        zero_cov = assert_pd(np.zeros((d, d)))
+        eye = SpdMat(np.eye(d))
+        zero_cov = SpdMat(np.zeros((d, d)))
         specs = {
             "fixed": SimulationSpec(
                 a, b, n, d, eye,
@@ -267,7 +267,7 @@ class TestAcceptance:
 
     def test_criterion_10_univariate_f(self):
         """d = 1: exact F p-values calibrate, and the Beta II eigenvalue is (nu_x/nu_e) F."""
-        spec = SimulationSpec(5, 6, 5, 1, assert_pd(1.0))
+        spec = SimulationSpec(5, 6, 5, 1, SpdMat(1.0))
         tables = simulate_design(spec, RngStream(1001), size=500)
         sops = sop_arrays(tables)
         dofs = dof_map(5, 6, 5)

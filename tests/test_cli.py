@@ -18,7 +18,6 @@ from wishartmix import (
     RngStream,
     SimulationSpec,
     SpdMat,
-    assert_pd,
     mixture_marginal_params,
     null_calibration,
     run_report,
@@ -32,9 +31,9 @@ from wishartmix.closure import MIN_VERIFY_DRAWS, VERIFY_ALPHA
 def write_design_csv(path, a=4, b=3, n_raw=6, dim=2, seed=123, effect_scale=9.0):
     """Synthetic long-format CSV with strong main effects, n_raw rows per cell."""
     spec = SimulationSpec(
-        a, b, n_raw, dim, assert_pd(np.eye(dim)),
-        effect_a=RandomEffect(assert_pd(effect_scale * np.eye(dim))),
-        effect_b=RandomEffect(assert_pd(effect_scale * np.eye(dim))),
+        a, b, n_raw, dim, SpdMat(np.eye(dim)),
+        effect_a=RandomEffect(SpdMat(effect_scale * np.eye(dim))),
+        effect_b=RandomEffect(SpdMat(effect_scale * np.eye(dim))),
     )
     table = simulate_design(spec, RngStream(seed))
     names = [f"r{i + 1}" for i in range(dim)]
@@ -358,12 +357,23 @@ class TestSampleCommand:
             # Zero datasets would print an empty calibration and exit 0.
             (["calibrate", "--a", "3", "--b", "3", "--n", "2", "--dim", "2", "--datasets", "0", "--seed", "6"],
              "--datasets must be a positive integer, got 0"),
+            (["manova", "--input", "data.csv", "--responses", "y1,y2", "--n-per-cell", "2", "--n-mc", "0"],
+             "--n-mc must be a positive integer, got 0"),
+            (["manova", "--input", "data.csv", "--responses", "y1,y2", "--n-per-cell", "0"],
+             "--n-per-cell must be a positive integer, got 0"),
+            (["manova", "--input", "data.csv", "--responses", "y1,y2", "--n-per-cell", "2", "--mc-seed", "-1"],
+             "--mc-seed must be a non-negative integer, got -1"),
+            (["manova", "--input", "data.csv", "--responses", "y1,y2", "--n-per-cell", "2", "--subsample-seed", "-1"],
+             "--subsample-seed must be a non-negative integer, got -1"),
+            (["verify", "--dim", "2", "--dof", "1", "--n-draws", "100", "--seed", "1", "--specs", "1"],
+             "--dof must be at least --dim = 2, got 1"),
         ],
     )
     def test_count_options_exit_two(self, tmp_path, capsys, monkeypatch, argv, message):
-        # The counts are checked before any spec or design is built.
-        for name in ("random_mixture_spec", "SimulationSpec", "null_calibration"):
-            monkeypatch.setattr(f"wishartmix.cli.{name}", lambda *args, **kwargs: pytest.fail("work began"))
+        # The counts are checked before any spec or design is built or any CSV read.
+        work = ("cli.random_mixture_spec", "cli.SimulationSpec", "cli.null_calibration", "design_io.load_design_csv")
+        for name in work:
+            monkeypatch.setattr(f"wishartmix.{name}", lambda *args, **kwargs: pytest.fail("work began"))
         pfile = tmp_path / "p.json"
         pfile.write_text(json.dumps({"dof": 3.0}), encoding="utf-8")
         if argv[0] == "sample":
@@ -440,7 +450,7 @@ class TestCalibrateCommand:
         # Library and command line reject the design alike, before any table is simulated.
         monkeypatch.setattr("wishartmix.mc.simulate_design", lambda *args, **kwargs: pytest.fail("table simulated"))
         message = f"factor {factor} has 1 degrees of freedom, which cannot support a {dim}-dimensional statistic"
-        spec = SimulationSpec(a, b, n, dim, assert_pd(np.eye(dim)))
+        spec = SimulationSpec(a, b, n, dim, SpdMat(np.eye(dim)))
         with pytest.raises(DegenerateDesign, match=message):
             null_calibration(spec, 5, McConfig(n_mc=1000), RngStream(1))
         with pytest.raises(DegenerateDesign, match=message):

@@ -15,10 +15,10 @@ from scipy import stats
 from wishartmix import (
     MixtureSpec,
     RngStream,
+    SpdMat,
     SymMat,
     UnsupportedDof,
     WishartParams,
-    assert_pd,
     conjugation_params,
     default_probes,
     mixture_marginal_params,
@@ -31,7 +31,7 @@ from wishartmix import (
     wishart_mean,
     wishart_mgf,
 )
-from wishartmix.closure import CHECKS, MIN_VERIFY_DRAWS, VERIFY_ALPHA
+from wishartmix.closure import CHECKS, MIN_VERIFY_DRAWS, VERIFY_ALPHA, _hierarchical_factor, check_law
 from conftest import random_psd, random_spd
 
 # Relative bound on round trips such as ``C^{-1} (C X C) C^{-1} == X``.
@@ -41,23 +41,23 @@ RECONSTRUCTION = 1e-8
 def scalar_spec(nu: float, h: float, delta: float) -> MixtureSpec:
     return MixtureSpec(
         nu,
-        assert_pd(1.0),
-        assert_pd(1.0),
-        assert_pd(h),
-        assert_pd(delta) if delta else None,
+        SpdMat(1.0),
+        SpdMat(1.0),
+        SpdMat(h),
+        SpdMat(delta) if delta else None,
     )
 
 
 class TestConjugationParams:
     def test_identity_leaves_params_unchanged(self, gen):
         p = WishartParams(4.0, random_spd(2, gen), random_psd(2, gen))
-        q = conjugation_params(p, assert_pd(np.eye(2)))
+        q = conjugation_params(p, SpdMat(np.eye(2)))
         np.testing.assert_allclose(q.scale.array, p.scale.array, atol=1e-14)
         np.testing.assert_allclose(q.noncen.array, p.noncen.array, atol=1e-14)
 
     def test_scalar_case(self):
-        p = WishartParams(3.0, assert_pd(2.0), assert_pd(1.5))
-        q = conjugation_params(p, assert_pd(4.0))
+        p = WishartParams(3.0, SpdMat(2.0), SpdMat(1.5))
+        q = conjugation_params(p, SpdMat(4.0))
         assert q.dof == 3.0
         assert q.scale.array[0, 0] == pytest.approx(16.0 * 2.0)
         assert q.noncen.array[0, 0] == pytest.approx(16.0 * 1.5)
@@ -113,10 +113,10 @@ class TestMixtureMarginalParams:
     def test_all_identity_case(self):
         spec = MixtureSpec(
             5.0,
-            assert_pd(np.eye(2)),
-            assert_pd(np.eye(2)),
-            assert_pd(np.eye(2)),
-            assert_pd(np.eye(2)),
+            SpdMat(np.eye(2)),
+            SpdMat(np.eye(2)),
+            SpdMat(np.eye(2)),
+            SpdMat(np.eye(2)),
         )
         params = mixture_marginal_params(spec)
         np.testing.assert_allclose(params.scale.array, 2.0 * np.eye(2), atol=1e-14)
@@ -133,7 +133,7 @@ class TestSampleHierarchical:
 
     def test_vanishing_coupling_limit(self, gen):
         a = random_spd(2, gen)
-        spec = MixtureSpec(4.0, a, assert_pd(np.eye(2)), assert_pd(1e-3 * np.eye(2)))
+        spec = MixtureSpec(4.0, a, SpdMat(np.eye(2)), SpdMat(1e-3 * np.eye(2)))
         draws = sample_hierarchical(spec, RngStream(33), size=50_000)
         target = 4.0 * a.array
         assert np.linalg.norm(draws.mean(axis=0) - target) / np.linalg.norm(target) < 0.02
@@ -188,7 +188,7 @@ class TestTheoremMgfIdentity:
     def test_conditioning_monte_carlo_matches_marginal(self):
         spec = random_mixture_spec(2, 5.0, RngStream(37))
         predicted = mixture_marginal_params(spec)
-        for t in default_probes(predicted.scale, 3)[1:]:
+        for t in default_probes(predicted.scale)[1:3]:
             closed = wishart_mgf(predicted, t)
             estimated = theorem_mgf_conditioning_oracle(spec, t, 1_000_000, seed=38)
             assert abs(estimated - closed) / closed < 0.02
@@ -201,9 +201,7 @@ class TestVerifyClosure:
         assert report.n_draws == 100_000
 
     def test_zero_probe_has_exactly_zero_error(self):
-        spec = scalar_spec(4.0, 1.0, 0.0)
-        probes = default_probes(mixture_marginal_params(spec).scale, 3)
-        report = verify_closure(spec, 20_000, RngStream(40), probes=probes)
+        report = verify_closure(scalar_spec(4.0, 1.0, 0.0), 20_000, RngStream(40))
         assert report.errors["mgf"][0] == 0.0
         assert report.bounds["mgf"][0] == 0.0
         assert report.worst()["mgf"] < 1.0
@@ -211,14 +209,15 @@ class TestVerifyClosure:
     def test_corrupted_prediction_fails(self):
         spec = random_mixture_spec(2, 5.0, RngStream(41))
         good = mixture_marginal_params(spec)
-        bad = WishartParams(good.dof, assert_pd(1.1 * good.scale.array), good.noncen)
-        report = verify_closure(spec, 50_000, RngStream(42), predicted=bad)
+        bad = WishartParams(good.dof, SpdMat(1.1 * good.scale.array), good.noncen)
+        report = check_law(_hierarchical_factor(spec), bad, 50_000, RngStream(42))
         assert not report.passed
 
     def test_small_runs_never_pass(self):
         report = verify_closure(scalar_spec(4.0, 1.0, 0.0), 5_000, RngStream(43))
         assert report.n_draws < MIN_VERIFY_DRAWS
         assert not report.passed
+        assert report.summary().endswith(f"(fewer than {MIN_VERIFY_DRAWS} draws, cannot pass)")
 
     def test_report_round_trips_to_dict(self):
         report = verify_closure(scalar_spec(4.0, 1.0, 0.0), 20_000, RngStream(44))
@@ -228,7 +227,7 @@ class TestVerifyClosure:
         for check in CHECKS:
             assert d[check] == {"errors": list(report.errors[check]), "bounds": list(report.bounds[check])}
         assert json.loads(json.dumps(d)) == d
-        assert isinstance(report.to_text(), str)
+        assert report.summary().split()[0] == ("PASS" if report.passed else "FAIL")
 
     def test_deterministic_given_stream(self):
         spec = random_mixture_spec(2, 5.0, RngStream(45))
@@ -240,8 +239,8 @@ class TestVerifyClosure:
 class TestDefaultProbes:
     def test_count_and_domain_margin(self, gen):
         v = random_spd(3, gen)
-        probes = default_probes(v, 7)
-        assert len(probes) == 7
+        probes = default_probes(v)
+        assert len(probes) == 5
         assert not np.any(probes[0].array)
         lam_min_inv = 1.0 / float(v.eigenvalues[-1])
         v_inv = np.linalg.inv(v.array)

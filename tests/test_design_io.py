@@ -19,10 +19,10 @@ from wishartmix import (
     NotPsd,
     RawDataset,
     RngStream,
+    SpdMat,
     StatisticFunctional,
     UnparseableValue,
     ValidationError,
-    assert_pd,
     load_design_csv,
     read_matrix_file,
     report_to_dict,
@@ -284,7 +284,7 @@ class TestRunReport:
         base = run_report(table, cfg)
         for _ in range(3):
             g = gen.standard_normal((2, 2))
-            sigma = assert_pd(g @ g.T + 0.5 * np.eye(2))
+            sigma = SpdMat(g @ g.T + 0.5 * np.eye(2))
             other = run_report(table, cfg, sigma)
             for fr_base, fr_other in zip(base.factors, other.factors):
                 np.testing.assert_allclose(fr_other.eigenvalues, fr_base.eigenvalues, rtol=1e-8)

@@ -22,12 +22,11 @@ from wishartmix import (
     RawDataset,
     RngStream,
     SimulationSpec,
+    SpdMat,
     SymMat,
     UnsupportedDof,
     WishartParams,
-    assert_pd,
     beta2_eigenvalues,
-    default_probes,
     dof_map,
     null_calibration,
     sample_beta2,
@@ -47,7 +46,7 @@ from wishartmix.distributions import _CHUNK_SCALARS, _bartlett_factor, _beta2_ei
 from wishartmix.symmat import _mirror_upper
 from conftest import random_psd, random_spd
 
-SIGMA_2D = assert_pd([[2.0, 1.0], [1.0, 2.0]])
+SIGMA_2D = SpdMat([[2.0, 1.0], [1.0, 2.0]])
 
 
 class TestParams:
@@ -57,7 +56,7 @@ class TestParams:
 
     def test_wishart_noncen_must_be_psd(self):
         with pytest.raises(NotPsd):
-            WishartParams(3.0, SIGMA_2D, assert_pd([[1.0, 2.0], [2.0, 1.0]]))
+            WishartParams(3.0, SIGMA_2D, SpdMat([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_theta_solves_scale_against_noncen(self, gen):
         p = WishartParams(4.0, random_spd(3, gen), random_psd(3, gen))
@@ -126,9 +125,6 @@ class TestParams:
                     draw(size)
             assert draw(2.0).shape[0] == 2, name
             assert draw(0).shape[0] == 0, name
-        for count in (-1, 2.5, True):
-            with pytest.raises(ValueError, match="count must be a positive integer"):
-                default_probes(SIGMA_2D, count)
         with pytest.raises(ValueError, match="n_mc must be a positive integer"):
             McConfig(n_mc=True)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
@@ -144,12 +140,11 @@ class TestParams:
         assert null_calibration(spec, 2.0, McConfig(n_mc=1000), 1).n_datasets == 2
         assert subsample_balanced(data, 2.0, 0.0).reps == 2
         assert np.array_equal(RngStream(1.0, 2.0).generator().random(3), RngStream(1, 2).generator().random(3))
-        assert len(default_probes(SIGMA_2D, 2.0)) == 2
 
 
 class TestMatrixNormal:
     def test_standard_normal_mean(self):
-        p = MatrixNormalParams(1, 0.0, assert_pd(1.0))
+        p = MatrixNormalParams(1, 0.0, SpdMat(1.0))
         draws = sample_matrix_normal(p, RngStream(1), size=100_000)
         assert abs(draws.mean()) < 4.0 / math.sqrt(100_000)
 
@@ -172,12 +167,12 @@ class TestMatrixNormal:
 
 class TestWishartSampling:
     def test_chi_square_reduction(self):
-        p = WishartParams(1.0, assert_pd(1.0))
+        p = WishartParams(1.0, SpdMat(1.0))
         draws = sample_wishart(p, RngStream(4), size=200_000)[:, 0, 0]
         assert abs(draws.mean() - 1.0) < 4.0 * math.sqrt(2.0 / 200_000)
 
     def test_noncentral_mean(self):
-        p = WishartParams(5.0, SIGMA_2D, assert_pd([[1.0, 0.5], [0.5, 2.0]]))
+        p = WishartParams(5.0, SIGMA_2D, SpdMat([[1.0, 0.5], [0.5, 2.0]]))
         draws = sample_wishart(p, RngStream(5), size=1_000_000)
         target = wishart_mean(p).array
         err = np.linalg.norm(draws.mean(axis=0) - target) / np.linalg.norm(target)
@@ -197,7 +192,7 @@ class TestWishartSampling:
     def test_fractional_dof_scalar_law(self):
         # d = 1 central Wishart with real dof is the chi-square; compare the
         # Bartlett path against numpy's chi-square sampler.
-        p = WishartParams(2.5, assert_pd(1.0))
+        p = WishartParams(2.5, SpdMat(1.0))
         n = 100_000
         ours = sample_wishart(p, RngStream(61), size=n)[:, 0, 0]
         ref = RngStream(62).generator().chisquare(2.5, n)
@@ -219,25 +214,25 @@ class TestWishartSampling:
         draws = sample_wishart(p, RngStream(8), size=200)
         for x in draws:
             assert np.array_equal(x, x.T)
-            assert assert_pd(x).kind == "PD"
+            assert SpdMat(x).kind == "PD"
 
     def test_single_draw_is_spdmat(self):
         x = sample_wishart(WishartParams(3.0, SIGMA_2D), RngStream(9))
         assert x.kind == "PD"
 
     def test_noncentral_requires_integer_dof(self):
-        p = WishartParams(2.5, SIGMA_2D, assert_pd(np.eye(2)))
+        p = WishartParams(2.5, SIGMA_2D, SpdMat(np.eye(2)))
         with pytest.raises(UnsupportedDof):
             sample_wishart(p, RngStream(10))
         # Near an integer is not an integer: this used to be rounded down to 3.
-        p = WishartParams(3 + 1e-10, SIGMA_2D, assert_pd(np.eye(2)))
+        p = WishartParams(3 + 1e-10, SIGMA_2D, SpdMat(np.eye(2)))
         with pytest.raises(UnsupportedDof, match="got dof = 3.0000000001"):
             sample_wishart(p, RngStream(10))
         with pytest.raises(UnsupportedDof):
             sample_hierarchical(MixtureSpec(3 + 1e-10, SIGMA_2D, SIGMA_2D, SIGMA_2D, np.eye(2)), RngStream(10))
 
     def test_stream_determinism(self):
-        p = WishartParams(4.0, SIGMA_2D, assert_pd(np.eye(2)))
+        p = WishartParams(4.0, SIGMA_2D, SpdMat(np.eye(2)))
         a = sample_wishart(p, RngStream(11, 3), size=50)
         b = sample_wishart(p, RngStream(11, 3), size=50)
         assert np.array_equal(a, b)
@@ -253,13 +248,13 @@ class TestWishartMgf:
     def test_scalar_reduction(self):
         # d = 1 closed form: (1 - 2t)^(-nu/2) exp(delta t / (1 - 2t)).
         nu, delta = 3.0, 2.5
-        p = WishartParams(nu, assert_pd(1.0), assert_pd(delta))
+        p = WishartParams(nu, SpdMat(1.0), SpdMat(delta))
         for t in (-0.3, 0.0, 0.2, 0.4):
             expected = (1 - 2 * t) ** (-nu / 2) * math.exp(delta * t / (1 - 2 * t))
             assert wishart_mgf(p, np.array([[t]])) == pytest.approx(expected, rel=1e-12)
 
     def test_against_monte_carlo(self):
-        p = WishartParams(3.0, assert_pd(np.eye(2)), assert_pd(np.eye(2)))
+        p = WishartParams(3.0, SpdMat(np.eye(2)), SpdMat(np.eye(2)))
         t = SymMat(np.diag([0.1, 0.05]))
         closed = wishart_mgf(p, t)
         draws = sample_wishart(p, RngStream(12), size=1_000_000)
@@ -267,7 +262,7 @@ class TestWishartMgf:
         assert abs(empirical - closed) / closed < 0.01
 
     def test_domain_error(self):
-        p = WishartParams(3.0, assert_pd(np.eye(2)))
+        p = WishartParams(3.0, SpdMat(np.eye(2)))
         with pytest.raises(OutsideDomain):
             wishart_mgf(p, 0.6 * np.eye(2))
 
@@ -292,13 +287,13 @@ class TestWishartMean:
         assert np.linalg.norm(draws.mean(axis=0) - target) / np.linalg.norm(target) < 0.01
 
     def test_scalar_noncentral_mean(self):
-        p = WishartParams(2.0, assert_pd(1.0), assert_pd(3.0))
+        p = WishartParams(2.0, SpdMat(1.0), SpdMat(3.0))
         assert wishart_mean(p).array[0, 0] == pytest.approx(5.0)
         draws = sample_wishart(p, RngStream(16), size=400_000)
         assert draws.mean() == pytest.approx(5.0, rel=0.01)
 
     def test_diagonal_noncentral_mean(self):
-        p = WishartParams(4.0, assert_pd(np.eye(2)), assert_pd(np.diag([1.0, 2.0])))
+        p = WishartParams(4.0, SpdMat(np.eye(2)), SpdMat(np.diag([1.0, 2.0])))
         np.testing.assert_allclose(wishart_mean(p).array, np.diag([5.0, 6.0]))
         draws = sample_wishart(p, RngStream(17), size=1_000_000)
         err = np.linalg.norm(draws.mean(axis=0) - np.diag([5.0, 6.0])) / np.linalg.norm(np.diag([5.0, 6.0]))
@@ -487,7 +482,7 @@ class TestFactorIdentities:
         # relative to |stack| @ |m|, not bitwise.
         stack = gen.standard_normal((n, rows, dim))
         m = gen.standard_normal((dim, dim))
-        got = _times(stack, m)
+        got = _times(stack, m, np.empty((n, rows, dim)))
         assert got.shape == (n, rows, dim)
         assert np.all(np.abs(got - stack @ m) <= 1e-14 * (np.abs(stack) @ np.abs(m)))
 
@@ -502,7 +497,7 @@ class TestFactorIdentities:
             assert np.all(np.abs(eigs - ref) <= 1e-12 * ref[:, :1])
 
     def test_outer_wishart_is_gram_of_matrix_normal(self):
-        noncen = assert_pd([[1.0, 0.5], [0.5, 2.0]])
+        noncen = SpdMat([[1.0, 0.5], [0.5, 2.0]])
         mean = np.zeros((5, 2))
         mean[:2] = sym_sqrt(noncen).array
         n = sample_matrix_normal(MatrixNormalParams(5, mean, SIGMA_2D), RngStream(32), size=1000)
@@ -535,7 +530,7 @@ class TestNoncentralChisq:
 
     def test_scalar_wishart_agrees(self):
         # d = 1, unit-scale noncentral Wishart is the noncentral chi-square.
-        p = WishartParams(4.0, assert_pd(1.0), assert_pd(2.5))
+        p = WishartParams(4.0, SpdMat(1.0), SpdMat(2.5))
         n = 100_000
         wish = sample_wishart(p, RngStream(27), size=n)[:, 0, 0]
         chis = sample_noncentral_chisq(4.0, 2.5, RngStream(28), size=n)

@@ -19,21 +19,23 @@ from scipy import stats
 
 from wishartmix import (
     BetaIIParams,
+    MatrixNormalParams,
     RngStream,
+    SpdMat,
     WishartParams,
-    assert_pd,
     default_probes,
     mixture_marginal_params,
     random_mixture_spec,
     sample_beta2,
     sample_hierarchical,
+    sample_matrix_normal,
     sample_wishart,
     verify_closure,
     wishart_mean,
     wishart_mgf,
 )
-from wishartmix.closure import _VERIFY_CHUNK, CHECKS, VERIFY_ALPHA, _hierarchical_factor, _Workspace, check_law
-from wishartmix.distributions import _bartlett_factor, _draw_stack, _wishart_factor
+from wishartmix.closure import _VERIFY_CHUNK, CHECKS, VERIFY_ALPHA, _hierarchical_factor, check_law
+from wishartmix.distributions import _bartlett_factor, _batch, _draw_stack, _gram, _wishart_factor, _Workspace
 from wishartmix.rng import _chunk_spans
 from wishartmix.symmat import _mirror_upper, sym_sqrt
 
@@ -44,7 +46,8 @@ def stack_gram(factor: np.ndarray) -> np.ndarray:
 
 def stack_draws(source, dim: int, gen: np.random.Generator, n: int) -> np.ndarray:
     factor, per_draw = source
-    return _draw_stack(n, (dim, dim), per_draw, lambda b: stack_gram(factor(gen, b)))
+    ws = _Workspace()
+    return _draw_stack(n, (dim, dim), per_draw, lambda b: stack_gram(factor(gen, b, ws)))
 
 
 def stack_check_law(spec, n_draws: int, rng: RngStream):
@@ -120,6 +123,13 @@ def test_verify_matches_stack_path(dim, dof, central, n_draws):
         np.testing.assert_allclose(report.bounds[check], bounds[check], rtol=1e-9, atol=0.0)
 
 
+def explicit_normal_factor(mean: np.ndarray, rows: int, root: np.ndarray, gen: np.random.Generator, n: int):
+    """``n`` factors ``Z root + M``, ``M`` added to the leading rows, with the product as one 2-D product."""
+    factor = (gen.standard_normal((n * rows, root.shape[0])) @ root).reshape(n, rows, root.shape[0])
+    factor[:, : mean.shape[-2]] += mean
+    return factor
+
+
 def explicit_hierarchical_factor(spec, gen: np.random.Generator, n: int) -> np.ndarray:
     """The hierarchy's conditional factors, drawn step by step with plain numpy calls.
 
@@ -140,12 +150,9 @@ def explicit_hierarchical_factor(spec, gen: np.random.Generator, n: int) -> np.n
             t[:, j, j] = np.sqrt(gen.chisquare(nu - j, n))
         mixing = np.swapaxes(r @ t, 1, 2)
     else:
-        mixing = (gen.standard_normal((n * nu, dim)) @ r).reshape(n, nu, dim)
-        mixing[:, :dim] += sym_sqrt(spec.mixing_noncen).array
+        mixing = explicit_normal_factor(sym_sqrt(spec.mixing_noncen).array, nu, r, gen, n)
     mean = (mixing.reshape(-1, dim) @ g.T).reshape(mixing.shape)
-    factor = (gen.standard_normal((n * nu, dim)) @ ah).reshape(n, nu, dim)
-    factor[:, : mean.shape[1]] += mean
-    return factor
+    return explicit_normal_factor(mean, nu, ah, gen, n)
 
 
 @pytest.mark.parametrize("central", [False, True], ids=["noncentral", "central"])
@@ -160,6 +167,27 @@ def test_hierarchical_factor_matches_explicit_draws(dim, central):
         got = factor(gen, n, ws)
         assert got.shape == (n, dim + 3, dim)
         np.testing.assert_array_equal(got, explicit_hierarchical_factor(spec, ref, n))
+
+
+@pytest.mark.parametrize("case", ["hierarchical-noncentral", "hierarchical-central", "matrix-normal"])
+def test_sampler_batches_match_explicit_draws(case):
+    # One call drawn in two batches, the second of 3 draws, into one
+    # workspace: each batch must equal the explicit draws of the same
+    # stream, so drawing the second left the first intact.
+    ref = RngStream(99).generator()
+    if case == "matrix-normal":
+        rows = 400
+        params = MatrixNormalParams(rows, np.linspace(-1.0, 1.0, rows * 3).reshape(rows, 3), SCALE_3D)
+        n = _batch(rows * 3) + 3
+        got = sample_matrix_normal(params, RngStream(99), n)
+        root = sym_sqrt(params.scale).array
+        want = [explicit_normal_factor(params.mean, rows, root, ref, b) for b in (n - 3, 3)]
+    else:
+        spec = random_mixture_spec(2, 200.0, RngStream(98), central=case.endswith("-central"))
+        n = _batch(2 * 200 * 2) + 3
+        got = sample_hierarchical(spec, RngStream(99), n)
+        want = [_gram(explicit_hierarchical_factor(spec, ref, b)) for b in (n - 3, 3)]
+    np.testing.assert_array_equal(got, np.concatenate(want))
 
 
 def test_check_law_keeps_no_state_between_calls():
@@ -180,8 +208,8 @@ def _beta2_stack(params: BetaIIParams, gen: np.random.Generator, n: int) -> np.n
     return _mirror_upper(inv_root @ s1 @ inv_root)
 
 
-SCALE_3D = assert_pd([[2.0, 0.5, 0.3], [0.5, 1.5, -0.2], [0.3, -0.2, 1.0]])
-NONCEN_3D = assert_pd([[1.0, 0.4, 0.0], [0.4, 2.0, 0.3], [0.0, 0.3, 0.5]])
+SCALE_3D = SpdMat([[2.0, 0.5, 0.3], [0.5, 1.5, -0.2], [0.3, -0.2, 1.0]])
+NONCEN_3D = SpdMat([[1.0, 0.4, 0.0], [0.4, 2.0, 0.3], [0.0, 0.3, 0.5]])
 
 
 def _cases():

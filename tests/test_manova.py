@@ -22,9 +22,9 @@ from wishartmix import (
     RngStream,
     SimulationSpec,
     SingularErrorMatrix,
+    SpdMat,
     StatisticFunctional,
     SymMat,
-    assert_pd,
     compute_sop,
     dof_map,
     run_report,
@@ -39,7 +39,7 @@ from wishartmix import (
 from wishartmix.manova import DofMap, SopDecomposition, _f_test, batched_statistic_eigs
 from conftest import random_spd
 
-EYE2 = assert_pd(np.eye(2))
+EYE2 = SpdMat(np.eye(2))
 
 
 def brute_force_sop(y: np.ndarray) -> list[np.ndarray]:
@@ -270,7 +270,7 @@ class TestUnivariateFTest:
 
     def test_null_pvalues_uniform(self):
         # 500 all-null datasets; exact test, so p-values are exactly uniform.
-        spec = SimulationSpec(5, 6, 5, 1, assert_pd(1.0))
+        spec = SimulationSpec(5, 6, 5, 1, SpdMat(1.0))
         tables = simulate_design(spec, RngStream(50), size=500)
         sop_a, _, _, sop_e = sop_arrays(tables)
         dofs = dof_map(5, 6, 5)
@@ -295,32 +295,32 @@ class TestSimulationSpecValidation:
     def test_levels_named_like_dof_map(self):
         message = "both factors need at least two levels, got a=1, b=2"
         with pytest.raises(ValueError, match=message):
-            SimulationSpec(1, 2, 2, 1, assert_pd(1.0))
+            SimulationSpec(1, 2, 2, 1, SpdMat(1.0))
         with pytest.raises(ValueError, match=message):
             dof_map(1, 2, 2)
 
     def test_fixed_effect_constraints_enforced(self):
         with pytest.raises(ValueError):
-            SimulationSpec(2, 2, 2, 1, assert_pd(1.0), effect_a=FixedEffect([[1.0], [0.5]]))
+            SimulationSpec(2, 2, 2, 1, SpdMat(1.0), effect_a=FixedEffect([[1.0], [0.5]]))
         # zero-mean vectors pass
-        SimulationSpec(2, 2, 2, 1, assert_pd(1.0), effect_a=FixedEffect([[1.0], [-1.0]]))
+        SimulationSpec(2, 2, 2, 1, SpdMat(1.0), effect_a=FixedEffect([[1.0], [-1.0]]))
 
     def test_interaction_constraints(self):
         bad = np.zeros((2, 2, 1))
         bad[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            SimulationSpec(2, 2, 2, 1, assert_pd(1.0), effect_ab=FixedEffect(bad))
+            SimulationSpec(2, 2, 2, 1, SpdMat(1.0), effect_ab=FixedEffect(bad))
         good = np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
-        SimulationSpec(2, 2, 2, 1, assert_pd(1.0), effect_ab=FixedEffect(good))
+        SimulationSpec(2, 2, 2, 1, SpdMat(1.0), effect_ab=FixedEffect(good))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            SimulationSpec(3, 2, 2, 1, assert_pd(1.0), effect_a=FixedEffect([[1.0], [-1.0]]))
+            SimulationSpec(3, 2, 2, 1, SpdMat(1.0), effect_a=FixedEffect([[1.0], [-1.0]]))
 
     def test_effect_slot_takes_none_or_an_effect(self):
-        assert SimulationSpec(2, 2, 2, 1, assert_pd(1.0), effect_b=None).effect_b is None
+        assert SimulationSpec(2, 2, 2, 1, SpdMat(1.0), effect_b=None).effect_b is None
         with pytest.raises(TypeError, match="effect_b must be None, RandomEffect, or FixedEffect"):
-            SimulationSpec(2, 2, 2, 1, assert_pd(1.0), effect_b=0.0)
+            SimulationSpec(2, 2, 2, 1, SpdMat(1.0), effect_b=0.0)
 
 
 class TestSimulateDesign:
@@ -333,7 +333,7 @@ class TestSimulateDesign:
     def test_random_effect_marginal_sop_law(self):
         # SOP_A under a random A effect is central Wishart with scale
         # Sigma + b n Sigma_alpha and a - 1 degrees of freedom.
-        sigma_alpha = assert_pd([[0.5, 0.2], [0.2, 0.8]])
+        sigma_alpha = SpdMat([[0.5, 0.2], [0.2, 0.8]])
         spec = SimulationSpec(3, 2, 2, 2, EYE2, effect_a=RandomEffect(sigma_alpha))
         tables = simulate_design(spec, RngStream(52), size=100_000)
         sop_a = sop_arrays(tables)[0]
@@ -349,7 +349,7 @@ class TestSimulateDesign:
         tables = simulate_design(spec, RngStream(53), size=100_000)
         sop_a = sop_arrays(tables)[0]
         f_mat = 2 * 2 * alpha.T @ alpha
-        target = wishart_mean(WishartParams(2.0, EYE2, assert_pd(f_mat))).array
+        target = wishart_mean(WishartParams(2.0, EYE2, SpdMat(f_mat))).array
         err = np.linalg.norm(sop_a.mean(axis=0) - target) / np.linalg.norm(target)
         assert err < 0.01
 
@@ -371,7 +371,7 @@ class TestSimulateDesign:
     def test_fixed_zero_and_random_zero_covariance_agree(self):
         # Same null law from both encodings of "no effect".
         fixed = SimulationSpec(3, 3, 2, 2, EYE2, effect_a=FixedEffect(np.zeros((3, 2))))
-        random = SimulationSpec(3, 3, 2, 2, EYE2, effect_a=RandomEffect(assert_pd(np.zeros((2, 2)))))
+        random = SimulationSpec(3, 3, 2, 2, EYE2, effect_a=RandomEffect(SpdMat(np.zeros((2, 2)))))
         stats_pair = []
         for seed, spec in ((56, fixed), (57, random)):
             tables = simulate_design(spec, RngStream(seed), size=4_000)

@@ -13,8 +13,8 @@ from wishartmix import (
     McConfig,
     RngStream,
     SimulationSpec,
+    SpdMat,
     StatisticFunctional,
-    assert_pd,
     beta2_eigenvalues,
     mc_pvalue,
     null_calibration,
@@ -163,13 +163,13 @@ def _per_dataset_pvalues(spec, n_datasets, cfg, rng, functionals):
 
 class TestNullCalibration:
     def test_empty_run(self):
-        spec = SimulationSpec(3, 3, 2, 2, assert_pd(np.eye(2)))
+        spec = SimulationSpec(3, 3, 2, 2, SpdMat(np.eye(2)))
         summary = null_calibration(spec, 0, McConfig(n_mc=1000, seed=7), RngStream(8))
         assert summary.n_datasets == 0
         assert summary.results == {}
 
     def test_null_rates_near_nominal(self):
-        spec = SimulationSpec(4, 4, 3, 2, assert_pd(np.eye(2)))
+        spec = SimulationSpec(4, 4, 3, 2, SpdMat(np.eye(2)))
         summary = null_calibration(spec, 300, McConfig(n_mc=1000, seed=9), RngStream(10))
         res = summary.get("A", HL)
         assert res.ks_pvalue > 0.01
@@ -179,8 +179,8 @@ class TestNullCalibration:
         from wishartmix import RandomEffect
 
         spec = SimulationSpec(
-            5, 6, 5, 2, assert_pd(np.eye(2)),
-            effect_a=RandomEffect(assert_pd(10.0 * np.eye(2))),
+            5, 6, 5, 2, SpdMat(np.eye(2)),
+            effect_a=RandomEffect(SpdMat(10.0 * np.eye(2))),
         )
         summary = null_calibration(spec, 200, McConfig(n_mc=1000, seed=11), RngStream(12))
         assert summary.get("A", HL).rejection_rates[0.05] >= 0.99
@@ -190,7 +190,7 @@ class TestNullCalibration:
     @pytest.mark.parametrize("dim,n_datasets", [(1, 9), (2, 260), (3, 9)])
     def test_pvalues_match_per_dataset_loop(self, dim, n_datasets):
         # 260 datasets cross the 256-dataset chunk boundary.
-        spec = SimulationSpec(4, 4, 3, dim, assert_pd(np.eye(dim)))
+        spec = SimulationSpec(4, 4, 3, dim, SpdMat(np.eye(dim)))
         cfg = McConfig(n_mc=1000, seed=15)
         fns = tuple(StatisticFunctional)
         summary = null_calibration(spec, n_datasets, cfg, RngStream(16), fns)
@@ -199,7 +199,7 @@ class TestNullCalibration:
             assert summary.results[key].pvalues.tobytes() == np.array(p).tobytes()
 
     def test_deterministic(self):
-        spec = SimulationSpec(3, 3, 2, 2, assert_pd(np.eye(2)))
+        spec = SimulationSpec(3, 3, 2, 2, SpdMat(np.eye(2)))
         cfg = McConfig(n_mc=500, seed=13)
         with pytest.warns(UserWarning) as record:
             a = null_calibration(spec, 50, cfg, RngStream(14))

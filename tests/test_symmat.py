@@ -19,7 +19,6 @@ from wishartmix import (
     SpdMat,
     SymMat,
     WishartParams,
-    assert_pd,
     batched_statistic_eigs,
     conjugation_params,
     default_probes,
@@ -62,21 +61,21 @@ class TestSymMat:
 
 class TestAssertPd:
     def test_identity_is_pd(self):
-        assert assert_pd(np.eye(2)).kind == "PD"
+        assert SpdMat(np.eye(2)).kind == "PD"
 
     def test_indefinite_rejected(self):
         # eigenvalues -1 and 3
         with pytest.raises(NotPsd):
-            assert_pd([[1.0, 2.0], [2.0, 1.0]])
+            SpdMat([[1.0, 2.0], [2.0, 1.0]])
 
     def test_tiny_negative_eigenvalue_clipped_to_psd(self):
-        m = assert_pd(np.diag([1.0, -1e-14]))
+        m = SpdMat(np.diag([1.0, -1e-14]))
         assert m.kind == "PSD"
         assert m.eigenvalues[0] == 0.0
         assert m.eigenvalues[1] == pytest.approx(1.0)
 
     def test_zero_matrix_is_psd(self):
-        assert assert_pd(np.zeros((3, 3))).kind == "PSD"
+        assert SpdMat(np.zeros((3, 3))).kind == "PSD"
 
 
 EYE2 = np.eye(2)
@@ -102,7 +101,7 @@ class TestOnePdRule:
     def test_singular_input_rejected_by_name(self, name, call, certified):
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])  # PSD, eigenvalues 0 and 2
         with pytest.raises(NotPsd) as info:
-            call(assert_pd(singular) if certified else singular)
+            call(SpdMat(singular) if certified else singular)
         assert str(info.value) == f"{name} must be positive definite"
 
     @pytest.mark.parametrize("name,call", [*PD_INPUTS, ("noncen", lambda m: WishartParams(3.0, EYE2, m))])
@@ -111,14 +110,14 @@ class TestOnePdRule:
             call(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues -1 and 3
 
     def test_certified_input_passes_through(self):
-        s = assert_pd([[2.0, 1.0], [1.0, 2.0]])
+        s = SpdMat([[2.0, 1.0], [1.0, 2.0]])
         assert WishartParams(3.0, s).scale is s
         spec = MixtureSpec(3.0, s, s, s)
         assert spec.inner_scale is s and spec.mixing_scale is s and spec.coupling is s
         assert SimulationSpec(2, 2, 2, 2, s).error_scale is s
 
     def test_spd_is_a_symmat(self):
-        s = assert_pd(np.eye(2))
+        s = SpdMat(np.eye(2))
         assert isinstance(s, SymMat)
         assert SpdMat(SymMat([[2.0, 0.0], [5.0, 1.0]])).array.tolist() == [[2.0, 0.0], [0.0, 1.0]]
 
@@ -146,21 +145,21 @@ class TestOneRuleForEverySpdMat:
     def test_kind_and_spectrum_are_classified(self, make):
         m = make()
         assert isinstance(m, SpdMat)
-        assert m.kind == assert_pd(m.array).kind
+        assert m.kind == SpdMat(m.array).kind
         assert np.array_equal(m.eigenvalues, np.maximum(np.linalg.eigh(m.array)[0], 0.0))
 
 
 class TestSymSqrt:
     def test_identity(self):
-        assert np.allclose(sym_sqrt(assert_pd(np.eye(2))).array, np.eye(2))
+        assert np.allclose(sym_sqrt(SpdMat(np.eye(2))).array, np.eye(2))
 
     def test_diagonal(self):
-        assert np.allclose(sym_sqrt(assert_pd(np.diag([4.0, 9.0]))).array, np.diag([2.0, 3.0]))
+        assert np.allclose(sym_sqrt(SpdMat(np.diag([4.0, 9.0]))).array, np.diag([2.0, 3.0]))
 
     def test_closed_form_2x2(self):
         # [[2,1],[1,2]] has eigenpairs (1, [1,-1]/sqrt2) and (3, [1,1]/sqrt2),
         # so the root is ((sqrt3+1)/2, (sqrt3-1)/2) on/off the diagonal.
-        s = sym_sqrt(assert_pd([[2.0, 1.0], [1.0, 2.0]]))
+        s = sym_sqrt(SpdMat([[2.0, 1.0], [1.0, 2.0]]))
         r3 = math.sqrt(3.0)
         expected = np.array([[(r3 + 1) / 2, (r3 - 1) / 2], [(r3 - 1) / 2, (r3 + 1) / 2]])
         np.testing.assert_allclose(s.array, expected, atol=1e-14)
@@ -174,7 +173,7 @@ class TestSymSqrt:
             assert err < RECONSTRUCTION
 
     def test_psd_input_gives_psd_root(self):
-        root = sym_sqrt(assert_pd(np.diag([1.0, 0.0])))
+        root = sym_sqrt(SpdMat(np.diag([1.0, 0.0])))
         assert root.kind == "PSD"
         np.testing.assert_allclose(root.array, np.diag([1.0, 0.0]))
 
@@ -187,7 +186,7 @@ class TestInverses:
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(NotPsd):
-            sym_inv_sqrt(assert_pd(np.diag([1.0, 0.0])))
+            sym_inv_sqrt(SpdMat(np.diag([1.0, 0.0])))
 
 
 class TestNumericalFoundations:

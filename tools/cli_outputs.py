@@ -12,10 +12,12 @@ that writes a report, ``<run>.json``.  The inputs are kept in
 
 prints nothing.  The runs cover every subcommand: ``manova`` at d = 1, 2
 and 3 with each functional, and once with ``--sigma`` at more null draws than
-one p-value chunk holds; ``verify`` central, noncentral and below the draw
-floor; ``calibrate`` at d = 1, 2 and 3; ``sample`` for each distribution,
-with central, fractional-dof and noncentral Wishart parameters.  Every run
-draws at least 1,000 null samples per p-value, so none warns.
+one p-value chunk holds; ``verify`` central, noncentral, below the draw
+floor, at d = 1 (one-row factors) and at d = 3 with 90 degrees of freedom
+(each verification chunk drawn in two batches); ``calibrate`` at d = 1, 2
+and 3; ``sample`` for each distribution, with central, fractional-dof and
+noncentral Wishart parameters and a one-row matrix normal.  Every run draws
+at least 1,000 null samples per p-value, so none warns.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ LEVELS_A, LEVELS_B, ROWS_PER_CELL = 5, 4, 5
 
 SAMPLE_PARAMS = {
     "matrix-normal": ("matrix-normal", {"rows": 3, "mean": [[0, 0], [1, 1], [2, 2]], "scale": [[1, 0], [0, 1]]}),
+    "matrix-normal-one-row": ("matrix-normal", {"rows": 1, "mean": [[1, 2]], "scale": [[2, 1], [1, 3]]}),
     "wishart-central": ("wishart", {"dof": 5, "scale": [[2, 1], [1, 3]]}),
     "wishart-fractional": ("wishart", {"dof": 2.5, "scale": [[2, 1], [1, 3]]}),
     "wishart-noncentral": ("wishart", {"dof": 5, "scale": [[2, 1], [1, 3]], "noncen": [[1, 0.5], [0.5, 2]]}),
@@ -85,12 +88,14 @@ def runs() -> list[tuple[str, list[str]]]:
         "--n-mc", "70000", "--mc-seed", "3", "--sigma", "inputs/sigma_d2.txt", "--json", "manova-d2-sigma-chunked.json",
     ]))
     verify = [
-        ("verify-central", ["--dim", "3", "--dof", "5", "--n-draws", "20000", "--central"]),
-        ("verify-noncentral", ["--dim", "2", "--dof", "4", "--n-draws", "20000"]),
-        ("verify-below-floor", ["--dim", "2", "--dof", "3", "--n-draws", "5000"]),
+        ("verify-central", ["--dim", "3", "--dof", "5", "--n-draws", "20000", "--central", "--specs", "2"]),
+        ("verify-noncentral", ["--dim", "2", "--dof", "4", "--n-draws", "20000", "--specs", "2"]),
+        ("verify-below-floor", ["--dim", "2", "--dof", "3", "--n-draws", "5000", "--specs", "2"]),
+        ("verify-d1", ["--dim", "1", "--dof", "1", "--n-draws", "20000", "--specs", "2"]),
+        ("verify-two-batches", ["--dim", "3", "--dof", "90", "--n-draws", "10000", "--specs", "1"]),
     ]
     for name, args in verify:
-        out.append((name, ["verify", *args, "--seed", "4", "--specs", "2", "--json", f"{name}.json"]))
+        out.append((name, ["verify", *args, "--seed", "4", "--json", f"{name}.json"]))
     for dim in (1, 2, 3):
         out.append((f"calibrate-d{dim}", [
             "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", str(dim),
