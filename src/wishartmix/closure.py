@@ -282,12 +282,10 @@ def check_law(
     batches.  Every array of a chunk (normals, factors, entry columns,
     projections, ``etr(T X)``) is written into one
     :class:`~wishartmix.distributions._Workspace` allocated for the call,
-    so memory freed after one chunk is not faulted in again for the next:
-    at ``d = 3``, 200,000 draws, 1,104 minor page
-    faults per call against 19,518 to 19,935 with new arrays per chunk,
-    and the same bits.  The CDF grid, ``chndtrix`` at the levels
-    ``k / 1000`` times ``a'Va``, is set before any draw; each chunk's
-    projections are sorted and counted against it with ``searchsorted``.
+    so memory freed after one chunk is not faulted in again for the
+    next.  The CDF grid, ``chndtrix`` at the levels ``k / 1000`` times
+    ``a'Va``, is set before any draw; each chunk's projections are sorted
+    and counted against it with ``searchsorted``.
     The mean bound uses ``Var X_ij = dof (V_ii V_jj + V_ij^2) + V_ii
     Delta_jj + V_jj Delta_ii + 2 V_ij Delta_ij``; the zero probe has error
     and bound 0.  The probes are :func:`default_probes` of the law's scale.

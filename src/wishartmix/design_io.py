@@ -154,7 +154,9 @@ def subsample_balanced(data: RawDataset, n_per_cell: int, seed: int) -> DesignTa
     Levels are the distinct labels in lexicographic order; every cell of the
     implied grid must hold at least ``n_per_cell`` rows, otherwise
     :class:`InsufficientCell` names the first deficient cell.  A cell holding
-    exactly ``n_per_cell`` rows is passed through unchanged.
+    exactly ``n_per_cell`` rows is passed through unchanged.  The table's
+    level axes follow that order: ``responses[i, j]`` is the cell of the
+    ``i``-th ``factor_a`` label and the ``j``-th ``factor_b`` label.
     """
     n_per_cell = _count(n_per_cell, "n_per_cell")
     levels_a = sorted(set(data.factor_a))
@@ -179,7 +181,7 @@ def subsample_balanced(data: RawDataset, n_per_cell: int, seed: int) -> DesignTa
             if len(rows) > n_per_cell:
                 rows = rows[np.sort(gen.choice(len(rows), size=n_per_cell, replace=False))]
             out[i, j] = data.responses[rows]
-    return DesignTable(out, labels_a=tuple(levels_a), labels_b=tuple(levels_b))
+    return DesignTable(out)
 
 
 @dataclass(frozen=True)
@@ -200,16 +202,11 @@ class FactorResult:
 
 @dataclass(frozen=True)
 class ReportTable:
-    """Three factor results plus an echo of the configuration that produced them."""
+    """Three factor results, the :class:`McConfig` they ran with, and the table's ``shape`` ``(a, b, n, d)``."""
 
     factors: tuple[FactorResult, ...]
-    functional: str
-    n_mc: int
-    seed: int
-    a: int
-    b: int
-    n: int
-    d: int
+    cfg: McConfig
+    shape: tuple[int, int, int, int]
 
 
 def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None) -> ReportTable:
@@ -240,16 +237,7 @@ def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None) -
         if table.dim == 1 and not degenerate:
             f_stat, f_pvalue = _f_test(sop, dofs, num, den)
         results.append(FactorResult(name, observed, tuple(float(v) for v in eigs), p, f_stat, f_pvalue))
-    return ReportTable(
-        tuple(results),
-        cfg.functional.value,
-        cfg.n_mc,
-        cfg.seed,
-        table.levels_a,
-        table.levels_b,
-        table.reps,
-        table.dim,
-    )
+    return ReportTable(tuple(results), cfg, table.responses.shape)
 
 
 def read_matrix_file(path) -> SymMat:
@@ -305,28 +293,26 @@ def report_to_dict(report: ReportTable) -> dict:
             for fr in report.factors
         ],
         "config": {
-            "functional": report.functional,
-            "n_mc": report.n_mc,
-            "seed": report.seed,
-            "a": report.a,
-            "b": report.b,
-            "n": report.n,
-            "d": report.d,
+            "functional": report.cfg.functional.value,
+            "n_mc": report.cfg.n_mc,
+            "seed": report.cfg.seed,
+            **dict(zip("abnd", report.shape)),
         },
     }
 
 
 def report_to_text(report: ReportTable, response_names: tuple[str, ...] | None = None) -> str:
     """Fixed-width text report: one MANOVA row, plus the F-test row for d = 1."""
-    label = f"({', '.join(response_names)})" if response_names else f"d = {report.d}"
+    a, b, n, d = report.shape
+    label = f"({', '.join(response_names)})" if response_names else f"d = {d}"
     width = max(40, len(label) + 26)
     header = f"{'':<{width}}" + "".join(f"{'p_' + fr.name:>10}" for fr in report.factors)
     manova = f"{'Beta Type II MANOVA on ' + label:<{width}}" + "".join(
         f"{fr.p.p_hat:>10.4f}" for fr in report.factors
     )
     lines = [
-        f"balanced design: a = {report.a}, b = {report.b}, n = {report.n}, d = {report.d}",
-        f"functional = {report.functional}, n_mc = {report.n_mc}, seed = {report.seed}",
+        f"balanced design: a = {a}, b = {b}, n = {n}, d = {d}",
+        f"functional = {report.cfg.functional.value}, n_mc = {report.cfg.n_mc}, seed = {report.cfg.seed}",
         "",
         header,
         manova,

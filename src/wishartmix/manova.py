@@ -68,14 +68,11 @@ FACTORS = tuple(name for name, _, _ in FACTOR_TESTS)
 class DesignTable:
     """Fully balanced ``a x b x n`` layout of ``d``-dimensional responses.
 
-    ``responses`` has shape ``(a, b, n, d)``; balance is structural.  Optional
-    level labels are carried along for reporting and play no role in the
-    arithmetic.
+    ``responses`` has shape ``(a, b, n, d)``; balance is structural.  Levels
+    are positions on the first two axes; the table holds no level labels.
     """
 
     responses: np.ndarray
-    labels_a: tuple[str, ...] | None = None
-    labels_b: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         try:
@@ -88,13 +85,6 @@ class DesignTable:
             raise ValueError("responses must be finite")
         y.setflags(write=False)
         object.__setattr__(self, "responses", y)
-        for name, count in (("labels_a", y.shape[0]), ("labels_b", y.shape[1])):
-            labels = getattr(self, name)
-            if labels is not None:
-                labels = tuple(str(v) for v in labels)
-                if len(labels) != count:
-                    raise ValueError(f"{name} has {len(labels)} entries for {count} levels")
-                object.__setattr__(self, name, labels)
 
     @property
     def levels_a(self) -> int:

@@ -11,9 +11,12 @@ Ties count as extreme.
 
 Determinism: the null stream is derived from ``(seed, dof1, dof2, dim)``, so
 factor tests whose degrees of freedom coincide automatically share one draw
-set, while different degrees of freedom get independent sets.  Draws are
-produced in fixed-quota chunks with one child stream each, making every
-estimate independent of worker scheduling.
+set, while different degrees of freedom get independent sets.  One step,
+:func:`_null_counts`, draws a null set from a given child stream and counts
+each functional's tail: :func:`mc_pvalue` takes one per fixed-quota chunk
+(child ``k`` for chunk ``k``), :func:`null_calibration` one of ``n_mc``
+draws per dataset (child ``i`` for dataset ``i``).  So at ``n_mc`` up to one
+chunk, 65,536 draws, a report on calibration's dataset 0 gives its p-values.
 
 Imports: ``scipy.stats`` is imported inside :func:`null_calibration`, its one
 user, for the KS test.  Importing it takes over a second on a 2-core x86-64
@@ -101,10 +104,16 @@ def _null_stream(seed: int, dof1: float, dof2: float, dim: int) -> RngStream:
     return RngStream(seed, tag)
 
 
-def _count_extreme(stats: np.ndarray, observed: float, functional: StatisticFunctional) -> int:
-    if functional.lower_tail:
-        return int(np.count_nonzero(stats <= observed))
-    return int(np.count_nonzero(stats >= observed))
+def _null_counts(
+    params: BetaIIParams, gen: np.random.Generator, n: int, observed: dict[StatisticFunctional, float]
+) -> dict[StatisticFunctional, int]:
+    """Draw ``n`` null eigenvalue lists from ``gen``; per functional, count those at least as extreme as its observed value."""
+    eigs = beta2_eigenvalues(params, gen, n)
+    counts = {}
+    for fn, obs in observed.items():
+        stats = scalar_statistic(eigs, fn)
+        counts[fn] = int(np.count_nonzero(stats <= obs if fn.lower_tail else stats >= obs))
+    return counts
 
 
 def _warn_if_coarse(n_mc: int) -> None:
@@ -127,10 +136,11 @@ def mc_pvalue(observed: float, dof1: float, dof2: float, dim: int, cfg: McConfig
         raise ValueError(f"observed statistic must be finite, got {observed}")
     _warn_if_coarse(cfg.n_mc)
     stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
-    n_extreme = 0
-    for k, _, n in _chunk_spans(cfg.n_mc, _MC_CHUNK):
-        eigs = beta2_eigenvalues(params, stream.generator(k), n)
-        n_extreme += _count_extreme(scalar_statistic(eigs, cfg.functional), observed, cfg.functional)
+    target = {cfg.functional: observed}
+    n_extreme = sum(
+        _null_counts(params, stream.generator(k), n, target)[cfg.functional]
+        for k, _, n in _chunk_spans(cfg.n_mc, _MC_CHUNK)
+    )
     return _estimate(n_extreme, cfg.n_mc)
 
 
@@ -146,17 +156,17 @@ class FactorCalibration:
 
 @dataclass(frozen=True)
 class CalibrationSummary:
-    """Null-calibration results keyed by ``(factor, functional)``."""
+    """Null-calibration results keyed by ``(factor, functional)``, with the :class:`McConfig` they ran with."""
 
     n_datasets: int
-    n_mc: int
+    cfg: McConfig
     results: dict[tuple[str, StatisticFunctional], FactorCalibration]
 
     def get(self, factor: str, functional: StatisticFunctional) -> FactorCalibration:
         return self.results[(factor, StatisticFunctional(functional))]
 
     def to_text(self) -> str:
-        lines = [f"null calibration over {self.n_datasets} datasets, n_mc = {self.n_mc}"]
+        lines = [f"null calibration over {self.n_datasets} datasets, n_mc = {self.cfg.n_mc}"]
         for (factor, functional), res in self.results.items():
             rates = "  ".join(f"@{lvl:g}: {rate:.4f}" for lvl, rate in res.rejection_rates.items())
             lines.append(
@@ -183,15 +193,16 @@ def null_calibration(
 
     ``functionals`` defaults to ``(cfg.functional,)``; pass
     ``tuple(StatisticFunctional)`` to calibrate all four from one shared set
-    of null draws.  Every dataset gets an independent null draw set, derived
-    deterministically from ``cfg.seed``.
+    of null draws.  A functional named twice is calibrated once.  Every
+    dataset gets an independent null draw set, derived deterministically
+    from ``cfg.seed``.
     """
     rng = _as_stream(rng, "null_calibration")
     n_datasets = _count(n_datasets, "n_datasets", 0)
-    functionals = tuple(StatisticFunctional(f) for f in (functionals or (cfg.functional,)))
+    functionals = tuple(dict.fromkeys(StatisticFunctional(f) for f in (functionals or (cfg.functional,))))
     dofs = _test_dofs(spec.levels_a, spec.levels_b, spec.reps, spec.dim)
     if n_datasets == 0:
-        return CalibrationSummary(0, cfg.n_mc, {})
+        return CalibrationSummary(0, cfg, {})
     _warn_if_coarse(cfg.n_mc)
 
     pvals: dict[tuple[str, StatisticFunctional], list[float]] = {
@@ -207,10 +218,9 @@ def null_calibration(
             params = BetaIIParams(dofs[num], dofs[den], spec.dim)
             null_stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
             for i in range(m):
-                eigs_null = beta2_eigenvalues(params, null_stream.generator(done + i), cfg.n_mc)
-                for fn in functionals:
-                    n_extreme = _count_extreme(scalar_statistic(eigs_null, fn), observed[fn][i], fn)
-                    pvals[(factor, fn)].append((1 + n_extreme) / (1 + cfg.n_mc))
+                obs = {fn: observed[fn][i] for fn in functionals}
+                for fn, n_extreme in _null_counts(params, null_stream.generator(done + i), cfg.n_mc, obs).items():
+                    pvals[(factor, fn)].append(_estimate(n_extreme, cfg.n_mc).p_hat)
 
     from scipy.stats import kstest  # deferred: see the module docstring
 
@@ -221,4 +231,4 @@ def null_calibration(
             rates = {lvl: float(np.mean(p <= lvl)) for lvl in CALIBRATION_LEVELS}
             ks = kstest(p, "uniform")
             results[(factor, fn)] = FactorCalibration(p, rates, float(ks.statistic), float(ks.pvalue))
-    return CalibrationSummary(n_datasets, cfg.n_mc, results)
+    return CalibrationSummary(n_datasets, cfg, results)

@@ -10,6 +10,7 @@ from scipy import stats
 
 from wishartmix import (
     BetaIIParams,
+    DesignTable,
     McConfig,
     RngStream,
     SimulationSpec,
@@ -18,7 +19,9 @@ from wishartmix import (
     beta2_eigenvalues,
     mc_pvalue,
     null_calibration,
+    run_report,
     scalar_statistic,
+    simulate_design,
 )
 
 HL = StatisticFunctional.HOTELLING_LAWLEY
@@ -206,3 +209,30 @@ class TestNullCalibration:
             b = null_calibration(spec, 50, cfg, RngStream(14))
         assert {w.filename for w in record} == {__file__}
         np.testing.assert_array_equal(a.get("A", HL).pvalues, b.get("A", HL).pvalues)
+
+    def test_repeated_functional_counted_once(self):
+        spec = SimulationSpec(4, 4, 3, 2, SpdMat(np.eye(2)))
+        cfg = McConfig(n_mc=1000, seed=19)
+        once = null_calibration(spec, 20, cfg, RngStream(20), (HL,))
+        twice = null_calibration(spec, 20, cfg, RngStream(20), (HL, HL))
+        assert list(twice.results) == list(once.results)
+        for key, res in once.results.items():
+            other = twice.results[key]
+            assert other.pvalues.tobytes() == res.pvalues.tobytes()
+            assert (other.rejection_rates, other.ks_stat, other.ks_pvalue) == (
+                res.rejection_rates, res.ks_stat, res.ks_pvalue
+            )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_report_gives_dataset_zero_pvalues(self, dim):
+        # At n_mc within one chunk, run_report (what manova prints) and
+        # null_calibration (what calibrate certifies) draw the same null set
+        # for dataset 0, so they give the same p-values bit for bit.
+        spec = SimulationSpec(5, 4, 3, dim, SpdMat(np.eye(dim)))
+        cfg = McConfig(n_mc=1000, seed=21)
+        summary = null_calibration(spec, 3, cfg, RngStream(22), tuple(StatisticFunctional))
+        table = DesignTable(simulate_design(spec, RngStream(22).generator(0, 0), size=3)[0])
+        for fn in StatisticFunctional:
+            report = run_report(table, dataclasses.replace(cfg, functional=fn))
+            for fr in report.factors:
+                assert fr.p.p_hat == summary.get(fr.name, fn).pvalues[0]

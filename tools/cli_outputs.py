@@ -11,11 +11,13 @@ that writes a report, ``<run>.json``.  The inputs are kept in
     diff -r a b
 
 prints nothing.  The runs cover every subcommand: ``manova`` at d = 1, 2
-and 3 with each functional, and once with ``--sigma`` at more null draws than
-one p-value chunk holds; ``verify`` central, noncentral, below the draw
-floor, at d = 1 (one-row factors) and at d = 3 with 90 degrees of freedom
-(each verification chunk drawn in two batches); ``calibrate`` at d = 1, 2
-and 3; ``sample`` for each distribution, with central, fractional-dof and
+and 3 with each functional, once with ``--sigma`` at more null draws than
+one p-value chunk holds, and once on a square design (A and B share one
+null set); ``verify`` central, noncentral, below the draw floor, at d = 1
+(one-row factors) and at d = 3 with 90 degrees of freedom (each
+verification chunk drawn in two batches); ``calibrate`` at d = 1, 2 and 3,
+and once with more null draws per dataset than one p-value chunk holds;
+``sample`` for each distribution, with central, fractional-dof and
 noncentral Wishart parameters and a one-row matrix normal.  Every run draws
 at least 1,000 null samples per p-value, so none warns.
 """
@@ -48,12 +50,12 @@ SAMPLE_PARAMS = {
 }
 
 
-def write_design_csv(path: Path, dim: int, seed: int) -> None:
+def write_design_csv(path: Path, dim: int, seed: int, levels_a: int = LEVELS_A) -> None:
     """A long-format design with an A main effect and unit-variance noise, responses ``y1..yd``."""
     gen = np.random.default_rng(seed)
-    effect_a = gen.standard_normal((LEVELS_A, dim))
+    effect_a = gen.standard_normal((levels_a, dim))
     lines = ["factor_a,factor_b," + ",".join(f"y{k + 1}" for k in range(dim))]
-    for i in range(LEVELS_A):
+    for i in range(levels_a):
         for j in range(LEVELS_B):
             for _ in range(ROWS_PER_CELL):
                 y = effect_a[i] + gen.standard_normal(dim)
@@ -66,6 +68,7 @@ def write_inputs() -> None:
     Path("inputs").mkdir(exist_ok=True)
     for dim in (1, 2, 3):
         write_design_csv(Path(f"inputs/design_d{dim}.csv"), dim, seed=dim)
+    write_design_csv(Path("inputs/design_square_d2.csv"), 2, seed=7, levels_a=LEVELS_B)
     Path("inputs/sigma_d2.txt").write_text("2\n2.0 0.5\n0.5 1.0\n", encoding="utf-8")
     for name, (_, params) in SAMPLE_PARAMS.items():
         Path(f"inputs/{name}.json").write_text(json.dumps(params) + "\n", encoding="utf-8")
@@ -87,6 +90,10 @@ def runs() -> list[tuple[str, list[str]]]:
         "manova", "--input", "inputs/design_d2.csv", "--responses", "y1,y2", "--n-per-cell", "4",
         "--n-mc", "70000", "--mc-seed", "3", "--sigma", "inputs/sigma_d2.txt", "--json", "manova-d2-sigma-chunked.json",
     ]))
+    out.append(("manova-d2-square", [
+        "manova", "--input", "inputs/design_square_d2.csv", "--responses", "y1,y2", "--n-per-cell", "3",
+        "--subsample-seed", "1", "--n-mc", "2000", "--mc-seed", "2", "--json", "manova-d2-square.json",
+    ]))
     verify = [
         ("verify-central", ["--dim", "3", "--dof", "5", "--n-draws", "20000", "--central", "--specs", "2"]),
         ("verify-noncentral", ["--dim", "2", "--dof", "4", "--n-draws", "20000", "--specs", "2"]),
@@ -101,6 +108,10 @@ def runs() -> list[tuple[str, list[str]]]:
             "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", str(dim),
             "--datasets", "40", "--n-mc", "1000", "--seed", "5",
         ]))
+    out.append(("calibrate-d2-chunk-sized", [
+        "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", "2",
+        "--datasets", "3", "--n-mc", "70000", "--seed", "5",
+    ]))
     for name, (dist, _) in SAMPLE_PARAMS.items():
         out.append((f"sample-{name}", ["sample", "--dist", dist, "--params", f"inputs/{name}.json", "--n", "50", "--seed", "6"]))
     return out
