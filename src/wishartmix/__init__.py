@@ -65,10 +65,8 @@ from .manova import (
     FixedEffect,
     RandomEffect,
     SimulationSpec,
-    SopDecomposition,
     StatisticFunctional,
     batched_statistic_eigs,
-    compute_sop,
     dof_map,
     scalar_statistic,
     simulate_design,

@@ -173,10 +173,10 @@ def _write_json(obj, path) -> None:
 
 def _cmd_manova(args) -> int:
     _check_json_target(args.json_path)
+    sigma = design_io.read_matrix_file(args.sigma) if args.sigma else None
     responses = [c.strip() for c in args.responses.split(",") if c.strip()]
     data = design_io.load_design_csv(args.input, responses)
     table = design_io.subsample_balanced(data, args.n_per_cell, args.subsample_seed)
-    sigma = design_io.read_matrix_file(args.sigma) if args.sigma else None
     cfg = McConfig(n_mc=args.n_mc, seed=args.mc_seed, functional=StatisticFunctional(args.functional))
     report = design_io.run_report(table, cfg, sigma)
     print(design_io.report_to_text(report, data.response_names))
@@ -223,7 +223,7 @@ def _load_params(path, dist: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             obj = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read parameter file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: parameter file must hold a JSON object")

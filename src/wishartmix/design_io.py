@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyFile, InsufficientCell, MissingColumn, UnparseableValue, ValidationError
-from .manova import FACTOR_TESTS, DesignTable, _certify_sigma, _f_test, _test_dofs, batched_statistic_eigs, compute_sop, scalar_statistic
+from .manova import FACTOR_TESTS, DesignTable, _certify_sigma, _f_test, _test_dofs, batched_statistic_eigs, scalar_statistic, sop_arrays
 from .mc import McConfig, PValueEstimate, mc_pvalue
 from .rng import RngStream, _count
 from .symmat import SymMat
@@ -113,6 +113,8 @@ def load_design_csv(path, response_columns) -> RawDataset:
                     append(row[index])
         except csv.Error as exc:
             raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     n = len(lines)
     if n == 0:
         raise EmptyFile(f"{path}: no data rows")
@@ -212,17 +214,20 @@ class ReportTable:
 def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None) -> ReportTable:
     """Run the full three-factor battery on a balanced table.
 
-    Computes the SOP decomposition, the statistic eigenvalues per factor
-    (optionally conjugated by a user-supplied ``sigma``, which provably does
-    not change them), the scalar statistic, and its Monte Carlo p-value with
-    the factor's degrees of freedom.  For ``d = 1`` the exact univariate F
-    test is attached to each factor.  ``sigma`` is checked first; all-constant
-    responses then short-circuit to zero statistics, not a residual PD check.
+    Computes the SOPs once (:func:`~wishartmix.manova.sop_arrays`), the
+    statistic eigenvalues per factor (optionally conjugated by ``sigma``,
+    which provably does not change them), the scalar statistic, and its
+    Monte Carlo p-value.  For ``d = 1`` the exact F test is attached to each
+    factor.  Checked first, in order: ``sigma``, the degrees of freedom, SOP
+    overflow; all-constant responses then give zero statistics, not a PD check.
     """
     if sigma is not None:
         sigma = _certify_sigma(sigma, table.dim)
     dofs = _test_dofs(table.levels_a, table.levels_b, table.reps, table.dim)
-    sop = compute_sop(table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sops = sop_arrays(table.responses)
+    if not all(np.all(np.isfinite(m)) for m in sops):
+        raise ValidationError("the responses overflow the sum of outer products; rescale them before testing")
     # all responses identical per component: every statistic is zero by convention
     degenerate = bool(np.all(np.ptp(table.responses.reshape(-1, table.dim), axis=0) == 0.0))
     results = []
@@ -230,12 +235,12 @@ def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None) -
         if degenerate:
             eigs = np.zeros(table.dim)
         else:
-            eigs = batched_statistic_eigs(sop[num].array, sop[den].array, sigma)
+            eigs = batched_statistic_eigs(sops[num], sops[den], sigma)
         observed = float(scalar_statistic(eigs, cfg.functional))
         p = mc_pvalue(observed, dofs[num], dofs[den], table.dim, cfg)
         f_stat = f_pvalue = None
         if table.dim == 1 and not degenerate:
-            f_stat, f_pvalue = _f_test(sop, dofs, num, den)
+            f_stat, f_pvalue = _f_test(sops, dofs, num, den)
         results.append(FactorResult(name, observed, tuple(float(v) for v in eigs), p, f_stat, f_pvalue))
     return ReportTable(tuple(results), cfg, table.responses.shape)
 
@@ -247,8 +252,11 @@ def read_matrix_file(path) -> SymMat:
     to about eight significant digits.  A leading UTF-8 byte-order mark is
     ignored.
     """
-    with open(path, encoding="utf-8-sig") as handle:
-        tokens = handle.read().split()
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            tokens = handle.read().split()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not tokens:
         raise EmptyFile(f"{path}: empty matrix file")
     try:

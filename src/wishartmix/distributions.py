@@ -431,8 +431,9 @@ def sample_noncentral_chisq(
 ) -> float | np.ndarray:
     """Draw from the scalar noncentral chi-square ``chi^2_dof(noncen)``.
 
-    Uses the Poisson mixture representation: ``K ~ Poisson(noncen / 2)`` and
-    then a central chi-square with ``dof + 2 K`` degrees of freedom.
+    One route for every ``noncen``: ``K ~ Poisson(noncen / 2)``, then a
+    central chi-square with ``dof + 2 K`` degrees of freedom.  At rate 0
+    numpy's Poisson consumes no draws, so central draws cost no extra stream.
     """
     dof = _dof(dof, "dof", 1)
     noncen = float(noncen)
@@ -440,11 +441,7 @@ def sample_noncentral_chisq(
         raise ValueError(f"noncen must be finite and non-negative, got {noncen}")
     gen = as_generator(rng)
     n = 1 if size is None else _count(size, "size", 0)
-    if noncen == 0.0:
-        draws = gen.chisquare(dof, n)
-    else:
-        k = gen.poisson(noncen / 2.0, n)
-        draws = gen.chisquare(dof + 2.0 * k)
+    draws = gen.chisquare(dof + 2.0 * gen.poisson(noncen / 2.0, n))
     return float(draws[0]) if size is None else draws
 
 

@@ -16,10 +16,10 @@ with ``S`` the factor SOP and ``V`` the residual SOP.  These eigenvalues equal
 those of ``S V^{-1}`` and do not depend on the choice of ``Sigma``, which is
 why the identity matrix is the default.
 
-Singularity policy: one path, :func:`batched_statistic_eigs`, computes every
-statistic, for one table or a stack.  It rejects a residual SOP as singular,
-raising :class:`SingularErrorMatrix`, when its smallest eigenvalue is at or
-below ``PD_TOL`` times its largest, the same relative test that
+One path each, for one table or a stack: :func:`sop_arrays` for the SOPs,
+:func:`batched_statistic_eigs` for the statistics, which rejects a singular
+residual SOP, raising :class:`SingularErrorMatrix`, when its smallest
+eigenvalue is at or below ``PD_TOL`` times its largest, the same test that
 :class:`~wishartmix.symmat.SpdMat` uses to certify a matrix positive definite.
 
 Imports: ``scipy.special`` is imported inside :func:`_f_test`, its one
@@ -37,20 +37,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDesign, SingularErrorMatrix, UnbalancedDesign, ValidationError
+from .errors import DegenerateDesign, SingularErrorMatrix, UnbalancedDesign
 from .rng import RngStream, _count, as_generator
-from .symmat import PD_TOL, SpdMat, SymMat, _as_spd, _mirror_upper, sym_inv_sqrt, sym_sqrt
+from .symmat import PD_TOL, SpdMat, _as_spd, _mirror_upper, sym_inv_sqrt, sym_sqrt
 
 __all__ = [
     "DesignTable",
-    "SopDecomposition",
     "StatisticFunctional",
     "RandomEffect",
     "FixedEffect",
     "SimulationSpec",
     "DofMap",
     "sop_arrays",
-    "compute_sop",
     "batched_statistic_eigs",
     "scalar_statistic",
     "dof_map",
@@ -58,8 +56,8 @@ __all__ = [
 ]
 
 # Each factor test as (name, numerator, denominator): the positions of its two
-# SOPs in sop_arrays / SopDecomposition order, which are also the positions of
-# their degrees of freedom in DofMap order.
+# SOPs in sop_arrays order, which are also the positions of their degrees of
+# freedom in DofMap order.
 FACTOR_TESTS = (("A", 0, 3), ("B", 1, 3), ("AB", 2, 3))
 FACTORS = tuple(name for name, _, _ in FACTOR_TESTS)
 
@@ -103,25 +101,12 @@ class DesignTable:
         return self.responses.shape[3]
 
 
-class SopDecomposition(NamedTuple):
-    """The four effect SOP matrices, all symmetric PSD, in :data:`FACTOR_TESTS` position order.
-
-    They sum to the total SOP ``sum (y - grand)(y - grand)'`` to
-    floating-point accuracy.
-    """
-
-    sop_a: SymMat
-    sop_b: SymMat
-    sop_ab: SymMat
-    sop_e: SymMat
-
-
 def sop_arrays(y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """SOP matrices for responses of shape ``(..., a, b, n, d)``.
+    """The one SOP path: ``(sop_a, sop_b, sop_ab, sop_e)`` of responses ``(..., a, b, n, d)``.
 
-    Returns ``(sop_a, sop_b, sop_ab, sop_e)``, each of shape ``(..., d, d)``.
-    Leading axes are treated as independent tables, which is what makes large
-    simulation batches cheap.  Means are taken first and outer products
+    Each has shape ``(..., d, d)``, in :data:`FACTOR_TESTS` position order,
+    and is symmetric bit for bit.  Leading axes are independent tables, which
+    makes simulation batches cheap.  Means are taken first and outer products
     second, so large response magnitudes do not cancel catastrophically.
     """
     y = np.asarray(y, dtype=float)
@@ -146,17 +131,6 @@ def sop_arrays(y: np.ndarray) -> tuple[np.ndarray, ...]:
     sop_ab = n * np.einsum("...iju,...ijv->...uv", dev_ab, dev_ab)
     sop_e = np.einsum("...ijku,...ijkv->...uv", dev_e, dev_e)
     return sop_a, sop_b, sop_ab, sop_e
-
-
-def compute_sop(table: DesignTable) -> SopDecomposition:
-    """Orthogonal SOP decomposition of a balanced design table."""
-    if table.reps < 2:
-        raise DegenerateDesign("at least two replicates per cell are needed for a residual SOP")
-    with np.errstate(over="ignore", invalid="ignore"):
-        parts = sop_arrays(table.responses)
-    if not all(np.all(np.isfinite(p)) for p in parts):
-        raise ValidationError("the responses overflow the sum of outer products; rescale them before testing")
-    return SopDecomposition(*(SymMat(p) for p in parts))
 
 
 class StatisticFunctional(str, enum.Enum):
@@ -282,8 +256,8 @@ def _test_dofs(a: int, b: int, n: int, dim: int) -> DofMap:
     return dofs
 
 
-def _f_test(sop: SopDecomposition, dofs: DofMap, num: int, den: int) -> tuple[float, float]:
-    """Exact variance-component F test for one :data:`FACTOR_TESTS` entry of a ``d = 1`` SOP.
+def _f_test(sops: tuple[np.ndarray, ...], dofs: DofMap, num: int, den: int) -> tuple[float, float]:
+    """Exact variance-component F test for one :data:`FACTOR_TESTS` entry of ``d = 1`` :func:`sop_arrays` SOPs.
 
     ``F = (SOP_num / nu_num) / (SOP_den / nu_den)`` with the upper-tail
     p-value from the ``F(nu_num, nu_den)`` distribution, computed by
@@ -296,7 +270,7 @@ def _f_test(sop: SopDecomposition, dofs: DofMap, num: int, den: int) -> tuple[fl
     """
     from scipy.special import fdtrc  # deferred: see the module docstring
 
-    f_stat = (float(sop[num].array[0, 0]) / dofs[num]) / (float(sop[den].array[0, 0]) / dofs[den])
+    f_stat = (float(sops[num][0, 0]) / dofs[num]) / (float(sops[den][0, 0]) / dofs[den])
     return f_stat, float(fdtrc(dofs[num], dofs[den], f_stat))
 
 

@@ -136,6 +136,14 @@ class TestManovaCommand:
         assert captured.out == ""
         assert captured.err.startswith(message)
 
+    def test_sigma_read_before_any_work(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("wishartmix.design_io.load_design_csv", lambda *args: pytest.fail("work began"))
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_text("2\n1.0 0.5\n0.2 1.0\n", encoding="utf-8")
+        code = main(["manova", "--input", "data.csv", "--responses", "r1,r2", "--n-per-cell", "3", "--sigma", str(sigma)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {sigma}: matrix is not symmetric\n")
+
     def test_response_named_twice_exit_two(self, tmp_path, capsys):
         csv_path, names = write_design_csv(tmp_path / "d.csv")
         code = main(["manova", "--input", str(csv_path), "--responses", "r1,r1", "--n-per-cell", "3"])
@@ -248,6 +256,26 @@ def test_zero_dimension_exit_two(argv, capsys):
     assert capsys.readouterr().err == f"error: --dim must be a positive integer, got {dim}\n"
 
 
+@pytest.mark.parametrize("kind", ["input", "sigma", "params"])
+def test_file_not_utf8_is_named(tmp_path, capsys, kind):
+    # Each file the command line reads fails by its path, not with a bare codec error.
+    csv_path, names = write_design_csv(tmp_path / "d.csv")
+    bad = tmp_path / "bad"
+    texts = {"input": b"factor_a,factor_b,r1\na,b,1\xff\n", "sigma": b"1\n\xff\n", "params": b'{"dof": 3\xff}'}
+    bad.write_bytes(texts[kind])
+    argv = {
+        "input": ["manova", "--input", str(bad), "--responses", "r1", "--n-per-cell", "1"],
+        "sigma": ["manova", "--input", str(csv_path), "--responses", ",".join(names), "--n-per-cell", "3",
+                  "--sigma", str(bad)],
+        "params": ["sample", "--dist", "chisq", "--params", str(bad), "--n", "2", "--seed", "3"],
+    }[kind]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "cannot read parameter file {}: 'utf-8' codec" if kind == "params" else "{}: not UTF-8 text"
+    assert captured.err.startswith("error: " + message.format(bad))
+
+
 class TestSampleCommand:
     @pytest.mark.parametrize(
         "dist,params,columns",
@@ -323,6 +351,20 @@ class TestSampleCommand:
             assert main(argv) == EXIT_OK
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1, 2]", "{}: parameter file must hold a JSON object"),
+            ('{"dof": 4, "scale": [[1, 0], [0]]}', "parameter 'scale' is not a numeric array"),
+        ],
+        ids=["not-an-object", "ragged-matrix"],
+    )
+    def test_malformed_params_exit_two(self, tmp_path, capsys, text, message):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(text, encoding="utf-8")
+        assert main(["sample", "--dist", "wishart", "--params", str(pfile), "--n", "2", "--seed", "3"]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message.format(pfile)}\n")
 
     @pytest.mark.parametrize(
         "dist,params,key",

@@ -7,6 +7,7 @@ hierarchical construction.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,19 @@ class TestConjugationParams:
             lhs = wishart_mgf(conjugation_params(p, c), t)
             rhs = wishart_mgf(p, SymMat(c.array @ t.array @ c.array))
             assert abs(lhs - rhs) / abs(rhs) < 1e-10
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: MixtureSpec(3.0, np.eye(3), np.eye(2), np.eye(2)), "inner_scale is 3x3 but the mixing law is 2-dimensional"),
+            (lambda: conjugation_params(WishartParams(3.0, np.eye(2)), np.eye(3)), "C is 3x3 but the distribution is 2-dimensional"),
+        ],
+        ids=["mixture-spec", "conjugation"],
+    )
+    def test_dimension_mismatch_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            call()
+        assert type(info.value) is ValueError
 
 
 class TestMixtureMarginalParams:

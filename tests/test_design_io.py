@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from wishartmix import (
     run_report,
     subsample_balanced,
 )
-from wishartmix.manova import FACTOR_TESTS, _f_test, compute_sop, dof_map
+from wishartmix.manova import FACTOR_TESTS, _f_test, dof_map, sop_arrays
 
 
 def write_csv(path, rows, header="factor_a,factor_b,r1,r2"):
@@ -61,6 +62,8 @@ class TestLoadDesignCsv:
         p2 = write_csv(tmp_path / "e.csv", ["x,y,1,2"])
         with pytest.raises(MissingColumn):
             load_design_csv(p2, ["r1", "nope"])
+        with pytest.raises(MissingColumn, match="^at least one response column must be named$"):
+            load_design_csv(p2, [])
 
     def test_nan_value_rejected_with_row_number(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", ["x,y,1.0,2.0", "x,y,NaN,0.5"])
@@ -225,7 +228,7 @@ class TestRunReport:
         def never(*args):
             raise AssertionError("run_report did work before checking sigma")
 
-        monkeypatch.setattr(design_io_mod, "compute_sop", never)
+        monkeypatch.setattr(design_io_mod, "sop_arrays", never)
         monkeypatch.setattr(design_io_mod, "mc_pvalue", never)
         gen = RngStream(7).generator()
         responses = np.full((3, 4, 3, 2), 5.0) if constant else gen.standard_normal((3, 4, 3, 2))
@@ -245,20 +248,17 @@ class TestRunReport:
 
     def test_d1_report_computes_the_sop_once(self, monkeypatch):
         import wishartmix.design_io as design_io_mod
-        import wishartmix.manova as manova_mod
 
         table = DesignTable(RngStream(6).generator().standard_normal((3, 4, 3, 1)))
         dofs = dof_map(table.levels_a, table.levels_b, table.reps)
-        expected = [_f_test(compute_sop(table), dofs, num, den) for _, num, den in FACTOR_TESTS]
+        expected = [_f_test(sop_arrays(table.responses), dofs, num, den) for _, num, den in FACTOR_TESTS]
         calls = []
-        original = manova_mod.compute_sop
 
-        def counting(t):
-            calls.append(t)
-            return original(t)
+        def counting(y):
+            calls.append(y)
+            return sop_arrays(y)
 
-        monkeypatch.setattr(manova_mod, "compute_sop", counting)
-        monkeypatch.setattr(design_io_mod, "compute_sop", counting)
+        monkeypatch.setattr(design_io_mod, "sop_arrays", counting)
         report = run_report(table, McConfig(n_mc=1000, seed=1))
         assert len(calls) == 1
         assert [(fr.f_stat, fr.f_pvalue) for fr in report.factors] == expected
@@ -311,6 +311,21 @@ class TestMatrixFile:
         p.write_text("2\n1.0 0.5\n", encoding="utf-8")
         with pytest.raises(UnparseableValue):
             read_matrix_file(p)
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("", EmptyFile, "{}: empty matrix file"),
+            ("x\n1\n", UnparseableValue, "{}: first token must be the dimension, got 'x'"),
+        ],
+        ids=["empty", "no-dimension"],
+    )
+    def test_header_rejected(self, tmp_path, text, error, message):
+        p = tmp_path / "m.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(error, match=f"^{re.escape(message.format(p))}$") as info:
+            read_matrix_file(p)
+        assert type(info.value) is error
 
     def test_utf8_bom_is_ignored(self, tmp_path):
         p = tmp_path / "m.txt"

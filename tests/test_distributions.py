@@ -7,6 +7,7 @@ counts; seeds are fixed so the suite is deterministic.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,22 @@ class TestParams:
                 sample_noncentral_chisq(bad, 1.0, RngStream(29))
             with pytest.raises(ValueError, match="noncen"):
                 sample_noncentral_chisq(2.0, bad, RngStream(29))
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: MatrixNormalParams(2, np.zeros((3, 2)), SIGMA_2D), "mean must have shape (2, 2), got (3, 2)"),
+            (lambda: MatrixNormalParams(2, [[0.0, math.inf], [0.0, 0.0]], SIGMA_2D), "mean entries must be finite"),
+            (lambda: WishartParams(3.0, SIGMA_2D, np.eye(3)), "noncen is 3x3 but scale is 2x2"),
+            (lambda: wishart_log_mgf(WishartParams(3.0, SIGMA_2D), 0.01 * np.eye(3)),
+             "T is 3x3 but the distribution is 2-dimensional"),
+        ],
+        ids=["mean-shape", "mean-non-finite", "noncen-size", "mgf-argument-size"],
+    )
+    def test_shape_and_finiteness_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            call()
+        assert type(info.value) is ValueError
 
     def test_non_integral_sizes_rejected(self):
         with pytest.raises(ValueError, match="dim"):

@@ -6,6 +6,8 @@ scale-invariance and their relation to the residual matrix, and the
 simulator against the closed-form marginal Wishart laws of the SOPs.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,7 @@ from wishartmix import (
     SingularErrorMatrix,
     SpdMat,
     StatisticFunctional,
-    SymMat,
-    compute_sop,
+    UnbalancedDesign,
     dof_map,
     run_report,
     sample_beta2,
@@ -36,7 +37,7 @@ from wishartmix import (
     wishart_mean,
     WishartParams,
 )
-from wishartmix.manova import DofMap, SopDecomposition, _f_test, batched_statistic_eigs
+from wishartmix.manova import DofMap, _f_test, batched_statistic_eigs
 from conftest import random_spd
 
 EYE2 = SpdMat(np.eye(2))
@@ -71,20 +72,36 @@ def brute_force_sop(y: np.ndarray) -> list[np.ndarray]:
     return [sop_a, sop_b, sop_ab, sop_e]
 
 
+class TestDesignTableValidation:
+    @pytest.mark.parametrize(
+        "responses,error,message",
+        [
+            ([[[[1.0]], [[1.0], [2.0]]]], UnbalancedDesign, "responses do not form a rectangular (a, b, n, d) array: "),
+            (np.zeros((2, 2, 2)), UnbalancedDesign, "responses must have shape (a, b, n, d), got shape (2, 2, 2)"),
+            (np.full((2, 2, 2, 1), np.nan), ValueError, "responses must be finite"),
+        ],
+        ids=["ragged", "three-axes", "non-finite"],
+    )
+    def test_rejected(self, responses, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}") as info:
+            DesignTable(responses)
+        assert type(info.value) is error
+
+
 class TestComputeSop:
     def test_hand_dataset(self):
         # 2x2x2 scalar design with responses 1..8: frozen values computed by
         # the brute-force oracle below.
         y = np.arange(1.0, 9.0).reshape(2, 2, 2, 1)
-        sop = compute_sop(DesignTable(y))
-        assert sop.sop_a.array[0, 0] == pytest.approx(32.0)
-        assert sop.sop_b.array[0, 0] == pytest.approx(8.0)
-        assert sop.sop_ab.array[0, 0] == pytest.approx(0.0)
-        assert sop.sop_e.array[0, 0] == pytest.approx(2.0)
+        sop_a, sop_b, sop_ab, sop_e = sop = sop_arrays(y)
+        assert sop_a[0, 0] == pytest.approx(32.0)
+        assert sop_b[0, 0] == pytest.approx(8.0)
+        assert sop_ab[0, 0] == pytest.approx(0.0)
+        assert sop_e[0, 0] == pytest.approx(2.0)
         # the total SOP, sum (y - 4.5)^2 over 1..8
-        assert sum(m.array[0, 0] for m in sop) == pytest.approx(42.0)
+        assert sum(m[0, 0] for m in sop) == pytest.approx(42.0)
         for got, want in zip(sop, brute_force_sop(y), strict=True):
-            np.testing.assert_allclose(got.array, want, atol=1e-12)
+            np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_matches_brute_force_on_random_tables(self, gen):
         for _ in range(5):
@@ -92,6 +109,7 @@ class TestComputeSop:
             parts = sop_arrays(y)
             for got, want in zip(parts, brute_force_sop(y), strict=True):
                 np.testing.assert_allclose(got, want, atol=1e-9)
+                assert np.array_equal(got, np.swapaxes(got, -1, -2))  # symmetric bit for bit
 
     def test_additivity(self, gen):
         y = 1e4 + 50.0 * gen.standard_normal((4, 3, 3, 2))
@@ -102,16 +120,16 @@ class TestComputeSop:
 
     def test_constant_responses_give_zero_sops(self):
         y = np.full((3, 3, 2, 2), 7.0)
-        sop = compute_sop(DesignTable(y))
+        sop = sop_arrays(y)
         assert len(sop) == 4
         for m in sop:
-            assert not np.any(m.array)
+            assert not np.any(m)
 
     def test_rank_bounds(self, gen):
         y = gen.standard_normal((3, 4, 2, 3))
-        sop = compute_sop(DesignTable(y))
-        for m, bound in ((sop.sop_a, 2), (sop.sop_b, 3), (sop.sop_ab, 3)):
-            w = np.linalg.eigvalsh(m.array)
+        sop_a, sop_b, sop_ab, _ = sop_arrays(y)
+        for m, bound in ((sop_a, 2), (sop_b, 3), (sop_ab, 3)):
+            w = np.linalg.eigvalsh(m)
             rank = int(np.sum(w > 1e-10 * max(w[-1], 1.0)))
             assert rank <= bound
 
@@ -122,49 +140,55 @@ class TestComputeSop:
         for got, want in zip(permuted, base):
             np.testing.assert_allclose(got, want, atol=1e-10)
 
-    def test_overflowing_responses_rejected(self):
+    def test_overflowing_responses_rejected(self, monkeypatch):
+        # run_report checks the SOPs before any Monte Carlo.
+        monkeypatch.setattr("wishartmix.design_io.mc_pvalue", lambda *args: pytest.fail("work began"))
         y = np.zeros((2, 2, 2, 1))
         y[0, :, :, 0] = 1e200
         with pytest.raises(ValidationError, match="overflow the sum of outer products.*rescale"):
-            compute_sop(DesignTable(y))
+            run_report(DesignTable(y), McConfig(n_mc=1000, seed=0))
 
     def test_single_replicate_rejected(self):
-        with pytest.raises(DegenerateDesign):
-            compute_sop(DesignTable(np.zeros((2, 2, 1, 1))))
+        with pytest.raises(DegenerateDesign, match="at least two replicates per cell are needed, got n=1"):
+            run_report(DesignTable(np.zeros((2, 2, 1, 1))), McConfig(n_mc=1000, seed=0))
 
 
 class TestStatisticEigs:
     def test_residual_as_numerator_gives_unit_eigenvalues(self, gen):
         y = gen.standard_normal((3, 3, 4, 2))
-        sop = compute_sop(DesignTable(y))
-        eigs = batched_statistic_eigs(sop.sop_e.array, sop.sop_e.array)
+        sop_e = sop_arrays(y)[3]
+        eigs = batched_statistic_eigs(sop_e, sop_e)
         np.testing.assert_allclose(eigs, np.ones(2), atol=1e-10)
 
     def test_scalar_ratio(self, gen):
         y = gen.standard_normal((3, 3, 3, 1))
-        sop = compute_sop(DesignTable(y))
-        eigs = batched_statistic_eigs(sop.sop_a.array, sop.sop_e.array)
-        expected = sop.sop_a.array[0, 0] / sop.sop_e.array[0, 0]
+        sop_a, _, _, sop_e = sop_arrays(y)
+        eigs = batched_statistic_eigs(sop_a, sop_e)
+        expected = sop_a[0, 0] / sop_e[0, 0]
         assert eigs[0] == pytest.approx(expected, rel=1e-12)
 
     def test_sigma_invariance(self, gen):
         y = gen.standard_normal((4, 3, 3, 2))
-        sop = compute_sop(DesignTable(y))
-        base = batched_statistic_eigs(sop.sop_a.array, sop.sop_e.array)
-        direct = np.sort(np.linalg.eigvals(sop.sop_a.array @ np.linalg.inv(sop.sop_e.array)).real)[::-1]
+        sop_a, _, _, sop_e = sop_arrays(y)
+        base = batched_statistic_eigs(sop_a, sop_e)
+        direct = np.sort(np.linalg.eigvals(sop_a @ np.linalg.inv(sop_e)).real)[::-1]
         np.testing.assert_allclose(base, direct, rtol=1e-8)
         for _ in range(5):
             sigma = random_spd(2, gen)
-            eigs = batched_statistic_eigs(sop.sop_a.array, sop.sop_e.array, sigma)
+            eigs = batched_statistic_eigs(sop_a, sop_e, sigma)
             np.testing.assert_allclose(eigs, base, rtol=1e-8, atol=1e-10)
 
     def test_singular_residual_rejected(self):
         # One replicate pair per cell in a tiny design cannot span d = 3.
         y = np.zeros((2, 2, 2, 3))
         y[..., 0] = np.arange(8.0).reshape(2, 2, 2)
-        sop = compute_sop(DesignTable(y))
+        sop_a, _, _, sop_e = sop_arrays(y)
         with pytest.raises(SingularErrorMatrix):
-            batched_statistic_eigs(sop.sop_a.array, sop.sop_e.array)
+            batched_statistic_eigs(sop_a, sop_e)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^numerator SOPs \(2, 2\) and residual SOPs \(3, 3\) differ in shape$"):
+            batched_statistic_eigs(np.eye(2), np.eye(3))
 
     def test_ill_conditioned_residual_rejected_alone_and_in_a_stack(self, gen):
         # Condition number 1e14 is below the relative PD_TOL = 1e-12 floor.
@@ -187,8 +211,8 @@ class TestStatisticEigs:
         for m in range(6):
             assert np.array_equal(batched[m], batched_statistic_eigs(sop_a[m], sop_e[m]))
             assert np.array_equal(batched_sigma[m], batched_statistic_eigs(sop_a[m], sop_e[m], sigma))
-            sop = compute_sop(DesignTable(y[m]))
-            single = batched_statistic_eigs(sop.sop_a.array, sop.sop_e.array)
+            single_a, _, _, single_e = sop_arrays(y[m])
+            single = batched_statistic_eigs(single_a, single_e)
             np.testing.assert_allclose(batched[m], single, rtol=1e-9, atol=1e-12)
 
 
@@ -285,8 +309,8 @@ class TestUnivariateFTest:
         for nu_num in dofs:
             for nu_den in dofs:
                 for f in f_values:
-                    sop = SopDecomposition(SymMat(f * nu_num), SymMat(1.0), SymMat(1.0), SymMat(float(nu_den)))
-                    f_stat, p = _f_test(sop, DofMap(nu_num, 1, 1, nu_den), 0, 3)
+                    sops = (np.full((1, 1), f * nu_num), np.ones((1, 1)), np.ones((1, 1)), np.full((1, 1), float(nu_den)))
+                    f_stat, p = _f_test(sops, DofMap(nu_num, 1, 1, nu_den), 0, 3)
                     assert f_stat == pytest.approx(f, rel=1e-15)
                     assert p == float(stats.f.sf(f_stat, nu_num, nu_den)), (nu_num, nu_den, f)
 
@@ -316,6 +340,21 @@ class TestSimulationSpecValidation:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             SimulationSpec(3, 2, 2, 1, SpdMat(1.0), effect_a=FixedEffect([[1.0], [-1.0]]))
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: FixedEffect([[np.nan], [0.0]]), "fixed-effect values must be finite"),
+            (lambda: SimulationSpec(2, 2, 2, 2, SpdMat(1.0)), "error_scale must be a 2x2 positive definite matrix"),
+            (lambda: SimulationSpec(2, 2, 2, 1, SpdMat(1.0), effect_b=RandomEffect(np.eye(2))),
+             "effect_b covariance must be 1x1"),
+        ],
+        ids=["fixed-non-finite", "error-scale-size", "random-covariance-size"],
+    )
+    def test_rejected_with_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            call()
+        assert type(info.value) is ValueError
 
     def test_effect_slot_takes_none_or_an_effect(self):
         assert SimulationSpec(2, 2, 2, 1, SpdMat(1.0), effect_b=None).effect_b is None

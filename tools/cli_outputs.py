@@ -12,14 +12,16 @@ that writes a report, ``<run>.json``.  The inputs are kept in
 
 prints nothing.  The runs cover every subcommand: ``manova`` at d = 1, 2
 and 3 with each functional, once with ``--sigma`` at more null draws than
-one p-value chunk holds, and once on a square design (A and B share one
-null set); ``verify`` central, noncentral, below the draw floor, at d = 1
-(one-row factors) and at d = 3 with 90 degrees of freedom (each
-verification chunk drawn in two batches); ``calibrate`` at d = 1, 2 and 3,
-and once with more null draws per dataset than one p-value chunk holds;
-``sample`` for each distribution, with central, fractional-dof and
-noncentral Wishart parameters and a one-row matrix normal.  Every run draws
-at least 1,000 null samples per p-value, so none warns.
+one p-value chunk holds, once on a square design (A and B share one null
+set) and once on responses near 1e200, whose SOPs overflow (exit 2);
+``verify`` central, noncentral, below the draw floor, at d = 1 (one-row
+factors) and at d = 3 with 90 degrees of freedom (each verification chunk
+drawn in two batches); ``calibrate`` at d = 1, 2 and 3, and once with more
+null draws per dataset than one p-value chunk holds; ``sample`` for each
+distribution, with central, fractional-dof and noncentral Wishart
+parameters, a one-row matrix normal and a chi-square whose noncentrality
+takes its default of 0.  Every run draws at least 1,000 null samples per
+p-value, so none warns.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ SAMPLE_PARAMS = {
     "wishart-noncentral": ("wishart", {"dof": 5, "scale": [[2, 1], [1, 3]], "noncen": [[1, 0.5], [0.5, 2]]}),
     "beta2": ("beta2", {"dof1": 4, "dof2": 12, "dim": 2}),
     "chisq": ("chisq", {"dof": 3, "noncen": 1.5}),
+    "chisq-central": ("chisq", {"dof": 2.5}),
 }
 
 
@@ -63,12 +66,20 @@ def write_design_csv(path: Path, dim: int, seed: int, levels_a: int = LEVELS_A) 
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_overflow_csv(path: Path) -> None:
+    """A 3 x 3 design with 3 rows per cell of responses near 1e200, response ``y1``."""
+    gen = np.random.default_rng(8)
+    rows = [f"a{i},b{j},{1e200 * gen.standard_normal()!r}" for i in range(3) for j in range(3) for _ in range(3)]
+    path.write_text("factor_a,factor_b,y1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+
 def write_inputs() -> None:
-    """The design CSVs, the ``--sigma`` matrix file and the ``sample`` parameter files, under ``inputs/``."""
+    """The design CSVs (one overflowing), the ``--sigma`` matrix file and the ``sample`` parameter files, under ``inputs/``."""
     Path("inputs").mkdir(exist_ok=True)
     for dim in (1, 2, 3):
         write_design_csv(Path(f"inputs/design_d{dim}.csv"), dim, seed=dim)
     write_design_csv(Path("inputs/design_square_d2.csv"), 2, seed=7, levels_a=LEVELS_B)
+    write_overflow_csv(Path("inputs/overflow_d1.csv"))
     Path("inputs/sigma_d2.txt").write_text("2\n2.0 0.5\n0.5 1.0\n", encoding="utf-8")
     for name, (_, params) in SAMPLE_PARAMS.items():
         Path(f"inputs/{name}.json").write_text(json.dumps(params) + "\n", encoding="utf-8")
@@ -94,6 +105,7 @@ def runs() -> list[tuple[str, list[str]]]:
         "manova", "--input", "inputs/design_square_d2.csv", "--responses", "y1,y2", "--n-per-cell", "3",
         "--subsample-seed", "1", "--n-mc", "2000", "--mc-seed", "2", "--json", "manova-d2-square.json",
     ]))
+    out.append(("manova-overflow", ["manova", "--input", "inputs/overflow_d1.csv", "--responses", "y1", "--n-per-cell", "3"]))
     verify = [
         ("verify-central", ["--dim", "3", "--dof", "5", "--n-draws", "20000", "--central", "--specs", "2"]),
         ("verify-noncentral", ["--dim", "2", "--dof", "4", "--n-draws", "20000", "--specs", "2"]),
