@@ -61,6 +61,9 @@ __all__ = [
 # Chunk budget for batched sampling, in scalar draws per chunk.
 _CHUNK_SCALARS = 1 << 22
 
+# The largest rate numpy's Poisson sampler accepts (its ``POISSON_LAM_MAX``).
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+
 
 def _dof(value, name: str, dim: int) -> float:
     """``value`` as a finite ``float`` above ``dim - 1``: the one rule for every degrees of freedom."""
@@ -437,8 +440,8 @@ def sample_noncentral_chisq(
     """
     dof = _dof(dof, "dof", 1)
     noncen = float(noncen)
-    if not (math.isfinite(noncen) and noncen >= 0):
-        raise ValueError(f"noncen must be finite and non-negative, got {noncen}")
+    if not 0.0 <= noncen / 2.0 <= _POISSON_LAM_MAX:
+        raise ValueError(f"noncen must be non-negative and at most {2.0 * _POISSON_LAM_MAX:.6g}, got {noncen}")
     gen = as_generator(rng)
     n = 1 if size is None else _count(size, "size", 0)
     draws = gen.chisquare(dof + 2.0 * gen.poisson(noncen / 2.0, n))

@@ -59,7 +59,6 @@ __all__ = [
 # SOPs in sop_arrays order, which are also the positions of their degrees of
 # freedom in DofMap order.
 FACTOR_TESTS = (("A", 0, 3), ("B", 1, 3), ("AB", 2, 3))
-FACTORS = tuple(name for name, _, _ in FACTOR_TESTS)
 
 
 @dataclass(frozen=True)

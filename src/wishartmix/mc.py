@@ -12,9 +12,9 @@ Ties count as extreme.
 Determinism: the null stream is derived from ``(seed, dof1, dof2, dim)``, so
 factor tests whose degrees of freedom coincide automatically share one draw
 set, while different degrees of freedom get independent sets.  One step,
-:func:`_null_counts`, draws a null set from a given child stream and counts
-each functional's tail: :func:`mc_pvalue` takes one per fixed-quota chunk
-(child ``k`` for chunk ``k``), :func:`null_calibration` one of ``n_mc``
+:func:`_null_count`, draws a null set from a given child stream and counts
+the tail of ``cfg.functional``: :func:`mc_pvalue` takes one per fixed-quota
+chunk (child ``k`` for chunk ``k``), :func:`null_calibration` one of ``n_mc``
 draws per dataset (child ``i`` for dataset ``i``).  So at ``n_mc`` up to one
 chunk, 65,536 draws, a report on calibration's dataset 0 gives its p-values.
 
@@ -35,7 +35,6 @@ import numpy as np
 from .distributions import BetaIIParams, beta2_eigenvalues
 from .manova import (
     FACTOR_TESTS,
-    FACTORS,
     SimulationSpec,
     StatisticFunctional,
     _test_dofs,
@@ -104,16 +103,10 @@ def _null_stream(seed: int, dof1: float, dof2: float, dim: int) -> RngStream:
     return RngStream(seed, tag)
 
 
-def _null_counts(
-    params: BetaIIParams, gen: np.random.Generator, n: int, observed: dict[StatisticFunctional, float]
-) -> dict[StatisticFunctional, int]:
-    """Draw ``n`` null eigenvalue lists from ``gen``; per functional, count those at least as extreme as its observed value."""
-    eigs = beta2_eigenvalues(params, gen, n)
-    counts = {}
-    for fn, obs in observed.items():
-        stats = scalar_statistic(eigs, fn)
-        counts[fn] = int(np.count_nonzero(stats <= obs if fn.lower_tail else stats >= obs))
-    return counts
+def _null_count(params: BetaIIParams, gen: np.random.Generator, n: int, fn: StatisticFunctional, observed: float) -> int:
+    """Draw ``n`` null eigenvalue lists from ``gen``; count those whose ``fn`` is at least as extreme as ``observed``."""
+    stats = scalar_statistic(beta2_eigenvalues(params, gen, n), fn)
+    return int(np.count_nonzero(stats <= observed if fn.lower_tail else stats >= observed))
 
 
 def _warn_if_coarse(n_mc: int) -> None:
@@ -136,9 +129,8 @@ def mc_pvalue(observed: float, dof1: float, dof2: float, dim: int, cfg: McConfig
         raise ValueError(f"observed statistic must be finite, got {observed}")
     _warn_if_coarse(cfg.n_mc)
     stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
-    target = {cfg.functional: observed}
     n_extreme = sum(
-        _null_counts(params, stream.generator(k), n, target)[cfg.functional]
+        _null_count(params, stream.generator(k), n, cfg.functional, observed)
         for k, _, n in _chunk_spans(cfg.n_mc, _MC_CHUNK)
     )
     return _estimate(n_extreme, cfg.n_mc)
@@ -146,7 +138,7 @@ def mc_pvalue(observed: float, dof1: float, dof2: float, dim: int, cfg: McConfig
 
 @dataclass(frozen=True)
 class FactorCalibration:
-    """Calibration result for the ``(factor, functional)`` key it has in :class:`CalibrationSummary`."""
+    """Calibration result for the factor it is keyed by in :class:`CalibrationSummary`."""
 
     pvalues: np.ndarray
     rejection_rates: dict[float, float]
@@ -156,21 +148,18 @@ class FactorCalibration:
 
 @dataclass(frozen=True)
 class CalibrationSummary:
-    """Null-calibration results keyed by ``(factor, functional)``, with the :class:`McConfig` they ran with."""
+    """Null-calibration results of ``cfg.functional``, keyed by factor name in ``FACTOR_TESTS`` order."""
 
     n_datasets: int
     cfg: McConfig
-    results: dict[tuple[str, StatisticFunctional], FactorCalibration]
-
-    def get(self, factor: str, functional: StatisticFunctional) -> FactorCalibration:
-        return self.results[(factor, StatisticFunctional(functional))]
+    results: dict[str, FactorCalibration]
 
     def to_text(self) -> str:
         lines = [f"null calibration over {self.n_datasets} datasets, n_mc = {self.cfg.n_mc}"]
-        for (factor, functional), res in self.results.items():
+        for factor, res in self.results.items():
             rates = "  ".join(f"@{lvl:g}: {rate:.4f}" for lvl, rate in res.rejection_rates.items())
             lines.append(
-                f"  factor {factor:<2} {functional.value:<16} {rates}  KS {res.ks_stat:.4f} (p {res.ks_pvalue:.3f})"
+                f"  factor {factor:<2} {self.cfg.functional.value:<16} {rates}  KS {res.ks_stat:.4f} (p {res.ks_pvalue:.3f})"
             )
         return "\n".join(lines)
 
@@ -180,7 +169,6 @@ def null_calibration(
     n_datasets: int,
     cfg: McConfig,
     rng: RngStream | int,
-    functionals: tuple[StatisticFunctional, ...] | None = None,
 ) -> CalibrationSummary:
     """Self-check of the three-factor battery on simulated tables.
 
@@ -191,44 +179,37 @@ def null_calibration(
     all-null configuration; with genuine effects the rejection rates report
     power instead.
 
-    ``functionals`` defaults to ``(cfg.functional,)``; pass
-    ``tuple(StatisticFunctional)`` to calibrate all four from one shared set
-    of null draws.  A functional named twice is calibrated once.  Every
-    dataset gets an independent null draw set, derived deterministically
-    from ``cfg.seed``.
+    Only ``cfg.functional`` is calibrated.  Every dataset gets an
+    independent null draw set, derived deterministically from ``cfg.seed``
+    and not from the functional, so calls that differ only in
+    ``cfg.functional`` draw the same tables and null sets.
     """
     rng = _as_stream(rng, "null_calibration")
     n_datasets = _count(n_datasets, "n_datasets", 0)
-    functionals = tuple(dict.fromkeys(StatisticFunctional(f) for f in (functionals or (cfg.functional,))))
     dofs = _test_dofs(spec.levels_a, spec.levels_b, spec.reps, spec.dim)
     if n_datasets == 0:
         return CalibrationSummary(0, cfg, {})
     _warn_if_coarse(cfg.n_mc)
 
-    pvals: dict[tuple[str, StatisticFunctional], list[float]] = {
-        (f, fn): [] for f in FACTORS for fn in functionals
-    }
+    pvals: dict[str, list[float]] = {factor: [] for factor, _, _ in FACTOR_TESTS}
 
     for chunk_idx, done, m in _chunk_spans(n_datasets, _DATASET_CHUNK):
         tables = simulate_design(spec, rng.generator(0, chunk_idx), size=m)
         sops = sop_arrays(tables)
         for factor, num, den in FACTOR_TESTS:
-            eigs_obs = batched_statistic_eigs(sops[num], sops[den])
-            observed = {fn: scalar_statistic(eigs_obs, fn).tolist() for fn in functionals}
+            observed = scalar_statistic(batched_statistic_eigs(sops[num], sops[den]), cfg.functional).tolist()
             params = BetaIIParams(dofs[num], dofs[den], spec.dim)
             null_stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
-            for i in range(m):
-                obs = {fn: observed[fn][i] for fn in functionals}
-                for fn, n_extreme in _null_counts(params, null_stream.generator(done + i), cfg.n_mc, obs).items():
-                    pvals[(factor, fn)].append(_estimate(n_extreme, cfg.n_mc).p_hat)
+            for i, obs in enumerate(observed):
+                n_extreme = _null_count(params, null_stream.generator(done + i), cfg.n_mc, cfg.functional, obs)
+                pvals[factor].append(_estimate(n_extreme, cfg.n_mc).p_hat)
 
     from scipy.stats import kstest  # deferred: see the module docstring
 
     results = {}
-    for factor in FACTORS:
-        for fn in functionals:
-            p = np.array(pvals[(factor, fn)])
-            rates = {lvl: float(np.mean(p <= lvl)) for lvl in CALIBRATION_LEVELS}
-            ks = kstest(p, "uniform")
-            results[(factor, fn)] = FactorCalibration(p, rates, float(ks.statistic), float(ks.pvalue))
+    for factor, values in pvals.items():
+        p = np.array(values)
+        rates = {lvl: float(np.mean(p <= lvl)) for lvl in CALIBRATION_LEVELS}
+        ks = kstest(p, "uniform")
+        results[factor] = FactorCalibration(p, rates, float(ks.statistic), float(ks.pvalue))
     return CalibrationSummary(n_datasets, cfg, results)

@@ -454,6 +454,16 @@ class TestSampleCommand:
         assert code == EXIT_VALIDATION
         assert "dof" in capsys.readouterr().err
 
+    def test_noncen_past_poisson_limit_exit_two(self, tmp_path, capsys):
+        # numpy's Poisson sampler takes rates up to about 9.22e18, so noncen up to about 1.84e19.
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps({"dof": 2, "noncen": 1.9e19}), encoding="utf-8")
+        code = main(["sample", "--dist", "chisq", "--params", str(pfile), "--n", "2", "--seed", "3"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: noncen must be non-negative and at most 1.84467e+19, got 1.9e+19")
+
     @pytest.mark.parametrize(
         "dist,params,key",
         [

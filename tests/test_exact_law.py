@@ -4,20 +4,33 @@
 each projection ``a'Xa``, entry means, MGF) at family level ``VERIFY_ALPHA``.
 Each sampler test is gated by mutation: the same draws, judged against the
 law with dof ``nu + 1`` or scale ``x 1.02``, must fail at the test's size.
+
+The one-sample laws, the noncentral chi-square and the ``d = 1`` Beta Type
+II eigenvalue ``(nu_1 / nu_2) F(nu_1, nu_2)``, are judged as ``check_law``
+judges a projection: the empirical CDF at the exact quantiles of the levels
+``k / 1000`` against the DKW-Massart band at ``VERIFY_ALPHA``, with the same
+mutation gate (dof + 1, draws x 1.02).
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy.special import chndtrix, fdtri
 
 from wishartmix import (
+    BetaIIParams,
     RngStream,
     SpdMat,
     WishartParams,
+    beta2_eigenvalues,
     mixture_marginal_params,
     random_mixture_spec,
+    sample_beta2,
+    sample_noncentral_chisq,
     verify_closure,
 )
-from wishartmix.closure import _hierarchical_factor, check_law
+from wishartmix.closure import VERIFY_ALPHA, _hierarchical_factor, check_law
 from wishartmix.distributions import _wishart_factor
 from conftest import random_psd, random_spd
 
@@ -90,3 +103,41 @@ def test_check_law_rejects_a_generator():
     source, law = _wishart_case(2, 4.0, False, 1601)
     with pytest.raises(TypeError, match="check_law needs an RngStream"):
         check_law(source, law, 10_000, np.random.default_rng(0))
+
+
+LEVELS = np.arange(1, 1000) / 1000
+
+
+def follows(draws: np.ndarray, quantiles: np.ndarray) -> bool:
+    """Whether the empirical CDF of ``draws`` at the ``LEVELS`` quantiles of a law lies in its DKW-Massart band."""
+    gap = np.abs(np.searchsorted(np.sort(draws), quantiles, "right") / draws.size - LEVELS).max()
+    return gap <= math.sqrt(math.log(2 / VERIFY_ALPHA) / (2 * draws.size))
+
+
+@pytest.mark.parametrize("dof,noncen", [(3.0, 1.5), (4.5, 3.0)])
+def test_noncentral_chisq_follows_its_exact_law(dof, noncen):
+    draws = sample_noncentral_chisq(dof, noncen, RngStream(1620), size=N_LAW)
+    assert follows(draws, chndtrix(LEVELS, dof, noncen))
+    assert not follows(draws, chndtrix(LEVELS, dof + 1.0, noncen)), "dof + 1"
+    assert not follows(1.02 * draws, chndtrix(LEVELS, dof, noncen)), "draws x 1.02"
+
+
+def beta2_d1_quantiles(dof1: float, dof2: float) -> np.ndarray:
+    """``LEVELS`` quantiles of the ``d = 1`` Beta II eigenvalue: ``(nu_2 / nu_1) lambda`` is ``F(nu_1, nu_2)``."""
+    return dof1 / dof2 * fdtri(dof1, dof2, LEVELS)
+
+
+BETA2_D1 = {
+    "beta2_eigenvalues": lambda params, rng: beta2_eigenvalues(params, rng, N_LAW)[:, 0],
+    "sample_beta2": lambda params, rng: sample_beta2(params, rng, size=N_LAW)[:, 0, 0],
+}
+
+
+@pytest.mark.parametrize("sampler", BETA2_D1)
+def test_beta2_d1_follows_the_f_law(sampler):
+    dof1, dof2 = 4.5, 12.0
+    draws = BETA2_D1[sampler](BetaIIParams(dof1, dof2, 1), RngStream(1621))
+    assert follows(draws, beta2_d1_quantiles(dof1, dof2))
+    assert not follows(draws, beta2_d1_quantiles(dof1 + 1.0, dof2)), "dof1 + 1"
+    assert not follows(draws, beta2_d1_quantiles(dof1, dof2 + 1.0)), "dof2 + 1"
+    assert not follows(1.02 * draws, beta2_d1_quantiles(dof1, dof2)), "draws x 1.02"

@@ -140,17 +140,21 @@ class TestExactOracles:
 
 
 def _per_dataset_pvalues(spec, n_datasets, cfg, rng, functionals):
-    """Reference: ``null_calibration``'s p-values, each observed statistic taken from its own dataset's eigenvalues."""
-    from wishartmix.manova import FACTORS, batched_statistic_eigs, dof_map, simulate_design, sop_arrays
+    """Reference: ``null_calibration``'s p-values by ``(factor, functional)``, each from its own dataset's eigenvalues.
+
+    One null draw per dataset and factor is shared by all ``functionals``.
+    """
+    from wishartmix.manova import batched_statistic_eigs, dof_map, simulate_design, sop_arrays
     from wishartmix.mc import _DATASET_CHUNK, _null_stream
 
+    factors = ("A", "B", "AB")
     dofs = dof_map(spec.levels_a, spec.levels_b, spec.reps)
-    dof1 = dict(zip(FACTORS, (dofs.nu_a, dofs.nu_b, dofs.nu_ab)))
-    pvals = {(f, fn): [] for f in FACTORS for fn in functionals}
+    dof1 = dict(zip(factors, (dofs.nu_a, dofs.nu_b, dofs.nu_ab)))
+    pvals = {(f, fn): [] for f in factors for fn in functionals}
     for chunk, done in enumerate(range(0, n_datasets, _DATASET_CHUNK)):
         m = min(_DATASET_CHUNK, n_datasets - done)
         sops = sop_arrays(simulate_design(spec, rng.generator(0, chunk), size=m))
-        for factor, sop in zip(FACTORS, sops):
+        for factor, sop in zip(factors, sops):
             eigs_obs = batched_statistic_eigs(sop, sops[3])
             params = BetaIIParams(dof1[factor], dofs.nu_e, spec.dim)
             stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
@@ -174,7 +178,8 @@ class TestNullCalibration:
     def test_null_rates_near_nominal(self):
         spec = SimulationSpec(4, 4, 3, 2, SpdMat(np.eye(2)))
         summary = null_calibration(spec, 300, McConfig(n_mc=1000, seed=9), RngStream(10))
-        res = summary.get("A", HL)
+        assert list(summary.results) == ["A", "B", "AB"]
+        res = summary.results["A"]
         assert res.ks_pvalue > 0.01
         assert 0.02 <= res.rejection_rates[0.05] <= 0.09
 
@@ -186,20 +191,20 @@ class TestNullCalibration:
             effect_a=RandomEffect(SpdMat(10.0 * np.eye(2))),
         )
         summary = null_calibration(spec, 200, McConfig(n_mc=1000, seed=11), RngStream(12))
-        assert summary.get("A", HL).rejection_rates[0.05] >= 0.99
+        assert summary.results["A"].rejection_rates[0.05] >= 0.99
         # the other factors stay null-calibrated
-        assert summary.get("B", HL).rejection_rates[0.05] < 0.15
+        assert summary.results["B"].rejection_rates[0.05] < 0.15
 
     @pytest.mark.parametrize("dim,n_datasets", [(1, 9), (2, 260), (3, 9)])
     def test_pvalues_match_per_dataset_loop(self, dim, n_datasets):
         # 260 datasets cross the 256-dataset chunk boundary.
         spec = SimulationSpec(4, 4, 3, dim, SpdMat(np.eye(dim)))
         cfg = McConfig(n_mc=1000, seed=15)
-        fns = tuple(StatisticFunctional)
-        summary = null_calibration(spec, n_datasets, cfg, RngStream(16), fns)
-        ref = _per_dataset_pvalues(spec, n_datasets, cfg, RngStream(16), fns)
-        for key, p in ref.items():
-            assert summary.results[key].pvalues.tobytes() == np.array(p).tobytes()
+        ref = _per_dataset_pvalues(spec, n_datasets, cfg, RngStream(16), tuple(StatisticFunctional))
+        for fn in StatisticFunctional:
+            summary = null_calibration(spec, n_datasets, dataclasses.replace(cfg, functional=fn), RngStream(16))
+            for factor, res in summary.results.items():
+                assert res.pvalues.tobytes() == np.array(ref[(factor, fn)]).tobytes()
 
     def test_deterministic(self):
         spec = SimulationSpec(3, 3, 2, 2, SpdMat(np.eye(2)))
@@ -208,20 +213,7 @@ class TestNullCalibration:
             a = null_calibration(spec, 50, cfg, RngStream(14))
             b = null_calibration(spec, 50, cfg, RngStream(14))
         assert {w.filename for w in record} == {__file__}
-        np.testing.assert_array_equal(a.get("A", HL).pvalues, b.get("A", HL).pvalues)
-
-    def test_repeated_functional_counted_once(self):
-        spec = SimulationSpec(4, 4, 3, 2, SpdMat(np.eye(2)))
-        cfg = McConfig(n_mc=1000, seed=19)
-        once = null_calibration(spec, 20, cfg, RngStream(20), (HL,))
-        twice = null_calibration(spec, 20, cfg, RngStream(20), (HL, HL))
-        assert list(twice.results) == list(once.results)
-        for key, res in once.results.items():
-            other = twice.results[key]
-            assert other.pvalues.tobytes() == res.pvalues.tobytes()
-            assert (other.rejection_rates, other.ks_stat, other.ks_pvalue) == (
-                res.rejection_rates, res.ks_stat, res.ks_pvalue
-            )
+        np.testing.assert_array_equal(a.results["A"].pvalues, b.results["A"].pvalues)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_report_gives_dataset_zero_pvalues(self, dim):
@@ -230,9 +222,10 @@ class TestNullCalibration:
         # for dataset 0, so they give the same p-values bit for bit.
         spec = SimulationSpec(5, 4, 3, dim, SpdMat(np.eye(dim)))
         cfg = McConfig(n_mc=1000, seed=21)
-        summary = null_calibration(spec, 3, cfg, RngStream(22), tuple(StatisticFunctional))
         table = DesignTable(simulate_design(spec, RngStream(22).generator(0, 0), size=3)[0])
         for fn in StatisticFunctional:
-            report = run_report(table, dataclasses.replace(cfg, functional=fn))
-            for fr in report.factors:
-                assert fr.p.p_hat == summary.get(fr.name, fn).pvalues[0]
+            fn_cfg = dataclasses.replace(cfg, functional=fn)
+            summary = null_calibration(spec, 3, fn_cfg, RngStream(22))
+            for fr in run_report(table, fn_cfg).factors:
+                assert fr.p.p_hat == summary.results[fr.name].pvalues[0]
+            assert [line.split()[2] for line in summary.to_text().splitlines()[1:]] == [fn.value] * 3

@@ -16,9 +16,10 @@ one p-value chunk holds, once on a square design (A and B share one null
 set) and once on responses near 1e200, whose SOPs overflow (exit 2);
 ``verify`` central, noncentral, below the draw floor, at d = 1 (one-row
 factors) and at d = 3 with 90 degrees of freedom (each verification chunk
-drawn in two batches); ``calibrate`` at d = 1, 2 and 3, and once with more
-null draws per dataset than one p-value chunk holds; ``sample`` for each
-distribution, with central, fractional-dof and noncentral Wishart
+drawn in two batches); ``calibrate`` at d = 1, 2 and 3 with
+Hotelling-Lawley, at d = 2 with Wilks (lower tail) and with Roy, and once
+with more null draws per dataset than one p-value chunk holds; ``sample``
+for each distribution, with central, fractional-dof and noncentral Wishart
 parameters, a one-row matrix normal and a chi-square whose noncentrality
 takes its default of 0.  Every run draws at least 1,000 null samples per
 p-value, so none warns.
@@ -119,6 +120,11 @@ def runs() -> list[tuple[str, list[str]]]:
         out.append((f"calibrate-d{dim}", [
             "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", str(dim),
             "--datasets", "40", "--n-mc", "1000", "--seed", "5",
+        ]))
+    for functional in (StatisticFunctional.WILKS, StatisticFunctional.ROY):
+        out.append((f"calibrate-d2-{functional.value}", [
+            "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", "2",
+            "--datasets", "40", "--n-mc", "1000", "--seed", "5", "--functional", functional.value,
         ]))
     out.append(("calibrate-d2-chunk-sized", [
         "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", "2",
