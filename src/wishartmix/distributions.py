@@ -19,18 +19,18 @@ noncentral sampling is rejected rather than approximated.  The same
 ``Z root + M`` construction draws the matrix normal itself and, with a
 per-draw ``M``, the conditional level of the closure hierarchy.  Beta Type II
 eigenvalues come straight from the two Bartlett factors, drawn as ``(n,)``
-columns of entries rather than ``(n, d, d)`` stacks: ``C = T2^{-1} T1`` is
-lower triangular and built column by column by forward substitution, and its
-spectrum is closed form for ``d <= 2`` (``C`` is assembled, for
-``eigvalsh``, only for ``d >= 3``).  The Bartlett stack that the Wishart and
-Beta II matrix samplers use is filled from the same columns, so both routes
-consume a stream alike.  Grams have one route as well: the upper-triangle
-entries of ``L' L`` are computed as ``(n,)`` columns, one ``einsum`` over the
-factor per entry; the ``(n, d, d)`` stacks of :func:`sample_wishart`,
-:func:`sample_beta2` and the closure hierarchy are filled from those columns
-(symmetric bitwise), and the closure verification uses the columns directly.
-All samplers accept ``size`` and then return a stacked ``(size, d, d)``
-array, drawing in fixed-size chunks to bound memory.
+columns of entries rather than ``(n, d, d)`` stacks: :func:`_beta2_quotient`
+builds ``C = T2^{-1} T1`` column by column (``mc``'s ``d = 2`` null
+statistics use it too), and the spectrum is closed form for ``d <= 2``
+(``C`` is assembled, for ``eigvalsh``, only for ``d >= 3``).  The Bartlett
+stack that the Wishart and Beta II matrix samplers use is filled from the same
+columns, so both routes consume a stream alike.  Grams have one route as well:
+the upper-triangle entries of ``L' L`` are computed as ``(n,)`` columns, one
+``einsum`` over the factor per entry; the ``(n, d, d)`` stacks of
+:func:`sample_wishart`, :func:`sample_beta2` and the closure hierarchy are
+filled from those columns (symmetric bitwise), and the closure verification
+uses the columns directly.  All samplers accept ``size`` and then return a
+stacked ``(size, d, d)`` array, drawing in fixed-size chunks to bound memory.
 """
 
 from __future__ import annotations
@@ -366,18 +366,8 @@ def sample_beta2(
     return draws if size is not None else SpdMat(draws)
 
 
-def _beta2_eigs(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> np.ndarray:
-    """Descending eigenvalues of ``C C'``, ``C = T2^{-1} T1``, for lower-triangular factors given as columns.
-
-    ``t1`` and ``t2`` hold ``(n,)`` columns as :func:`_bartlett_columns`
-    returns them.  ``C`` is lower triangular and is built by forward
-    substitution, one ``(n,)`` column of entries at a time.  For ``d = 2``,
-    with ``p = c00^2``, ``q = c00 c10`` and ``r = c10^2 + c11^2``, the larger
-    eigenvalue is ``(p + r)/2 + hypot(p - r, 2q)/2`` and the smaller is
-    ``det(C C') / lambda_1 = (c00 c11)^2 / lambda_1``, which keeps full
-    relative accuracy where ``(p + r)/2 - hypot(...)/2`` would cancel.
-    ``d >= 3`` assembles ``C`` only to pass ``C C'`` to ``eigvalsh``.
-    """
+def _beta2_quotient(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
+    """``C = T2^{-1} T1`` by forward substitution, all three as ``(n,)`` columns like :func:`_bartlett_columns`'s."""
     dim = len(t1)
     c = [[None] * (i + 1) for i in range(dim)]
     for j in range(dim):
@@ -386,15 +376,30 @@ def _beta2_eigs(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> np.nd
             for k in range(j, i):
                 acc = acc - t2[i][k] * c[k][j]
             c[i][j] = acc / t2[i][i]
-    if dim == 1:
+    return c
+
+
+def _beta2_top(c00: np.ndarray, c10: np.ndarray, c11: np.ndarray) -> np.ndarray:
+    """Larger eigenvalue of ``C C'`` from the ``d = 2`` columns of :func:`_beta2_quotient`."""
+    p, r = c00 * c00, c10 * c10 + c11 * c11
+    return (p + r) / 2 + np.hypot(p - r, 2.0 * c00 * c10) / 2
+
+
+def _beta2_eigs(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> np.ndarray:
+    """Descending eigenvalues of ``C C'`` for ``C = T2^{-1} T1`` from :func:`_beta2_quotient`.
+
+    At ``d = 2`` they are :func:`_beta2_top` and ``det(C C') / lambda_1``, which
+    keeps full relative accuracy where ``tr(C C') - lambda_1`` would cancel;
+    ``d >= 3`` assembles ``C`` only to pass ``C C'`` to ``eigvalsh``.
+    """
+    c = _beta2_quotient(t1, t2)
+    if len(c) == 1:
         return (c[0][0] * c[0][0])[:, None]
-    if dim > 2:
+    if len(c) > 2:
         cm = _lower_stack(c)
         return np.linalg.eigvalsh(cm @ np.swapaxes(cm, -1, -2))[:, ::-1]
     (c00,), (c10, c11) = c
-    p = c00 * c00
-    r = c10 * c10 + c11 * c11
-    lam1 = (p + r) / 2 + np.hypot(p - r, 2.0 * c00 * c10) / 2
+    lam1 = _beta2_top(c00, c10, c11)
     lam2 = np.divide((c00 * c11) ** 2, lam1, out=np.zeros_like(lam1), where=lam1 > 0.0)
     return np.stack([lam1, lam2], axis=1)
 
@@ -406,16 +411,11 @@ def beta2_eigenvalues(
 ) -> np.ndarray:
     """Eigenvalues of Beta Type II draws, shape ``(size, dim)``, sorted descending.
 
-    This is the null engine behind Monte Carlo p-values: the classical MANOVA
-    functionals are all symmetric functions of these eigenvalues.  With the
-    Bartlett factors ``S_i = T_i T_i'`` of :func:`sample_beta2` (same stream,
-    same draws), ``S2^{-1/2} S1 S2^{-1/2}`` is similar to ``C C'`` for
-    ``C = T2^{-1} T1``.  The factors are drawn as ``(n,)`` columns of their
-    entries, never as stacks, and ``C`` is formed column by column by forward
-    substitution; for ``d = 1`` the eigenvalue is ``c00^2`` and for ``d = 2``
-    the pair is closed form, the smaller one as ``det(C C') / lambda_1`` with
-    full relative accuracy.  ``d >= 3`` assembles ``C`` and uses
-    ``eigvalsh(C C')``.
+    The classical MANOVA functionals are all symmetric functions of these
+    eigenvalues.  With the Bartlett factors ``S_i = T_i T_i'`` of
+    :func:`sample_beta2` (same stream, same draws), ``S2^{-1/2} S1 S2^{-1/2}``
+    is similar to ``C C'`` for ``C = T2^{-1} T1``, whose spectrum
+    :func:`_beta2_eigs` computes from ``(n,)`` columns, never stacks.
     """
     gen = as_generator(rng)
 

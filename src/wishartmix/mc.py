@@ -3,11 +3,12 @@
 The factor statistics of a balanced design follow an exact Beta Type II
 distribution under the null, but the scalar functionals of its eigenvalues
 have no convenient closed-form CDFs.  p-values are therefore estimated by
-sampling the null: draw eigenvalue lists, apply the functional, and count the
-draws at least as extreme as the observed value in the functional's tail
-direction.  The add-one estimator ``(1 + n_extreme) / (1 + n_mc)`` is
-reported; it is never exactly zero and is exactly valid at finite ``n_mc``.
-Ties count as extreme.
+sampling the null statistic (:func:`_null_statistics`: at ``d = 2`` a closed
+form in each draw's ``tr(C C')`` and ``det(C C')``, with no eigenvalue list)
+and counting the draws at least as extreme as the observed value in the
+functional's tail direction; a draw that overflows raises.  The add-one
+estimator ``(1 + n_extreme) / (1 + n_mc)`` is reported; it is never exactly
+zero and is exactly valid at finite ``n_mc``.  Ties count as extreme.
 
 Determinism: the null stream is derived from ``(seed, dof1, dof2, dim)``, so
 factor tests whose degrees of freedom coincide automatically share one draw
@@ -18,10 +19,9 @@ chunk (child ``k`` for chunk ``k``), :func:`null_calibration` one of ``n_mc``
 draws per dataset (child ``i`` for dataset ``i``).  So at ``n_mc`` up to one
 chunk, 65,536 draws, a report on calibration's dataset 0 gives its p-values.
 
-Imports: ``scipy.stats`` is imported inside :func:`null_calibration`, its one
-user, for the KS test.  Importing it takes over a second on a 2-core x86-64
-host, several times the work of a small command, so only ``calibrate`` pays
-for it.
+Imports: ``scipy.stats``, over a second to import on a 2-core x86-64 host,
+is imported inside its one user, :func:`null_calibration` (for the KS
+test), so only ``calibrate`` pays for it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BetaIIParams, beta2_eigenvalues
+from .distributions import BetaIIParams, _bartlett_columns, _beta2_quotient, _beta2_top, _draw_stack, beta2_eigenvalues
 from .manova import (
     FACTOR_TESTS,
     SimulationSpec,
@@ -103,9 +103,43 @@ def _null_stream(seed: int, dof1: float, dof2: float, dim: int) -> RngStream:
     return RngStream(seed, tag)
 
 
+def _null_statistics(params: BetaIIParams, gen: np.random.Generator, n: int, fn: StatisticFunctional) -> np.ndarray:
+    """``fn`` of ``n`` null draws from ``gen``, raising ``ValueError`` if one overflows.
+
+    At ``d = 2``, a closed form in ``tr = c00^2 + c10^2 + c11^2`` and
+    ``det = (c00 c11)^2`` of ``C C'``, ``C = T2^{-1} T1`` drawn as
+    :func:`beta2_eigenvalues` draws it (same stream, same batches):
+    Hotelling-Lawley ``tr``, Wilks ``1 / (1 + tr + det)``, Pillai
+    ``(tr + 2 det) / (1 + tr + det)``, Roy the larger eigenvalue.  ``d = 1``,
+    whose eigenvalue is the statistic's one input, and ``d >= 3``, with no
+    short closed form, take :func:`scalar_statistic` of the eigenvalues.  As
+    ``dof2 -> d - 1`` the Bartlett diagonal of ``T2`` underflows to 0; the
+    division by it is trapped, so no draw is silently dropped from the count.
+    """
+    def d2(m: int) -> np.ndarray:
+        t1 = _bartlett_columns(params.dof1, 2, gen, m)
+        (c00,), (c10, c11) = _beta2_quotient(t1, _bartlett_columns(params.dof2, 2, gen, m))
+        if fn is StatisticFunctional.ROY:
+            return _beta2_top(c00, c10, c11)
+        tr = c00 * c00 + c10 * c10 + c11 * c11
+        if fn is StatisticFunctional.HOTELLING_LAWLEY:
+            return tr
+        det = (c00 * c11) ** 2
+        return 1.0 / (1.0 + tr + det) if fn is StatisticFunctional.WILKS else (tr + 2.0 * det) / (1.0 + tr + det)
+
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            if params.dim == 2:
+                return _draw_stack(n, (), 16, d2)
+            return scalar_statistic(beta2_eigenvalues(params, gen, n), fn)
+    except FloatingPointError:
+        dofs = f"dof1 = {params.dof1}, dof2 = {params.dof2}, d = {params.dim}"
+        raise ValueError(f"Beta II null draws overflow at {dofs}: dof2 is too close to d - 1") from None
+
+
 def _null_count(params: BetaIIParams, gen: np.random.Generator, n: int, fn: StatisticFunctional, observed: float) -> int:
-    """Draw ``n`` null eigenvalue lists from ``gen``; count those whose ``fn`` is at least as extreme as ``observed``."""
-    stats = scalar_statistic(beta2_eigenvalues(params, gen, n), fn)
+    """Count the :func:`_null_statistics` that are at least as extreme as ``observed``."""
+    stats = _null_statistics(params, gen, n, fn)
     return int(np.count_nonzero(stats <= observed if fn.lower_tail else stats >= observed))
 
 
@@ -118,10 +152,9 @@ def _warn_if_coarse(n_mc: int) -> None:
 def mc_pvalue(observed: float, dof1: float, dof2: float, dim: int, cfg: McConfig) -> PValueEstimate:
     """Monte Carlo p-value of an observed functional value under the Beta II null.
 
-    Draws ``cfg.n_mc`` eigenvalue lists from the Beta Type II law with
-    half-dof parameters ``(dof1/2, dof2/2)``, applies ``cfg.functional``, and
-    counts draws at least as extreme as ``observed`` (lower tail for Wilks,
-    upper tail otherwise, ties inclusive).
+    Draws ``cfg.n_mc`` null values of ``cfg.functional`` (Beta Type II law,
+    half-dof parameters ``(dof1/2, dof2/2)``) and counts those at least as
+    extreme as ``observed`` (lower tail for Wilks, upper otherwise, ties included).
     """
     params = BetaIIParams(dof1, dof2, dim)
     observed = float(observed)

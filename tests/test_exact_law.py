@@ -5,11 +5,12 @@ each projection ``a'Xa``, entry means, MGF) at family level ``VERIFY_ALPHA``.
 Each sampler test is gated by mutation: the same draws, judged against the
 law with dof ``nu + 1`` or scale ``x 1.02``, must fail at the test's size.
 
-The one-sample laws, the noncentral chi-square and the ``d = 1`` Beta Type
-II eigenvalue ``(nu_1 / nu_2) F(nu_1, nu_2)``, are judged as ``check_law``
-judges a projection: the empirical CDF at the exact quantiles of the levels
-``k / 1000`` against the DKW-Massart band at ``VERIFY_ALPHA``, with the same
-mutation gate (dof + 1, draws x 1.02).
+The one-sample laws, the noncentral chi-square, the ``d = 1`` Beta Type II
+eigenvalue ``(nu_1 / nu_2) F(nu_1, nu_2)`` and the ``d = 2`` null Wilks
+statistic (from ``mc``'s closed form and from the eigenvalues), are judged
+as ``check_law`` judges a projection: the empirical CDF at the exact
+quantiles of the levels ``k / 1000`` against the DKW-Massart band at
+``VERIFY_ALPHA``, with the same mutation gate (dof + 1, draws x 1.02).
 """
 
 import math
@@ -22,16 +23,19 @@ from wishartmix import (
     BetaIIParams,
     RngStream,
     SpdMat,
+    StatisticFunctional,
     WishartParams,
     beta2_eigenvalues,
     mixture_marginal_params,
     random_mixture_spec,
     sample_beta2,
     sample_noncentral_chisq,
+    scalar_statistic,
     verify_closure,
 )
 from wishartmix.closure import VERIFY_ALPHA, _hierarchical_factor, check_law
 from wishartmix.distributions import _wishart_factor
+from wishartmix.mc import _null_statistics
 from conftest import random_psd, random_spd
 
 # Draws per sampler check: enough for scale x 1.02 to fail.
@@ -141,3 +145,30 @@ def test_beta2_d1_follows_the_f_law(sampler):
     assert not follows(draws, beta2_d1_quantiles(dof1 + 1.0, dof2)), "dof1 + 1"
     assert not follows(draws, beta2_d1_quantiles(dof1, dof2 + 1.0)), "dof2 + 1"
     assert not follows(1.02 * draws, beta2_d1_quantiles(dof1, dof2)), "draws x 1.02"
+
+
+def wilks_d2_quantiles(dof1: float, dof2: float) -> np.ndarray:
+    """``LEVELS`` quantiles of the ``d = 2`` null Wilks ``Lambda``.
+
+    Anderson (2003), section 8.4: ``F = ((1 - sqrt(Lambda)) / sqrt(Lambda))
+    (nu_2 - 1) / nu_1`` is ``F(2 nu_1, 2 (nu_2 - 1))``, and ``Lambda`` falls
+    as ``F`` rises.
+    """
+    return (1.0 / (1.0 + dof1 / (dof2 - 1.0) * fdtri(2.0 * dof1, 2.0 * (dof2 - 1.0), 1.0 - LEVELS))) ** 2
+
+
+WILKS = StatisticFunctional.WILKS
+WILKS_D2 = {
+    "null-statistics": lambda params, rng: _null_statistics(params, rng.generator(), N_LAW, WILKS),
+    "beta2_eigenvalues": lambda params, rng: scalar_statistic(beta2_eigenvalues(params, rng, N_LAW), WILKS),
+}
+
+
+@pytest.mark.parametrize("route", WILKS_D2)
+@pytest.mark.parametrize("dof1,dof2", [(4.0, 20.0), (4.5, 12.0)])
+def test_null_wilks_d2_follows_anderson_law(route, dof1, dof2):
+    draws = WILKS_D2[route](BetaIIParams(dof1, dof2, 2), RngStream(1622))
+    assert follows(draws, wilks_d2_quantiles(dof1, dof2))
+    assert not follows(draws, wilks_d2_quantiles(dof1 + 1.0, dof2)), "dof1 + 1"
+    assert not follows(draws, wilks_d2_quantiles(dof1, dof2 + 1.0)), "dof2 + 1"
+    assert not follows(1.02 * draws, wilks_d2_quantiles(dof1, dof2)), "draws x 1.02"

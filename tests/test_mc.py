@@ -105,6 +105,52 @@ class TestMcPvalue:
         assert stats.kstest(p, "uniform").statistic < 0.06
 
 
+class TestNullStatistics:
+    """``_null_count``'s statistics: closed form in ``tr(CC')`` and ``det(CC')`` at ``d = 2``, eigenvalues elsewhere."""
+
+    N = 262_147  # one draw past a Beta II batch at d = 2
+
+    @pytest.mark.parametrize("dim,dof1,dof2", [(2, 2.0, 1.001), (1, 2.0, 0.002), (3, 4.0, 2.001)])
+    def test_overflowing_draws_raise(self, dim, dof1, dof2):
+        # dof2 this close to d - 1 underflows the Bartlett diagonal, so C
+        # holds inf.  Such draws must raise, with no numpy RuntimeWarning
+        # (an error under this suite's warning filter), rather than drop
+        # out of the tail count and stay in n_mc.
+        for fn in StatisticFunctional:
+            with pytest.raises(ValueError, match=rf"dof1 = {dof1}, dof2 = {dof2}, d = {dim}"):
+                mc_pvalue(0.5, dof1, dof2, dim, McConfig(n_mc=10_000, seed=1, functional=fn))
+
+    @pytest.mark.parametrize("dof1,dof2", [(2.5, 3.0), (4.0, 20.0), (20.0, 120.0)])
+    def test_d2_closed_form_matches_eigenvalues(self, dof1, dof2):
+        from wishartmix.mc import _null_count, _null_statistics
+
+        params = BetaIIParams(dof1, dof2, 2)
+        eigs = beta2_eigenvalues(params, RngStream(41).generator(), self.N)
+        for fn in StatisticFunctional:
+            ref = scalar_statistic(eigs, fn)
+            got = _null_statistics(params, RngStream(41).generator(), self.N, fn)
+            if fn is StatisticFunctional.ROY:
+                np.testing.assert_array_equal(got, ref)
+            else:
+                np.testing.assert_array_max_ulp(got, ref, maxulp=8)
+            # Observed values midway between sorted null values: no draw sits near one.
+            s = np.sort(ref)
+            for k in (self.N // 100, self.N // 2, self.N - self.N // 100):
+                obs = (s[k - 1] + s[k]) / 2
+                count = np.count_nonzero(ref <= obs if fn.lower_tail else ref >= obs)
+                assert _null_count(params, RngStream(41).generator(), self.N, fn, obs) == count
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_other_dims_keep_the_eigenvalue_route(self, dim):
+        from wishartmix.mc import _null_statistics
+
+        params = BetaIIParams(4.5, 12.0, dim)
+        eigs = beta2_eigenvalues(params, RngStream(42).generator(), 5000)
+        for fn in StatisticFunctional:
+            got = _null_statistics(params, RngStream(42).generator(), 5000, fn)
+            np.testing.assert_array_equal(got, scalar_statistic(eigs, fn))
+
+
 def _within_band(est, p_exact):
     return abs(est.p_hat - p_exact) <= 4.0 * est.mc_se + 1.0 / (est.n_mc + 1)
 

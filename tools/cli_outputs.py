@@ -17,8 +17,10 @@ set) and once on responses near 1e200, whose SOPs overflow (exit 2);
 ``verify`` central, noncentral, below the draw floor, at d = 1 (one-row
 factors) and at d = 3 with 90 degrees of freedom (each verification chunk
 drawn in two batches); ``calibrate`` at d = 1, 2 and 3 with
-Hotelling-Lawley, at d = 2 with Wilks (lower tail) and with Roy, and once
-with more null draws per dataset than one p-value chunk holds; ``sample``
+Hotelling-Lawley, at d = 2 with Wilks (lower tail), Pillai and Roy (each a
+closed form of its own in the d = 2 null), once with more null draws per
+dataset than one p-value chunk holds and once with more than one Beta II
+batch holds (262,144 draws at d = 2); ``sample``
 for each distribution, with central, fractional-dof and noncentral Wishart
 parameters, a one-row matrix normal and a chi-square whose noncentrality
 takes its default of 0.  Every run draws at least 1,000 null samples per
@@ -121,7 +123,7 @@ def runs() -> list[tuple[str, list[str]]]:
             "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", str(dim),
             "--datasets", "40", "--n-mc", "1000", "--seed", "5",
         ]))
-    for functional in (StatisticFunctional.WILKS, StatisticFunctional.ROY):
+    for functional in (StatisticFunctional.WILKS, StatisticFunctional.PILLAI, StatisticFunctional.ROY):
         out.append((f"calibrate-d2-{functional.value}", [
             "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", "2",
             "--datasets", "40", "--n-mc", "1000", "--seed", "5", "--functional", functional.value,
@@ -129,6 +131,10 @@ def runs() -> list[tuple[str, list[str]]]:
     out.append(("calibrate-d2-chunk-sized", [
         "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", "2",
         "--datasets", "3", "--n-mc", "70000", "--seed", "5",
+    ]))
+    out.append(("calibrate-d2-past-batch", [
+        "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", "2",
+        "--datasets", "1", "--n-mc", "262150", "--seed", "5",
     ]))
     for name, (dist, _) in SAMPLE_PARAMS.items():
         out.append((f"sample-{name}", ["sample", "--dist", dist, "--params", f"inputs/{name}.json", "--n", "50", "--seed", "6"]))
