@@ -2,18 +2,19 @@
 
 Input data is long-format CSV with a header row: columns ``factor_a`` and
 ``factor_b`` hold level labels (taken verbatim after trimming surrounding
-whitespace), and the caller names the distinct response columns.  The file
-is parsed column-wise: one list of fields per needed column, each response
-column converted in one pass.  Error messages give physical line numbers,
-so blank lines and multi-line quoted fields count.  CSV and matrix files
-may start with a UTF-8 byte-order mark.  Observational data is rarely
-balanced, so a seeded uniform subsample without replacement brings every
-cell down to a common count before testing.
+whitespace), and the caller names the distinct response columns.  Records
+are read in blocks of ``_BLOCK_RECORDS``, each transposed in one call; a
+distinct label is one shared ``str`` and responses become floats within
+their block, so no field text outlives it.  A bad value is located by a
+second, record-by-record read once the first has tokenised the whole file
+(a csv or decoding error anywhere wins), and named by its physical line.
+CSV and matrix files may start with a UTF-8 byte-order mark.  A seeded
+uniform subsample without replacement brings every cell to a common count.
 
 Determinism: factor levels are ordered lexicographically, never by file
-order, and rows are pre-sorted by a full-record key (integer level codes,
-then the responses, in one stable ``np.lexsort``), so the same data, cell
-size, and seed give the same design table even if the input rows are permuted.
+order, and a cell's rows are taken at ranks of a full-record order (the
+responses, ties in file order) found by rank selection, so the same data,
+cell size, and seed give the same design table even if the rows are permuted.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice, zip_longest
 
 import numpy as np
 
@@ -45,6 +47,8 @@ __all__ = [
 
 FACTOR_A_COLUMN = "factor_a"
 FACTOR_B_COLUMN = "factor_b"
+# Records per parsed block: enough to amortise the per-block calls, few enough to keep no text long
+_BLOCK_RECORDS = 512
 
 
 @dataclass(frozen=True)
@@ -69,13 +73,13 @@ def load_design_csv(path, response_columns) -> RawDataset:
     """Parse a long-format design CSV.
 
     Requires the header columns ``factor_a``, ``factor_b``, and every name in
-    ``response_columns``, each named once.  Labels are trimmed but otherwise
-    verbatim; a short row's missing fields read as empty and blank lines are
-    skipped.  Every response value must parse as a finite real, otherwise
-    :class:`UnparseableValue` names the first offending value in file order
-    by its physical line number (the line on which its record ends).  A
-    record the ``csv`` module rejects, such as a field over its size limit,
-    raises :class:`ValidationError` with the line the reader stopped on.
+    ``response_columns``, each named once and none a factor column.  Labels
+    are trimmed but otherwise verbatim; a short row's missing fields read as
+    empty and blank lines are skipped.  Every response value must parse as a
+    finite real, otherwise :class:`UnparseableValue` names the first bad
+    value in file order by its physical line (where its record ends).  A
+    record the ``csv`` module rejects anywhere, such as a field over its size
+    limit, raises :class:`ValidationError` with the line the reader stopped on.
     """
     response_columns = [str(c) for c in response_columns]
     if not response_columns:
@@ -83,6 +87,8 @@ def load_design_csv(path, response_columns) -> RawDataset:
     for k, name in enumerate(response_columns):
         if name in response_columns[:k]:
             raise ValidationError(f"response column {name!r} is named more than once")
+        if name in (FACTOR_A_COLUMN, FACTOR_B_COLUMN):
+            raise ValidationError(f"response column {name!r} is a factor column")
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -97,51 +103,60 @@ def load_design_csv(path, response_columns) -> RawDataset:
             for name in needed:
                 if name not in header:
                     raise MissingColumn(f"{path}: missing column {name!r}")
-            # one list per needed column: factor_a, factor_b, then the responses
-            indices = [header.index(name) for name in needed]
-            columns: list[list[str]] = [[] for _ in indices]
-            appends = list(zip(indices, [col.append for col in columns]))
-            lines = array("l")  # physical line number of each data row
-            width = max(indices) + 1
-            for row in reader:
-                if not row:
-                    continue
-                lines.append(reader.line_num)
-                if len(row) < width:
-                    row = row + [""] * (width - len(row))
-                for index, append in appends:
-                    append(row[index])
+            index_a, index_b, *indices = [header.index(name) for name in needed]
+            # leads each block, so zip_longest pads short records with "" up to the last needed column
+            full_width = [""] * (max(index_a, index_b, *indices) + 1)
+            labels, factor_a, factor_b = _Labels(), [], []
+            values, parsed = [array("d") for _ in indices], True
+            records = filter(None, reader)  # a blank line reads as an empty record
+            while block := list(islice(records, _BLOCK_RECORDS)):
+                if not parsed:
+                    continue  # tokenise the rest, so a csv or decoding error still wins
+                columns = list(zip_longest(full_width, *block, fillvalue=""))
+                factor_a.extend(map(labels.__getitem__, columns[index_a][1:]))
+                factor_b.extend(map(labels.__getitem__, columns[index_b][1:]))
+                try:
+                    for column, index in zip(values, indices):
+                        column.extend(map(float, map(str.strip, columns[index][1:])))
+                except ValueError:
+                    parsed = False
+            if not factor_a:
+                raise EmptyFile(f"{path}: no data rows")
+            if parsed:
+                responses = np.column_stack([np.frombuffer(column) for column in values])
+                parsed = bool(np.isfinite(responses).all())
+            if not parsed:  # read again, this time with line numbers
+                handle.seek(0)
+                reader = csv.reader(handle)
+                _raise_first_unparseable(path, reader, indices, response_columns)
         except csv.Error as exc:
             raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    n = len(lines)
-    if n == 0:
-        raise EmptyFile(f"{path}: no data rows")
-    values = np.empty((n, len(response_columns)))
-    parsed = True
-    try:
-        for j, raw in enumerate(columns[2:]):
-            values[:, j] = np.fromiter(map(float, map(str.strip, raw)), float, n)
-    except ValueError:
-        parsed = False
-    if not (parsed and np.isfinite(values).all()):
-        _raise_first_unparseable(path, lines, response_columns, columns[2:])
-    labels = [tuple(map(str.strip, column)) for column in columns[:2]]
-    return RawDataset(*labels, values, tuple(response_columns))
+    return RawDataset(tuple(factor_a), tuple(factor_b), responses, tuple(response_columns))
 
 
-def _raise_first_unparseable(path, lines, names, columns) -> None:
-    """Raise :class:`UnparseableValue` for the first non-finite response in file order."""
-    for row, line in enumerate(lines):
-        for name, column in zip(names, columns):
-            raw = column[row].strip()
+class _Labels(dict):
+    """Field text to its trimmed label, one shared ``str`` per distinct label."""
+
+    def __missing__(self, text: str) -> str:
+        label = text.strip()
+        label = self[text] = self.setdefault(label, label)
+        return label
+
+
+def _raise_first_unparseable(path, reader, indices, names) -> None:
+    """Raise :class:`UnparseableValue` for the first non-finite response of the CSV ``reader``."""
+    for record in filter(None, islice(reader, 1, None)):  # past the header
+        for index, name in zip(indices, names):
+            raw = record[index].strip() if index < len(record) else ""
             try:
                 value = float(raw)
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise UnparseableValue(f"{path}: row {line}, column {name!r}: {raw!r} is not a finite number")
+                raise UnparseableValue(f"{path}: row {reader.line_num}, column {name!r}: {raw!r} is not a finite number")
+    raise ValidationError(f"{path}: changed while it was read: a second read finds no bad value")
 
 
 def _level_codes(levels: list[str], labels: tuple[str, ...]) -> np.ndarray:
@@ -163,28 +178,33 @@ def subsample_balanced(data: RawDataset, n_per_cell: int, seed: int) -> DesignTa
     n_per_cell = _count(n_per_cell, "n_per_cell")
     levels_a = sorted(set(data.factor_a))
     levels_b = sorted(set(data.factor_b))
-    # Level codes order like the labels, so one stable sort by cell code and
-    # then by the responses gives the full-record order; each cell's rows are
-    # then one contiguous run of ``order``.
+    # one stable (radix, on codes cast to their smallest type) sort groups each cell's rows, in file order
+    n_cells = len(levels_a) * len(levels_b)
     cell = _level_codes(levels_a, data.factor_a) * len(levels_b) + _level_codes(levels_b, data.factor_b)
-    order = np.lexsort((*data.responses.T[::-1], cell))
-    bounds = np.searchsorted(cell[order], np.arange(len(levels_a) * len(levels_b) + 1))
-
+    by_cell = np.argsort(cell.astype(np.min_scalar_type(n_cells)), kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(cell, minlength=n_cells)).tolist()]
     gen = RngStream(seed).generator()
+    y = data.responses
     out = np.empty((len(levels_a), len(levels_b), n_per_cell, data.dim))
     for i, la in enumerate(levels_a):
         for j, lb in enumerate(levels_b):
             k = i * len(levels_b) + j
-            rows = order[bounds[k] : bounds[k + 1]]
+            rows = by_cell[bounds[k] : bounds[k + 1]]
             if len(rows) < n_per_cell:
-                raise InsufficientCell(
-                    f"cell ({la!r}, {lb!r}) holds {len(rows)} rows, needs {n_per_cell}"
-                )
+                raise InsufficientCell(f"cell ({la!r}, {lb!r}) holds {len(rows)} rows, needs {n_per_cell}")
+            ranks = np.arange(n_per_cell)
             if len(rows) > n_per_cell:
-                rows = rows[np.sort(gen.choice(len(rows), size=n_per_cell, replace=False))]
-            out[i, j] = data.responses[rows]
+                ranks = np.sort(gen.choice(len(rows), size=n_per_cell, replace=False))
+            # Ranks of a stable sort by the responses: sort in full only the rows whose first response
+            # equals one at a chosen rank, and NaN rows, which sort last but equal nothing.
+            first = y[rows, 0]
+            ordered = np.sort(first)
+            chosen = ordered[ranks]
+            tied = rows[np.isin(first, chosen) | np.isnan(first)]
+            tied = tied[np.lexsort(y[tied].T[::-1])]
+            # move each rank from the start of its run of equal first responses to that run's start in ``tied``
+            out[i, j] = y[tied[ranks - np.searchsorted(ordered, chosen) + np.searchsorted(y[tied, 0], chosen)]]
     return DesignTable(out)
-
 
 @dataclass(frozen=True)
 class FactorResult:

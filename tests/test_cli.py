@@ -150,6 +150,15 @@ class TestManovaCommand:
         assert code == EXIT_VALIDATION
         assert "response column 'r1' is named more than once" in capsys.readouterr().err
 
+    def test_factor_column_as_response_exit_two(self, tmp_path, capsys):
+        # numeric level labels would otherwise parse as responses
+        rows = [f"{i},{j},{i + 0.5 * k}" for i in range(3) for j in range(2) for k in range(3)]
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("factor_a,factor_b,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["manova", "--input", str(csv_path), "--responses", "factor_a", "--n-per-cell", "3"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: response column 'factor_a' is a factor column\n")
+
     def test_missing_file_is_validation_error(self, capsys):
         code = main(["manova", "--input", "/nonexistent.csv", "--responses", "x", "--n-per-cell", "2"])
         assert code == EXIT_VALIDATION

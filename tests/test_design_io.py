@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from wishartmix import (
     run_report,
     subsample_balanced,
 )
+from wishartmix import design_io
 from wishartmix.manova import FACTOR_TESTS, _f_test, dof_map, sop_arrays
 
 
@@ -93,6 +95,14 @@ class TestLoadDesignCsv:
         with pytest.raises(ValidationError, match="response column 'r1' is named more than once"):
             load_design_csv(p, ["r1", "r2", "r1"])
 
+    def test_factor_column_as_response_rejected(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", ["1,2,1.0,2.0", "3,4,3.5,-1.25"])
+        with pytest.raises(ValidationError, match="^response column 'factor_a' is a factor column$"):
+            load_design_csv(p, ["factor_a"])
+        # checked before the file is opened
+        with pytest.raises(ValidationError, match="^response column 'factor_b' is a factor column$"):
+            load_design_csv(tmp_path / "absent.csv", ["r1", "factor_b"])
+
     def test_utf8_bom_is_ignored(self, tmp_path):
         # Spreadsheet exports often start with a byte-order mark.
         rows = ["x,y,1.0,2.0", "x,z,3.5,-1.25"]
@@ -120,6 +130,54 @@ class TestLoadDesignCsv:
         p.write_text("factor_a,factor_b,r1\n", encoding="utf-8")
         with pytest.raises(EmptyFile):
             load_design_csv(p, ["r1"])
+
+
+class TestLoadPastTheFirstBlock:
+    """Files longer than one block of records: error order and physical line numbers."""
+
+    @staticmethod
+    def rows(n):
+        return [f"a{k % 2},b{k % 3},{k}.5" for k in range(n)]
+
+    def test_csv_error_wins_over_an_earlier_bad_value(self, tmp_path):
+        rows = self.rows(700)
+        rows[0] = "a0,b0,oops"  # line 2
+        rows[601] = "a0,b0," + "9" * 200_000  # line 603, over the csv field limit
+        p = write_csv(tmp_path / "d.csv", rows, header="factor_a,factor_b,y")
+        with pytest.raises(ValidationError, match=r"^.*d\.csv: line 603: field larger than field limit \(131072\)$"):
+            load_design_csv(p, ["y"])
+
+    def test_decoding_error_wins_over_an_earlier_bad_value(self, tmp_path):
+        rows = self.rows(2000)
+        rows[10] = "a0,b0,nan"
+        p = write_csv(tmp_path / "d.csv", rows, header="factor_a,factor_b,y")
+        p.write_bytes(p.read_bytes() + b"a0,b0,\xff\n")  # after record 2,000
+        with pytest.raises(ValidationError, match=r"d\.csv: not UTF-8 text \(invalid start byte\)$"):
+            load_design_csv(p, ["y"])
+
+    def test_bad_value_names_its_physical_line(self, tmp_path):
+        rows = self.rows(800)
+        rows[3:3] = ["", '"a\n0",b1,1.0', ""]  # two blank lines and a record spanning lines 6-7
+        rows[650] = "a1,b1,-inf"  # record 649 of the file, ending on physical line 653
+        p = write_csv(tmp_path / "d.csv", rows, header="factor_a,factor_b,y")
+        with pytest.raises(UnparseableValue, match=r"^.*d\.csv: row 653, column 'y': '-inf' is not a finite number$"):
+            load_design_csv(p, ["y"])
+        assert _outcome(load_design_csv, p, ["y"]) == _outcome(_load_row_by_row, p, ["y"])
+
+    def test_file_changed_between_reads(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", ["a0,b0,x"], header="factor_a,factor_b,y")
+        readers, csv_reader = [], csv.reader
+
+        def reader(handle):
+            if readers:  # the second read, the one that looks for the bad value, sees a mended file
+                p.write_text(p.read_text().replace(",x", ",1.0"), encoding="utf-8")
+            readers.append(csv_reader(handle))
+            return readers[-1]
+
+        with mock.patch.object(design_io.csv, "reader", reader):
+            with pytest.raises(ValidationError, match=r"d\.csv: changed while it was read"):
+                load_design_csv(p, ["y"])
+        assert len(readers) == 2
 
 
 def toy_dataset(counts: dict[tuple[str, str], int], dim=1, seed=0) -> RawDataset:
@@ -195,6 +253,40 @@ class TestSubsampleBalanced:
                 for source, table in ((raw, t1), (shuffled, t2)):
                     reference = _subsample_by_sorted_key(source, 3, seed)
                     assert table.responses.tobytes() == reference.responses.tobytes()
+
+    @pytest.mark.parametrize("n_per_cell", [1, 2, 3, 4, 5])
+    def test_large_tied_cell_matches_sorted_key(self, n_per_cell):
+        # one cell of 6,000 rows whose first response takes five values, signed zeros among
+        # them, and whose records repeat exactly; a small second cell beside it
+        gen = np.random.default_rng(n_per_cell)
+        big = np.column_stack([gen.choice([-0.0, 0.0, -1.0, 1.0, 2.5], 6000), gen.choice([0.5, -0.0, 0.0, 3.0], 6000)])
+        data = RawDataset(
+            ("a",) * 6000 + ("c",) * 7,
+            ("b",) * 6007,
+            np.concatenate([big, gen.standard_normal((7, 2))]),
+            ("r1", "r2"),
+        )
+        for seed in range(3):
+            got = subsample_balanced(data, n_per_cell, seed)
+            assert got.responses.tobytes() == _subsample_by_sorted_key(data, n_per_cell, seed).responses.tobytes()
+
+    def test_nan_responses_sort_last(self):
+        # NaN equals nothing, yet sorts after every number in each response, so it
+        # moves the ranks of the rows beside it; a table with a chosen NaN is refused
+        values = np.random.default_rng(5).choice([np.nan, -1.0, 0.0, 2.0], size=(400, 2), p=[0.04, 0.32, 0.32, 0.32])
+        data = RawDataset(("a",) * 400, ("b",) * 400, values, ("r1", "r2"))
+        order = np.lexsort(values.T[::-1])
+        outcomes = set()
+        for seed in range(12):
+            ranks = np.sort(RngStream(seed).generator().choice(400, size=5, replace=False))
+            want = values[order[ranks]]
+            got = _outcome(subsample_balanced, data, 5, seed)
+            if np.isnan(want).any():
+                assert got == ("raised", (ValueError, "responses must be finite"))
+            else:
+                assert got[1].responses[0, 0].tobytes() == want.tobytes()
+            outcomes.add(got[0])
+        assert outcomes == {"ok", "raised"}
 
     def test_seed_changes_selection(self):
         data = toy_dataset({(a, b): 10 for a in "xy" for b in "uv"}, seed=6)
@@ -469,6 +561,17 @@ class TestIngestMatchesRowByRowReference:
     @settings(max_examples=300, deadline=None)
     @given(case=design_csvs(), n_per_cell=st.integers(1, 3), seed=st.integers(0, 2**31))
     def test_load_and_subsample(self, case, n_per_cell, seed):
+        self.check(case, n_per_cell, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=design_csvs(), n_per_cell=st.integers(1, 3), seed=st.integers(0, 2**31), block=st.sampled_from([1, 3]))
+    def test_load_and_subsample_across_blocks(self, case, n_per_cell, seed, block):
+        # so few records per block that every file spans several blocks
+        with mock.patch.object(design_io, "_BLOCK_RECORDS", block):
+            self.check(case, n_per_cell, seed)
+
+    @staticmethod
+    def check(case, n_per_cell, seed):
         text, responses = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.csv"

@@ -13,7 +13,10 @@ that writes a report, ``<run>.json``.  The inputs are kept in
 prints nothing.  The runs cover every subcommand: ``manova`` at d = 1, 2
 and 3 with each functional, once with ``--sigma`` at more null draws than
 one p-value chunk holds, once on a square design (A and B share one null
-set) and once on responses near 1e200, whose SOPs overflow (exit 2);
+set), once on responses near 1e200, whose SOPs overflow (exit 2), and twice
+on a CSV of 1,020 records that spans several ingest blocks, with quoted
+labels, blank lines, CRLF line endings and short rows: once clean and once
+with an unparseable value in record 651 (exit 2);
 ``verify`` central, noncentral, below the draw floor, at d = 1 (one-row
 factors) and at d = 3 with 90 degrees of freedom (each verification chunk
 drawn in two batches); ``calibrate`` at d = 1, 2 and 3 with
@@ -76,6 +79,29 @@ def write_overflow_csv(path: Path) -> None:
     path.write_text("factor_a,factor_b,y1\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
 
+def write_messy_csv(path: Path, bad_record: int | None = None) -> None:
+    """A 3 x 4 design of 1,020 records, responses ``y1,y2``, in the forms spreadsheets export.
+
+    Labels are quoted (they hold a comma, a doubled quote, a line break and
+    padding), every 97th record follows a blank line, lines end in CRLF, and
+    every 5th record is cut short after ``y2``, dropping the unneeded
+    ``note`` column.  With ``bad_record`` set, that record's ``y2`` reads
+    ``1.0.0``.
+    """
+    gen = np.random.default_rng(9)
+    labels_a = ['"north, upper"', '"south"', '"west ""annex"""']
+    labels_b = ['"x"', '" y "', "z", '"w\r\n2"']
+    lines = ["factor_a,factor_b,y1,y2,note"]
+    for k in range(1020):
+        y1, y2 = gen.standard_normal(2) + [k % 3, 0.0]
+        y2_text = "1.0.0" if k == bad_record else repr(float(y2))
+        if k % 97 == 0:
+            lines.append("")
+        record = f"{labels_a[k % 3]},{labels_b[k % 4]},{float(y1)!r},{y2_text}"
+        lines.append(record if k % 5 == 0 else record + ",ok")
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+
+
 def write_inputs() -> None:
     """The design CSVs (one overflowing), the ``--sigma`` matrix file and the ``sample`` parameter files, under ``inputs/``."""
     Path("inputs").mkdir(exist_ok=True)
@@ -83,6 +109,8 @@ def write_inputs() -> None:
         write_design_csv(Path(f"inputs/design_d{dim}.csv"), dim, seed=dim)
     write_design_csv(Path("inputs/design_square_d2.csv"), 2, seed=7, levels_a=LEVELS_B)
     write_overflow_csv(Path("inputs/overflow_d1.csv"))
+    write_messy_csv(Path("inputs/messy_d2.csv"))
+    write_messy_csv(Path("inputs/messy_bad_d2.csv"), bad_record=650)
     Path("inputs/sigma_d2.txt").write_text("2\n2.0 0.5\n0.5 1.0\n", encoding="utf-8")
     for name, (_, params) in SAMPLE_PARAMS.items():
         Path(f"inputs/{name}.json").write_text(json.dumps(params) + "\n", encoding="utf-8")
@@ -108,6 +136,11 @@ def runs() -> list[tuple[str, list[str]]]:
         "manova", "--input", "inputs/design_square_d2.csv", "--responses", "y1,y2", "--n-per-cell", "3",
         "--subsample-seed", "1", "--n-mc", "2000", "--mc-seed", "2", "--json", "manova-d2-square.json",
     ]))
+    out.append(("manova-messy", [
+        "manova", "--input", "inputs/messy_d2.csv", "--responses", "y1,y2", "--n-per-cell", "4",
+        "--subsample-seed", "1", "--n-mc", "2000", "--mc-seed", "2", "--json", "manova-messy.json",
+    ]))
+    out.append(("manova-messy-bad", ["manova", "--input", "inputs/messy_bad_d2.csv", "--responses", "y1,y2", "--n-per-cell", "4"]))
     out.append(("manova-overflow", ["manova", "--input", "inputs/overflow_d1.csv", "--responses", "y1", "--n-per-cell", "3"]))
     verify = [
         ("verify-central", ["--dim", "3", "--dof", "5", "--n-draws", "20000", "--central", "--specs", "2"]),
