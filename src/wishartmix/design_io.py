@@ -53,12 +53,19 @@ _BLOCK_RECORDS = 512
 
 @dataclass(frozen=True)
 class RawDataset:
-    """Long-format observations before balancing."""
+    """Long-format observations before balancing: one label of each factor and finite responses per row."""
 
     factor_a: tuple[str, ...]
     factor_b: tuple[str, ...]
     responses: np.ndarray  # (n_rows, d)
     response_names: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not len(self.factor_a) == len(self.factor_b) == len(self.responses):
+            rows = f"{len(self.factor_a)}, {len(self.factor_b)} and {len(self.responses)}"
+            raise ValidationError(f"factor_a, factor_b and responses hold {rows} rows; they must match")
+        if not np.isfinite(self.responses).all():
+            raise ValidationError("responses must be finite")
 
     @property
     def n_rows(self) -> int:
@@ -196,11 +203,11 @@ def subsample_balanced(data: RawDataset, n_per_cell: int, seed: int) -> DesignTa
             if len(rows) > n_per_cell:
                 ranks = np.sort(gen.choice(len(rows), size=n_per_cell, replace=False))
             # Ranks of a stable sort by the responses: sort in full only the rows whose first response
-            # equals one at a chosen rank, and NaN rows, which sort last but equal nothing.
+            # equals one at a chosen rank.
             first = y[rows, 0]
             ordered = np.sort(first)
             chosen = ordered[ranks]
-            tied = rows[np.isin(first, chosen) | np.isnan(first)]
+            tied = rows[np.isin(first, chosen)]
             tied = tied[np.lexsort(y[tied].T[::-1])]
             # move each rank from the start of its run of equal first responses to that run's start in ``tied``
             out[i, j] = y[tied[ranks - np.searchsorted(ordered, chosen) + np.searchsorted(y[tied, 0], chosen)]]

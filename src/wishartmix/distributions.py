@@ -17,14 +17,15 @@ and use the matrix-normal factor ``L = Z scale^{1/2} + M`` with the mean
 ``M`` in the leading rows, canonically ``M = [Delta^{1/2}; 0]``; non-integer
 noncentral sampling is rejected rather than approximated.  The same
 ``Z root + M`` construction draws the matrix normal itself and, with a
-per-draw ``M``, the conditional level of the closure hierarchy.  Beta Type II
-eigenvalues come straight from the two Bartlett factors, drawn as ``(n,)``
-columns of entries rather than ``(n, d, d)`` stacks: :func:`_beta2_quotient`
-builds ``C = T2^{-1} T1`` column by column (``mc``'s ``d = 2`` null
-statistics use it too), and the spectrum is closed form for ``d <= 2``
-(``C`` is assembled, for ``eigvalsh``, only for ``d >= 3``).  The Bartlett
-stack that the Wishart and Beta II matrix samplers use is filled from the same
-columns, so both routes consume a stream alike.  Grams have one route as well:
+per-draw ``M``, the conditional level of the closure hierarchy.  Every Beta
+Type II draw goes through :func:`_beta2_draws`, which passes the two
+Bartlett factors, as ``(n,)`` columns, to a kernel and raises on overflow.
+The eigenvalue kernel builds ``C = T2^{-1} T1`` column by column
+(:func:`_beta2_quotient`; ``mc``'s ``d = 2`` kernel uses it too), with a
+closed-form spectrum for ``d <= 2`` (``C`` is assembled, for ``eigvalsh``,
+only for ``d >= 3``).  The Bartlett stack of the Wishart sampler and the
+Beta II matrix kernel is filled from the same columns, so every route
+consumes a stream alike.  Grams have one route as well:
 the upper-triangle entries of ``L' L`` are computed as ``(n,)`` columns, one
 ``einsum`` over the factor per entry; the ``(n, d, d)`` stacks of
 :func:`sample_wishart`, :func:`sample_beta2` and the closure hierarchy are
@@ -341,9 +342,29 @@ def sample_wishart(
     return _sample_grams(_wishart_factor(params), params.dim, rng, size)
 
 
-def _beta2_batch(params: BetaIIParams, gen: np.random.Generator, n: int) -> np.ndarray:
-    s1 = _gram(np.swapaxes(_bartlett_factor(params.dof1, params.dim, gen, n), -1, -2))
-    s2 = _gram(np.swapaxes(_bartlett_factor(params.dof2, params.dim, gen, n), -1, -2))
+def _beta2_draws(params: BetaIIParams, gen: np.random.Generator, size: int | None, shape: tuple[int, ...], kernel) -> np.ndarray:
+    """``kernel(t1, t2)`` of ``size`` Beta II draws from ``gen``, stacked by :func:`_draw_stack`.
+
+    Each batch draws the numerator's :func:`_bartlett_columns` ``t1``, then
+    the denominator's ``t2``, and the kernel holds the only references to
+    them, so it can free them (``del``) before it allocates its own arrays.
+    As ``dof2 -> d - 1`` the diagonal of ``T2`` underflows to 0; a division
+    by zero, overflow or invalid value raises ``ValueError``.
+    """
+    def draw(n: int) -> np.ndarray:
+        return kernel(_bartlett_columns(params.dof1, params.dim, gen, n), _bartlett_columns(params.dof2, params.dim, gen, n))
+
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return _draw_stack(size, shape, 4 * params.dim * params.dim, draw)
+    except FloatingPointError:
+        dofs = f"dof1 = {params.dof1}, dof2 = {params.dof2}, d = {params.dim}"
+        raise ValueError(f"Beta II draws overflow at {dofs}: dof2 is too close to d - 1") from None
+
+
+def _beta2_whiten(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> np.ndarray:
+    """``S2^{-1/2} S1 S2^{-1/2}`` for the Bartlett Grams ``S_i = T_i T_i'`` of the columns ``t1`` and ``t2``."""
+    s1, s2 = (_gram(np.swapaxes(_lower_stack(t), -1, -2)) for t in (t1, t2))
     w, v = np.linalg.eigh(s2)
     inv_root = (v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v, -1, -2)
     return _mirror_upper(inv_root @ s1 @ inv_root)
@@ -357,12 +378,10 @@ def sample_beta2(
     """Draw ``S2^{-1/2} S1 S2^{-1/2}`` from independent identity-scale Wisharts.
 
     ``S1 ~ W(dof1, I)`` and ``S2 ~ W(dof2, I)``; every draw is positive
-    definite with probability one.
+    definite with probability one.  A draw that overflows, as ``dof2 -> d - 1``,
+    raises ``ValueError``.
     """
-    gen = as_generator(rng)
-    draws = _draw_stack(
-        size, (params.dim, params.dim), 4 * params.dim * params.dim, lambda n: _beta2_batch(params, gen, n)
-    )
+    draws = _beta2_draws(params, as_generator(rng), size, (params.dim, params.dim), _beta2_whiten)
     return draws if size is not None else SpdMat(draws)
 
 
@@ -415,15 +434,10 @@ def beta2_eigenvalues(
     eigenvalues.  With the Bartlett factors ``S_i = T_i T_i'`` of
     :func:`sample_beta2` (same stream, same draws), ``S2^{-1/2} S1 S2^{-1/2}``
     is similar to ``C C'`` for ``C = T2^{-1} T1``, whose spectrum
-    :func:`_beta2_eigs` computes from ``(n,)`` columns, never stacks.
+    :func:`_beta2_eigs` computes from ``(n,)`` columns, never stacks.  A
+    draw that overflows raises ``ValueError``, as in :func:`sample_beta2`.
     """
-    gen = as_generator(rng)
-
-    def draw(n: int) -> np.ndarray:
-        t1 = _bartlett_columns(params.dof1, params.dim, gen, n)
-        return _beta2_eigs(t1, _bartlett_columns(params.dof2, params.dim, gen, n))
-
-    return np.maximum(_draw_stack(_count(size, "size", 0), (params.dim,), 4 * params.dim * params.dim, draw), 0.0)
+    return np.maximum(_beta2_draws(params, as_generator(rng), _count(size, "size", 0), (params.dim,), _beta2_eigs), 0.0)
 
 
 def sample_noncentral_chisq(

@@ -6,7 +6,8 @@ have no convenient closed-form CDFs.  p-values are therefore estimated by
 sampling the null statistic (:func:`_null_statistics`: at ``d = 2`` a closed
 form in each draw's ``tr(C C')`` and ``det(C C')``, with no eigenvalue list)
 and counting the draws at least as extreme as the observed value in the
-functional's tail direction; a draw that overflows raises.  The add-one
+functional's tail direction.  The draws come from ``distributions``' one
+Beta II draw routine, which raises on a draw that overflows.  The add-one
 estimator ``(1 + n_extreme) / (1 + n_mc)`` is reported; it is never exactly
 zero and is exactly valid at finite ``n_mc``.  Ties count as extreme.
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BetaIIParams, _bartlett_columns, _beta2_quotient, _beta2_top, _draw_stack, beta2_eigenvalues
+from .distributions import BetaIIParams, _beta2_draws, _beta2_quotient, _beta2_top, beta2_eigenvalues
 from .manova import (
     FACTOR_TESTS,
     SimulationSpec,
@@ -104,21 +105,24 @@ def _null_stream(seed: int, dof1: float, dof2: float, dim: int) -> RngStream:
 
 
 def _null_statistics(params: BetaIIParams, gen: np.random.Generator, n: int, fn: StatisticFunctional) -> np.ndarray:
-    """``fn`` of ``n`` null draws from ``gen``, raising ``ValueError`` if one overflows.
+    """``fn`` of ``n`` null draws from ``gen``.
 
     At ``d = 2``, a closed form in ``tr = c00^2 + c10^2 + c11^2`` and
-    ``det = (c00 c11)^2`` of ``C C'``, ``C = T2^{-1} T1`` drawn as
-    :func:`beta2_eigenvalues` draws it (same stream, same batches):
+    ``det = (c00 c11)^2`` of ``C C'``, ``C = T2^{-1} T1`` drawn by
+    ``distributions._beta2_draws`` as for :func:`beta2_eigenvalues` (same stream, same batches):
     Hotelling-Lawley ``tr``, Wilks ``1 / (1 + tr + det)``, Pillai
     ``(tr + 2 det) / (1 + tr + det)``, Roy the larger eigenvalue.  ``d = 1``,
     whose eigenvalue is the statistic's one input, and ``d >= 3``, with no
-    short closed form, take :func:`scalar_statistic` of the eigenvalues.  As
-    ``dof2 -> d - 1`` the Bartlett diagonal of ``T2`` underflows to 0; the
-    division by it is trapped, so no draw is silently dropped from the count.
+    short closed form, take :func:`scalar_statistic` of the eigenvalues.  A
+    draw that overflows as ``dof2 -> d - 1`` raises ``ValueError`` there, so
+    no draw is silently dropped from the count.
     """
-    def d2(m: int) -> np.ndarray:
-        t1 = _bartlett_columns(params.dof1, 2, gen, m)
-        (c00,), (c10, c11) = _beta2_quotient(t1, _bartlett_columns(params.dof2, 2, gen, m))
+    if params.dim != 2:
+        return scalar_statistic(beta2_eigenvalues(params, gen, n), fn)
+
+    def d2(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> np.ndarray:
+        (c00,), (c10, c11) = _beta2_quotient(t1, t2)
+        del t1, t2  # free the columns, so the statistic's arrays reuse their memory, not fresh pages
         if fn is StatisticFunctional.ROY:
             return _beta2_top(c00, c10, c11)
         tr = c00 * c00 + c10 * c10 + c11 * c11
@@ -127,14 +131,7 @@ def _null_statistics(params: BetaIIParams, gen: np.random.Generator, n: int, fn:
         det = (c00 * c11) ** 2
         return 1.0 / (1.0 + tr + det) if fn is StatisticFunctional.WILKS else (tr + 2.0 * det) / (1.0 + tr + det)
 
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            if params.dim == 2:
-                return _draw_stack(n, (), 16, d2)
-            return scalar_statistic(beta2_eigenvalues(params, gen, n), fn)
-    except FloatingPointError:
-        dofs = f"dof1 = {params.dof1}, dof2 = {params.dof2}, d = {params.dim}"
-        raise ValueError(f"Beta II null draws overflow at {dofs}: dof2 is too close to d - 1") from None
+    return _beta2_draws(params, gen, n, (), d2)
 
 
 def _null_count(params: BetaIIParams, gen: np.random.Generator, n: int, fn: StatisticFunctional, observed: float) -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,16 @@ class TestSampleCommand:
         pfile.write_text("not json")
         assert main(["sample", "--dist", "chisq", "--params", str(pfile), "--n", "2", "--seed", "3"]) == EXIT_VALIDATION
 
+    def test_overflowing_beta2_exit_two(self, tmp_path, capsys):
+        # dof2 near d - 1 overflows the draws: one error line, and no warning line or rows.
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps({"dof1": 2, "dof2": 1.001, "dim": 2}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # as outside this suite, where a warning prints and the run goes on
+            code = main(["sample", "--dist", "beta2", "--params", str(pfile), "--n", "3", "--seed", "1"])
+        assert code == EXIT_VALIDATION
+        message = "Beta II draws overflow at dof1 = 2.0, dof2 = 1.001, d = 2: dof2 is too close to d - 1"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "dist,params,key,accepted",

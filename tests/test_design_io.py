@@ -271,22 +271,21 @@ class TestSubsampleBalanced:
             assert got.responses.tobytes() == _subsample_by_sorted_key(data, n_per_cell, seed).responses.tobytes()
 
     def test_nan_responses_sort_last(self):
-        # NaN equals nothing, yet sorts after every number in each response, so it
-        # moves the ranks of the rows beside it; a table with a chosen NaN is refused
+        # NaN sorts after every number yet equals nothing, so a subsample that
+        # chose a NaN row would fail and one that did not would pass; the dataset
+        # refuses NaN before any row is chosen, so every seed fails alike.
         values = np.random.default_rng(5).choice([np.nan, -1.0, 0.0, 2.0], size=(400, 2), p=[0.04, 0.32, 0.32, 0.32])
-        data = RawDataset(("a",) * 400, ("b",) * 400, values, ("r1", "r2"))
-        order = np.lexsort(values.T[::-1])
-        outcomes = set()
         for seed in range(12):
-            ranks = np.sort(RngStream(seed).generator().choice(400, size=5, replace=False))
-            want = values[order[ranks]]
-            got = _outcome(subsample_balanced, data, 5, seed)
-            if np.isnan(want).any():
-                assert got == ("raised", (ValueError, "responses must be finite"))
-            else:
-                assert got[1].responses[0, 0].tobytes() == want.tobytes()
-            outcomes.add(got[0])
-        assert outcomes == {"ok", "raised"}
+            with pytest.raises(ValidationError, match="^responses must be finite$"):
+                subsample_balanced(RawDataset(("a",) * 400, ("b",) * 400, values, ("r1", "r2")), 5, seed)
+
+    @pytest.mark.parametrize("rows_a,rows_b,rows_y", [(1, 8, 8), (8, 7, 8), (8, 8, 5)])
+    def test_row_counts_must_match(self, rows_a, rows_b, rows_y):
+        # one label would broadcast over every row, and short responses index out of range
+        labels_a, labels_b, y = ("a", "b") * 4, ("u", "v") * 4, np.arange(float(rows_y))[:, None]
+        message = f"factor_a, factor_b and responses hold {rows_a}, {rows_b} and {rows_y} rows; they must match"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            RawDataset(labels_a[:rows_a], labels_b[:rows_b], y, ("y",))
 
     def test_seed_changes_selection(self):
         data = toy_dataset({(a, b): 10 for a in "xy" for b in "uv"}, seed=6)

@@ -55,8 +55,8 @@ def _wishart_case(dim: int, dof: float, noncentral: bool, seed: int):
     return _wishart_factor(law), law
 
 
-def _hierarchical_case(dim: int, dof: float, seed: int):
-    spec = random_mixture_spec(dim, dof, RngStream(seed))
+def _hierarchical_case(dim: int, dof: float, seed: int, central: bool = False):
+    spec = random_mixture_spec(dim, dof, RngStream(seed), central=central)
     return _hierarchical_factor(spec), mixture_marginal_params(spec)
 
 
@@ -69,6 +69,9 @@ SAMPLERS = {
     "matrix-normal-d3-nu5": lambda: _wishart_case(3, 5.0, True, 1604),
     "hierarchical-d2-nu5": lambda: _hierarchical_case(2, 5.0, 1605),
     "hierarchical-d3-nu6": lambda: _hierarchical_case(3, 6.0, 1606),
+    "bartlett-d1-nu2.5": lambda: _wishart_case(1, 2.5, False, 1607),
+    "matrix-normal-d1-nu4": lambda: _wishart_case(1, 4.0, True, 1608),
+    "hierarchical-d1-nu4-central": lambda: _hierarchical_case(1, 4.0, 1609, central=True),
 }
 
 

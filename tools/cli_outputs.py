@@ -25,7 +25,8 @@ closed form of its own in the d = 2 null), once with more null draws per
 dataset than one p-value chunk holds and once with more than one Beta II
 batch holds (262,144 draws at d = 2); ``sample``
 for each distribution, with central, fractional-dof and noncentral Wishart
-parameters, a one-row matrix normal and a chi-square whose noncentrality
+parameters, Beta II draws at d = 1, 2 and 3 (a scalar, a 2 x 2 and a 3 x 3
+whitening), a one-row matrix normal and a chi-square whose noncentrality
 takes its default of 0.  Every run draws at least 1,000 null samples per
 p-value, so none warns.
 """
@@ -54,6 +55,8 @@ SAMPLE_PARAMS = {
     "wishart-fractional": ("wishart", {"dof": 2.5, "scale": [[2, 1], [1, 3]]}),
     "wishart-noncentral": ("wishart", {"dof": 5, "scale": [[2, 1], [1, 3]], "noncen": [[1, 0.5], [0.5, 2]]}),
     "beta2": ("beta2", {"dof1": 4, "dof2": 12, "dim": 2}),
+    "beta2-d1": ("beta2", {"dof1": 4.5, "dof2": 12, "dim": 1}),
+    "beta2-d3": ("beta2", {"dof1": 5, "dof2": 14, "dim": 3}),
     "chisq": ("chisq", {"dof": 3, "noncen": 1.5}),
     "chisq-central": ("chisq", {"dof": 2.5}),
 }
