@@ -310,6 +310,7 @@ def _pvalue_dict(p: PValueEstimate) -> dict:
         "p_raw": p.p_raw,
         "mc_se": p.mc_se,
         "n_mc": p.n_mc,
+        "n_drawn": p.n_drawn,
         "n_extreme": p.n_extreme,
     }
 

@@ -348,11 +348,15 @@ def _beta2_draws(params: BetaIIParams, gen: np.random.Generator, size: int | Non
     Each batch draws the numerator's :func:`_bartlett_columns` ``t1``, then
     the denominator's ``t2``, and the kernel holds the only references to
     them, so it can free them (``del``) before it allocates its own arrays.
-    As ``dof2 -> d - 1`` the diagonal of ``T2`` underflows to 0; a division
-    by zero, overflow or invalid value raises ``ValueError``.
+    As ``dof2 -> d - 1`` the diagonal of ``T2`` underflows to 0, making
+    ``S2`` singular; such a draw, or a division by zero, overflow or invalid
+    value in the kernel, raises ``ValueError``.
     """
     def draw(n: int) -> np.ndarray:
-        return kernel(_bartlett_columns(params.dof1, params.dim, gen, n), _bartlett_columns(params.dof2, params.dim, gen, n))
+        return kernel(
+            _bartlett_columns(params.dof1, params.dim, gen, n),
+            _nonsingular(_bartlett_columns(params.dof2, params.dim, gen, n)),
+        )
 
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -360,6 +364,13 @@ def _beta2_draws(params: BetaIIParams, gen: np.random.Generator, size: int | Non
     except FloatingPointError:
         dofs = f"dof1 = {params.dof1}, dof2 = {params.dof2}, d = {params.dim}"
         raise ValueError(f"Beta II draws overflow at {dofs}: dof2 is too close to d - 1") from None
+
+
+def _nonsingular(t: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
+    """The Bartlett columns ``t``, or ``FloatingPointError`` if a diagonal column holds a 0."""
+    if not all(row[-1].all() for row in t):
+        raise FloatingPointError("a Bartlett diagonal underflowed to 0")
+    return t
 
 
 def _beta2_whiten(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> np.ndarray:
@@ -412,6 +423,7 @@ def _beta2_eigs(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> np.nd
     ``d >= 3`` assembles ``C`` only to pass ``C C'`` to ``eigvalsh``.
     """
     c = _beta2_quotient(t1, t2)
+    del t1, t2  # free the columns, so the eigenvalues' arrays reuse their memory, not fresh pages
     if len(c) == 1:
         return (c[0][0] * c[0][0])[:, None]
     if len(c) > 2:

@@ -339,6 +339,18 @@ class TestBeta2:
         with pytest.raises(ValueError, match=message):
             sampler(BetaIIParams(dof1, dof2, dim), RngStream(35), 1000)
 
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda params, rng: sample_beta2(params, rng), lambda params, rng: beta2_eigenvalues(params, rng, 1)],
+        ids=["sample_beta2", "beta2_eigenvalues"],
+    )
+    def test_singular_denominator_raises(self, draw):
+        # On this stream the one draw's T2 has a Bartlett diagonal of exactly
+        # 0, so S2 is singular: the whitening finds no division by zero and
+        # would return an eigenvalue near 1.5e16.  Both samplers must raise.
+        with pytest.raises(ValueError, match="dof2 is too close to d - 1"):
+            draw(BetaIIParams(4.0, 2.001, 3), RngStream(1))
+
 
 def _columns(t):
     """The ``(n,)`` columns ``t[:, i, k]``, ``k <= i``, of a lower-triangular ``(n, d, d)`` stack."""

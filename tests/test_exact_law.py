@@ -6,8 +6,9 @@ Each sampler test is gated by mutation: the same draws, judged against the
 law with dof ``nu + 1`` or scale ``x 1.02``, must fail at the test's size.
 
 The one-sample laws, the noncentral chi-square, the ``d = 1`` Beta Type II
-eigenvalue ``(nu_1 / nu_2) F(nu_1, nu_2)`` and the ``d = 2`` null Wilks
-statistic (from ``mc``'s closed form and from the eigenvalues), are judged
+eigenvalue ``(nu_1 / nu_2) F(nu_1, nu_2)``, the projections ``a'Ba`` of
+``sample_beta2``'s matrix draws at ``d = 2`` and ``3``, and the ``d = 2``
+null Wilks statistic (from ``mc``'s closed form and from the eigenvalues), are judged
 as ``check_law`` judges a projection: the empirical CDF at the exact
 quantiles of the levels ``k / 1000`` against the DKW-Massart band at
 ``VERIFY_ALPHA``, with the same mutation gate (dof + 1, draws x 1.02).
@@ -148,6 +149,30 @@ def test_beta2_d1_follows_the_f_law(sampler):
     assert not follows(draws, beta2_d1_quantiles(dof1 + 1.0, dof2)), "dof1 + 1"
     assert not follows(draws, beta2_d1_quantiles(dof1, dof2 + 1.0)), "dof2 + 1"
     assert not follows(1.02 * draws, beta2_d1_quantiles(dof1, dof2)), "draws x 1.02"
+
+
+def beta2_projection_quantiles(dof1: float, dof2: float, dim: int) -> np.ndarray:
+    """``LEVELS`` quantiles of ``a'Ba`` for a unit ``a``: ``((nu_2 - d + 1) / nu_1) a'Ba`` is ``F(nu_1, nu_2 - d + 1)``.
+
+    Given ``S2``, ``B = S2^{-1/2} S1 S2^{-1/2}`` is ``W(nu_1, S2^{-1})``, so
+    ``a'Ba`` is ``(a'S2^{-1}a) chi^2_{nu_1}``, and ``1 / (a'S2^{-1}a)`` is
+    ``chi^2_{nu_2 - d + 1}``, independent of it (Muirhead 1982, Thm 3.2.11).
+    """
+    dof = dof2 - dim + 1.0
+    return dof1 / dof * fdtri(dof1, dof, LEVELS)
+
+
+@pytest.mark.parametrize("dim,dof1,dof2", [(2, 4.0, 20.0), (3, 5.0, 14.0)])
+def test_sample_beta2_projections_follow_the_f_law(dim, dof1, dof2):
+    # The basis vectors matter: a sampler with the right eigenvalues but the
+    # wrong matrix law, C C' with C = T2^{-1} T1, passes at 1/sqrt(d) only.
+    draws = sample_beta2(BetaIIParams(dof1, dof2, dim), RngStream(1623, dim), size=N_LAW)
+    units = {"e_1": np.eye(dim)[0], "e_d": np.eye(dim)[-1], "1/sqrt(d)": np.full(dim, 1.0 / math.sqrt(dim))}
+    for name, a in units.items():
+        proj = np.einsum("i,nij,j->n", a, draws, a)
+        assert follows(proj, beta2_projection_quantiles(dof1, dof2, dim)), name
+        assert not follows(proj, beta2_projection_quantiles(dof1, dof2 + 1.0, dim)), f"{name}: dof2 + 1"
+        assert not follows(1.02 * proj, beta2_projection_quantiles(dof1, dof2, dim)), f"{name}: draws x 1.02"
 
 
 def wilks_d2_quantiles(dof1: float, dof2: float) -> np.ndarray:

@@ -41,10 +41,92 @@ class TestEstimateAlgebra:
         assert est.p_raw == pytest.approx(n_extreme / n_mc)
 
 
+def _estimate_table(n_mc):
+    """``(p_hat, mc_se)`` of every outcome, as two tables.
+
+    Row ``k`` of the first: the count stopped at draw ``k``.  Row ``g`` of
+    the second: all ``n_mc`` drawn, ``g < h`` of them extreme.
+    """
+    from wishartmix.mc import _H, _estimate
+
+    stopped = [_estimate(_H, n_mc, k) for k in range(_H, n_mc + 1)]
+    drawn_all = [_estimate(g, n_mc) for g in range(_H)]
+    as_array = lambda ests: np.array([(e.p_hat, e.mc_se) for e in ests])  # noqa: E731
+    return np.concatenate([np.full((_H, 2), np.nan), as_array(stopped)]), as_array(drawn_all)
+
+
+class TestSequentialEstimate:
+    """The Besag-Clifford count and estimate, apart from the sampler."""
+
+    @pytest.mark.parametrize("cap", [1 << 16, 256])
+    def test_stop_position_does_not_depend_on_batches(self, cap, monkeypatch):
+        # The null statistics are a fixed list, so batching cannot change
+        # them; one-draw batches then give the exact stopping draw.
+        import itertools
+
+        from wishartmix import mc
+
+        values = np.random.default_rng(51).random(3000)
+        monkeypatch.setattr(mc, "_null_statistics", lambda params, it, n, fn: np.fromiter(itertools.islice(it, n), float))
+        monkeypatch.setattr(mc, "_MC_CHUNK", cap)
+        params = BetaIIParams(4.0, 20.0, 2)
+        for fn in (HL, StatisticFunctional.WILKS):
+            for observed in np.quantile(values, [0.0, 0.003, 0.02, 0.3, 0.9, 0.97, 0.995, 1.0]):
+                doubling = mc._null_count(params, iter(values), values.size, fn, observed)
+                with monkeypatch.context() as one:
+                    one.setattr(mc, "_FIRST_BATCH", 1)
+                    one.setattr(mc, "_MC_CHUNK", 1)
+                    assert mc._null_count(params, iter(values), values.size, fn, observed) == doubling
+
+    @pytest.mark.parametrize("n_mc", [2000, 100_000])
+    def test_stopped_se_keeps_the_benchmark_rule(self, n_mc):
+        # perfbench/checks.py accepts |p_hat - p| <= 4 mc_se + 1 / (n_mc + 1).
+        # Over p ~ U(0, 1), draw the position k of the h-th extreme draw
+        # (negative binomial) and, past n_mc, the extreme count g among the
+        # first n_mc (hypergeometric, given k).  The shrunk se keeps the rule
+        # within a 2e-4 miss rate; the plain delta se p_hat sqrt((1 - p_hat) / h),
+        # 0 at k = h, does not.
+        from wishartmix.mc import _H
+
+        gen = np.random.default_rng(52)
+        n = 1_000_000
+        p = 1.0 - gen.random(n)
+        k = _H + gen.negative_binomial(_H, p)
+        stopped = k <= n_mc
+        g = gen.hypergeometric(_H - 1, k - _H, np.minimum(n_mc, k - 1))
+        by_k, by_g = _estimate_table(n_mc)
+        p_hat, se = np.where(stopped[:, None], by_k[np.minimum(k, n_mc)], by_g[np.minimum(g, _H - 1)]).T
+        delta_se = np.where(stopped, p_hat * np.sqrt((1.0 - p_hat) / _H), se)
+        slack = np.abs(p_hat - p) - 1.0 / (n_mc + 1)
+        assert np.mean(slack > 4.0 * se) <= 2e-4
+        assert np.mean(slack > 4.0 * delta_se) > 2e-4
+
+    @pytest.mark.parametrize("n_mc", [50, 1000, 2000, 100_000])
+    def test_exactly_valid(self, n_mc):
+        # Under the null the observed tail probability u is U(0, 1).  Given u,
+        # the stop k is negative binomial; over u, P(stop at k) = h / (k (k + 1))
+        # for h <= k <= n_mc and P(all n_mc drawn, g extreme) = 1 / (n_mc + 1)
+        # for each g < h.  So P(p_hat <= alpha) is an exact sum.
+        import math
+
+        from wishartmix.mc import CALIBRATION_LEVELS, _H
+
+        by_k, by_g = _estimate_table(n_mc)
+        ks = np.arange(_H, n_mc + 1)
+        outcomes = [(_H / (k * (k + 1)), by_k[k, 0]) for k in ks] + [(1 / (n_mc + 1), p) for p in by_g[:, 0]]
+        assert math.fsum(prob for prob, _ in outcomes) == pytest.approx(1.0, abs=1e-12)
+        for alpha in CALIBRATION_LEVELS:
+            assert math.fsum(prob for prob, p in outcomes if p <= alpha) <= alpha + 1e-12
+
+
 class TestMcPvalue:
     def test_minimal_statistic_gives_one(self):
+        # Every draw is extreme, so the count stops at its h-th draw.
+        from wishartmix.mc import _H
+
         est = mc_pvalue(0.0, 4.0, 20.0, 2, McConfig(n_mc=2000, seed=1, functional=HL))
-        assert est.n_extreme == est.n_mc
+        assert est.n_extreme == _H
+        assert est.n_drawn == _H
         assert est.p_hat == 1.0
 
     def test_saturated_tail(self):
@@ -67,7 +149,7 @@ class TestMcPvalue:
         assert all(a <= b for a, b in zip(p_w, p_w[1:]))
 
     def test_deterministic(self):
-        cfg = McConfig(n_mc=70_000, seed=3, functional=HL)  # spans two draw chunks
+        cfg = McConfig(n_mc=70_000, seed=3, functional=HL)  # a cap past the 65,536-draw batch cap
         a = mc_pvalue(2.0, 4.0, 20.0, 2, cfg)
         b = mc_pvalue(2.0, 4.0, 20.0, 2, cfg)
         assert a == b
@@ -121,8 +203,13 @@ class TestNullStatistics:
                 mc_pvalue(0.5, dof1, dof2, dim, McConfig(n_mc=10_000, seed=1, functional=fn))
 
     @pytest.mark.parametrize("dof1,dof2", [(2.5, 3.0), (4.0, 20.0), (20.0, 120.0)])
-    def test_d2_closed_form_matches_eigenvalues(self, dof1, dof2):
-        from wishartmix.mc import _null_count, _null_statistics
+    def test_d2_closed_form_matches_eigenvalues(self, dof1, dof2, monkeypatch):
+        from wishartmix import mc
+        from wishartmix.mc import _H, _null_count, _null_statistics
+
+        # One batch of all N draws, so _null_count draws what beta2_eigenvalues does.
+        monkeypatch.setattr(mc, "_FIRST_BATCH", self.N)
+        monkeypatch.setattr(mc, "_MC_CHUNK", self.N)
 
         params = BetaIIParams(dof1, dof2, 2)
         eigs = beta2_eigenvalues(params, RngStream(41).generator(), self.N)
@@ -133,12 +220,14 @@ class TestNullStatistics:
                 np.testing.assert_array_equal(got, ref)
             else:
                 np.testing.assert_array_max_ulp(got, ref, maxulp=8)
-            # Observed values midway between sorted null values: no draw sits near one.
+            # Observed values midway between sorted null values: no draw sits
+            # near one.  The outer two leave fewer than h draws in one tail.
             s = np.sort(ref)
-            for k in (self.N // 100, self.N // 2, self.N - self.N // 100):
+            for k in (20, self.N // 100, self.N // 2, self.N - self.N // 100, self.N - 20):
                 obs = (s[k - 1] + s[k]) / 2
-                count = np.count_nonzero(ref <= obs if fn.lower_tail else ref >= obs)
-                assert _null_count(params, RngStream(41).generator(), self.N, fn, obs) == count
+                extreme = np.flatnonzero(ref <= obs if fn.lower_tail else ref >= obs)
+                expected = (_H, extreme[_H - 1] + 1) if extreme.size >= _H else (extreme.size, self.N)
+                assert _null_count(params, RngStream(41).generator(), self.N, fn, obs) == expected
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_other_dims_keep_the_eigenvalue_route(self, dim):
@@ -185,6 +274,29 @@ class TestExactOracles:
             assert _within_band(est, _wilks_d2_exact_pvalue(observed, nu_h, nu_e))
 
 
+def _sequential_pvalue(stats_null, observed, lower_tail, n_mc):
+    """Besag-Clifford p-value, one null draw at a time: ``h / k`` at the ``h``-th extreme draw ``k``, else add-one."""
+    from wishartmix.mc import _H
+
+    g = 0
+    for k, value in enumerate(stats_null, 1):
+        g += bool(value <= observed if lower_tail else value >= observed)
+        if g == _H:
+            return _H / k
+    return (g + 1) / (n_mc + 1)
+
+
+def _null_eigenvalues(params, gen, n_mc):
+    """All ``n_mc`` null eigenvalues, drawn in the sequential count's batches (64, 128, ..., at most ``_MC_CHUNK``)."""
+    from wishartmix.mc import _FIRST_BATCH, _MC_CHUNK
+
+    batches, done, batch = [], 0, _FIRST_BATCH
+    while done < n_mc:
+        batches.append(beta2_eigenvalues(params, gen, min(batch, n_mc - done)))
+        done, batch = done + batches[-1].shape[0], min(2 * batch, _MC_CHUNK)
+    return np.concatenate(batches)
+
+
 def _per_dataset_pvalues(spec, n_datasets, cfg, rng, functionals):
     """Reference: ``null_calibration``'s p-values by ``(factor, functional)``, each from its own dataset's eigenvalues.
 
@@ -205,12 +317,11 @@ def _per_dataset_pvalues(spec, n_datasets, cfg, rng, functionals):
             params = BetaIIParams(dof1[factor], dofs.nu_e, spec.dim)
             stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
             for i in range(m):
-                eigs_null = beta2_eigenvalues(params, stream.generator(done + i), cfg.n_mc)
+                eigs_null = _null_eigenvalues(params, stream.generator(done + i), cfg.n_mc)
                 for fn in functionals:
-                    stats_null = scalar_statistic(eigs_null, fn)
                     obs = float(scalar_statistic(eigs_obs[i], fn))
-                    extreme = stats_null <= obs if fn.lower_tail else stats_null >= obs
-                    pvals[(factor, fn)].append((1 + int(np.count_nonzero(extreme))) / (1 + cfg.n_mc))
+                    p = _sequential_pvalue(scalar_statistic(eigs_null, fn), obs, fn.lower_tail, cfg.n_mc)
+                    pvals[(factor, fn)].append(p)
     return pvals
 
 
@@ -261,17 +372,26 @@ class TestNullCalibration:
         assert {w.filename for w in record} == {__file__}
         np.testing.assert_array_equal(a.results["A"].pvalues, b.results["A"].pvalues)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_report_gives_dataset_zero_pvalues(self, dim):
-        # At n_mc within one chunk, run_report (what manova prints) and
-        # null_calibration (what calibrate certifies) draw the same null set
-        # for dataset 0, so they give the same p-values bit for bit.
-        spec = SimulationSpec(5, 4, 3, dim, SpdMat(np.eye(dim)))
-        cfg = McConfig(n_mc=1000, seed=21)
+    @pytest.mark.parametrize(
+        "dim,n_mc,effect_a",
+        [(1, 1000, 0.0), (2, 1000, 0.0), (3, 1000, 0.0), (2, 70_000, 10.0)],
+        ids=["1", "2", "3", "2-strong-A-70000"],
+    )
+    def test_report_gives_dataset_zero_pvalues(self, dim, n_mc, effect_a):
+        # run_report (what manova prints) and null_calibration (what
+        # calibrate certifies) draw the same null stream for dataset 0, so
+        # they give the same p-values bit for bit.  With a strong A effect,
+        # A's count draws all 70,000, past the first 65,536 null draws.
+        from wishartmix import RandomEffect
+
+        effect = RandomEffect(SpdMat(effect_a * np.eye(dim))) if effect_a else None
+        spec = SimulationSpec(5, 4, 3, dim, SpdMat(np.eye(dim)), effect_a=effect)
+        cfg = McConfig(n_mc=n_mc, seed=21)
         table = DesignTable(simulate_design(spec, RngStream(22).generator(0, 0), size=3)[0])
         for fn in StatisticFunctional:
             fn_cfg = dataclasses.replace(cfg, functional=fn)
             summary = null_calibration(spec, 3, fn_cfg, RngStream(22))
             for fr in run_report(table, fn_cfg).factors:
                 assert fr.p.p_hat == summary.results[fr.name].pvalues[0]
+                assert fr.name != "A" or not effect_a or fr.p.n_drawn == n_mc
             assert [line.split()[2] for line in summary.to_text().splitlines()[1:]] == [fn.value] * 3

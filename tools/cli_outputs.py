@@ -11,9 +11,12 @@ that writes a report, ``<run>.json``.  The inputs are kept in
     diff -r a b
 
 prints nothing.  The runs cover every subcommand: ``manova`` at d = 1, 2
-and 3 with each functional, once with ``--sigma`` at more null draws than
-one p-value chunk holds, once on a square design (A and B share one null
-set), once on responses near 1e200, whose SOPs overflow (exit 2), and twice
+and 3 with each functional, once with ``--sigma`` at a cap of 70,000 null
+draws, once at a cap of 200,000, where factor A's strong effect keeps its
+count short of 40 extreme draws, so it draws all 200,000 in doubling
+batches that reach the 65,536-draw batch cap (the null factors stop early), once on a
+square design (A and B share one null set), once on responses near 1e200,
+whose SOPs overflow (exit 2), and twice
 on a CSV of 1,020 records that spans several ingest blocks, with quoted
 labels, blank lines, CRLF line endings and short rows: once clean and once
 with an unparseable value in record 651 (exit 2);
@@ -21,13 +24,13 @@ with an unparseable value in record 651 (exit 2);
 factors) and at d = 3 with 90 degrees of freedom (each verification chunk
 drawn in two batches); ``calibrate`` at d = 1, 2 and 3 with
 Hotelling-Lawley, at d = 2 with Wilks (lower tail), Pillai and Roy (each a
-closed form of its own in the d = 2 null), once with more null draws per
-dataset than one p-value chunk holds and once with more than one Beta II
-batch holds (262,144 draws at d = 2); ``sample``
+closed form of its own in the d = 2 null), and at caps of 70,000 and
+262,150 null draws per dataset (262,144 draws make one Beta II batch at
+d = 2), though these null counts stop at their 40th extreme draw; ``sample``
 for each distribution, with central, fractional-dof and noncentral Wishart
 parameters, Beta II draws at d = 1, 2 and 3 (a scalar, a 2 x 2 and a 3 x 3
 whitening), a one-row matrix normal and a chi-square whose noncentrality
-takes its default of 0.  Every run draws at least 1,000 null samples per
+takes its default of 0.  Every run allows at least 1,000 null draws per
 p-value, so none warns.
 """
 
@@ -134,6 +137,10 @@ def runs() -> list[tuple[str, list[str]]]:
     out.append(("manova-d2-sigma-chunked", [
         "manova", "--input", "inputs/design_d2.csv", "--responses", "y1,y2", "--n-per-cell", "4",
         "--n-mc", "70000", "--mc-seed", "3", "--sigma", "inputs/sigma_d2.txt", "--json", "manova-d2-sigma-chunked.json",
+    ]))
+    out.append(("manova-d2-past-cap", [
+        "manova", "--input", "inputs/design_d2.csv", "--responses", "y1,y2", "--n-per-cell", "4",
+        "--n-mc", "200000", "--mc-seed", "3", "--json", "manova-d2-past-cap.json",
     ]))
     out.append(("manova-d2-square", [
         "manova", "--input", "inputs/design_square_d2.csv", "--responses", "y1,y2", "--n-per-cell", "3",
