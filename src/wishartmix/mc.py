@@ -28,7 +28,7 @@ its p-values at every ``n_mc``.
 
 Imports: ``scipy.stats``, over a second to import on a 2-core x86-64 host,
 is imported inside its one user, :func:`null_calibration` (for the KS
-test), so only ``calibrate`` pays for it.
+p-value, ``kstwo``), so only ``calibrate`` pays for it.
 """
 
 from __future__ import annotations
@@ -112,14 +112,45 @@ class PValueEstimate:
         return self.n_extreme / self.n_drawn
 
 
-def _estimate(n_extreme: int, n_mc: int, n_drawn: int | None = None) -> PValueEstimate:
-    """A count stopped at its ``n_extreme``-th extreme draw, the ``n_drawn``-th; ``None``: all ``n_mc`` drawn."""
-    if n_drawn is None:
+def _estimate(n_extreme: int, n_drawn: int, n_mc: int) -> PValueEstimate:
+    """The estimate of a count with ``n_extreme`` extreme draws in ``n_drawn``, at most ``n_mc``.
+
+    ``n_extreme = h``: the count stopped at draw ``n_drawn``; else it drew all ``n_mc``.
+    """
+    if n_extreme < _H:
         p_hat = (1 + n_extreme) / (1 + n_mc)
-        return PValueEstimate(p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / n_mc)), n_mc, int(n_extreme), n_mc)
+        return PValueEstimate(p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / n_mc)), n_mc, int(n_extreme), int(n_drawn))
     p_tilde = (n_extreme + 8) / (n_drawn + 16)
     se = p_tilde * np.sqrt((1.0 - p_tilde) / n_extreme)
     return PValueEstimate(n_extreme / n_drawn, float(se), n_mc, int(n_extreme), int(n_drawn))
+
+
+def _value_below(est: PValueEstimate) -> float:
+    """The largest value under ``est.p_hat`` that a sequential p-value with cap ``est.n_mc`` takes.
+
+    Under the null, a sequential p-value takes ``h / k`` (stopped at draw
+    ``k``) with probability ``h / (k (k + 1))``, and ``(g + 1) / (n_mc + 1)``
+    (all drawn, ``g < h`` extreme) with ``1 / (n_mc + 1)``.  Summed, its CDF
+    at each of these values ``v`` is ``v`` itself, and just below ``v`` it is
+    this value.
+    """
+    if est.n_extreme < _H:
+        return est.n_extreme / (est.n_mc + 1)
+    return est.n_extreme / (est.n_drawn + 1)
+
+
+def _ks_distance(p: np.ndarray, below: np.ndarray) -> float:
+    """KS distance of the null p-values ``p`` to their exact law, ``below[i]`` from :func:`_value_below`.
+
+    The law is discrete: ``F(p) = p`` and ``F(p-) = below``.  The sample's
+    step function differs most from ``F`` at a sample point, on one side of
+    its jump or the other, so both sides are compared.  With ``below = p``
+    this is the KS distance to U(0, 1).
+    """
+    ordered = np.sort(p)
+    at = np.searchsorted(ordered, p, side="right") / p.size
+    before = np.searchsorted(ordered, p, side="left") / p.size
+    return float(max(np.max(np.abs(at - p)), np.max(np.abs(before - below))))
 
 
 def _null_stream(seed: int, dof1: float, dof2: float, dim: int) -> RngStream:
@@ -180,14 +211,6 @@ def _null_count(
     return g, k
 
 
-def _null_pvalue(
-    params: BetaIIParams, gen: np.random.Generator, n_mc: int, fn: StatisticFunctional, observed: float
-) -> PValueEstimate:
-    """The :class:`PValueEstimate` of :func:`_null_count`."""
-    g, k = _null_count(params, gen, n_mc, fn, observed)
-    return _estimate(g, n_mc, k if g == _H else None)
-
-
 def _warn_if_coarse(n_mc: int) -> None:
     """Warn, at the caller of the public function that calls this, when ``n_mc`` is below 1000."""
     if n_mc < 1000:
@@ -208,7 +231,7 @@ def mc_pvalue(observed: float, dof1: float, dof2: float, dim: int, cfg: McConfig
         raise ValueError(f"observed statistic must be finite, got {observed}")
     _warn_if_coarse(cfg.n_mc)
     stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
-    return _null_pvalue(params, stream.generator(0), cfg.n_mc, cfg.functional, observed)
+    return _estimate(*_null_count(params, stream.generator(0), cfg.n_mc, cfg.functional, observed), cfg.n_mc)
 
 
 @dataclass(frozen=True)
@@ -250,9 +273,12 @@ def null_calibration(
     Simulates ``n_datasets`` tables from ``spec``, runs the full battery on
     each, and summarizes the per-factor p-value samples: empirical rejection
     rates at the nominal levels ``(0.01, 0.05, 0.10)`` and a KS test against
-    uniformity.  Uniformity is only the expected outcome when ``spec`` is an
-    all-null configuration; with genuine effects the rejection rates report
-    power instead.
+    the exact null law of a sequential p-value (:func:`_value_below`), which
+    is U(0, 1) but for its steps: its atom at 1, of mass ``1 / (h + 1)``,
+    alone puts it 0.0244 from U(0, 1).  The KS p-value is ``kstwo``'s, which
+    is conservative for a discrete law.  That law is only the expected
+    outcome when ``spec`` is an all-null configuration; with genuine effects
+    the rejection rates report power instead.
 
     Only ``cfg.functional`` is calibrated.  Every dataset gets an
     independent null draw set, derived deterministically from ``cfg.seed``
@@ -266,7 +292,7 @@ def null_calibration(
         return CalibrationSummary(0, cfg, {})
     _warn_if_coarse(cfg.n_mc)
 
-    pvals: dict[str, list[float]] = {factor: [] for factor, _, _ in FACTOR_TESTS}
+    ests: dict[str, list[PValueEstimate]] = {factor: [] for factor, _, _ in FACTOR_TESTS}
 
     for chunk_idx, done, m in _chunk_spans(n_datasets, _DATASET_CHUNK):
         tables = simulate_design(spec, rng.generator(0, chunk_idx), size=m)
@@ -276,15 +302,15 @@ def null_calibration(
             params = BetaIIParams(dofs[num], dofs[den], spec.dim)
             null_stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
             for i, obs in enumerate(observed):
-                est = _null_pvalue(params, null_stream.generator(done + i), cfg.n_mc, cfg.functional, obs)
-                pvals[factor].append(est.p_hat)
+                count = _null_count(params, null_stream.generator(done + i), cfg.n_mc, cfg.functional, obs)
+                ests[factor].append(_estimate(*count, cfg.n_mc))
 
-    from scipy.stats import kstest  # deferred: see the module docstring
+    from scipy.stats import kstwo  # deferred: see the module docstring
 
     results = {}
-    for factor, values in pvals.items():
-        p = np.array(values)
+    for factor, values in ests.items():
+        p = np.array([est.p_hat for est in values])
         rates = {lvl: float(np.mean(p <= lvl)) for lvl in CALIBRATION_LEVELS}
-        ks = kstest(p, "uniform")
-        results[factor] = FactorCalibration(p, rates, float(ks.statistic), float(ks.pvalue))
+        ks_stat = _ks_distance(p, np.array([_value_below(est) for est in values]))
+        results[factor] = FactorCalibration(p, rates, ks_stat, float(kstwo.sf(ks_stat, n_datasets)))
     return CalibrationSummary(n_datasets, cfg, results)

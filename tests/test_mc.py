@@ -28,13 +28,15 @@ HL = StatisticFunctional.HOTELLING_LAWLEY
 
 
 class TestEstimateAlgebra:
-    @given(n_extreme=st.integers(0, 2000), n_mc=st.integers(1, 2000))
+    @given(n_extreme=st.integers(0, 39), n_mc=st.integers(1, 2000))
     @settings(max_examples=80, deadline=None)
     def test_add_one_identities(self, n_extreme, n_mc):
-        from wishartmix.mc import _estimate
+        # A count short of h = 40 extreme draws has drawn all n_mc.
+        from wishartmix.mc import _H, _estimate
 
+        assert n_extreme < _H
         n_extreme = min(n_extreme, n_mc)
-        est = _estimate(n_extreme, n_mc)
+        est = _estimate(n_extreme, n_mc, n_mc)
         assert est.p_hat == pytest.approx((1 + n_extreme) / (1 + n_mc))
         assert est.mc_se == pytest.approx(np.sqrt(est.p_hat * (1 - est.p_hat) / n_mc))
         assert 1 / (1 + n_mc) <= est.p_hat <= 1.0
@@ -49,8 +51,8 @@ def _estimate_table(n_mc):
     """
     from wishartmix.mc import _H, _estimate
 
-    stopped = [_estimate(_H, n_mc, k) for k in range(_H, n_mc + 1)]
-    drawn_all = [_estimate(g, n_mc) for g in range(_H)]
+    stopped = [_estimate(_H, k, n_mc) for k in range(_H, n_mc + 1)]
+    drawn_all = [_estimate(g, n_mc, n_mc) for g in range(_H)]
     as_array = lambda ests: np.array([(e.p_hat, e.mc_se) for e in ests])  # noqa: E731
     return np.concatenate([np.full((_H, 2), np.nan), as_array(stopped)]), as_array(drawn_all)
 
@@ -117,6 +119,27 @@ class TestSequentialEstimate:
         assert math.fsum(prob for prob, _ in outcomes) == pytest.approx(1.0, abs=1e-12)
         for alpha in CALIBRATION_LEVELS:
             assert math.fsum(prob for prob, p in outcomes if p <= alpha) <= alpha + 1e-12
+
+    @pytest.mark.parametrize("n_mc", [50, 1000])
+    def test_law_steps_at_each_value(self, n_mc):
+        # The two sides of calibrate's KS comparison: by the exact sums, at
+        # each value v of the estimate P(p_hat <= v) = v, and P(p_hat < v)
+        # is _value_below, the next smaller value.
+        from wishartmix.mc import _H, _estimate, _value_below
+
+        ests = [_estimate(_H, k, n_mc) for k in range(_H, n_mc + 1)] + [_estimate(g, n_mc, n_mc) for g in range(_H)]
+        probs = np.array([_H / (k * (k + 1)) for k in range(_H, n_mc + 1)] + [1 / (n_mc + 1)] * _H)
+        order = np.argsort([est.p_hat for est in ests])
+        cdf = np.cumsum(probs[order])
+        np.testing.assert_allclose(cdf, [ests[i].p_hat for i in order], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.r_[0.0, cdf[:-1]], [_value_below(ests[i]) for i in order], rtol=0, atol=1e-12)
+
+    def test_ks_distance_to_a_continuous_law_is_scipys(self):
+        from wishartmix.mc import _ks_distance
+
+        p = np.random.default_rng(53).random(500)
+        p[:20] = p[20:40]  # ties
+        assert _ks_distance(p, p) == pytest.approx(stats.kstest(p, "uniform").statistic, rel=0, abs=1e-15)
 
 
 class TestMcPvalue:
@@ -339,6 +362,25 @@ class TestNullCalibration:
         res = summary.results["A"]
         assert res.ks_pvalue > 0.01
         assert 0.02 <= res.rejection_rates[0.05] <= 0.09
+
+    def test_ks_accepts_the_exact_sequential_law(self, monkeypatch):
+        # A stand-in count draws (g, k) from the exact null law of the
+        # sequential count: P(stop at k or later) = h / k, so k = floor(h / v)
+        # for v ~ U(0, 1]; a k past n_mc leaves g uniform on 0, ..., h - 1.
+        # The law's atom at 1 (mass 1 / 41) puts it 0.0244 from U(0, 1), which
+        # 20,000 datasets reject; compared with the law itself, they do not.
+        from wishartmix import mc
+
+        def exact_law_count(params, gen, n_mc, fn, observed):
+            k = int(mc._H / (1.0 - gen.random()))
+            return (mc._H, k) if k <= n_mc else (int(gen.integers(mc._H)), n_mc)
+
+        monkeypatch.setattr(mc, "_null_count", exact_law_count)
+        spec = SimulationSpec(2, 2, 2, 1, SpdMat(np.eye(1)))
+        summary = null_calibration(spec, 20_000, McConfig(n_mc=1000, seed=17), RngStream(18))
+        for res in summary.results.values():
+            assert res.ks_pvalue > 0.01
+            assert stats.kstest(res.pvalues, "uniform").pvalue < 1e-6
 
     def test_power_against_strong_effect(self):
         from wishartmix import RandomEffect

@@ -24,9 +24,8 @@ with an unparseable value in record 651 (exit 2);
 factors) and at d = 3 with 90 degrees of freedom (each verification chunk
 drawn in two batches); ``calibrate`` at d = 1, 2 and 3 with
 Hotelling-Lawley, at d = 2 with Wilks (lower tail), Pillai and Roy (each a
-closed form of its own in the d = 2 null), and at caps of 70,000 and
-262,150 null draws per dataset (262,144 draws make one Beta II batch at
-d = 2), though these null counts stop at their 40th extreme draw; ``sample``
+closed form of its own in the d = 2 null), and at a cap of 70,000 null
+draws per dataset, though these null counts stop at their 40th extreme draw; ``sample``
 for each distribution, with central, fractional-dof and noncentral Wishart
 parameters, Beta II draws at d = 1, 2 and 3 (a scalar, a 2 x 2 and a 3 x 3
 whitening), a one-row matrix normal and a chi-square whose noncentrality
@@ -174,10 +173,6 @@ def runs() -> list[tuple[str, list[str]]]:
     out.append(("calibrate-d2-chunk-sized", [
         "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", "2",
         "--datasets", "3", "--n-mc", "70000", "--seed", "5",
-    ]))
-    out.append(("calibrate-d2-past-batch", [
-        "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", "2",
-        "--datasets", "1", "--n-mc", "262150", "--seed", "5",
     ]))
     for name, (dist, _) in SAMPLE_PARAMS.items():
         out.append((f"sample-{name}", ["sample", "--dist", dist, "--params", f"inputs/{name}.json", "--n", "50", "--seed", "6"]))
