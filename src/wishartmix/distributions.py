@@ -19,7 +19,8 @@ noncentral sampling is rejected rather than approximated.  The same
 ``Z root + M`` construction draws the matrix normal itself and, with a
 per-draw ``M``, the conditional level of the closure hierarchy.  Every Beta
 Type II draw goes through :func:`_beta2_draws`, which passes the two
-Bartlett factors, as ``(n,)`` columns, to a kernel and raises on overflow.
+Bartlett factors, as ``(n,)`` columns (one block of ``n`` per generator, for
+draws from several generators at once), to a kernel and raises on overflow.
 The eigenvalue kernel builds ``C = T2^{-1} T1`` column by column
 (:func:`_beta2_quotient`; ``mc``'s ``d = 2`` kernel uses it too), with a
 closed-form spectrum for ``d <= 2`` (``C`` is assembled, for ``eigvalsh``,
@@ -170,20 +171,28 @@ def _batch(per_draw_scalars: int) -> int:
     return max(1, _CHUNK_SCALARS // max(1, per_draw_scalars))
 
 
-def _bartlett_columns(dof: float, dim: int, gen: np.random.Generator, n: int) -> list[list[np.ndarray]]:
-    """Bartlett factor ``T`` (``T T'`` is ``W(dof, I)``) as ``(n,)`` columns: ``t[i][k]`` is ``T[:, i, k]``, ``k <= i``.
+def _bartlett_columns(dofs: tuple[float, ...], dim: int, gens: list[np.random.Generator], n: int) -> list[list[list[np.ndarray]]]:
+    """Bartlett factors ``T`` (``T T'`` is ``W(dof, I)``) per ``dof``: ``t[f][i][k]`` is ``T[:, i, k]``, ``k <= i``, of ``dofs[f]``.
 
-    The below-diagonal normals are drawn first, in ``np.tril_indices`` order,
-    then the diagonal ``sqrt(chi^2_{dof - j})`` in order of ``j``.
+    A column holds ``n`` draws per generator, ``gens[r]``'s in block ``r``.
+    Each generator draws each factor in turn: its below-diagonal normals, in
+    ``np.tril_indices`` order, then its diagonal ``sqrt(chi^2_{dof - j})`` by ``j``.
     """
-    z = gen.standard_normal((n, dim * (dim - 1) // 2))
-    diag = [np.sqrt(gen.chisquare(dof - j, n)) for j in range(dim)]
-    return [[*(z[:, i * (i - 1) // 2 + k] for k in range(i)), diag[i]] for i in range(dim)]
+    rows, m = len(gens) * n, dim * (dim - 1) // 2
+    z = np.empty((len(dofs), len(gens), n, m))
+    diag = np.empty((len(dofs), dim, len(gens), n))
+    for r, gen in enumerate(gens):
+        for f, dof in enumerate(dofs):
+            gen.standard_normal(out=z[f, r])
+            for j in range(dim):
+                diag[f, j, r] = gen.chisquare(dof - j, n)
+    z, diag = z.reshape(len(dofs), rows, m), np.sqrt(diag, out=diag).reshape(len(dofs), dim, rows)
+    return [[[*(z[f, :, i * (i - 1) // 2 + k] for k in range(i)), diag[f, i]] for i in range(dim)] for f in range(len(dofs))]
 
 
 def _bartlett_factor(dof: float, dim: int, gen: np.random.Generator, n: int) -> np.ndarray:
     """Lower-triangular Bartlett factor stack: ``T T'`` is ``W(dof, I)``."""
-    return _lower_stack(_bartlett_columns(dof, dim, gen, n))
+    return _lower_stack(_bartlett_columns((dof,), dim, [gen], n)[0])
 
 
 def _lower_stack(cols: list[list[np.ndarray]]) -> np.ndarray:
@@ -342,35 +351,30 @@ def sample_wishart(
     return _sample_grams(_wishart_factor(params), params.dim, rng, size)
 
 
-def _beta2_draws(params: BetaIIParams, gen: np.random.Generator, size: int | None, shape: tuple[int, ...], kernel) -> np.ndarray:
-    """``kernel(t1, t2)`` of ``size`` Beta II draws from ``gen``, stacked by :func:`_draw_stack`.
+def _beta2_draws(params: BetaIIParams, gens: list[np.random.Generator], size: int, shape: tuple[int, ...], kernel) -> np.ndarray:
+    """``kernel(t1, t2)`` of ``size`` Beta II draws from each of ``gens``, shape ``(len(gens), size, *shape)``.
 
-    Each batch draws the numerator's :func:`_bartlett_columns` ``t1``, then
-    the denominator's ``t2``, and the kernel holds the only references to
-    them, so it can free them (``del``) before it allocates its own arrays.
-    As ``dof2 -> d - 1`` the diagonal of ``T2`` underflows to 0, making
-    ``S2`` singular; such a draw, or a division by zero, overflow or invalid
-    value in the kernel, raises ``ValueError``.
+    Each generator draws in :func:`_batch` batches, however many share them:
+    the numerator's :func:`_bartlett_columns` ``t1``, then the denominator's
+    ``t2``.  The kernel, elementwise or matrix by matrix, holds the only
+    references to the columns, so it can free them (``del``) before it
+    allocates its own arrays.  As ``dof2 -> d - 1`` the diagonal of ``T2``
+    underflows to 0, making ``S2`` singular; such a draw, or a division by
+    zero, overflow or invalid value in the kernel, raises ``ValueError``.
     """
-    def draw(n: int) -> np.ndarray:
-        return kernel(
-            _bartlett_columns(params.dof1, params.dim, gen, n),
-            _nonsingular(_bartlett_columns(params.dof2, params.dim, gen, n)),
-        )
-
+    out = np.empty((len(gens), size, *shape))
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return _draw_stack(size, shape, 4 * params.dim * params.dim, draw)
+            for _, start, n in _chunk_spans(size, _batch(4 * params.dim * params.dim)):
+                t = _bartlett_columns((params.dof1, params.dof2), params.dim, gens, n)
+                if not all(row[-1].all() for row in t[1]):
+                    raise FloatingPointError("a Bartlett diagonal of T2 underflowed to 0")
+                # Popped, so that the kernel holds the only references to the columns.
+                out[:, start : start + n] = kernel(t.pop(0), t.pop()).reshape(len(gens), n, *shape)
     except FloatingPointError:
         dofs = f"dof1 = {params.dof1}, dof2 = {params.dof2}, d = {params.dim}"
         raise ValueError(f"Beta II draws overflow at {dofs}: dof2 is too close to d - 1") from None
-
-
-def _nonsingular(t: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
-    """The Bartlett columns ``t``, or ``FloatingPointError`` if a diagonal column holds a 0."""
-    if not all(row[-1].all() for row in t):
-        raise FloatingPointError("a Bartlett diagonal underflowed to 0")
-    return t
+    return out
 
 
 def _beta2_whiten(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> np.ndarray:
@@ -392,8 +396,9 @@ def sample_beta2(
     definite with probability one.  A draw that overflows, as ``dof2 -> d - 1``,
     raises ``ValueError``.
     """
-    draws = _beta2_draws(params, as_generator(rng), size, (params.dim, params.dim), _beta2_whiten)
-    return draws if size is not None else SpdMat(draws)
+    n = 1 if size is None else _count(size, "size", 0)
+    draws = _beta2_draws(params, [as_generator(rng)], n, (params.dim, params.dim), _beta2_whiten)[0]
+    return draws if size is not None else SpdMat(draws[0])
 
 
 def _beta2_quotient(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
@@ -449,7 +454,7 @@ def beta2_eigenvalues(
     :func:`_beta2_eigs` computes from ``(n,)`` columns, never stacks.  A
     draw that overflows raises ``ValueError``, as in :func:`sample_beta2`.
     """
-    return np.maximum(_beta2_draws(params, as_generator(rng), _count(size, "size", 0), (params.dim,), _beta2_eigs), 0.0)
+    return np.maximum(_beta2_draws(params, [as_generator(rng)], _count(size, "size", 0), (params.dim,), _beta2_eigs)[0], 0.0)
 
 
 def sample_noncentral_chisq(

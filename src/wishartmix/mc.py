@@ -3,15 +3,15 @@
 The factor statistics of a balanced design follow an exact Beta Type II
 distribution under the null, but the scalar functionals of its eigenvalues
 have no convenient closed-form CDFs.  p-values are therefore estimated by
-sampling the null statistic (:func:`_null_statistics`: at ``d = 2`` a closed
-form in each draw's ``tr(C C')`` and ``det(C C')``, with no eigenvalue list)
+sampling the null statistic (at ``d = 2`` :func:`_d2_kernel`, a closed form
+in each draw's ``tr(C C')`` and ``det(C C')``, with no eigenvalue list)
 and counting the draws at least as extreme as the observed value in the
 functional's tail direction.  The draws come from ``distributions``' one
 Beta II draw routine, which raises on a draw that overflows.  Ties count as
 extreme.
 
 The count is sequential (Besag and Clifford, "Sequential Monte Carlo
-p-values", *Biometrika* 78, 1991): :func:`_null_count` draws in batches of
+p-values", *Biometrika* 78, 1991): :func:`_null_counts` draws in batches of
 64, 128, 256 and so on, at most ``_MC_CHUNK``, and stops at the ``h``-th
 extreme draw, ``h = 40``.  Stopped after ``k`` draws, the estimate is
 ``h / k``; after all ``n_mc`` draws with ``g < h`` extreme, the add-one
@@ -23,7 +23,9 @@ Determinism: the null stream is derived from ``(seed, dof1, dof2, dim)``, so
 factor tests whose degrees of freedom coincide automatically share one draw
 set, while different degrees of freedom get independent sets.  Each p-value
 counts one child stream: :func:`mc_pvalue` child 0, :func:`null_calibration`
-child ``i`` for dataset ``i``.  So a report on calibration's dataset 0 gives
+child ``i`` for dataset ``i``.  A chunk's datasets are counted together,
+one row per dataset per round, each from its own child stream in the
+batches it would draw alone.  So a report on calibration's dataset 0 gives
 its p-values at every ``n_mc``.
 
 Imports: ``scipy.stats``, over a second to import on a 2-core x86-64 host,
@@ -158,21 +160,14 @@ def _null_stream(seed: int, dof1: float, dof2: float, dim: int) -> RngStream:
     return RngStream(seed, tag)
 
 
-def _null_statistics(params: BetaIIParams, gen: np.random.Generator, n: int, fn: StatisticFunctional) -> np.ndarray:
-    """``fn`` of ``n`` null draws from ``gen``.
+def _d2_kernel(fn: StatisticFunctional):
+    """The :func:`_beta2_draws` kernel of ``fn``'s null value at ``d = 2``: a closed form in ``tr`` and ``det`` of ``C C'``.
 
-    At ``d = 2``, a closed form in ``tr = c00^2 + c10^2 + c11^2`` and
-    ``det = (c00 c11)^2`` of ``C C'``, ``C = T2^{-1} T1`` drawn by
-    ``distributions._beta2_draws`` as for :func:`beta2_eigenvalues` (same stream, same batches):
-    Hotelling-Lawley ``tr``, Wilks ``1 / (1 + tr + det)``, Pillai
-    ``(tr + 2 det) / (1 + tr + det)``, Roy the larger eigenvalue.  ``d = 1``,
-    whose eigenvalue is the statistic's one input, and ``d >= 3``, with no
-    short closed form, take :func:`scalar_statistic` of the eigenvalues.  A
-    draw that overflows as ``dof2 -> d - 1`` raises ``ValueError`` there, so
-    no draw is silently dropped from the count.
+    ``tr = c00^2 + c10^2 + c11^2`` and ``det = (c00 c11)^2``, for ``C = T2^{-1} T1``
+    from :func:`_beta2_quotient`: Hotelling-Lawley ``tr``, Wilks
+    ``1 / (1 + tr + det)``, Pillai ``(tr + 2 det) / (1 + tr + det)``, Roy the
+    larger eigenvalue.  No eigenvalue pair is formed.
     """
-    if params.dim != 2:
-        return scalar_statistic(beta2_eigenvalues(params, gen, n), fn)
 
     def d2(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> np.ndarray:
         (c00,), (c10, c11) = _beta2_quotient(t1, t2)
@@ -185,29 +180,45 @@ def _null_statistics(params: BetaIIParams, gen: np.random.Generator, n: int, fn:
         det = (c00 * c11) ** 2
         return 1.0 / (1.0 + tr + det) if fn is StatisticFunctional.WILKS else (tr + 2.0 * det) / (1.0 + tr + det)
 
-    return _beta2_draws(params, gen, n, (), d2)
+    return d2
 
 
-def _null_count(
-    params: BetaIIParams, gen: np.random.Generator, n_mc: int, fn: StatisticFunctional, observed: float
-) -> tuple[int, int]:
-    """``(g, k)``: ``g`` of the first ``k`` :func:`_null_statistics` from ``gen`` are at least as extreme as ``observed``.
+def _null_counts(params: BetaIIParams, gens: list[np.random.Generator], n_mc: int, fn: StatisticFunctional, observed):
+    """``(g, k)`` arrays: ``g[r]`` of the first ``k[r]`` null values from ``gens[r]`` are at least as extreme as ``observed[r]``.
 
-    Draws batches of ``_FIRST_BATCH``, doubling up to ``_MC_CHUNK``, and
-    stops at the ``_H``-th extreme draw, whose position is ``k`` (the rest of
-    its batch is not counted: stopping at the batch end would break the
-    estimate's validity); else ``k = n_mc``.
+    Each row draws batches of ``_FIRST_BATCH``, doubling up to ``_MC_CHUNK``,
+    and stops at the ``_H``-th extreme draw, whose position is ``k`` (the
+    rest of its batch is not counted: stopping at the batch end would break
+    the estimate's validity); else ``k = n_mc``.  Open rows have drawn
+    alike, so a round draws one batch size for all of them, as ``(rows, n)``
+    slabs of at most ``_MC_CHUNK`` draws: at ``d = 2`` one :func:`_beta2_draws`
+    call with :func:`_d2_kernel`, else the rows' stacked
+    :func:`beta2_eigenvalues`.  The tail test and the stop positions take one
+    pass per slab.  Each row draws from its own generator in its own
+    batches, so its count is the one it gets alone.
     """
-    g = k = 0
-    batch = _FIRST_BATCH
-    while k < n_mc:
-        n = min(batch, n_mc - k)
-        stats = _null_statistics(params, gen, n, fn)
-        extreme = stats <= observed if fn.lower_tail else stats >= observed
-        hits = int(np.count_nonzero(extreme))
-        if g + hits >= _H:
-            return _H, k + int(np.flatnonzero(extreme)[_H - g - 1]) + 1
-        g, k, batch = g + hits, k + n, min(2 * batch, _MC_CHUNK)
+    observed = np.asarray(observed, dtype=float)
+    g, k, rows_open = np.zeros(len(gens), dtype=np.int64), np.full(len(gens), n_mc), np.arange(len(gens))
+    done, batch = 0, _FIRST_BATCH
+    while done < n_mc and rows_open.size:
+        n = min(batch, n_mc - done)
+        still = []
+        for _, start, m in _chunk_spans(rows_open.size, max(1, _MC_CHUNK // n)):
+            rows = rows_open[start : start + m]
+            group = [gens[r] for r in rows]
+            if params.dim == 2:
+                stats = _beta2_draws(params, group, n, (), _d2_kernel(fn))
+            else:
+                stats = scalar_statistic(np.stack([beta2_eigenvalues(params, gen, n) for gen in group]), fn)
+            obs = observed[rows, None]
+            hits = np.cumsum(stats <= obs if fn.lower_tail else stats >= obs, axis=1)
+            hits += g[rows, None]
+            stop = hits[:, -1] >= _H
+            g[rows] = np.minimum(hits[:, -1], _H)
+            k[rows[stop]] = done + np.argmax(hits[stop] >= _H, axis=1) + 1
+            still.append(rows[~stop])
+            del stats, hits  # free this group's slab before the next group draws
+        rows_open, done, batch = np.concatenate(still), done + n, min(2 * batch, _MC_CHUNK)
     return g, k
 
 
@@ -231,7 +242,8 @@ def mc_pvalue(observed: float, dof1: float, dof2: float, dim: int, cfg: McConfig
         raise ValueError(f"observed statistic must be finite, got {observed}")
     _warn_if_coarse(cfg.n_mc)
     stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
-    return _estimate(*_null_count(params, stream.generator(0), cfg.n_mc, cfg.functional, observed), cfg.n_mc)
+    g, k = _null_counts(params, [stream.generator(0)], cfg.n_mc, cfg.functional, [observed])
+    return _estimate(int(g[0]), int(k[0]), cfg.n_mc)
 
 
 @dataclass(frozen=True)
@@ -283,7 +295,9 @@ def null_calibration(
     Only ``cfg.functional`` is calibrated.  Every dataset gets an
     independent null draw set, derived deterministically from ``cfg.seed``
     and not from the functional, so calls that differ only in
-    ``cfg.functional`` draw the same tables and null streams.
+    ``cfg.functional`` draw the same tables and null streams.  A chunk's
+    datasets are counted together, one row per dataset per round, each from
+    its own child stream (:func:`_null_counts`).
     """
     rng = _as_stream(rng, "null_calibration")
     n_datasets = _count(n_datasets, "n_datasets", 0)
@@ -295,15 +309,14 @@ def null_calibration(
     ests: dict[str, list[PValueEstimate]] = {factor: [] for factor, _, _ in FACTOR_TESTS}
 
     for chunk_idx, done, m in _chunk_spans(n_datasets, _DATASET_CHUNK):
-        tables = simulate_design(spec, rng.generator(0, chunk_idx), size=m)
-        sops = sop_arrays(tables)
+        sops = sop_arrays(simulate_design(spec, rng.generator(0, chunk_idx), size=m))
         for factor, num, den in FACTOR_TESTS:
-            observed = scalar_statistic(batched_statistic_eigs(sops[num], sops[den]), cfg.functional).tolist()
+            observed = scalar_statistic(batched_statistic_eigs(sops[num], sops[den]), cfg.functional)
             params = BetaIIParams(dofs[num], dofs[den], spec.dim)
             null_stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
-            for i, obs in enumerate(observed):
-                count = _null_count(params, null_stream.generator(done + i), cfg.n_mc, cfg.functional, obs)
-                ests[factor].append(_estimate(*count, cfg.n_mc))
+            gens = [null_stream.generator(done + i) for i in range(m)]
+            g, k = _null_counts(params, gens, cfg.n_mc, cfg.functional, observed)
+            ests[factor] += [_estimate(*count, cfg.n_mc) for count in zip(g.tolist(), k.tolist())]
 
     from scipy.stats import kstwo  # deferred: see the module docstring
 

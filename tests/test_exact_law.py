@@ -35,8 +35,8 @@ from wishartmix import (
     verify_closure,
 )
 from wishartmix.closure import VERIFY_ALPHA, _hierarchical_factor, check_law
-from wishartmix.distributions import _wishart_factor
-from wishartmix.mc import _null_statistics
+from wishartmix.distributions import _beta2_draws, _wishart_factor
+from wishartmix.mc import _d2_kernel
 from conftest import random_psd, random_spd
 
 # Draws per sampler check: enough for scale x 1.02 to fail.
@@ -187,7 +187,7 @@ def wilks_d2_quantiles(dof1: float, dof2: float) -> np.ndarray:
 
 WILKS = StatisticFunctional.WILKS
 WILKS_D2 = {
-    "null-statistics": lambda params, rng: _null_statistics(params, rng.generator(), N_LAW, WILKS),
+    "null-statistics": lambda params, rng: _beta2_draws(params, [rng.generator()], N_LAW, (), _d2_kernel(WILKS))[0],
     "beta2_eigenvalues": lambda params, rng: scalar_statistic(beta2_eigenvalues(params, rng, N_LAW), WILKS),
 }
 

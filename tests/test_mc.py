@@ -62,23 +62,31 @@ class TestSequentialEstimate:
 
     @pytest.mark.parametrize("cap", [1 << 16, 256])
     def test_stop_position_does_not_depend_on_batches(self, cap, monkeypatch):
-        # The null statistics are a fixed list, so batching cannot change
-        # them; one-draw batches then give the exact stopping draw.
+        # The null statistics are fixed rows, so batching cannot change
+        # them; one-draw batches then give the exact stopping draw.  All
+        # rows are counted at once, and each row's count is its count alone.
         import itertools
 
         from wishartmix import mc
 
-        values = np.random.default_rng(51).random(3000)
-        monkeypatch.setattr(mc, "_null_statistics", lambda params, it, n, fn: np.fromiter(itertools.islice(it, n), float))
+        values = np.random.default_rng(51).random((8, 3000))
+        monkeypatch.setattr(
+            mc, "_beta2_draws",
+            lambda params, its, n, shape, kernel: np.array([np.fromiter(itertools.islice(it, n), float) for it in its]),
+        )
         monkeypatch.setattr(mc, "_MC_CHUNK", cap)
         params = BetaIIParams(4.0, 20.0, 2)
+        levels = [0.0, 0.003, 0.02, 0.3, 0.9, 0.97, 0.995, 1.0]
+        observed = np.array([np.quantile(row, level) for row, level in zip(values, levels)])
         for fn in (HL, StatisticFunctional.WILKS):
-            for observed in np.quantile(values, [0.0, 0.003, 0.02, 0.3, 0.9, 0.97, 0.995, 1.0]):
-                doubling = mc._null_count(params, iter(values), values.size, fn, observed)
-                with monkeypatch.context() as one:
-                    one.setattr(mc, "_FIRST_BATCH", 1)
-                    one.setattr(mc, "_MC_CHUNK", 1)
-                    assert mc._null_count(params, iter(values), values.size, fn, observed) == doubling
+            doubling = mc._null_counts(params, [iter(row) for row in values], values.shape[1], fn, observed)
+            with monkeypatch.context() as one:
+                one.setattr(mc, "_FIRST_BATCH", 1)
+                one.setattr(mc, "_MC_CHUNK", 1)
+                one_draw = mc._null_counts(params, [iter(row) for row in values], values.shape[1], fn, observed)
+            np.testing.assert_array_equal(one_draw, doubling)
+            for row, obs, g, k in zip(values, observed, *doubling):
+                np.testing.assert_array_equal(mc._null_counts(params, [iter(row)], values.shape[1], fn, [obs]), ([g], [k]))
 
     @pytest.mark.parametrize("n_mc", [2000, 100_000])
     def test_stopped_se_keeps_the_benchmark_rule(self, n_mc):
@@ -211,7 +219,7 @@ class TestMcPvalue:
 
 
 class TestNullStatistics:
-    """``_null_count``'s statistics: closed form in ``tr(CC')`` and ``det(CC')`` at ``d = 2``, eigenvalues elsewhere."""
+    """``_null_counts``' statistics: closed form in ``tr(CC')`` and ``det(CC')`` at ``d = 2``, eigenvalues elsewhere."""
 
     N = 262_147  # one draw past a Beta II batch at d = 2
 
@@ -225,12 +233,30 @@ class TestNullStatistics:
             with pytest.raises(ValueError, match=rf"dof1 = {dof1}, dof2 = {dof2}, d = {dim}"):
                 mc_pvalue(0.5, dof1, dof2, dim, McConfig(n_mc=10_000, seed=1, functional=fn))
 
+    @staticmethod
+    def _count_cases(ref, n, fn):
+        """Observed values midway between sorted null values, and the ``(g, k)`` each gives over ``ref``.
+
+        No draw sits near one; the outer two leave fewer than h draws in one tail.
+        """
+        from wishartmix.mc import _H
+
+        s = np.sort(ref)
+        observed, expected = [], []
+        for k in (20, n // 100, n // 2, n - n // 100, n - 20):
+            obs = (s[k - 1] + s[k]) / 2
+            extreme = np.flatnonzero(ref <= obs if fn.lower_tail else ref >= obs)
+            observed.append(obs)
+            expected.append((_H, extreme[_H - 1] + 1) if extreme.size >= _H else (extreme.size, n))
+        return observed, expected
+
     @pytest.mark.parametrize("dof1,dof2", [(2.5, 3.0), (4.0, 20.0), (20.0, 120.0)])
     def test_d2_closed_form_matches_eigenvalues(self, dof1, dof2, monkeypatch):
         from wishartmix import mc
-        from wishartmix.mc import _H, _null_count, _null_statistics
+        from wishartmix.distributions import _beta2_draws
+        from wishartmix.mc import _d2_kernel, _null_counts
 
-        # One batch of all N draws, so _null_count draws what beta2_eigenvalues does.
+        # One batch of all N draws, so _null_counts draws what beta2_eigenvalues does.
         monkeypatch.setattr(mc, "_FIRST_BATCH", self.N)
         monkeypatch.setattr(mc, "_MC_CHUNK", self.N)
 
@@ -238,29 +264,57 @@ class TestNullStatistics:
         eigs = beta2_eigenvalues(params, RngStream(41).generator(), self.N)
         for fn in StatisticFunctional:
             ref = scalar_statistic(eigs, fn)
-            got = _null_statistics(params, RngStream(41).generator(), self.N, fn)
+            got = _beta2_draws(params, [RngStream(41).generator()], self.N, (), _d2_kernel(fn))[0]
             if fn is StatisticFunctional.ROY:
                 np.testing.assert_array_equal(got, ref)
             else:
                 np.testing.assert_array_max_ulp(got, ref, maxulp=8)
-            # Observed values midway between sorted null values: no draw sits
-            # near one.  The outer two leave fewer than h draws in one tail.
-            s = np.sort(ref)
-            for k in (20, self.N // 100, self.N // 2, self.N - self.N // 100, self.N - 20):
-                obs = (s[k - 1] + s[k]) / 2
-                extreme = np.flatnonzero(ref <= obs if fn.lower_tail else ref >= obs)
-                expected = (_H, extreme[_H - 1] + 1) if extreme.size >= _H else (extreme.size, self.N)
-                assert _null_count(params, RngStream(41).generator(), self.N, fn, obs) == expected
+            observed, expected = self._count_cases(ref, self.N, fn)
+            g, k = _null_counts(params, [RngStream(41).generator() for _ in observed], self.N, fn, observed)
+            assert list(zip(g.tolist(), k.tolist())) == expected
 
     @pytest.mark.parametrize("dim", [1, 3])
-    def test_other_dims_keep_the_eigenvalue_route(self, dim):
-        from wishartmix.mc import _null_statistics
+    def test_other_dims_keep_the_eigenvalue_route(self, dim, monkeypatch):
+        from wishartmix import mc
+        from wishartmix.mc import _null_counts
 
+        monkeypatch.setattr(mc, "_FIRST_BATCH", 5000)
+        monkeypatch.setattr(mc, "_MC_CHUNK", 5000)
         params = BetaIIParams(4.5, 12.0, dim)
         eigs = beta2_eigenvalues(params, RngStream(42).generator(), 5000)
         for fn in StatisticFunctional:
-            got = _null_statistics(params, RngStream(42).generator(), 5000, fn)
-            np.testing.assert_array_equal(got, scalar_statistic(eigs, fn))
+            observed, expected = self._count_cases(scalar_statistic(eigs, fn), 5000, fn)
+            g, k = _null_counts(params, [RngStream(42).generator() for _ in observed], 5000, fn, observed)
+            assert list(zip(g.tolist(), k.tolist())) == expected
+
+
+class TestRowBatchedCounts:
+    """``_null_counts`` over many generators gives each row the count it gets alone, bit for bit."""
+
+    @pytest.mark.parametrize("patch", ["none", "row-groups", "draw-batches"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_count_as_alone(self, dim, patch, monkeypatch):
+        # "row-groups": at most 256 draws per slab, so a round splits into
+        # groups of rows.  "draw-batches": 50 Beta II draws per batch, so a
+        # row's round spans several _draw_stack batches, as it does at d >= 5.
+        from wishartmix import distributions, mc
+        from wishartmix.mc import _H, _null_counts
+
+        if patch == "row-groups":
+            monkeypatch.setattr(mc, "_MC_CHUNK", 256)
+        if patch == "draw-batches":
+            monkeypatch.setattr(distributions, "_CHUNK_SCALARS", 4 * dim * dim * 50)
+        params = BetaIIParams(dim + 2.5, dim + 14.0, dim)
+        stream, n_mc = RngStream(61, dim), 3000
+        levels = [0.0005, 0.005, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98, 0.995, 0.9995]
+        for fn in StatisticFunctional:
+            null = scalar_statistic(beta2_eigenvalues(params, RngStream(62, dim), 4000), fn)
+            observed = np.quantile(null, levels)
+            g, k = _null_counts(params, [stream.generator(i) for i in range(len(levels))], n_mc, fn, observed)
+            assert g.max() == _H and k.max() == n_mc and k.min() < 256  # rows stop in different rounds
+            for i, obs in enumerate(observed):
+                alone = _null_counts(params, [stream.generator(i)], n_mc, fn, [obs])
+                assert (g[i], k[i]) == (alone[0][0], alone[1][0])
 
 
 def _within_band(est, p_exact):
@@ -371,13 +425,21 @@ class TestNullCalibration:
         # 20,000 datasets reject; compared with the law itself, they do not.
         from wishartmix import mc
 
-        def exact_law_count(params, gen, n_mc, fn, observed):
-            k = int(mc._H / (1.0 - gen.random()))
-            return (mc._H, k) if k <= n_mc else (int(gen.integers(mc._H)), n_mc)
+        rows = []
 
-        monkeypatch.setattr(mc, "_null_count", exact_law_count)
+        def exact_law_counts(params, gens, n_mc, fn, observed):
+            rows.append(len(gens))
+            counts = []
+            for gen in gens:
+                k = int(mc._H / (1.0 - gen.random()))
+                counts.append((mc._H, k) if k <= n_mc else (int(gen.integers(mc._H)), n_mc))
+            g, k = zip(*counts)
+            return np.array(g), np.array(k)
+
+        monkeypatch.setattr(mc, "_null_counts", exact_law_counts)
         spec = SimulationSpec(2, 2, 2, 1, SpdMat(np.eye(1)))
         summary = null_calibration(spec, 20_000, McConfig(n_mc=1000, seed=17), RngStream(18))
+        assert sum(rows) == 3 * 20_000  # the stand-in counted every dataset, not the null engine
         for res in summary.results.values():
             assert res.ks_pvalue > 0.01
             assert stats.kstest(res.pvalues, "uniform").pvalue < 1e-6
@@ -393,6 +455,33 @@ class TestNullCalibration:
         assert summary.results["A"].rejection_rates[0.05] >= 0.99
         # the other factors stay null-calibrated
         assert summary.results["B"].rejection_rates[0.05] < 0.15
+
+    def test_row_groups_bound_memory(self):
+        # Every A row draws all 70,000 null draws.  Rows are counted in
+        # groups of at most 65,536 draws, the batch cap of a lone count, so
+        # the peak stays near that of one count that draws a full 65,536-draw
+        # batch (at 70,000 a lone count's largest batch is 32,768 draws, half
+        # a group's).  A slab of all 20 rows would take 20 times its memory.
+        # scipy.stats, which null_calibration imports, is imported above, so
+        # its import does not count.
+        import tracemalloc
+
+        from wishartmix import RandomEffect
+        from wishartmix.mc import _H, _MC_CHUNK
+
+        spec = SimulationSpec(5, 6, 5, 2, SpdMat(np.eye(2)), effect_a=RandomEffect(SpdMat(10.0 * np.eye(2))))
+        cfg = McConfig(n_mc=70_000, seed=11)
+        tracemalloc.start()
+        try:
+            assert mc_pvalue(1e12, 4.0, 20.0, 2, dataclasses.replace(cfg, n_mc=3 * _MC_CHUNK)).n_drawn == 3 * _MC_CHUNK
+            one = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            summary = null_calibration(spec, 20, cfg, RngStream(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(summary.results["A"].pvalues < _H / cfg.n_mc)  # all 70,000 drawn
+        assert peak <= 2 * one
 
     @pytest.mark.parametrize("dim,n_datasets", [(1, 9), (2, 260), (3, 9)])
     def test_pvalues_match_per_dataset_loop(self, dim, n_datasets):
