@@ -253,6 +253,8 @@ def _csv_header(shape: tuple[int, ...]) -> str:
 def _cmd_sample(args) -> int:
     params = _load_params(args.params, args.dist)
     draws = _SAMPLE_DISTS[args.dist][1](params, RngStream(args.seed), args.n)
+    if not np.all(np.isfinite(draws)):
+        raise ValidationError(f"--dist {args.dist} draws overflow float64: the parameters are too large")
     sys.stdout.write(_csv_header(draws.shape[1:]) + "\n")
     for row in draws.reshape(args.n, -1):
         sys.stdout.write(",".join(repr(float(v)) for v in row) + "\n")

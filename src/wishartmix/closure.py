@@ -197,17 +197,17 @@ def default_probes(scale: SpdMat) -> list[SymMat]:
     """The five probe matrices of the MGF check against a predicted scale ``V``.
 
     ``0``, ``+/- eps * I``, ``eps * E_11`` and ``eps * (E_12 + E_21) / 2``
-    (``eps * I / 2`` at ``d = 1``).  The scale ``eps = 0.1 / lambda_max(V)``
-    keeps ``V^{-1} - 2 T`` positive definite with a margin of 0.8 of its
-    smallest eigenvalue; anything close to the 0.25 boundary would push
-    ``M(2T)`` out of the domain and give the empirical MGF estimator
-    infinite variance.
+    (``-eps / 2`` and ``eps / 2`` at ``d = 1``, where ``E_11`` is ``I``).  The
+    scale ``eps = 0.1 / lambda_max(V)`` keeps ``V^{-1} - 2 T`` positive
+    definite with a margin of 0.8 of its smallest eigenvalue; anything close
+    to the 0.25 boundary would push ``M(2T)`` out of the domain and give the
+    empirical MGF estimator infinite variance.
     """
     scale = _as_spd(scale, "scale", require_pd=True)
     dim = scale.dim
     eps = 0.1 / float(scale.eigenvalues[-1])
     e11, e12 = np.zeros((2, dim, dim))
-    e11[0, 0] = 1.0
+    e11[0, 0] = 1.0 if dim > 1 else -0.5
     j = min(1, dim - 1)
     e12[0, j] = e12[j, 0] = 0.5
     return [SymMat(eps * p) for p in (np.zeros((dim, dim)), np.eye(dim), -np.eye(dim), e11, e12)]

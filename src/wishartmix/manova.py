@@ -23,10 +23,8 @@ eigenvalue is at or below ``PD_TOL`` times its largest, the same test that
 :class:`~wishartmix.symmat.SpdMat` uses to certify a matrix positive definite.
 
 Imports: ``scipy.special`` is imported inside :func:`_f_test`, its one
-user, and ``scipy.stats`` not at all.  Importing ``scipy.stats`` takes over a
-second on a 2-core x86-64 host, several times the work of a small command, so
-importing this module loads no scipy module, and only a ``d = 1`` report loads
-``scipy.special``.
+user, so importing this module loads no scipy module, and only a ``d = 1``
+report loads ``scipy.special``.
 """
 
 from __future__ import annotations

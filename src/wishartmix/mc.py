@@ -27,14 +27,11 @@ child ``i`` for dataset ``i``.  A chunk's datasets are counted together,
 one row per dataset per round, each from its own child stream in the
 batches it would draw alone.  So a report on calibration's dataset 0 gives
 its p-values at every ``n_mc``.
-
-Imports: ``scipy.stats``, over a second to import on a 2-core x86-64 host,
-is imported inside its one user, :func:`null_calibration` (for the KS
-p-value, ``kstwo``), so only ``calibrate`` pays for it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -248,7 +245,10 @@ def mc_pvalue(observed: float, dof1: float, dof2: float, dim: int, cfg: McConfig
 
 @dataclass(frozen=True)
 class FactorCalibration:
-    """Calibration result for the factor it is keyed by in :class:`CalibrationSummary`."""
+    """Calibration result for the factor it is keyed by in :class:`CalibrationSummary`.
+
+    ``ks_pvalue`` is the DKW-Massart bound at ``ks_stat``, conservative for the discrete null law.
+    """
 
     pvalues: np.ndarray
     rejection_rates: dict[float, float]
@@ -287,8 +287,10 @@ def null_calibration(
     rates at the nominal levels ``(0.01, 0.05, 0.10)`` and a KS test against
     the exact null law of a sequential p-value (:func:`_value_below`), which
     is U(0, 1) but for its steps: its atom at 1, of mass ``1 / (h + 1)``,
-    alone puts it 0.0244 from U(0, 1).  The KS p-value is ``kstwo``'s, which
-    is conservative for a discrete law.  That law is only the expected
+    alone puts it 0.0244 from U(0, 1).  The KS p-value is the DKW-Massart bound
+    ``min(1, 2 exp(-2 n D^2))`` (Massart, *Ann. Probab.* 18, 1990), as in
+    :func:`~wishartmix.closure.check_law`: it holds for any law, so it is
+    conservative for this discrete one.  That law is only the expected
     outcome when ``spec`` is an all-null configuration; with genuine effects
     the rejection rates report power instead.
 
@@ -318,12 +320,10 @@ def null_calibration(
             g, k = _null_counts(params, gens, cfg.n_mc, cfg.functional, observed)
             ests[factor] += [_estimate(*count, cfg.n_mc) for count in zip(g.tolist(), k.tolist())]
 
-    from scipy.stats import kstwo  # deferred: see the module docstring
-
     results = {}
     for factor, values in ests.items():
         p = np.array([est.p_hat for est in values])
         rates = {lvl: float(np.mean(p <= lvl)) for lvl in CALIBRATION_LEVELS}
         ks_stat = _ks_distance(p, np.array([_value_below(est) for est in values]))
-        results[factor] = FactorCalibration(p, rates, ks_stat, float(kstwo.sf(ks_stat, n_datasets)))
+        results[factor] = FactorCalibration(p, rates, ks_stat, min(1.0, 2.0 * math.exp(-2.0 * n_datasets * ks_stat**2)))
     return CalibrationSummary(n_datasets, cfg, results)

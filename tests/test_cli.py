@@ -332,6 +332,15 @@ class TestSampleCommand:
         message = "Beta II draws overflow at dof1 = 2.0, dof2 = 1.001, d = 2: dof2 is too close to d - 1"
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_overflowing_wishart_exit_two(self, tmp_path, capsys):
+        # A scale near the float64 limit overflows the draws: one error line, and no rows.
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps({"dof": 3, "scale": [[1e308, 0], [0, 1e308]]}), encoding="utf-8")
+        code = main(["sample", "--dist", "wishart", "--params", str(pfile), "--n", "2", "--seed", "1"])
+        assert code == EXIT_VALIDATION
+        message = "--dist wishart draws overflow float64: the parameters are too large"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize(
         "dist,params,key,accepted",
         [
@@ -596,13 +605,14 @@ class TestConsoleEntry:
         commands = [
             ["sample", "--dist", "wishart", "--params", str(params), "--n", "3", "--seed", "3"],
             ["manova", "--input", str(csv2), "--responses", ",".join(names2), "--n-per-cell", "3", "--n-mc", "1000"],
+            ["calibrate", "--a", "3", "--b", "3", "--n", "2", "--dim", "2", "--datasets", "5", "--n-mc", "1000", "--seed", "3"],
             ["verify", "--dim", "2", "--dof", "5", "--n-draws", "10000", "--seed", "3", "--specs", "1"],
             ["manova", "--input", str(csv1), "--responses", ",".join(names1), "--n-per-cell", "3", "--n-mc", "1000"],
         ]
         result = run_python("-c", _SCIPY_PROBE, json.dumps(commands))
         assert result.returncode == 0, result.stderr
         *loaded, after_verify, after_d1 = json.loads(result.stdout.splitlines()[-1])
-        assert loaded == [[], [], []]  # import, sample, d = 2 manova
+        assert loaded == [[], [], [], []]  # import, sample, d = 2 manova, calibrate
         for after in (after_verify, after_d1):  # verify's quantile grid, d = 1 manova's F tests
             assert "scipy.special" in after
             assert not [name for name in after if name.startswith("scipy.stats")]

@@ -253,3 +253,9 @@ class TestDefaultProbes:
         for t in probes:
             margin = np.linalg.eigvalsh(v_inv - 2.0 * t.array).min()
             assert margin >= 0.5 * lam_min_inv - 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_probes_are_distinct(self, gen, dim):
+        # At d = 1, E_11 is I: a fourth probe eps * E_11 would repeat the second.
+        probes = [t.array for t in default_probes(random_spd(dim, gen))]
+        assert all(not np.array_equal(s, t) for i, s in enumerate(probes) for t in probes[i + 1 :])

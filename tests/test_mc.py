@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo p-value estimator and the calibration engine."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,11 @@ from wishartmix import (
 )
 
 HL = StatisticFunctional.HOTELLING_LAWLEY
+
+
+def _massart(ks_stat: float, n: int) -> float:
+    """The DKW-Massart bound on the KS p-value at distance ``ks_stat`` over ``n`` samples."""
+    return min(1.0, 2.0 * math.exp(-2.0 * n * ks_stat**2))
 
 
 class TestEstimateAlgebra:
@@ -443,6 +449,21 @@ class TestNullCalibration:
         for res in summary.results.values():
             assert res.ks_pvalue > 0.01
             assert stats.kstest(res.pvalues, "uniform").pvalue < 1e-6
+            assert _massart(mc._ks_distance(res.pvalues, res.pvalues), 20_000) < 1e-6
+
+    @pytest.mark.parametrize("n_datasets", [1, 5, 20])
+    def test_ks_pvalue_is_the_massart_bound(self, n_datasets):
+        spec = SimulationSpec(3, 3, 2, 2, SpdMat(np.eye(2)))
+        summary = null_calibration(spec, n_datasets, McConfig(n_mc=1000, seed=23), RngStream(24))
+        for res in summary.results.values():
+            assert res.ks_pvalue == _massart(res.ks_stat, n_datasets)
+
+    @pytest.mark.parametrize("n", [1, 5, 20, 200, 500, 20_000])
+    def test_massart_bound_is_never_below_kstwo(self, n):
+        # The bound holds for any law, so it is at least the exact continuous-law p-value.
+        distances = np.linspace(0.0, 1.0, 10_001)[1:]
+        bound = np.array([_massart(d, n) for d in distances.tolist()])
+        assert np.all(bound >= stats.kstwo.sf(distances, n))
 
     def test_power_against_strong_effect(self):
         from wishartmix import RandomEffect
@@ -462,8 +483,6 @@ class TestNullCalibration:
         # the peak stays near that of one count that draws a full 65,536-draw
         # batch (at 70,000 a lone count's largest batch is 32,768 draws, half
         # a group's).  A slab of all 20 rows would take 20 times its memory.
-        # scipy.stats, which null_calibration imports, is imported above, so
-        # its import does not count.
         import tracemalloc
 
         from wishartmix import RandomEffect

@@ -30,8 +30,9 @@ cross the 256-dataset chunk that is counted together, and at a cap of
 extreme draw; ``sample``
 for each distribution, with central, fractional-dof and noncentral Wishart
 parameters, Beta II draws at d = 1, 2 and 3 (a scalar, a 2 x 2 and a 3 x 3
-whitening), a one-row matrix normal and a chi-square whose noncentrality
-takes its default of 0.  Every run allows at least 1,000 null draws per
+whitening), a one-row matrix normal, a chi-square whose noncentrality
+takes its default of 0 and a Wishart whose scale near 1e308 overflows the
+draws (exit 2).  Every run allows at least 1,000 null draws per
 p-value, so none warns.
 """
 
@@ -63,6 +64,7 @@ SAMPLE_PARAMS = {
     "beta2-d3": ("beta2", {"dof1": 5, "dof2": 14, "dim": 3}),
     "chisq": ("chisq", {"dof": 3, "noncen": 1.5}),
     "chisq-central": ("chisq", {"dof": 2.5}),
+    "wishart-overflow": ("wishart", {"dof": 3, "scale": [[1e308, 0], [0, 1e308]]}),
 }
 
 
