@@ -28,10 +28,10 @@ from itertools import islice, zip_longest
 import numpy as np
 
 from .errors import EmptyFile, InsufficientCell, MissingColumn, UnparseableValue, ValidationError
-from .manova import FACTOR_TESTS, DesignTable, _certify_sigma, _f_test, _test_dofs, batched_statistic_eigs, scalar_statistic, sop_arrays
+from .manova import FACTOR_TESTS, DesignTable, _exact_pvalue, _test_dofs, batched_statistic_eigs, scalar_statistic, sop_arrays
 from .mc import McConfig, PValueEstimate, mc_pvalue
 from .rng import RngStream, _count
-from .symmat import SymMat
+from .symmat import SymMat, _as_spd, _mirror_upper, sym_inv_sqrt
 
 __all__ = [
     "RawDataset",
@@ -217,16 +217,15 @@ def subsample_balanced(data: RawDataset, n_per_cell: int, seed: int) -> DesignTa
 class FactorResult:
     """One row of the report: observed statistic, eigenvalues, Monte Carlo p-value.
 
-    ``f_stat`` and ``f_pvalue`` carry the exact univariate variance-component
-    test and are set only for one-dimensional responses.
+    ``p_exact`` is the exact univariate variance-component F p-value, set
+    only for one-dimensional responses.
     """
 
     name: str
     observed: float
     eigenvalues: tuple[float, ...]
     p: PValueEstimate
-    f_stat: float | None = None
-    f_pvalue: float | None = None
+    p_exact: float | None = None
 
 
 @dataclass(frozen=True)
@@ -241,20 +240,28 @@ class ReportTable:
 def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None) -> ReportTable:
     """Run the full three-factor battery on a balanced table.
 
-    Computes the SOPs once (:func:`~wishartmix.manova.sop_arrays`), the
-    statistic eigenvalues per factor (optionally conjugated by ``sigma``,
-    which provably does not change them), the scalar statistic, and its
-    Monte Carlo p-value.  For ``d = 1`` the exact F test is attached to each
-    factor.  Checked first, in order: ``sigma``, the degrees of freedom, SOP
-    overflow; all-constant responses then give zero statistics, not a PD check.
+    Computes the SOPs once (:func:`~wishartmix.manova.sop_arrays`), and
+    conjugates them once by ``sigma^{-1/2}`` if ``sigma`` is given, which
+    provably does not change the statistics.  Then, per factor, the statistic
+    eigenvalues, the scalar statistic, its Monte Carlo p-value and, for
+    ``d = 1``, its exact F p-value.  Checked first, in order: ``sigma``, the
+    degrees of freedom, SOP overflow, overflow of the conjugated SOPs;
+    all-constant responses then give zero statistics, not a PD check.
     """
     if sigma is not None:
-        sigma = _certify_sigma(sigma, table.dim)
+        sigma = _as_spd(sigma, "sigma", require_pd=True)
+        if sigma.dim != table.dim:
+            raise ValueError(f"sigma is {sigma.dim}x{sigma.dim} but the SOPs are {table.dim}-dimensional")
     dofs = _test_dofs(table.levels_a, table.levels_b, table.reps, table.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         sops = sop_arrays(table.responses)
-    if not all(np.all(np.isfinite(m)) for m in sops):
-        raise ValidationError("the responses overflow the sum of outer products; rescale them before testing")
+        if not np.isfinite(sops).all():
+            raise ValidationError("the responses overflow the sum of outer products; rescale them before testing")
+        if sigma is not None:
+            c = sym_inv_sqrt(sigma).array
+            sops = tuple(_mirror_upper(c @ m @ c) for m in sops)
+            if not np.isfinite(sops).all():
+                raise ValidationError("the SOPs overflow when conjugated by sigma^(-1/2); rescale sigma")
     # all responses identical per component: every statistic is zero by convention
     degenerate = bool(np.all(np.ptp(table.responses.reshape(-1, table.dim), axis=0) == 0.0))
     results = []
@@ -262,13 +269,11 @@ def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None) -
         if degenerate:
             eigs = np.zeros(table.dim)
         else:
-            eigs = batched_statistic_eigs(sops[num], sops[den], sigma)
+            eigs = batched_statistic_eigs(sops[num], sops[den])
         observed = float(scalar_statistic(eigs, cfg.functional))
         p = mc_pvalue(observed, dofs[num], dofs[den], table.dim, cfg)
-        f_stat = f_pvalue = None
-        if table.dim == 1 and not degenerate:
-            f_stat, f_pvalue = _f_test(sops, dofs, num, den)
-        results.append(FactorResult(name, observed, tuple(float(v) for v in eigs), p, f_stat, f_pvalue))
+        p_exact = _exact_pvalue(eigs, dofs[num], dofs[den])
+        results.append(FactorResult(name, observed, tuple(float(v) for v in eigs), p, p_exact))
     return ReportTable(tuple(results), cfg, table.responses.shape)
 
 
@@ -324,7 +329,7 @@ def report_to_dict(report: ReportTable) -> dict:
                 "observed": fr.observed,
                 "eigenvalues": list(fr.eigenvalues),
                 "p": _pvalue_dict(fr.p),
-                **({"f_stat": fr.f_stat, "f_pvalue": fr.f_pvalue} if fr.f_stat is not None else {}),
+                **({"p_exact": fr.p_exact} if fr.p_exact is not None else {}),
             }
             for fr in report.factors
         ],
@@ -353,10 +358,10 @@ def report_to_text(report: ReportTable, response_names: tuple[str, ...] | None =
         header,
         manova,
     ]
-    if report.factors[0].f_stat is not None:
+    if report.factors[0].p_exact is not None:
         name = response_names[0] if response_names else "response"
         row = f"{'Variance-component F test on ' + name:<{width}}" + "".join(
-            f"{fr.f_pvalue:>10.4f}" for fr in report.factors
+            f"{fr.p_exact:>10.4f}" for fr in report.factors
         )
         lines.append(row)
     lines.append("")

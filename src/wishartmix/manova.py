@@ -5,7 +5,7 @@ with ``d``-dimensional normal errors: the orthogonal decomposition into the
 four effect sum-of-outer-products (SOP) matrices ``A``, ``B``, ``AB`` and
 ``E``, the matrix-variate Beta Type II test statistics for the three factor
 hypotheses, the four classical scalar functionals of their eigenvalues, the
-exact univariate variance-component F tests for ``d = 1``, and a simulator
+exact univariate variance-component F p-values for ``d = 1``, and a simulator
 for fixed, random, and absent effects.
 
 The factor statistics are eigenvalues of
@@ -14,7 +14,9 @@ The factor statistics are eigenvalues of
 
 with ``S`` the factor SOP and ``V`` the residual SOP.  These eigenvalues equal
 those of ``S V^{-1}`` and do not depend on the choice of ``Sigma``, which is
-why the identity matrix is the default.
+why the identity matrix is the default;
+:func:`~wishartmix.design_io.run_report` conjugates the four SOPs by a given
+``Sigma`` once, before any statistic.
 
 One path each, for one table or a stack: :func:`sop_arrays` for the SOPs,
 :func:`batched_statistic_eigs` for the statistics, which rejects a singular
@@ -22,7 +24,7 @@ residual SOP, raising :class:`SingularErrorMatrix`, when its smallest
 eigenvalue is at or below ``PD_TOL`` times its largest, the same test that
 :class:`~wishartmix.symmat.SpdMat` uses to certify a matrix positive definite.
 
-Imports: ``scipy.special`` is imported inside :func:`_f_test`, its one
+Imports: ``scipy.special`` is imported inside :func:`_exact_pvalue`, its one
 user, so importing this module loads no scipy module, and only a ``d = 1``
 report loads ``scipy.special``.
 """
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateDesign, SingularErrorMatrix, UnbalancedDesign
 from .rng import RngStream, _count, as_generator
-from .symmat import PD_TOL, SpdMat, _as_spd, _mirror_upper, sym_inv_sqrt, sym_sqrt
+from .symmat import PD_TOL, SpdMat, _as_spd, _mirror_upper, sym_sqrt
 
 __all__ = [
     "DesignTable",
@@ -171,23 +173,13 @@ def scalar_statistic(eigs: np.ndarray, functional: StatisticFunctional) -> float
     return float(out) if out.ndim == 0 else out
 
 
-def _certify_sigma(sigma, dim: int) -> SpdMat:
-    """``sigma`` certified positive definite and checked to be ``dim x dim``."""
-    sigma = _as_spd(sigma, "sigma", require_pd=True)
-    if sigma.dim != dim:
-        raise ValueError(f"sigma is {sigma.dim}x{sigma.dim} but the SOPs are {dim}-dimensional")
-    return sigma
-
-
-def batched_statistic_eigs(numerators, residuals, sigma: SpdMat | None = None) -> np.ndarray:
+def batched_statistic_eigs(numerators, residuals) -> np.ndarray:
     """Eigenvalues (descending) of the Beta Type II statistic matrices.
 
     ``numerators`` (factor SOPs ``S``) and ``residuals`` (residual SOPs
     ``V``) have shape ``(..., d, d)``, one table being the 2-D case; the
     result has shape ``(..., d)``.  Each table gives the eigenvalues of
-    ``B = (V_S)^{-1/2} S_S (V_S)^{-1/2}`` with ``R_S`` the conjugation by
-    ``sigma^{-1/2}``.  They equal the eigenvalues of ``S V^{-1}`` and do not
-    depend on the positive definite ``sigma``; ``None`` means the identity.
+    ``B = V^{-1/2} S V^{-1/2}``, which equal those of ``S V^{-1}``.
     Raises :class:`SingularErrorMatrix` when any residual SOP has its smallest
     eigenvalue at or below ``PD_TOL`` times its largest (a PD residual
     needs ``a * b * (n - 1) >= d`` observations).
@@ -196,10 +188,6 @@ def batched_statistic_eigs(numerators, residuals, sigma: SpdMat | None = None) -
     residuals = np.asarray(residuals, dtype=float)
     if numerators.shape != residuals.shape:
         raise ValueError(f"numerator SOPs {numerators.shape} and residual SOPs {residuals.shape} differ in shape")
-    if sigma is not None:
-        c = sym_inv_sqrt(_certify_sigma(sigma, numerators.shape[-1])).array
-        numerators = _mirror_upper(c @ numerators @ c)
-        residuals = _mirror_upper(c @ residuals @ c)
     w, v = np.linalg.eigh(residuals)
     singular = w[..., 0] <= PD_TOL * w[..., -1]
     if np.any(singular):
@@ -253,22 +241,24 @@ def _test_dofs(a: int, b: int, n: int, dim: int) -> DofMap:
     return dofs
 
 
-def _f_test(sops: tuple[np.ndarray, ...], dofs: DofMap, num: int, den: int) -> tuple[float, float]:
-    """Exact variance-component F test for one :data:`FACTOR_TESTS` entry of ``d = 1`` :func:`sop_arrays` SOPs.
+def _exact_pvalue(eigs: np.ndarray, dof_num: int, dof_den: int) -> float | None:
+    """Exact variance-component F p-value of a factor statistic's eigenvalues, or ``None`` unless ``d = 1``.
 
-    ``F = (SOP_num / nu_num) / (SOP_den / nu_den)`` with the upper-tail
-    p-value from the ``F(nu_num, nu_den)`` distribution, computed by
-    ``scipy.special.fdtrc``, the function ``scipy.stats.f.sf`` calls for it.
-    In balanced designs the test of ``AB`` is exact under its null, and the
-    tests of ``A`` and ``B`` are exact when the interaction is fixed or
-    absent.  With a random interaction (``Sigma_AB != 0``) ``SOP_A`` and
-    ``SOP_B`` carry ``n Sigma_AB`` that ``SOP_E`` lacks, so their nulls are
-    not ``F(nu_X, nu_E)`` and these tests over-reject.
+    At ``d = 1`` the one eigenvalue is ``lambda = (dof_num / dof_den) F`` with
+    ``F = (SOP_num / dof_num) / (SOP_den / dof_den)``, so the p-value is the
+    upper tail of ``F(dof_num, dof_den)`` at ``lambda * dof_den / dof_num``,
+    computed by ``scipy.special.fdtrc``, the function ``scipy.stats.f.sf``
+    calls for it.  In balanced designs the test of ``AB`` is exact under its
+    null, and the tests of ``A`` and ``B`` are exact when the interaction is
+    fixed or absent.  With a random interaction (``Sigma_AB != 0``) ``SOP_A``
+    and ``SOP_B`` carry ``n Sigma_AB`` that ``SOP_E`` lacks, so their nulls
+    are not ``F(nu_X, nu_E)`` and these tests over-reject.
     """
+    if len(eigs) != 1:
+        return None
     from scipy.special import fdtrc  # deferred: see the module docstring
 
-    f_stat = (float(sops[num][0, 0]) / dofs[num]) / (float(sops[den][0, 0]) / dofs[den])
-    return f_stat, float(fdtrc(dofs[num], dofs[den], f_stat))
+    return float(fdtrc(dof_num, dof_den, float(eigs[0]) * dof_den / dof_num))
 
 
 @dataclass(frozen=True)

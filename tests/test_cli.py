@@ -1,13 +1,19 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wishartmix
 from wishartmix import (
@@ -195,6 +201,65 @@ class TestManovaCommand:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert f"{csv_path}: line 3: field larger than field limit" in err
+
+
+@st.composite
+def sigma_files(draw):
+    """Bytes of a ``--sigma`` matrix file of dimension 1-4, valid or broken in one way, at any scale."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["pd", "asymmetric", "not-psd", "psd-singular", "non-finite", "wrong-d", "empty"]))
+    g = np.array(draw(st.lists(st.integers(-3, 3), min_size=d * d, max_size=d * d)), dtype=float).reshape(d, d)
+    if kind == "psd-singular":
+        m = g[:, 1:] @ g[:, 1:].T  # rank below d
+    else:
+        m = g @ g.T + draw(st.integers(1, 3)) * np.eye(d)
+    if kind == "not-psd":
+        m[0, 0] = -1.0
+    with np.errstate(over="ignore"):
+        m = m * float(f"1e{draw(st.integers(-324, 308))}")
+    tokens = [repr(float(v)) for v in m.ravel()]
+    if kind == "asymmetric" and d > 1:
+        tokens[1] = repr(float(m[0, 1]) + 1.0 + float(np.abs(m).max()))
+    elif kind == "non-finite":
+        tokens[draw(st.integers(0, d * d - 1))] = draw(st.sampled_from(["inf", "-inf", "nan", "1e400"]))
+    elif kind == "wrong-d":
+        tokens = tokens[: draw(st.integers(0, d * d - 1))]
+    rows = [" ".join(tokens[k : k + d]) for k in range(0, len(tokens), d)]
+    text = "" if kind == "empty" else f"{d}\n" + "\n".join(rows) + "\n"
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode()
+
+
+@pytest.fixture(scope="module")
+def small_d2_csv(tmp_path_factory):
+    return write_design_csv(tmp_path_factory.mktemp("fuzz") / "d.csv", a=3, b=3, n_raw=3)
+
+
+class TestSigmaFileFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(text=sigma_files())
+    # A PD sigma near the subnormal floor: sigma^(-1/2) overflows the conjugated SOPs, which once
+    # printed an overflow warning and a misleading "observed statistic must be finite" error.
+    @example(text=b"2\n1e-320 0\n0 1e-320\n")
+    def test_exit_zero_or_one_error_line(self, small_d2_csv, text):
+        csv_path, names = small_d2_csv
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            sigma = Path(tmp) / "sigma.txt"
+            sigma.write_bytes(text)
+            argv = ["manova", "--input", str(csv_path), "--responses", ",".join(names), "--n-per-cell", "3",
+                    "--n-mc", "1000", "--sigma", str(sigma)]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")  # as outside this suite, where each warning prints a line
+                    code = main(argv)
+        lines = [f"warning: {w.message}" for w in caught] + err.getvalue().splitlines()
+        if code == EXIT_OK:
+            assert lines == []
+            assert "Beta Type II MANOVA" in out.getvalue()
+        else:
+            assert code == EXIT_VALIDATION
+            assert out.getvalue() == ""
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestVerifyCommand:

@@ -33,7 +33,7 @@ from wishartmix import (
     subsample_balanced,
 )
 from wishartmix import design_io
-from wishartmix.manova import FACTOR_TESTS, _f_test, dof_map, sop_arrays
+from wishartmix.manova import FACTOR_TESTS, _exact_pvalue, batched_statistic_eigs, dof_map, sop_arrays
 
 
 def write_csv(path, rows, header="factor_a,factor_b,r1,r2"):
@@ -302,6 +302,12 @@ class TestRunReport:
             assert fr.observed == 0.0
             assert fr.p.p_hat == 1.0
 
+    def test_constant_d1_responses_have_exact_pvalue_one(self):
+        report = run_report(DesignTable(np.full((3, 3, 2, 1), 5.0)), McConfig(n_mc=1000, seed=1))
+        assert [fr.p_exact for fr in report.factors] == [1.0, 1.0, 1.0]
+        (row,) = [line for line in report_to_text(report, ("y",)).splitlines() if line.startswith("Variance-component")]
+        assert row.split()[-4:] == ["y", "1.0000", "1.0000", "1.0000"]
+
     @pytest.mark.parametrize("constant", [True, False], ids=["constant", "varying"])
     @pytest.mark.parametrize(
         "sigma, error, message",
@@ -326,15 +332,20 @@ class TestRunReport:
         with pytest.raises(error, match=message):
             run_report(DesignTable(responses), McConfig(n_mc=1000, seed=1), sigma)
 
+    def test_sigma_that_overflows_the_conjugated_sops_is_named(self):
+        table = DesignTable(RngStream(7).generator().standard_normal((3, 4, 3, 2)))
+        with pytest.raises(ValidationError, match=r"^the SOPs overflow when conjugated by sigma\^\(-1/2\); rescale sigma$"):
+            run_report(table, McConfig(n_mc=1000, seed=1), SpdMat(1e-320 * np.eye(2)))
+
     def test_univariate_rows_present_only_for_d1(self):
         gen = RngStream(2).generator()
         r1 = run_report(DesignTable(gen.standard_normal((3, 3, 2, 1))), McConfig(n_mc=1000, seed=1))
-        assert all(fr.f_stat is not None for fr in r1.factors)
+        assert all(fr.p_exact is not None for fr in r1.factors)
         r2 = run_report(DesignTable(gen.standard_normal((3, 3, 2, 2))), McConfig(n_mc=1000, seed=1))
-        assert all(fr.f_stat is None for fr in r2.factors)
+        assert all(fr.p_exact is None for fr in r2.factors)
         # The text report renders the F p-values as their own row, at 4 decimals.
         (row,) = [line for line in report_to_text(r1, ("y",)).splitlines() if line.startswith("Variance-component")]
-        assert row.split()[-4:] == ["y", *(f"{fr.f_pvalue:.4f}" for fr in r1.factors)]
+        assert row.split()[-4:] == ["y", *(f"{fr.p_exact:.4f}" for fr in r1.factors)]
         assert "Variance-component" not in report_to_text(r2, ("u", "v"))
 
     def test_d1_report_computes_the_sop_once(self, monkeypatch):
@@ -342,7 +353,10 @@ class TestRunReport:
 
         table = DesignTable(RngStream(6).generator().standard_normal((3, 4, 3, 1)))
         dofs = dof_map(table.levels_a, table.levels_b, table.reps)
-        expected = [_f_test(sop_arrays(table.responses), dofs, num, den) for _, num, den in FACTOR_TESTS]
+        sops = sop_arrays(table.responses)
+        expected = [
+            _exact_pvalue(batched_statistic_eigs(sops[num], sops[den]), dofs[num], dofs[den]) for _, num, den in FACTOR_TESTS
+        ]
         calls = []
 
         def counting(y):
@@ -352,7 +366,7 @@ class TestRunReport:
         monkeypatch.setattr(design_io_mod, "sop_arrays", counting)
         report = run_report(table, McConfig(n_mc=1000, seed=1))
         assert len(calls) == 1
-        assert [(fr.f_stat, fr.f_pvalue) for fr in report.factors] == expected
+        assert [fr.p_exact for fr in report.factors] == expected
 
     def test_structure_and_echo(self):
         gen = RngStream(3).generator()

@@ -37,7 +37,8 @@ from wishartmix import (
     wishart_mean,
     WishartParams,
 )
-from wishartmix.manova import DofMap, _f_test, batched_statistic_eigs
+from wishartmix.manova import FACTOR_TESTS, _exact_pvalue, batched_statistic_eigs
+from wishartmix.symmat import _mirror_upper, sym_inv_sqrt
 from conftest import random_spd
 
 EYE2 = SpdMat(np.eye(2))
@@ -174,8 +175,8 @@ class TestStatisticEigs:
         direct = np.sort(np.linalg.eigvals(sop_a @ np.linalg.inv(sop_e)).real)[::-1]
         np.testing.assert_allclose(base, direct, rtol=1e-8)
         for _ in range(5):
-            sigma = random_spd(2, gen)
-            eigs = batched_statistic_eigs(sop_a, sop_e, sigma)
+            c = sym_inv_sqrt(random_spd(2, gen)).array
+            eigs = batched_statistic_eigs(_mirror_upper(c @ sop_a @ c), _mirror_upper(c @ sop_e @ c))
             np.testing.assert_allclose(eigs, base, rtol=1e-8, atol=1e-10)
 
     def test_singular_residual_rejected(self):
@@ -206,11 +207,12 @@ class TestStatisticEigs:
         y = gen.standard_normal((6, 3, 3, 4, 2))
         sop_a, _, _, sop_e = sop_arrays(y)
         batched = batched_statistic_eigs(sop_a, sop_e)
-        sigma = random_spd(2, gen)
-        batched_sigma = batched_statistic_eigs(sop_a, sop_e, sigma)
+        c = sym_inv_sqrt(random_spd(2, gen)).array
+        conj_a, conj_e = _mirror_upper(c @ sop_a @ c), _mirror_upper(c @ sop_e @ c)
+        batched_sigma = batched_statistic_eigs(conj_a, conj_e)
         for m in range(6):
             assert np.array_equal(batched[m], batched_statistic_eigs(sop_a[m], sop_e[m]))
-            assert np.array_equal(batched_sigma[m], batched_statistic_eigs(sop_a[m], sop_e[m], sigma))
+            assert np.array_equal(batched_sigma[m], batched_statistic_eigs(conj_a[m], conj_e[m]))
             single_a, _, _, single_e = sop_arrays(y[m])
             single = batched_statistic_eigs(single_a, single_e)
             np.testing.assert_allclose(batched[m], single, rtol=1e-9, atol=1e-12)
@@ -273,9 +275,11 @@ class TestDofMap:
 class TestUnivariateFTest:
     @staticmethod
     def f_test_of_a(y: np.ndarray) -> tuple[float, float]:
+        """Factor A's ``F`` statistic, read off its eigenvalue, and exact p-value in a report on ``y``."""
         fr = run_report(DesignTable(y), McConfig(n_mc=1000, seed=0)).factors[0]
         assert fr.name == "A"
-        return fr.f_stat, fr.f_pvalue
+        dofs = dof_map(*y.shape[:3])
+        return fr.eigenvalues[0] * dofs.nu_e / dofs.nu_a, fr.p_exact
 
     def test_zero_statistic_has_pvalue_one(self):
         y = np.zeros((2, 2, 2, 1))
@@ -303,16 +307,34 @@ class TestUnivariateFTest:
         assert stats.kstest(p, "uniform").pvalue > 0.01
 
     def test_pvalue_is_scipy_f_sf(self):
-        # _f_test calls scipy.special.fdtrc, which scipy.stats.f.sf calls for the same value.
+        # _exact_pvalue calls scipy.special.fdtrc, which scipy.stats.f.sf calls, at F read off the
+        # eigenvalue; the SOP ratio F agrees with it to rounding.
         dofs = (1, 2, 3, 4, 7, 12, 30, 100, 250, 600)
         f_values = (0.0, 1e-300, 1e-100, 1e-20, 1e-5, 0.01, 0.3, 1.0, 1.7, 5.0, 40.0, 1e3, 1e10, 1e100, 1e300)
         for nu_num in dofs:
             for nu_den in dofs:
                 for f in f_values:
-                    sops = (np.full((1, 1), f * nu_num), np.ones((1, 1)), np.ones((1, 1)), np.full((1, 1), float(nu_den)))
-                    f_stat, p = _f_test(sops, DofMap(nu_num, 1, 1, nu_den), 0, 3)
-                    assert f_stat == pytest.approx(f, rel=1e-15)
-                    assert p == float(stats.f.sf(f_stat, nu_num, nu_den)), (nu_num, nu_den, f)
+                    sop_num, sop_den = np.full((1, 1), f * nu_num), np.full((1, 1), float(nu_den))
+                    f_ratio = (sop_num[0, 0] / nu_num) / (sop_den[0, 0] / nu_den)
+                    p = _exact_pvalue(batched_statistic_eigs(sop_num, sop_den), nu_num, nu_den)
+                    expected = float(stats.f.sf(f_ratio, nu_num, nu_den))
+                    assert p == pytest.approx(expected, rel=1e-12, abs=0.0), (nu_num, nu_den, f)
+
+    @pytest.mark.parametrize("functional", list(StatisticFunctional))
+    def test_report_pvalue_is_scipy_f_sf_for_every_functional(self, functional):
+        table = DesignTable(RngStream(8).generator().standard_normal((3, 4, 3, 1)))
+        sops = sop_arrays(table.responses)
+        dofs = dof_map(3, 4, 3)
+        report = run_report(table, McConfig(n_mc=1000, seed=2, functional=functional))
+        for fr, (_, num, den) in zip(report.factors, FACTOR_TESTS):
+            f_ratio = (sops[num][0, 0] / dofs[num]) / (sops[den][0, 0] / dofs[den])
+            assert fr.p_exact == pytest.approx(float(stats.f.sf(f_ratio, dofs[num], dofs[den])), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_exact_pvalue_past_d1(self, dim):
+        assert _exact_pvalue(np.ones(dim), 4, 20) is None
+        table = DesignTable(RngStream(9).generator().standard_normal((4, 4, 3, dim)))
+        assert all(fr.p_exact is None for fr in run_report(table, McConfig(n_mc=1000, seed=3)).factors)
 
 
 class TestSimulationSpecValidation:

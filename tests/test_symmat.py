@@ -11,6 +11,8 @@ import pytest
 
 from wishartmix import (
     BetaIIParams,
+    DesignTable,
+    McConfig,
     MatrixNormalParams,
     MixtureSpec,
     NotPsd,
@@ -19,11 +21,11 @@ from wishartmix import (
     SpdMat,
     SymMat,
     WishartParams,
-    batched_statistic_eigs,
     conjugation_params,
     default_probes,
     mixture_marginal_params,
     random_mixture_spec,
+    run_report,
     sample_beta2,
     sample_hierarchical,
     sample_wishart,
@@ -89,7 +91,7 @@ PD_INPUTS = [
     ("coupling", lambda m: MixtureSpec(3.0, EYE2, EYE2, m)),
     ("c", lambda m: conjugation_params(WishartParams(3.0, EYE2), m)),
     ("scale", lambda m: default_probes(m)),
-    ("sigma", lambda m: batched_statistic_eigs(EYE2, EYE2, m)),
+    ("sigma", lambda m: run_report(DesignTable(np.zeros((2, 2, 2, 2))), McConfig(n_mc=1000, seed=0), m)),
     ("error_scale", lambda m: SimulationSpec(2, 2, 2, 2, m)),
     ("p", lambda m: sym_inv_sqrt(m)),
 ]
