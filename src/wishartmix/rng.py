@@ -7,13 +7,25 @@ draw sequence, while distinct ``(seed, stream_index)`` pairs give statistically
 independent streams.  Engines that fan work out over chunks derive one child
 generator per chunk with :meth:`RngStream.generator`, so their results do not
 depend on how the chunks would be scheduled.
+
+A child generator is a PCG64 seeded from a 32-byte BLAKE2b digest of its
+key, the ``repr`` of the tuple of non-negative integers ``(seed,
+stream_index, *subkeys)``: the digest's four little-endian 64-bit words are
+the PCG64 state (words 0 and 1) and increment (words 2 and 3).  This
+derivation replaced ``numpy.random.default_rng([seed, stream_index,
+*subkeys])``, whose ``SeedSequence`` made each child about four times as
+costly, and every seeded output changed with it.  A child has no
+``SeedSequence``, so ``Generator.spawn()`` on it raises ``TypeError``;
+derive further children with more subkeys instead.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["RngStream", "as_generator"]
 
@@ -46,9 +58,25 @@ class RngStream:
         Optional ``subkeys`` extend the stream identity, giving collision-free
         child streams for internal chunking: ``stream.generator(purpose, k)``
         is independent of ``stream.generator(purpose, k + 1)`` and of
-        ``stream.generator()`` itself.
+        ``stream.generator()`` itself.  A negative subkey raises ``ValueError``.
         """
-        return np.random.default_rng([int(self.seed), int(self.stream_index), *map(int, subkeys)])
+        key = (int(self.seed), int(self.stream_index), *map(int, subkeys))
+        if min(key) < 0:
+            raise ValueError(f"subkeys must be non-negative integers, got {subkeys}")
+        digest = hashlib.blake2b(repr(key).encode(), digest_size=32).digest()
+        return np.random.Generator(np.random.PCG64(_Words(np.frombuffer(digest, "<u8").astype(np.uint64))))
+
+
+class _Words(ISeedSequence):
+    """The four fixed 64-bit words PCG64 asks its seed sequence for: state, then increment."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self._words
 
 
 def _integral(value) -> bool:

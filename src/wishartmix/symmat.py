@@ -100,13 +100,16 @@ class SpdMat(SymMat):
     The constructor is the only way to make one.  It runs ``eigh`` and
     compares the eigenvalues with the largest one: all strictly above
     ``PD_TOL * lambda_max`` is ``"PD"``; otherwise none below ``-PSD_TOL *
-    lambda_max`` is ``"PSD"``, and anything else raises :class:`NotPsd`.
+    lambda_max`` is ``"PSD"``, and anything else raises :class:`NotPsd`, as
+    does a spectrum that overflows float64 (finite entries near the float64
+    limit can have an infinite largest eigenvalue, which no relative test
+    can classify).
     ``kind`` records the outcome; no caller states a kind.  The spectrum
     found during classification is stored, so square roots and inverses never
     repeat the eigendecomposition.  On the PSD path, negative eigenvalues
     within tolerance have already been clipped to zero.  ``name`` labels the
     matrix in the :class:`NotPsd` raised for one that is not even
-    semidefinite.
+    semidefinite or whose spectrum overflows.
     """
 
     __slots__ = ("_kind", "_eigvals", "_eigvecs", "_sqrt")
@@ -114,6 +117,8 @@ class SpdMat(SymMat):
     def __init__(self, values, name: str = "matrix") -> None:
         super().__init__(values)
         w, v = np.linalg.eigh(self._m)
+        if not np.isfinite(w).all():
+            raise NotPsd(f"{name} has an eigenvalue that overflows float64; rescale {name}")
         lam_max = w[-1]
         if np.all(w > PD_TOL * lam_max):
             kind = "PD"

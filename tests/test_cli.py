@@ -143,6 +143,19 @@ class TestManovaCommand:
         assert captured.out == ""
         assert captured.err.startswith(message)
 
+    def test_overflowing_sigma_exit_two(self, tmp_path, capsys):
+        csv_path, names = write_design_csv(tmp_path / "d.csv")
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_text("2\n1.7e308 1e308\n1e308 1.7e308\n", encoding="utf-8")
+        code = main([
+            "manova", "--input", str(csv_path), "--responses", ",".join(names),
+            "--n-per-cell", "3", "--n-mc", "1000", "--sigma", str(sigma),
+        ])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sigma has an eigenvalue that overflows float64; rescale sigma\n"
+
     def test_sigma_read_before_any_work(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("wishartmix.design_io.load_design_csv", lambda *args: pytest.fail("work began"))
         sigma = tmp_path / "sigma.txt"

@@ -42,7 +42,7 @@ from wishartmix import (
     wishart_mean,
     wishart_mgf,
 )
-from wishartmix.distributions import _CHUNK_SCALARS, _bartlett_factor, _beta2_eigs, _gram, _times
+from wishartmix.distributions import _CHUNK_SCALARS, _bartlett_columns, _bartlett_factor, _beta2_eigs, _gram, _times
 from wishartmix.symmat import _mirror_upper
 from conftest import random_psd, random_spd
 
@@ -348,8 +348,14 @@ class TestBeta2:
         # On this stream the one draw's T2 has a Bartlett diagonal of exactly
         # 0, so S2 is singular: the whitening finds no division by zero and
         # would return an eigenvalue near 1.5e16.  Both samplers must raise.
+        params, stream = BetaIIParams(4.0, 2.001, 3), RngStream(4)
+        # The precondition, from the same stream: the numerator's columns
+        # first, then the denominator's.  A stream change that loses the 0
+        # fails here instead of passing without testing anything.
+        t2 = _bartlett_columns((params.dof1, params.dof2), params.dim, [stream.generator()], 1)[1]
+        assert any(row[-1][0] == 0.0 for row in t2)
         with pytest.raises(ValueError, match="dof2 is too close to d - 1"):
-            draw(BetaIIParams(4.0, 2.001, 3), RngStream(1))
+            draw(params, stream)
 
 
 def _columns(t):

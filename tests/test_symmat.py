@@ -111,6 +111,15 @@ class TestOnePdRule:
         with pytest.raises(NotPsd, match=rf"^{name} is not positive semidefinite: min eigenvalue -1 "):
             call(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues -1 and 3
 
+    @pytest.mark.parametrize("name,call", [*PD_INPUTS, ("noncen", lambda m: WishartParams(3.0, EYE2, m))])
+    def test_overflowing_spectrum_rejected_by_name(self, name, call):
+        # Finite entries, PD, but the largest eigenvalue (about 2.7e308) is
+        # past float64: eigh returns inf, which no relative test classifies.
+        huge = np.array([[1.7e308, 1e308], [1e308, 1.7e308]])
+        assert not np.isfinite(np.linalg.eigh(huge)[0]).all()
+        with pytest.raises(NotPsd, match=rf"^{name} has an eigenvalue that overflows float64; rescale {name}$"):
+            call(huge)
+
     def test_certified_input_passes_through(self):
         s = SpdMat([[2.0, 1.0], [1.0, 2.0]])
         assert WishartParams(3.0, s).scale is s
