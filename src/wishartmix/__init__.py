@@ -68,6 +68,7 @@ from .manova import (
     StatisticFunctional,
     batched_statistic_eigs,
     dof_map,
+    factor_tests,
     scalar_statistic,
     simulate_design,
     sop_arrays,

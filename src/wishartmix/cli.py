@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -33,7 +34,7 @@ from .distributions import (
     sample_wishart,
 )
 from .errors import ValidationError
-from .manova import SimulationSpec, StatisticFunctional
+from .manova import INTERACTION_TESTS, RandomEffect, SimulationSpec, StatisticFunctional
 from .mc import McConfig, null_calibration
 from .rng import RngStream, _count
 from .symmat import SpdMat
@@ -43,6 +44,13 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 
 _FUNCTIONAL_CHOICES = [f.value for f in StatisticFunctional]
+
+# The --interaction option of manova and calibrate.
+_INTERACTION = {
+    "choices": list(INTERACTION_TESTS),
+    "default": "fixed",
+    "help": "fixed or absent (every factor against E) or random (A and B against AB) interaction",
+}
 
 # The count and seed options of every subcommand, by ``args`` name, with
 # their least values; :func:`main` checks those a command has before any work.
@@ -116,6 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-seed", type=int, default=0)
     p.add_argument("--functional", choices=_FUNCTIONAL_CHOICES, default=StatisticFunctional.HOTELLING_LAWLEY.value)
     p.add_argument("--sigma", help="optional scale matrix file (results are invariant to it)")
+    p.add_argument("--interaction", **_INTERACTION)
     p.add_argument("--json", dest="json_path", help="also write the structured report here")
 
     p = sub.add_parser("verify", help="closure verification battery on randomized specs")
@@ -142,6 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-mc", type=int, default=2000)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--functional", choices=_FUNCTIONAL_CHOICES, default=StatisticFunctional.HOTELLING_LAWLEY.value)
+    p.add_argument("--interaction", **_INTERACTION)
+    p.add_argument("--ab-cov", type=float, default=0.0, help="random interaction covariance c I, c >= 0 (default 0: none)")
     return parser
 
 
@@ -178,7 +189,7 @@ def _cmd_manova(args) -> int:
     data = design_io.load_design_csv(args.input, responses)
     table = design_io.subsample_balanced(data, args.n_per_cell, args.subsample_seed)
     cfg = McConfig(n_mc=args.n_mc, seed=args.mc_seed, functional=StatisticFunctional(args.functional))
-    report = design_io.run_report(table, cfg, sigma)
+    report = design_io.run_report(table, cfg, sigma, args.interaction)
     print(design_io.report_to_text(report, data.response_names))
     if args.json_path:
         _write_json(design_io.report_to_dict(report), args.json_path)
@@ -262,9 +273,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    spec = SimulationSpec(args.a, args.b, args.n, args.dim, SpdMat(np.eye(args.dim)))
+    if not (math.isfinite(args.ab_cov) and args.ab_cov >= 0.0):
+        raise ValidationError(f"--ab-cov must be finite and at least 0, got {args.ab_cov}")
+    effect_ab = RandomEffect(SpdMat(args.ab_cov * np.eye(args.dim))) if args.ab_cov > 0.0 else None
+    spec = SimulationSpec(args.a, args.b, args.n, args.dim, SpdMat(np.eye(args.dim)), effect_ab=effect_ab)
     cfg = McConfig(n_mc=args.n_mc, seed=args.seed, functional=StatisticFunctional(args.functional))
-    summary = null_calibration(spec, args.datasets, cfg, RngStream(args.seed))
+    summary = null_calibration(spec, args.datasets, cfg, RngStream(args.seed), args.interaction)
     print(summary.to_text())
     return EXIT_OK
 

@@ -36,6 +36,12 @@ conjugation ``H^{1/2} Y H^{1/2}``:
 
 In one dimension with unit scales this is the classical chi-square mixture
 identity ``X / (1 + h) ~ chi^2_dof(h * delta / (1 + h))``.
+
+The sampler draws both levels, never the marginal law, in two matrix
+products per batch: ``G' = (A^{1/2} H^{1/2})'`` is folded into the mixing
+law's root and mean once, so the mixing level's one product gives the
+conditional mean ``M = L G'`` of its factor ``L`` directly, and the
+conditional level's one product gives ``Z A^{1/2}``, to which ``M`` is added.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ from .distributions import (
     _normal_factor,
     _require_integer_dof,
     _sample_grams,
-    _times,
     _wishart_factor,
     _Workspace,
     wishart_mean,
@@ -160,22 +165,19 @@ def mixture_marginal_params(spec: MixtureSpec) -> WishartParams:
 def _hierarchical_factor(spec: MixtureSpec):
     """``(factor, per_draw)`` for the hierarchy, as :func:`_wishart_factor` gives them for one law.
 
-    ``factor(gen, n, ws)`` draws ``n`` mixing factors ``L`` and then the
-    conditional factors ``Z A^{1/2} + L G'``, whose Grams are hierarchical
-    draws, every level into the workspace ``ws``: once ``L G'`` is formed,
-    the conditional level reuses the mixing level's arrays.  Requires an
-    integer ``dof >= dim``.
+    ``factor(gen, n, ws)`` draws the hierarchy's conditional factors in two
+    matrix products per batch, every level into the workspace ``ws``.  With
+    ``G = A^{1/2} H^{1/2}`` folded into the mixing level at setup, the
+    mixing level's one product gives ``M = L G'`` directly (see
+    :func:`_wishart_factor`), and the conditional level's one product gives
+    ``Z A^{1/2}``, to which ``M`` is added.  Requires an integer
+    ``dof >= dim``.
     """
     nu = _require_integer_dof(spec.dof, spec.dim)
     ah = sym_sqrt(spec.inner_scale).array
     g = ah @ sym_sqrt(spec.coupling).array
-    mixing_factor, _ = _wishart_factor(spec.mixing_params())
-
-    def factor(gen: np.random.Generator, n: int, ws: _Workspace) -> np.ndarray:
-        mixing = mixing_factor(gen, n, ws)
-        return _normal_factor(_times(mixing, g.T, ws("mean", mixing.shape)), nu, ah, gen, n, ws)
-
-    return factor, 2 * nu * spec.dim
+    mixing_factor, _ = _wishart_factor(spec.mixing_params(), g.T)
+    return (lambda gen, n, ws: _normal_factor(mixing_factor(gen, n, ws), nu, ah, gen, n, ws, "conditional")), 2 * nu * spec.dim
 
 
 def sample_hierarchical(
@@ -187,8 +189,13 @@ def sample_hierarchical(
 
     With ``G = A^{1/2} H^{1/2}``, ``M = L G'`` has ``M' M = G Y G' = Delta_cond``,
     so it is the conditional mean of the matrix-normal factor ``Z A^{1/2} + M``
-    and no root of ``Delta_cond`` is formed.  Requires an integer
-    ``dof >= dim`` because the conditional level is always noncentral.
+    and no root of ``Delta_cond`` is formed.  ``G'`` is folded into the
+    mixing law's root ``Sigma^{1/2}`` and mean once, so each batch takes two
+    matrix products: ``M = Z0 (Sigma^{1/2} G') + [Delta^{1/2} G'; 0]`` (or
+    ``T' (Sigma^{1/2} G')`` for a central mixing law with Bartlett factor
+    ``T``), then ``Z A^{1/2}``.  The mixing level is drawn, never the
+    marginal law.  Requires an integer ``dof >= dim`` because the
+    conditional level is always noncentral.
     """
     return _sample_grams(_hierarchical_factor(spec), spec.dim, rng, size)
 

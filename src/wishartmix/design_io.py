@@ -28,7 +28,8 @@ from itertools import islice, zip_longest
 import numpy as np
 
 from .errors import EmptyFile, InsufficientCell, MissingColumn, UnparseableValue, ValidationError
-from .manova import FACTOR_TESTS, DesignTable, _exact_pvalue, _test_dofs, batched_statistic_eigs, scalar_statistic, sop_arrays
+from .manova import SOP_NAMES, DesignTable, _exact_pvalue, _test_dofs, batched_statistic_eigs, factor_tests
+from .manova import scalar_statistic, sop_arrays
 from .mc import McConfig, PValueEstimate, mc_pvalue
 from .rng import RngStream, _count
 from .symmat import SymMat, _as_spd, _mirror_upper, sym_inv_sqrt
@@ -218,7 +219,8 @@ class FactorResult:
     """One row of the report: observed statistic, eigenvalues, Monte Carlo p-value.
 
     ``p_exact`` is the exact univariate variance-component F p-value, set
-    only for one-dimensional responses.
+    only for one-dimensional responses.  ``denominator`` names the SOP the
+    factor is tested against.
     """
 
     name: str
@@ -226,33 +228,40 @@ class FactorResult:
     eigenvalues: tuple[float, ...]
     p: PValueEstimate
     p_exact: float | None = None
+    denominator: str = "E"
 
 
 @dataclass(frozen=True)
 class ReportTable:
-    """Three factor results, the :class:`McConfig` they ran with, and the table's ``shape`` ``(a, b, n, d)``."""
+    """Three factor results, their :class:`McConfig`, the table's ``shape`` ``(a, b, n, d)`` and the interaction mode."""
 
     factors: tuple[FactorResult, ...]
     cfg: McConfig
     shape: tuple[int, int, int, int]
+    interaction: str = "fixed"
 
 
-def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None) -> ReportTable:
+def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None, interaction: str = "fixed") -> ReportTable:
     """Run the full three-factor battery on a balanced table.
 
     Computes the SOPs once (:func:`~wishartmix.manova.sop_arrays`), and
     conjugates them once by ``sigma^{-1/2}`` if ``sigma`` is given, which
     provably does not change the statistics.  Then, per factor, the statistic
-    eigenvalues, the scalar statistic, its Monte Carlo p-value and, for
-    ``d = 1``, its exact F p-value.  Checked first, in order: ``sigma``, the
-    degrees of freedom, SOP overflow, overflow of the conjugated SOPs;
+    eigenvalues against the denominator SOP that
+    :func:`~wishartmix.manova.factor_tests` gives for ``interaction``
+    (``"fixed"``: ``E`` for every factor; ``"random"``: ``AB`` for ``A`` and
+    ``B``), the scalar statistic, its Monte Carlo p-value and, for
+    ``d = 1``, its exact F p-value.  Checked first, in order: the
+    interaction mode, ``sigma``, the degrees of freedom of every numerator
+    and denominator, SOP overflow, overflow of the conjugated SOPs;
     all-constant responses then give zero statistics, not a PD check.
     """
+    tests = factor_tests(interaction)
     if sigma is not None:
         sigma = _as_spd(sigma, "sigma", require_pd=True)
         if sigma.dim != table.dim:
             raise ValueError(f"sigma is {sigma.dim}x{sigma.dim} but the SOPs are {table.dim}-dimensional")
-    dofs = _test_dofs(table.levels_a, table.levels_b, table.reps, table.dim)
+    dofs = _test_dofs(table.levels_a, table.levels_b, table.reps, table.dim, interaction)
     with np.errstate(over="ignore", invalid="ignore"):
         sops = sop_arrays(table.responses)
         if not np.isfinite(sops).all():
@@ -265,7 +274,7 @@ def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None) -
     # all responses identical per component: every statistic is zero by convention
     degenerate = bool(np.all(np.ptp(table.responses.reshape(-1, table.dim), axis=0) == 0.0))
     results = []
-    for name, num, den in FACTOR_TESTS:
+    for name, num, den in tests:
         if degenerate:
             eigs = np.zeros(table.dim)
         else:
@@ -273,8 +282,8 @@ def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None) -
         observed = float(scalar_statistic(eigs, cfg.functional))
         p = mc_pvalue(observed, dofs[num], dofs[den], table.dim, cfg)
         p_exact = _exact_pvalue(eigs, dofs[num], dofs[den])
-        results.append(FactorResult(name, observed, tuple(float(v) for v in eigs), p, p_exact))
-    return ReportTable(tuple(results), cfg, table.responses.shape)
+        results.append(FactorResult(name, observed, tuple(float(v) for v in eigs), p, p_exact, SOP_NAMES[den]))
+    return ReportTable(tuple(results), cfg, table.responses.shape, interaction)
 
 
 def read_matrix_file(path) -> SymMat:
@@ -321,11 +330,17 @@ def _pvalue_dict(p: PValueEstimate) -> dict:
 
 
 def report_to_dict(report: ReportTable) -> dict:
-    """Structured form of the report, full precision, JSON-ready."""
+    """Structured form of the report, full precision, JSON-ready.
+
+    A random-interaction report adds each factor's ``"denominator"`` and the
+    config's ``"interaction"``; a fixed one names neither.
+    """
+    random = report.interaction == "random"
     return {
         "factors": [
             {
                 "name": fr.name,
+                **({"denominator": fr.denominator} if random else {}),
                 "observed": fr.observed,
                 "eigenvalues": list(fr.eigenvalues),
                 "p": _pvalue_dict(fr.p),
@@ -338,12 +353,17 @@ def report_to_dict(report: ReportTable) -> dict:
             "n_mc": report.cfg.n_mc,
             "seed": report.cfg.seed,
             **dict(zip("abnd", report.shape)),
+            **({"interaction": report.interaction} if random else {}),
         },
     }
 
 
 def report_to_text(report: ReportTable, response_names: tuple[str, ...] | None = None) -> str:
-    """Fixed-width text report: one MANOVA row, plus the F-test row for d = 1."""
+    """Fixed-width text report: one MANOVA row, plus the F-test row for d = 1.
+
+    A random-interaction report adds the mode to the config line and a row
+    naming each factor's denominator SOP.
+    """
     a, b, n, d = report.shape
     label = f"({', '.join(response_names)})" if response_names else f"d = {d}"
     width = max(40, len(label) + 26)
@@ -351,13 +371,17 @@ def report_to_text(report: ReportTable, response_names: tuple[str, ...] | None =
     manova = f"{'Beta Type II MANOVA on ' + label:<{width}}" + "".join(
         f"{fr.p.p_hat:>10.4f}" for fr in report.factors
     )
+    random = report.interaction == "random"
     lines = [
         f"balanced design: a = {a}, b = {b}, n = {n}, d = {d}",
-        f"functional = {report.cfg.functional.value}, n_mc = {report.cfg.n_mc}, seed = {report.cfg.seed}",
+        f"functional = {report.cfg.functional.value}, n_mc = {report.cfg.n_mc}, seed = {report.cfg.seed}"
+        + (", interaction = random" if random else ""),
         "",
         header,
-        manova,
     ]
+    if random:
+        lines.append(f"{'Tested against SOP':<{width}}" + "".join(f"{fr.denominator:>10}" for fr in report.factors))
+    lines.append(manova)
     if report.factors[0].p_exact is not None:
         name = response_names[0] if response_names else "response"
         row = f"{'Variance-component F test on ' + name:<{width}}" + "".join(

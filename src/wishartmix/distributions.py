@@ -37,6 +37,7 @@ stacked ``(size, d, d)`` array, drawing in fixed-size chunks to bound memory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -238,30 +239,37 @@ def _times(stack: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _normal_factor(
-    mean: np.ndarray, rows: int, root: np.ndarray, gen: np.random.Generator, n: int, ws: _Workspace
+    mean: np.ndarray, rows: int, root: np.ndarray, gen: np.random.Generator, n: int, ws: _Workspace, key: str = "factor"
 ) -> np.ndarray:
     """``n`` matrix-normal factors ``Z root + M`` with ``Z`` of ``rows x dim`` standard normals.
 
-    ``mean``, shared or one per draw, is added to the leading rows.  ``Z``
-    is drawn into the workspace array ``"normals"`` and the factor written
-    to ``"factor"``, over any factor drawn before with the same workspace,
-    so ``mean`` must not be that array.
+    ``mean``, shared or one per draw, is added to the leading rows; a mean
+    of all ``rows`` rows is added in one contiguous pass.  ``Z`` is drawn
+    into the workspace array ``"normals"`` and the factor written to
+    ``key``, over any factor drawn before into it, so ``mean`` must not be
+    that array.
     """
     shape = (n, rows, root.shape[0])
-    f = _times(gen.standard_normal(out=ws("normals", shape)), root, ws("factor", shape))
+    f = _times(gen.standard_normal(out=ws("normals", shape)), root, ws(key, shape))
     f[:, : mean.shape[-2]] += mean
     return f
+
+
+@functools.cache
+def _upper_pairs(dim: int) -> tuple[tuple[int, int], ...]:
+    """The ``(i, j)`` of a ``dim x dim`` matrix's upper triangle, in ``np.triu_indices`` order."""
+    return tuple(zip(*(ix.tolist() for ix in np.triu_indices(dim))))
 
 
 def _gram_columns(factor: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Upper-triangle entries of the Grams ``L' L`` of a factor stack, written to the ``(n, entries)`` ``out``.
 
-    Columns come in ``np.triu_indices`` order; entry ``(i, j)`` is
+    Columns come in :func:`_upper_pairs` order; entry ``(i, j)`` is
     ``einsum("nk,nk->n", L[:, :, i], L[:, :, j])``.  This is the one Gram
     route: :func:`_gram` fills stacks from these columns, and
     :func:`~wishartmix.closure.check_law` works on them directly.
     """
-    for e, (i, j) in enumerate(zip(*np.triu_indices(factor.shape[-1]))):
+    for e, (i, j) in enumerate(_upper_pairs(factor.shape[-1])):
         np.einsum("nk,nk->n", factor[:, :, i], factor[:, :, j], out=out[:, e])
     return out
 
@@ -313,26 +321,31 @@ def _require_integer_dof(dof: float, dim: int) -> int:
     return int(dof)
 
 
-def _wishart_factor(params: WishartParams):
-    """``(factor, per_draw)``: ``factor(gen, n, ws)`` draws ``n`` factors whose Grams follow ``params``.
+def _wishart_factor(params: WishartParams, right: np.ndarray | None = None):
+    """``(factor, per_draw)``: ``factor(gen, n, ws)`` draws ``n`` factors ``L`` whose Grams follow ``params``.
 
-    Central parameters get the Bartlett factor, noncentral ones the
-    matrix-normal factor; ``per_draw`` is the scalar count per draw that
-    sizes the chunks.  The factor is drawn into the :class:`_Workspace`
-    ``ws``, over any factor drawn before into it.
+    Given a ``d x d`` matrix ``right``, it draws the products ``L right``
+    instead, with ``right`` folded into the root ``R`` and the mean once,
+    here, so a batch takes one product either way: the Bartlett factor
+    ``L = (R T)'`` of central parameters gives ``T' (R right)``, and the
+    matrix-normal factor ``L = Z R + [Delta^{1/2}; 0]`` of noncentral ones
+    ``Z (R right) + [Delta^{1/2} right; 0]``, its mean zero-padded to all
+    ``dof`` rows.  ``per_draw`` is the scalar count per draw that sizes the
+    chunks.  The factor is drawn into the :class:`_Workspace` ``ws``, over
+    any factor drawn before into it.
     """
-    root = sym_sqrt(params.scale).array
     dim = params.dim
+    right = np.eye(dim) if right is None else right
+    root = sym_sqrt(params.scale).array @ right
     if params.is_central:
-        return (
-            lambda gen, n, ws: np.swapaxes(
-                np.matmul(root, _bartlett_factor(params.dof, dim, gen, n), out=ws("bartlett", (n, dim, dim))), -1, -2
-            ),
-            max(dim * dim, dim * int(math.ceil(params.dof))),
-        )
+        def bartlett(gen: np.random.Generator, n: int, ws: _Workspace) -> np.ndarray:
+            t = np.swapaxes(_bartlett_factor(params.dof, dim, gen, n), -1, -2)
+            return np.matmul(t, root, out=ws("bartlett", (n, dim, dim)))
+
+        return bartlett, max(dim * dim, dim * int(math.ceil(params.dof)))
     nu = _require_integer_dof(params.dof, dim)
-    noncen_root = sym_sqrt(params.noncen).array
-    return (lambda gen, n, ws: _normal_factor(noncen_root, nu, root, gen, n, ws)), nu * dim
+    mean = np.vstack([sym_sqrt(params.noncen).array @ right, np.zeros((nu - dim, dim))])
+    return (lambda gen, n, ws: _normal_factor(mean, nu, root, gen, n, ws)), nu * dim
 
 
 def sample_wishart(

@@ -6,13 +6,16 @@ four effect sum-of-outer-products (SOP) matrices ``A``, ``B``, ``AB`` and
 ``E``, the matrix-variate Beta Type II test statistics for the three factor
 hypotheses, the four classical scalar functionals of their eigenvalues, the
 exact univariate variance-component F p-values for ``d = 1``, and a simulator
-for fixed, random, and absent effects.
+for fixed, random, and absent effects.  Each factor is tested against the SOP
+that :func:`factor_tests` gives for the interaction: ``E`` for every factor
+when the interaction is fixed or absent, ``AB`` for ``A`` and ``B`` when it is
+random.
 
 The factor statistics are eigenvalues of
 
     ``B = (V_S)^{-1/2} S_S (V_S)^{-1/2}``,  ``R_S = Sigma^{-1/2} R Sigma^{-1/2}``,
 
-with ``S`` the factor SOP and ``V`` the residual SOP.  These eigenvalues equal
+with ``S`` the factor SOP and ``V`` its denominator SOP.  These eigenvalues equal
 those of ``S V^{-1}`` and do not depend on the choice of ``Sigma``, which is
 why the identity matrix is the default;
 :func:`~wishartmix.design_io.run_report` conjugates the four SOPs by a given
@@ -48,6 +51,7 @@ __all__ = [
     "FixedEffect",
     "SimulationSpec",
     "DofMap",
+    "factor_tests",
     "sop_arrays",
     "batched_statistic_eigs",
     "scalar_statistic",
@@ -57,8 +61,12 @@ __all__ = [
 
 # Each factor test as (name, numerator, denominator): the positions of its two
 # SOPs in sop_arrays order, which are also the positions of their degrees of
-# freedom in DofMap order.
+# freedom in DofMap order.  FACTOR_TESTS is the battery of a fixed or absent
+# interaction; INTERACTION_TESTS holds the battery of each interaction mode.
 FACTOR_TESTS = (("A", 0, 3), ("B", 1, 3), ("AB", 2, 3))
+INTERACTION_TESTS = {"fixed": FACTOR_TESTS, "random": (("A", 0, 2), ("B", 1, 2), ("AB", 2, 3))}
+# The name of the SOP at each position.
+SOP_NAMES = ("A", "B", "AB", "E")
 
 
 @dataclass(frozen=True)
@@ -224,19 +232,41 @@ def _require_two_levels(a: int, b: int) -> None:
         raise ValueError(f"both factors need at least two levels, got a={a}, b={b}")
 
 
-def _test_dofs(a: int, b: int, n: int, dim: int) -> DofMap:
-    """:func:`dof_map`, checked to support the ``dim``-dimensional statistic of every factor test.
+def factor_tests(interaction: str) -> tuple[tuple[str, int, int], ...]:
+    """The :data:`INTERACTION_TESTS` battery of ``interaction``, ``"fixed"`` or ``"random"``.
 
-    Raises :class:`DegenerateDesign` naming the first factor whose degrees of
-    freedom do not exceed ``dim - 1``.  The residual never binds first:
-    ``ab(n - 1) > (a - 1)(b - 1)`` for ``n >= 2``.
+    With a random interaction (``Sigma_AB != 0``, effects drawn per cell)
+    ``SOP_A`` and ``SOP_B`` carry ``Sigma_e + n Sigma_AB`` under their nulls,
+    as ``SOP_AB`` does, while ``SOP_E`` carries ``Sigma_e`` alone (Searle,
+    Casella and McCulloch, *Variance Components*, 1992, ch. 4), so ``A``
+    and ``B`` are tested against ``SOP_AB``; ``AB`` is tested against
+    ``SOP_E`` in both modes.
+    """
+    if interaction not in INTERACTION_TESTS:
+        raise ValueError(f"interaction must be 'fixed' or 'random', got {interaction!r}")
+    return INTERACTION_TESTS[interaction]
+
+
+def _test_dofs(a: int, b: int, n: int, dim: int, interaction: str = "fixed") -> DofMap:
+    """:func:`dof_map`, checked to support the ``dim``-dimensional statistic of every test of ``interaction``.
+
+    Both SOPs of each test need more than ``dim - 1`` degrees of freedom.
+    Raises :class:`DegenerateDesign` naming the first factor that misses it,
+    and, where the denominator misses it, the interaction mode that chose
+    that denominator.
     """
     dofs = dof_map(a, b, n)
-    for name, num, _ in FACTOR_TESTS:
+    for name, num, den in factor_tests(interaction):
         if not dofs[num] > dim - 1:
             raise DegenerateDesign(
                 f"factor {name} has {dofs[num]} degrees of freedom, which cannot support a "
                 f"{dim}-dimensional statistic (need more factor levels or fewer responses)"
+            )
+        if not dofs[den] > dim - 1:
+            raise DegenerateDesign(
+                f"factor {name} is tested against {SOP_NAMES[den]} (interaction = {interaction!r}), whose "
+                f"{dofs[den]} degrees of freedom cannot support a {dim}-dimensional statistic "
+                f"(need more factor levels or fewer responses)"
             )
     return dofs
 
@@ -248,11 +278,11 @@ def _exact_pvalue(eigs: np.ndarray, dof_num: int, dof_den: int) -> float | None:
     ``F = (SOP_num / dof_num) / (SOP_den / dof_den)``, so the p-value is the
     upper tail of ``F(dof_num, dof_den)`` at ``lambda * dof_den / dof_num``,
     computed by ``scipy.special.fdtrc``, the function ``scipy.stats.f.sf``
-    calls for it.  In balanced designs the test of ``AB`` is exact under its
-    null, and the tests of ``A`` and ``B`` are exact when the interaction is
-    fixed or absent.  With a random interaction (``Sigma_AB != 0``) ``SOP_A``
-    and ``SOP_B`` carry ``n Sigma_AB`` that ``SOP_E`` lacks, so their nulls
-    are not ``F(nu_X, nu_E)`` and these tests over-reject.
+    calls for it.  In balanced designs every test is exact under its null
+    when its denominator is the one :func:`factor_tests` gives for the
+    model's interaction: ``F(nu_AB, nu_E)`` for ``AB`` in both modes, and
+    for ``A`` (and ``B``) ``F(nu_A, nu_E)`` with a fixed or absent
+    interaction, ``F(nu_A, nu_AB)`` with a random one.
     """
     if len(eigs) != 1:
         return None

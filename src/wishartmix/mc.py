@@ -39,12 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BetaIIParams, _beta2_draws, _beta2_quotient, _beta2_top, beta2_eigenvalues
+from .errors import ValidationError
 from .manova import (
-    FACTOR_TESTS,
+    SOP_NAMES,
     SimulationSpec,
     StatisticFunctional,
     _test_dofs,
     batched_statistic_eigs,
+    factor_tests,
     scalar_statistic,
     simulate_design,
     sop_arrays,
@@ -258,14 +260,22 @@ class FactorCalibration:
 
 @dataclass(frozen=True)
 class CalibrationSummary:
-    """Null-calibration results of ``cfg.functional``, keyed by factor name in ``FACTOR_TESTS`` order."""
+    """Null-calibration results of ``cfg.functional``, keyed by factor name in test order, and the interaction mode.
+
+    A random-interaction summary's first line names the mode and each
+    factor's denominator SOP; a fixed one names neither.
+    """
 
     n_datasets: int
     cfg: McConfig
     results: dict[str, FactorCalibration]
+    interaction: str = "fixed"
 
     def to_text(self) -> str:
         lines = [f"null calibration over {self.n_datasets} datasets, n_mc = {self.cfg.n_mc}"]
+        if self.interaction == "random":
+            against = ", ".join(f"{name} against {SOP_NAMES[den]}" for name, _, den in factor_tests(self.interaction))
+            lines[0] += f", interaction = random ({against})"
         for factor, res in self.results.items():
             rates = "  ".join(f"@{lvl:g}: {rate:.4f}" for lvl, rate in res.rejection_rates.items())
             lines.append(
@@ -279,11 +289,13 @@ def null_calibration(
     n_datasets: int,
     cfg: McConfig,
     rng: RngStream | int,
+    interaction: str = "fixed",
 ) -> CalibrationSummary:
     """Self-check of the three-factor battery on simulated tables.
 
-    Simulates ``n_datasets`` tables from ``spec``, runs the full battery on
-    each, and summarizes the per-factor p-value samples: empirical rejection
+    Simulates ``n_datasets`` tables from ``spec``, runs the full battery of
+    ``interaction`` (:func:`~wishartmix.manova.factor_tests`) on each, and
+    summarizes the per-factor p-value samples: empirical rejection
     rates at the nominal levels ``(0.01, 0.05, 0.10)`` and a KS test against
     the exact null law of a sequential p-value (:func:`_value_below`), which
     is U(0, 1) but for its steps: its atom at 1, of mass ``1 / (h + 1)``,
@@ -303,16 +315,20 @@ def null_calibration(
     """
     rng = _as_stream(rng, "null_calibration")
     n_datasets = _count(n_datasets, "n_datasets", 0)
-    dofs = _test_dofs(spec.levels_a, spec.levels_b, spec.reps, spec.dim)
+    tests = factor_tests(interaction)
+    dofs = _test_dofs(spec.levels_a, spec.levels_b, spec.reps, spec.dim, interaction)
     if n_datasets == 0:
-        return CalibrationSummary(0, cfg, {})
+        return CalibrationSummary(0, cfg, {}, interaction)
     _warn_if_coarse(cfg.n_mc)
 
-    ests: dict[str, list[PValueEstimate]] = {factor: [] for factor, _, _ in FACTOR_TESTS}
+    ests: dict[str, list[PValueEstimate]] = {factor: [] for factor, _, _ in tests}
 
     for chunk_idx, done, m in _chunk_spans(n_datasets, _DATASET_CHUNK):
-        sops = sop_arrays(simulate_design(spec, rng.generator(0, chunk_idx), size=m))
-        for factor, num, den in FACTOR_TESTS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sops = sop_arrays(simulate_design(spec, rng.generator(0, chunk_idx), size=m))
+        if not np.isfinite(sops).all():
+            raise ValidationError("the simulated responses overflow the sum of outer products; rescale the covariances")
+        for factor, num, den in tests:
             observed = scalar_statistic(batched_statistic_eigs(sops[num], sops[den]), cfg.functional)
             params = BetaIIParams(dofs[num], dofs[den], spec.dim)
             null_stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
@@ -326,4 +342,4 @@ def null_calibration(
         rates = {lvl: float(np.mean(p <= lvl)) for lvl in CALIBRATION_LEVELS}
         ks_stat = _ks_distance(p, np.array([_value_below(est) for est in values]))
         results[factor] = FactorCalibration(p, rates, ks_stat, min(1.0, 2.0 * math.exp(-2.0 * n_datasets * ks_stat**2)))
-    return CalibrationSummary(n_datasets, cfg, results)
+    return CalibrationSummary(n_datasets, cfg, results, interaction)

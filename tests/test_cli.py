@@ -83,6 +83,23 @@ class TestManovaCommand:
         assert main(args) == EXIT_OK
         assert capsys.readouterr().out == first
 
+    def test_random_interaction_names_each_denominator(self, tmp_path, capsys):
+        csv_path, names = write_design_csv(tmp_path / "d.csv")
+        json_path = tmp_path / "report.json"
+        args = ["manova", "--input", str(csv_path), "--responses", ",".join(names), "--n-per-cell", "3", "--n-mc", "1000"]
+        assert main([*args, "--interaction", "random", "--json", str(json_path)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].endswith(", interaction = random")
+        assert out[4].split() == ["Tested", "against", "SOP", "AB", "AB", "E"]
+        doc = json.loads(json_path.read_text())
+        assert [f["denominator"] for f in doc["factors"]] == ["AB", "AB", "E"]
+        assert doc["config"]["interaction"] == "random"
+        # --interaction fixed is the default, byte for byte.
+        assert main(args) == EXIT_OK
+        default = capsys.readouterr().out
+        assert main([*args, "--interaction", "fixed"]) == EXIT_OK
+        assert capsys.readouterr().out == default
+
     def test_sigma_flag_does_not_change_pvalues(self, tmp_path, capsys):
         csv_path, names = write_design_csv(tmp_path / "d.csv")
         sigma = tmp_path / "sigma.txt"
@@ -603,6 +620,36 @@ class TestCalibrateCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "factor A" in out and "KS" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_ab_cov_must_be_finite_and_non_negative(self, capsys, monkeypatch, value):
+        monkeypatch.setattr("wishartmix.mc.simulate_design", lambda *args, **kwargs: pytest.fail("table simulated"))
+        argv = ["calibrate", "--a", "3", "--b", "3", "--n", "2", "--dim", "1", "--datasets", "5", "--seed", "1"]
+        assert main([*argv, f"--ab-cov={value}"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --ab-cov must be finite and at least 0, got {float(value)}\n"
+
+    def test_random_interaction_with_ab_cov(self, capsys):
+        argv = ["calibrate", "--a", "3", "--b", "4", "--n", "2", "--dim", "2", "--datasets", "20", "--n-mc", "1000", "--seed", "6"]
+        assert main([*argv, "--ab-cov", "1", "--interaction", "random"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith(", interaction = random (A against AB, B against AB, AB against E)")
+        assert [line.split()[1] for line in out[1:]] == ["A", "B", "AB"]
+        # --ab-cov 0 draws no interaction effects: the output is that of no --ab-cov, byte for byte.
+        assert main(argv) == EXIT_OK
+        default = capsys.readouterr().out
+        assert main([*argv, "--ab-cov", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == default
+
+    def test_overflowing_ab_cov_exit_two(self, capsys):
+        argv = ["calibrate", "--a", "3", "--b", "3", "--n", "2", "--dim", "1", "--datasets", "5", "--n-mc", "1000"]
+        assert main([*argv, "--seed", "1", "--ab-cov", "1e308"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the simulated responses overflow the sum of outer products; rescale the covariances"
+        ]
 
     @pytest.mark.parametrize("a, b, n, dim, factor", [(2, 3, 2, 2, "A"), (3, 2, 2, 2, "B"), (2, 2, 2, 5, "A")])
     def test_undersized_design_names_the_factor(self, capsys, monkeypatch, a, b, n, dim, factor):

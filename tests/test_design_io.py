@@ -384,6 +384,23 @@ class TestRunReport:
         text = report_to_text(report, ("u", "v"))
         assert "p_A" in text and "(u, v)" in text
 
+    def test_random_interaction_report_names_each_denominator(self):
+        table = DesignTable(RngStream(5).generator().standard_normal((4, 3, 2, 2)))
+        cfg = McConfig(n_mc=1000, seed=3)
+        fixed, random = (run_report(table, cfg, interaction=mode) for mode in ("fixed", "random"))
+        assert [fr.denominator for fr in fixed.factors] == ["E", "E", "E"]
+        assert [fr.denominator for fr in random.factors] == ["AB", "AB", "E"]
+        # AB is tested against E in both modes.
+        assert fixed.factors[2] == random.factors[2]
+        d_fixed, d_random = report_to_dict(fixed), report_to_dict(random)
+        assert "interaction" not in d_fixed["config"] and all("denominator" not in f for f in d_fixed["factors"])
+        assert d_random["config"]["interaction"] == "random"
+        assert [(f["name"], f["denominator"]) for f in d_random["factors"]] == [("A", "AB"), ("B", "AB"), ("AB", "E")]
+        t_fixed, t_random = report_to_text(fixed).splitlines(), report_to_text(random).splitlines()
+        assert t_random[1] == t_fixed[1] + ", interaction = random"
+        assert t_random[4].split() == ["Tested", "against", "SOP", "AB", "AB", "E"]
+        assert len(t_random) == len(t_fixed) + 1
+
     def test_sigma_invariance(self):
         gen = RngStream(4).generator()
         table = DesignTable(gen.standard_normal((3, 3, 3, 2)))

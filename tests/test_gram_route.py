@@ -133,25 +133,26 @@ def explicit_normal_factor(mean: np.ndarray, rows: int, root: np.ndarray, gen: n
 def explicit_hierarchical_factor(spec, gen: np.random.Generator, n: int) -> np.ndarray:
     """The hierarchy's conditional factors, drawn step by step with plain numpy calls.
 
-    Mixing level ``Z0 R + M0`` (``R`` the mixing scale's root, ``M0`` the
-    noncentrality's root in the leading rows), or the Bartlett factor
-    ``(R T)'`` for a central mixing law; then ``Z A^{1/2} + L G'``.  Every
-    ``(n, rows, d) @ m`` product is one 2-D product, as the sampler forms it.
+    ``G' = (A^{1/2} H^{1/2})'`` is folded into the mixing level's root ``R``
+    and mean first.  Mixing level: ``M = Z0 (R G') + [Delta^{1/2} G'; 0]``,
+    or ``T' (R G')`` with the Bartlett factor ``T`` for a central mixing
+    law; then ``Z A^{1/2} + M``.  Two products per batch, each over the
+    whole ``(n * rows, d)`` normals as one 2-D product, as the sampler forms
+    them.
     """
     dim, nu = spec.dim, int(spec.dof)
-    r = sym_sqrt(spec.mixing_scale).array
     ah = sym_sqrt(spec.inner_scale).array
     g = ah @ sym_sqrt(spec.coupling).array
+    rg = sym_sqrt(spec.mixing_scale).array @ g.T
     if spec.mixing_params().is_central:
         t = np.zeros((n, dim, dim))
         below = np.tril_indices(dim, -1)
         t[:, below[0], below[1]] = gen.standard_normal((n, dim * (dim - 1) // 2))
         for j in range(dim):
             t[:, j, j] = np.sqrt(gen.chisquare(nu - j, n))
-        mixing = np.swapaxes(r @ t, 1, 2)
+        mean = np.swapaxes(t, 1, 2) @ rg
     else:
-        mixing = explicit_normal_factor(sym_sqrt(spec.mixing_noncen).array, nu, r, gen, n)
-    mean = (mixing.reshape(-1, dim) @ g.T).reshape(mixing.shape)
+        mean = explicit_normal_factor(sym_sqrt(spec.mixing_noncen).array @ g.T, nu, rg, gen, n)
     return explicit_normal_factor(mean, nu, ah, gen, n)
 
 
@@ -167,6 +168,29 @@ def test_hierarchical_factor_matches_explicit_draws(dim, central):
         got = factor(gen, n, ws)
         assert got.shape == (n, dim + 3, dim)
         np.testing.assert_array_equal(got, explicit_hierarchical_factor(spec, ref, n))
+
+
+@pytest.mark.parametrize("central", [False, True], ids=["noncentral", "central"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hierarchy_draws_the_mixing_level(dim, central):
+    # The hierarchy's factor is Z A^{1/2} + M, and M is L G' for the mixing
+    # level's own draws L: those of _wishart_factor(spec.mixing_params())
+    # from the same stream, before the conditional normals Z.  So verify
+    # samples the two levels, never the marginal law it checks against.
+    spec = random_mixture_spec(dim, dim + 3.0, RngStream(100, dim), central=central)
+    n, nu = 2_000, dim + 3
+    got = _hierarchical_factor(spec)[0](RngStream(101, dim).generator(), n, _Workspace())
+    gen = RngStream(101, dim).generator()
+    mixing = _wishart_factor(spec.mixing_params())[0](gen, n, _Workspace())
+    ah = sym_sqrt(spec.inner_scale).array
+    g = ah @ sym_sqrt(spec.coupling).array
+    want_m = mixing @ g.T
+    zah = (gen.standard_normal((n * nu, dim)) @ ah).reshape(n, nu, dim)
+    m = got - zah
+    scale = np.abs(want_m).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(m[:, : mixing.shape[1]] - want_m) <= 1e-12 * scale)
+    # Below the mixing factor's rows (a central mixing law has dim of them), M is zero.
+    np.testing.assert_array_equal(got[:, mixing.shape[1] :], zah[:, mixing.shape[1] :])
 
 
 @pytest.mark.parametrize("case", ["hierarchical-noncentral", "hierarchical-central", "matrix-normal"])

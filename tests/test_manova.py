@@ -37,7 +37,8 @@ from wishartmix import (
     wishart_mean,
     WishartParams,
 )
-from wishartmix.manova import FACTOR_TESTS, _exact_pvalue, batched_statistic_eigs
+from wishartmix import manova
+from wishartmix.manova import FACTOR_TESTS, DofMap, _exact_pvalue, _test_dofs, batched_statistic_eigs, factor_tests
 from wishartmix.symmat import _mirror_upper, sym_inv_sqrt
 from conftest import random_spd
 
@@ -272,6 +273,44 @@ class TestDofMap:
         assert dofs.nu_a + dofs.nu_b + dofs.nu_ab + dofs.nu_e == a * b * n - 1
 
 
+class TestInteractionModes:
+    def test_batteries(self):
+        assert factor_tests("fixed") == FACTOR_TESTS == (("A", 0, 3), ("B", 1, 3), ("AB", 2, 3))
+        assert factor_tests("random") == (("A", 0, 2), ("B", 1, 2), ("AB", 2, 3))
+
+    def test_unknown_mode_raises(self):
+        message = "interaction must be 'fixed' or 'random', got 'mixed'"
+        with pytest.raises(ValueError, match=message):
+            factor_tests("mixed")
+        with pytest.raises(ValueError, match=message):
+            run_report(DesignTable(np.zeros((3, 3, 2, 1))), McConfig(n_mc=1000), interaction="mixed")
+
+    @given(a=st.integers(2, 8), b=st.integers(2, 8), n=st.integers(2, 4), dim=st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_numerator_binds_first_in_both_modes(self, a, b, n, dim):
+        # nu_AB >= nu_A, nu_B and nu_E > nu_AB, so both modes accept and reject the same designs, by the same factor.
+        outcomes = []
+        for interaction in ("fixed", "random"):
+            try:
+                outcomes.append(tuple(_test_dofs(a, b, n, dim, interaction)))
+            except DegenerateDesign as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_denominator_is_checked_and_names_the_mode(self, monkeypatch):
+        # No balanced design has nu_AB < nu_A; a stand-in dof map shows the denominator check,
+        # which in random mode meets AB's dof as A's denominator, before AB's own test.
+        monkeypatch.setattr(manova, "dof_map", lambda a, b, n: DofMap(3, 3, 1, 20))
+        with pytest.raises(DegenerateDesign, match="^factor AB has 1 degrees of freedom"):
+            _test_dofs(4, 4, 3, 2, "fixed")
+        message = (
+            "factor A is tested against AB (interaction = 'random'), whose 1 degrees of freedom "
+            "cannot support a 2-dimensional statistic"
+        )
+        with pytest.raises(DegenerateDesign, match=re.escape(message)):
+            _test_dofs(4, 4, 3, 2, "random")
+
+
 class TestUnivariateFTest:
     @staticmethod
     def f_test_of_a(y: np.ndarray) -> tuple[float, float]:
@@ -329,6 +368,30 @@ class TestUnivariateFTest:
         for fr, (_, num, den) in zip(report.factors, FACTOR_TESTS):
             f_ratio = (sops[num][0, 0] / dofs[num]) / (sops[den][0, 0] / dofs[den])
             assert fr.p_exact == pytest.approx(float(stats.f.sf(f_ratio, dofs[num], dofs[den])), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("functional", list(StatisticFunctional))
+    def test_random_interaction_pvalue_is_f_against_ab(self, functional):
+        # The exact d = 1 oracle of a random interaction: A and B against AB, F(nu_A, nu_AB), AB against E.
+        spec = SimulationSpec(4, 5, 3, 1, SpdMat(1.0), effect_ab=RandomEffect(SpdMat(2.0)))
+        table = simulate_design(spec, RngStream(31))
+        sops = sop_arrays(table.responses)
+        dofs = dof_map(4, 5, 3)
+        report = run_report(table, McConfig(n_mc=1000, seed=2, functional=functional), interaction="random")
+        for fr, (num, den) in zip(report.factors, ((0, 2), (1, 2), (2, 3))):
+            f_ratio = (sops[num][0, 0] / dofs[num]) / (sops[den][0, 0] / dofs[den])
+            assert fr.p_exact == pytest.approx(float(stats.f.sf(f_ratio, dofs[num], dofs[den])), rel=1e-12, abs=0.0)
+        assert [fr.denominator for fr in report.factors] == ["AB", "AB", "E"]
+
+    def test_random_interaction_null_is_f_against_ab_not_e(self):
+        # 500 datasets, sigma_e = 1, sigma_AB = 1, no A effect: (SOP_A / nu_A) / (SOP_AB / nu_AB) is
+        # F(nu_A, nu_AB); the ratio against SOP_E is not F(nu_A, nu_E) and over-rejects.
+        spec = SimulationSpec(5, 6, 3, 1, SpdMat(1.0), effect_ab=RandomEffect(SpdMat(1.0)))
+        sop_a, _, sop_ab, sop_e = sop_arrays(simulate_design(spec, RngStream(51), size=500))
+        dofs = dof_map(5, 6, 3)
+        p_random = stats.f.sf((sop_a[:, 0, 0] / dofs.nu_a) / (sop_ab[:, 0, 0] / dofs.nu_ab), dofs.nu_a, dofs.nu_ab)
+        p_fixed = stats.f.sf((sop_a[:, 0, 0] / dofs.nu_a) / (sop_e[:, 0, 0] / dofs.nu_e), dofs.nu_a, dofs.nu_e)
+        assert stats.kstest(p_random, "uniform").pvalue > 0.01
+        assert stats.kstest(p_fixed, "uniform").pvalue < 1e-6
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_no_exact_pvalue_past_d1(self, dim):

@@ -13,6 +13,7 @@ from wishartmix import (
     BetaIIParams,
     DesignTable,
     McConfig,
+    RandomEffect,
     RngStream,
     SimulationSpec,
     SpdMat,
@@ -547,3 +548,37 @@ class TestNullCalibration:
                 assert fr.p.p_hat == summary.results[fr.name].pvalues[0]
                 assert fr.name != "A" or not effect_a or fr.p.n_drawn == n_mc
             assert [line.split()[2] for line in summary.to_text().splitlines()[1:]] == [fn.value] * 3
+
+
+def _binomial_band(n: int, p: float, alpha: float) -> tuple[int, int]:
+    """Exact two-sided acceptance band ``[lo, hi]`` of a Binomial(n, p) count at level ``alpha``."""
+    return int(stats.binom.ppf(alpha / 2, n, p)), int(stats.binom.isf(alpha / 2, n, p))
+
+
+class TestRandomInteraction:
+    # 5 x 6 x 3 at d = 2, Sigma_e = Sigma_AB = I, no A or B effect: the A and B nulls hold.
+    SPEC = SimulationSpec(5, 6, 3, 2, SpdMat(np.eye(2)), effect_ab=RandomEffect(SpdMat(np.eye(2))))
+    DATASETS = 200
+
+    @pytest.mark.parametrize("functional", [HL, StatisticFunctional.WILKS])
+    def test_main_effects_calibrated_only_against_ab(self, functional):
+        # The rejection counts at 0.05 lie in the exact two-sided 1 - 1e-6 binomial band when A and
+        # B are tested against SOP_AB, and far above it when they are tested against SOP_E.
+        lo, hi = _binomial_band(self.DATASETS, 0.05, 1e-6)
+        cfg = McConfig(n_mc=2000, seed=7, functional=functional)
+        random = null_calibration(self.SPEC, self.DATASETS, cfg, RngStream(3), interaction="random")
+        fixed = null_calibration(self.SPEC, self.DATASETS, cfg, RngStream(3), interaction="fixed")
+        for factor in ("A", "B"):
+            assert lo <= round(self.DATASETS * random.results[factor].rejection_rates[0.05]) <= hi
+            assert round(self.DATASETS * fixed.results[factor].rejection_rates[0.05]) > hi
+        # AB is tested against SOP_E in both modes, on the same tables and null streams.
+        assert random.results["AB"].pvalues.tobytes() == fixed.results["AB"].pvalues.tobytes()
+
+    def test_summary_names_each_denominator(self):
+        summary = null_calibration(self.SPEC, 5, McConfig(n_mc=1000, seed=7), RngStream(3), interaction="random")
+        assert summary.to_text().splitlines()[0] == (
+            "null calibration over 5 datasets, n_mc = 1000, "
+            "interaction = random (A against AB, B against AB, AB against E)"
+        )
+        fixed = null_calibration(self.SPEC, 5, McConfig(n_mc=1000, seed=7), RngStream(3))
+        assert fixed.to_text().splitlines()[0] == "null calibration over 5 datasets, n_mc = 1000"

@@ -10,8 +10,11 @@ that writes a report, ``<run>.json``.  The inputs are kept in
     PYTHONPATH=<new>/src python tools/cli_outputs.py b
     diff -r a b
 
-prints nothing.  The runs cover every subcommand: ``manova`` at d = 1, 2
-and 3 with each functional, once with ``--sigma`` at a cap of 70,000 null
+prints nothing.  A run whose options a checkout does not know saves the
+usage error and its exit code 2, so an older checkout still writes every
+file.  The runs cover every subcommand: ``manova`` at d = 1, 2
+and 3 with each functional, at d = 1 and 2 with ``--interaction random``
+(A and B tested against AB), once with ``--sigma`` at a cap of 70,000 null
 draws, once at a cap of 200,000, where factor A's strong effect keeps its
 count short of 40 extreme draws, so it draws all 200,000 in doubling
 batches that reach the 65,536-draw batch cap (the null factors stop early), once on a
@@ -27,7 +30,8 @@ Hotelling-Lawley, at d = 2 with Wilks (lower tail), Pillai and Roy (each a
 closed form of its own in the d = 2 null), at d = 1 on 300 datasets, which
 cross the 256-dataset chunk that is counted together, and at a cap of
 70,000 null draws per dataset, though these null counts stop at their 40th
-extreme draw; ``sample``
+extreme draw, and at d = 2 with ``--interaction random --ab-cov 1`` (a
+random interaction, Sigma_AB = I); ``sample``
 for each distribution, with central, fractional-dof and noncentral Wishart
 parameters, Beta II draws at d = 1, 2 and 3 (a scalar, a 2 x 2 and a 3 x 3
 whitening), a one-row matrix normal, a chi-square whose noncentrality
@@ -137,6 +141,13 @@ def runs() -> list[tuple[str, list[str]]]:
                 "--subsample-seed", "1", "--n-mc", "2000", "--mc-seed", "2", "--functional", functional.value,
                 "--json", f"{name}.json",
             ]))
+    for dim in (1, 2):
+        name = f"manova-d{dim}-random-interaction"
+        out.append((name, [
+            "manova", "--input", f"inputs/design_d{dim}.csv", "--responses", ",".join(f"y{k + 1}" for k in range(dim)),
+            "--n-per-cell", "3", "--subsample-seed", "1", "--n-mc", "2000", "--mc-seed", "2", "--interaction", "random",
+            "--json", f"{name}.json",
+        ]))
     out.append(("manova-d2-sigma-chunked", [
         "manova", "--input", "inputs/design_d2.csv", "--responses", "y1,y2", "--n-per-cell", "4",
         "--n-mc", "70000", "--mc-seed", "3", "--sigma", "inputs/sigma_d2.txt", "--json", "manova-d2-sigma-chunked.json",
@@ -182,6 +193,10 @@ def runs() -> list[tuple[str, list[str]]]:
         "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", "2",
         "--datasets", "3", "--n-mc", "70000", "--seed", "5",
     ]))
+    out.append(("calibrate-d2-random-interaction", [
+        "calibrate", "--a", str(LEVELS_A), "--b", str(LEVELS_B), "--n", "3", "--dim", "2",
+        "--datasets", "40", "--n-mc", "1000", "--seed", "5", "--interaction", "random", "--ab-cov", "1",
+    ]))
     for name, (dist, _) in SAMPLE_PARAMS.items():
         out.append((f"sample-{name}", ["sample", "--dist", dist, "--params", f"inputs/{name}.json", "--n", "50", "--seed", "6"]))
     return out
@@ -191,7 +206,10 @@ def run(name: str, argv: list[str]) -> None:
     """Call the command line on ``argv`` and save its stdout, stderr and exit code under ``name``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error, such as an option that an older checkout lacks
+            code = exc.code
     Path(f"{name}.stdout").write_text(stdout.getvalue(), encoding="utf-8")
     Path(f"{name}.stderr").write_text(stderr.getvalue(), encoding="utf-8")
     Path(f"{name}.exit").write_text(f"{code}\n", encoding="utf-8")
