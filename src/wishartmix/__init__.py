@@ -61,13 +61,12 @@ from .errors import (
 )
 from .manova import (
     DesignTable,
-    DofMap,
+    FactorTest,
     FixedEffect,
     RandomEffect,
     SimulationSpec,
     StatisticFunctional,
     batched_statistic_eigs,
-    dof_map,
     factor_tests,
     scalar_statistic,
     simulate_design,

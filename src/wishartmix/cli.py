@@ -34,7 +34,7 @@ from .distributions import (
     sample_wishart,
 )
 from .errors import ValidationError
-from .manova import INTERACTION_TESTS, RandomEffect, SimulationSpec, StatisticFunctional
+from .manova import INTERACTIONS, RandomEffect, SimulationSpec, StatisticFunctional
 from .mc import McConfig, null_calibration
 from .rng import RngStream, _count
 from .symmat import SpdMat
@@ -47,7 +47,7 @@ _FUNCTIONAL_CHOICES = [f.value for f in StatisticFunctional]
 
 # The --interaction option of manova and calibrate.
 _INTERACTION = {
-    "choices": list(INTERACTION_TESTS),
+    "choices": list(INTERACTIONS),
     "default": "fixed",
     "help": "fixed or absent (every factor against E) or random (A and B against AB) interaction",
 }

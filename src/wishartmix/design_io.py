@@ -28,8 +28,7 @@ from itertools import islice, zip_longest
 import numpy as np
 
 from .errors import EmptyFile, InsufficientCell, MissingColumn, UnparseableValue, ValidationError
-from .manova import SOP_NAMES, DesignTable, _exact_pvalue, _test_dofs, batched_statistic_eigs, factor_tests
-from .manova import scalar_statistic, sop_arrays
+from .manova import DesignTable, _exact_pvalue, factor_tests, scalar_statistic, sop_arrays, statistic_eigs
 from .mc import McConfig, PValueEstimate, mc_pvalue
 from .rng import RngStream, _count
 from .symmat import SymMat, _as_spd, _mirror_upper, sym_inv_sqrt
@@ -218,17 +217,17 @@ def subsample_balanced(data: RawDataset, n_per_cell: int, seed: int) -> DesignTa
 class FactorResult:
     """One row of the report: observed statistic, eigenvalues, Monte Carlo p-value.
 
-    ``p_exact`` is the exact univariate variance-component F p-value, set
-    only for one-dimensional responses.  ``denominator`` names the SOP the
-    factor is tested against.
+    ``p_exact`` is the exact univariate variance-component F p-value of
+    one-dimensional responses, else ``None``.  ``denominator`` names the SOP
+    the factor is tested against.
     """
 
     name: str
     observed: float
     eigenvalues: tuple[float, ...]
     p: PValueEstimate
-    p_exact: float | None = None
-    denominator: str = "E"
+    p_exact: float | None
+    denominator: str
 
 
 @dataclass(frozen=True)
@@ -246,22 +245,19 @@ def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None, i
 
     Computes the SOPs once (:func:`~wishartmix.manova.sop_arrays`), and
     conjugates them once by ``sigma^{-1/2}`` if ``sigma`` is given, which
-    provably does not change the statistics.  Then, per factor, the statistic
-    eigenvalues against the denominator SOP that
-    :func:`~wishartmix.manova.factor_tests` gives for ``interaction``
-    (``"fixed"``: ``E`` for every factor; ``"random"``: ``AB`` for ``A`` and
-    ``B``), the scalar statistic, its Monte Carlo p-value and, for
-    ``d = 1``, its exact F p-value.  Checked first, in order: the
-    interaction mode, ``sigma``, the degrees of freedom of every numerator
-    and denominator, SOP overflow, overflow of the conjugated SOPs;
-    all-constant responses then give zero statistics, not a PD check.
+    provably does not change the statistics.  Then, per test of
+    :func:`~wishartmix.manova.factor_tests` for ``interaction``, the
+    statistic eigenvalues (:func:`~wishartmix.manova.statistic_eigs`), the
+    scalar statistic, its Monte Carlo p-value and, for ``d = 1``, its exact
+    F p-value.  Checked first, in order: ``sigma``, the interaction mode,
+    the degrees of freedom, SOP overflow, overflow of the conjugated SOPs;
+    all-constant responses then give zero statistics, not a singularity check.
     """
-    tests = factor_tests(interaction)
     if sigma is not None:
         sigma = _as_spd(sigma, "sigma", require_pd=True)
         if sigma.dim != table.dim:
             raise ValueError(f"sigma is {sigma.dim}x{sigma.dim} but the SOPs are {table.dim}-dimensional")
-    dofs = _test_dofs(table.levels_a, table.levels_b, table.reps, table.dim, interaction)
+    tests = factor_tests(table.levels_a, table.levels_b, table.reps, table.dim, interaction)
     with np.errstate(over="ignore", invalid="ignore"):
         sops = sop_arrays(table.responses)
         if not np.isfinite(sops).all():
@@ -272,17 +268,16 @@ def run_report(table: DesignTable, cfg: McConfig, sigma: SymMat | None = None, i
             if not np.isfinite(sops).all():
                 raise ValidationError("the SOPs overflow when conjugated by sigma^(-1/2); rescale sigma")
     # all responses identical per component: every statistic is zero by convention
-    degenerate = bool(np.all(np.ptp(table.responses.reshape(-1, table.dim), axis=0) == 0.0))
+    if np.all(np.ptp(table.responses.reshape(-1, table.dim), axis=0) == 0.0):
+        all_eigs = [np.zeros(table.dim)] * len(tests)
+    else:
+        all_eigs = statistic_eigs(sops, tests)
     results = []
-    for name, num, den in tests:
-        if degenerate:
-            eigs = np.zeros(table.dim)
-        else:
-            eigs = batched_statistic_eigs(sops[num], sops[den])
+    for t, eigs in zip(tests, all_eigs):
         observed = float(scalar_statistic(eigs, cfg.functional))
-        p = mc_pvalue(observed, dofs[num], dofs[den], table.dim, cfg)
-        p_exact = _exact_pvalue(eigs, dofs[num], dofs[den])
-        results.append(FactorResult(name, observed, tuple(float(v) for v in eigs), p, p_exact, SOP_NAMES[den]))
+        p = mc_pvalue(observed, t.dof_num, t.dof_den, table.dim, cfg)
+        p_exact = _exact_pvalue(eigs, t.dof_num, t.dof_den)
+        results.append(FactorResult(t.name, observed, tuple(float(v) for v in eigs), p, p_exact, t.against))
     return ReportTable(tuple(results), cfg, table.responses.shape, interaction)
 
 

@@ -7,9 +7,7 @@ four effect sum-of-outer-products (SOP) matrices ``A``, ``B``, ``AB`` and
 hypotheses, the four classical scalar functionals of their eigenvalues, the
 exact univariate variance-component F p-values for ``d = 1``, and a simulator
 for fixed, random, and absent effects.  Each factor is tested against the SOP
-that :func:`factor_tests` gives for the interaction: ``E`` for every factor
-when the interaction is fixed or absent, ``AB`` for ``A`` and ``B`` when it is
-random.
+that :func:`factor_tests` derives from the expected mean squares.
 
 The factor statistics are eigenvalues of
 
@@ -21,10 +19,11 @@ why the identity matrix is the default;
 :func:`~wishartmix.design_io.run_report` conjugates the four SOPs by a given
 ``Sigma`` once, before any statistic.
 
-One path each, for one table or a stack: :func:`sop_arrays` for the SOPs,
-:func:`batched_statistic_eigs` for the statistics, which rejects a singular
-residual SOP, raising :class:`SingularErrorMatrix`, when its smallest
-eigenvalue is at or below ``PD_TOL`` times its largest, the same test that
+One path each, for one table or a stack: :func:`factor_tests` for the
+tests, :func:`sop_arrays` for the SOPs, :func:`statistic_eigs` for the
+statistics, which rejects a denominator SOP, raising
+:class:`SingularErrorMatrix`, when its smallest eigenvalue is at or below
+``PD_TOL`` times the largest of the total SOP, the relative test that
 :class:`~wishartmix.symmat.SpdMat` uses to certify a matrix positive definite.
 
 Imports: ``scipy.special`` is imported inside :func:`_exact_pvalue`, its one
@@ -50,24 +49,14 @@ __all__ = [
     "RandomEffect",
     "FixedEffect",
     "SimulationSpec",
-    "DofMap",
+    "FactorTest",
     "factor_tests",
     "sop_arrays",
     "batched_statistic_eigs",
+    "statistic_eigs",
     "scalar_statistic",
-    "dof_map",
     "simulate_design",
 ]
-
-# Each factor test as (name, numerator, denominator): the positions of its two
-# SOPs in sop_arrays order, which are also the positions of their degrees of
-# freedom in DofMap order.  FACTOR_TESTS is the battery of a fixed or absent
-# interaction; INTERACTION_TESTS holds the battery of each interaction mode.
-FACTOR_TESTS = (("A", 0, 3), ("B", 1, 3), ("AB", 2, 3))
-INTERACTION_TESTS = {"fixed": FACTOR_TESTS, "random": (("A", 0, 2), ("B", 1, 2), ("AB", 2, 3))}
-# The name of the SOP at each position.
-SOP_NAMES = ("A", "B", "AB", "E")
-
 
 @dataclass(frozen=True)
 class DesignTable:
@@ -111,7 +100,7 @@ class DesignTable:
 def sop_arrays(y: np.ndarray) -> tuple[np.ndarray, ...]:
     """The one SOP path: ``(sop_a, sop_b, sop_ab, sop_e)`` of responses ``(..., a, b, n, d)``.
 
-    Each has shape ``(..., d, d)``, in :data:`FACTOR_TESTS` position order,
+    Each has shape ``(..., d, d)``, in :class:`FactorTest` position order,
     and is symmetric bit for bit.  Leading axes are independent tables, which
     makes simulation batches cheap.  Means are taken first and outer products
     second, so large response magnitudes do not cancel catastrophically.
@@ -209,22 +198,19 @@ def batched_statistic_eigs(numerators, residuals) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(b)[..., ::-1], 0.0)
 
 
-class DofMap(NamedTuple):
-    """Degrees of freedom of the four SOP laws in a balanced ``a x b x n`` design."""
-
-    nu_a: int
-    nu_b: int
-    nu_ab: int
-    nu_e: int
+#: The interaction modes, each with the weight ``r`` of ``Sigma_AB`` in the expected mean squares of ``A`` and ``B``.
+INTERACTIONS = {"fixed": 0, "random": 1}
 
 
-def dof_map(a: int, b: int, n: int) -> DofMap:
-    """``(a-1, b-1, (a-1)(b-1), ab(n-1))`` with domain validation."""
-    a, b, n = _count(a, "a"), _count(b, "b"), _count(n, "n")
-    _require_two_levels(a, b)
-    if n < 2:
-        raise DegenerateDesign(f"at least two replicates per cell are needed, got n={n}")
-    return DofMap(a - 1, b - 1, (a - 1) * (b - 1), a * b * (n - 1))
+class FactorTest(NamedTuple):
+    """One factor test: the factor and its denominator, by name, by SOP position in :func:`sop_arrays` order, by dof."""
+
+    name: str
+    against: str
+    num: int
+    den: int
+    dof_num: int
+    dof_den: int
 
 
 def _require_two_levels(a: int, b: int) -> None:
@@ -232,43 +218,72 @@ def _require_two_levels(a: int, b: int) -> None:
         raise ValueError(f"both factors need at least two levels, got a={a}, b={b}")
 
 
-def factor_tests(interaction: str) -> tuple[tuple[str, int, int], ...]:
-    """The :data:`INTERACTION_TESTS` battery of ``interaction``, ``"fixed"`` or ``"random"``.
+def factor_tests(a: int, b: int, n: int, dim: int, interaction: str = "fixed") -> tuple[FactorTest, ...]:
+    """The tests of ``A``, ``B`` and ``AB`` in a balanced ``a x b x n`` design of ``dim``-dimensional responses.
 
-    With a random interaction (``Sigma_AB != 0``, effects drawn per cell)
-    ``SOP_A`` and ``SOP_B`` carry ``Sigma_e + n Sigma_AB`` under their nulls,
-    as ``SOP_AB`` does, while ``SOP_E`` carries ``Sigma_e`` alone (Searle,
-    Casella and McCulloch, *Variance Components*, 1992, ch. 4), so ``A``
-    and ``B`` are tested against ``SOP_AB``; ``AB`` is tested against
-    ``SOP_E`` in both modes.
+    The four SOPs are one table of dofs and expected-mean-square weights on
+    ``(Sigma_A, Sigma_B, Sigma_AB, Sigma_e)`` (Searle, Casella and McCulloch,
+    *Variance Components*, 1992, ch. 4), with ``r`` the weight of
+    ``interaction`` in :data:`INTERACTIONS`, 0 for a fixed or absent
+    interaction and 1 for a random one (``Sigma_AB != 0``, effects drawn per
+    cell); a fixed factor's weight multiplies its noncentrality, not a
+    covariance:
+
+    ====  ===============  =================
+    A     ``a - 1``        ``(bn, 0, rn, 1)``
+    B     ``b - 1``        ``(0, an, rn, 1)``
+    AB    ``(a-1)(b-1)``   ``(0, 0, n, 1)``
+    E     ``ab(n - 1)``    ``(0, 0, 0, 1)``
+    ====  ===============  =================
+
+    A factor is tested against the row equal to its own with its own weight
+    set to 0, so that both share one law under the factor's null: ``E`` for
+    every factor with a fixed interaction, ``AB`` for ``A`` and ``B`` with a
+    random one.  Raises :class:`DegenerateDesign` naming the first factor
+    whose dof cannot support a ``dim``-dimensional statistic.  A denominator
+    needs no check of its own: ``(a-1)(b-1) >= a - 1`` and ``ab(n-1) >=
+    (a-1)(b-1)``, so every test has ``dof_den >= dof_num``.
     """
-    if interaction not in INTERACTION_TESTS:
+    if interaction not in INTERACTIONS:
         raise ValueError(f"interaction must be 'fixed' or 'random', got {interaction!r}")
-    return INTERACTION_TESTS[interaction]
-
-
-def _test_dofs(a: int, b: int, n: int, dim: int, interaction: str = "fixed") -> DofMap:
-    """:func:`dof_map`, checked to support the ``dim``-dimensional statistic of every test of ``interaction``.
-
-    Both SOPs of each test need more than ``dim - 1`` degrees of freedom.
-    Raises :class:`DegenerateDesign` naming the first factor that misses it,
-    and, where the denominator misses it, the interaction mode that chose
-    that denominator.
-    """
-    dofs = dof_map(a, b, n)
-    for name, num, den in factor_tests(interaction):
+    a, b, n = _count(a, "a"), _count(b, "b"), _count(n, "n")
+    _require_two_levels(a, b)
+    if n < 2:
+        raise DegenerateDesign(f"at least two replicates per cell are needed, got n={n}")
+    rn = INTERACTIONS[interaction] * n
+    names, dofs = ("A", "B", "AB", "E"), (a - 1, b - 1, (a - 1) * (b - 1), a * b * (n - 1))
+    weights = [(b * n, 0, rn, 1), (0, a * n, rn, 1), (0, 0, n, 1), (0, 0, 0, 1)]
+    tests = []
+    for num in range(3):
         if not dofs[num] > dim - 1:
             raise DegenerateDesign(
-                f"factor {name} has {dofs[num]} degrees of freedom, which cannot support a "
+                f"factor {names[num]} has {dofs[num]} degrees of freedom, which cannot support a "
                 f"{dim}-dimensional statistic (need more factor levels or fewer responses)"
             )
-        if not dofs[den] > dim - 1:
-            raise DegenerateDesign(
-                f"factor {name} is tested against {SOP_NAMES[den]} (interaction = {interaction!r}), whose "
-                f"{dofs[den]} degrees of freedom cannot support a {dim}-dimensional statistic "
-                f"(need more factor levels or fewer responses)"
+        den = weights.index(weights[num][:num] + (0,) + weights[num][num + 1 :])
+        tests.append(FactorTest(names[num], names[den], num, den, dofs[num], dofs[den]))
+    return tuple(tests)
+
+
+def statistic_eigs(sops, tests: tuple[FactorTest, ...]) -> list[np.ndarray]:
+    """Statistic eigenvalues ``(..., d)`` of each of ``tests`` (:func:`factor_tests`) on ``sops`` (:func:`sop_arrays`).
+
+    Raises :class:`SingularErrorMatrix` when a denominator SOP has its
+    smallest eigenvalue at or below ``PD_TOL`` times the largest eigenvalue
+    of its table's total SOP, the sum of the four.  A denominator that is
+    zero up to rounding, as from identical replicates in every cell, passes
+    a test against its own largest eigenvalue and gives statistics of noise.
+    """
+    top = np.linalg.eigvalsh(sum(sops))[..., -1]
+    for den, name in {t.den: t.against for t in tests}.items():
+        small = np.linalg.eigvalsh(sops[den])[..., 0]
+        singular = small <= PD_TOL * top
+        if np.any(singular):
+            raise SingularErrorMatrix(
+                f"denominator SOP {name} is singular: smallest eigenvalue {small[singular][0]:.6g} is at most "
+                f"{PD_TOL:g} * {top[singular][0]:.6g}, the largest eigenvalue of the total SOP"
             )
-    return dofs
+    return [batched_statistic_eigs(sops[t.num], sops[t.den]) for t in tests]
 
 
 def _exact_pvalue(eigs: np.ndarray, dof_num: int, dof_den: int) -> float | None:
@@ -278,11 +293,9 @@ def _exact_pvalue(eigs: np.ndarray, dof_num: int, dof_den: int) -> float | None:
     ``F = (SOP_num / dof_num) / (SOP_den / dof_den)``, so the p-value is the
     upper tail of ``F(dof_num, dof_den)`` at ``lambda * dof_den / dof_num``,
     computed by ``scipy.special.fdtrc``, the function ``scipy.stats.f.sf``
-    calls for it.  In balanced designs every test is exact under its null
-    when its denominator is the one :func:`factor_tests` gives for the
-    model's interaction: ``F(nu_AB, nu_E)`` for ``AB`` in both modes, and
-    for ``A`` (and ``B``) ``F(nu_A, nu_E)`` with a fixed or absent
-    interaction, ``F(nu_A, nu_AB)`` with a random one.
+    calls for it.  It is exact under the factor's null when the dofs and
+    the denominator are those of :func:`factor_tests` for the model's
+    interaction.
     """
     if len(eigs) != 1:
         return None

@@ -40,17 +40,8 @@ import numpy as np
 
 from .distributions import BetaIIParams, _beta2_draws, _beta2_quotient, _beta2_top, beta2_eigenvalues
 from .errors import ValidationError
-from .manova import (
-    SOP_NAMES,
-    SimulationSpec,
-    StatisticFunctional,
-    _test_dofs,
-    batched_statistic_eigs,
-    factor_tests,
-    scalar_statistic,
-    simulate_design,
-    sop_arrays,
-)
+from .manova import FactorTest, SimulationSpec, StatisticFunctional, factor_tests, scalar_statistic, simulate_design
+from .manova import sop_arrays, statistic_eigs
 from .rng import RngStream, _as_stream, _chunk_spans, _count
 
 __all__ = [
@@ -260,7 +251,7 @@ class FactorCalibration:
 
 @dataclass(frozen=True)
 class CalibrationSummary:
-    """Null-calibration results of ``cfg.functional``, keyed by factor name in test order, and the interaction mode.
+    """Null-calibration results of ``cfg.functional``, keyed by factor name in test order, the interaction mode and the tests run.
 
     A random-interaction summary's first line names the mode and each
     factor's denominator SOP; a fixed one names neither.
@@ -270,11 +261,12 @@ class CalibrationSummary:
     cfg: McConfig
     results: dict[str, FactorCalibration]
     interaction: str = "fixed"
+    tests: tuple[FactorTest, ...] = ()
 
     def to_text(self) -> str:
         lines = [f"null calibration over {self.n_datasets} datasets, n_mc = {self.cfg.n_mc}"]
         if self.interaction == "random":
-            against = ", ".join(f"{name} against {SOP_NAMES[den]}" for name, _, den in factor_tests(self.interaction))
+            against = ", ".join(f"{t.name} against {t.against}" for t in self.tests)
             lines[0] += f", interaction = random ({against})"
         for factor, res in self.results.items():
             rates = "  ".join(f"@{lvl:g}: {rate:.4f}" for lvl, rate in res.rejection_rates.items())
@@ -293,8 +285,8 @@ def null_calibration(
 ) -> CalibrationSummary:
     """Self-check of the three-factor battery on simulated tables.
 
-    Simulates ``n_datasets`` tables from ``spec``, runs the full battery of
-    ``interaction`` (:func:`~wishartmix.manova.factor_tests`) on each, and
+    Simulates ``n_datasets`` tables from ``spec``, runs the tests of
+    :func:`~wishartmix.manova.factor_tests` for ``interaction`` on each, and
     summarizes the per-factor p-value samples: empirical rejection
     rates at the nominal levels ``(0.01, 0.05, 0.10)`` and a KS test against
     the exact null law of a sequential p-value (:func:`_value_below`), which
@@ -315,26 +307,25 @@ def null_calibration(
     """
     rng = _as_stream(rng, "null_calibration")
     n_datasets = _count(n_datasets, "n_datasets", 0)
-    tests = factor_tests(interaction)
-    dofs = _test_dofs(spec.levels_a, spec.levels_b, spec.reps, spec.dim, interaction)
+    tests = factor_tests(spec.levels_a, spec.levels_b, spec.reps, spec.dim, interaction)
     if n_datasets == 0:
-        return CalibrationSummary(0, cfg, {}, interaction)
+        return CalibrationSummary(0, cfg, {}, interaction, tests)
     _warn_if_coarse(cfg.n_mc)
 
-    ests: dict[str, list[PValueEstimate]] = {factor: [] for factor, _, _ in tests}
+    ests: dict[str, list[PValueEstimate]] = {t.name: [] for t in tests}
 
     for chunk_idx, done, m in _chunk_spans(n_datasets, _DATASET_CHUNK):
         with np.errstate(over="ignore", invalid="ignore"):
             sops = sop_arrays(simulate_design(spec, rng.generator(0, chunk_idx), size=m))
         if not np.isfinite(sops).all():
             raise ValidationError("the simulated responses overflow the sum of outer products; rescale the covariances")
-        for factor, num, den in tests:
-            observed = scalar_statistic(batched_statistic_eigs(sops[num], sops[den]), cfg.functional)
-            params = BetaIIParams(dofs[num], dofs[den], spec.dim)
+        for t, eigs in zip(tests, statistic_eigs(sops, tests)):
+            observed = scalar_statistic(eigs, cfg.functional)
+            params = BetaIIParams(t.dof_num, t.dof_den, spec.dim)
             null_stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
             gens = [null_stream.generator(done + i) for i in range(m)]
             g, k = _null_counts(params, gens, cfg.n_mc, cfg.functional, observed)
-            ests[factor] += [_estimate(*count, cfg.n_mc) for count in zip(g.tolist(), k.tolist())]
+            ests[t.name] += [_estimate(*count, cfg.n_mc) for count in zip(g.tolist(), k.tolist())]
 
     results = {}
     for factor, values in ests.items():
@@ -342,4 +333,4 @@ def null_calibration(
         rates = {lvl: float(np.mean(p <= lvl)) for lvl in CALIBRATION_LEVELS}
         ks_stat = _ks_distance(p, np.array([_value_below(est) for est in values]))
         results[factor] = FactorCalibration(p, rates, ks_stat, min(1.0, 2.0 * math.exp(-2.0 * n_datasets * ks_stat**2)))
-    return CalibrationSummary(n_datasets, cfg, results, interaction)
+    return CalibrationSummary(n_datasets, cfg, results, interaction, tests)

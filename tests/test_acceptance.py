@@ -38,7 +38,7 @@ from wishartmix import (
 )
 from wishartmix.cli import EXIT_OK, main
 from wishartmix.closure import VERIFY_ALPHA, MixtureSpec
-from wishartmix.manova import batched_statistic_eigs, dof_map
+from wishartmix.manova import batched_statistic_eigs, factor_tests
 from conftest import random_psd, random_spd
 
 RATE_BAND = (0.032, 0.071)  # binomial 99% band around 5% at 500 datasets
@@ -272,14 +272,15 @@ class TestAcceptance:
         spec = SimulationSpec(5, 6, 5, 1, SpdMat(1.0))
         tables = simulate_design(spec, RngStream(1001), size=500)
         sops = sop_arrays(tables)
-        dofs = dof_map(5, 6, 5)
+        tests = factor_tests(5, 6, 5, 1)
+        nu_e = tests[0].dof_den
         numerators = dict(zip(("A", "B", "AB"), sops[:3]))
-        nu_x = dict(zip(("A", "B", "AB"), (dofs.nu_a, dofs.nu_b, dofs.nu_ab)))
+        nu_x = {t.name: t.dof_num for t in tests}
         sop_e = sops[3]
         min_ks_p = 1.0
         for factor in ("A", "B", "AB"):
-            f_stats = (numerators[factor][:, 0, 0] / nu_x[factor]) / (sop_e[:, 0, 0] / dofs.nu_e)
-            pvals = stats.f.sf(f_stats, nu_x[factor], dofs.nu_e)
+            f_stats = (numerators[factor][:, 0, 0] / nu_x[factor]) / (sop_e[:, 0, 0] / nu_e)
+            pvals = stats.f.sf(f_stats, nu_x[factor], nu_e)
             rate = float(np.mean(pvals <= 0.05))
             ks_p = float(stats.kstest(pvals, "uniform").pvalue)
             assert RATE_BAND[0] <= rate <= RATE_BAND[1], (factor, rate)
@@ -287,7 +288,7 @@ class TestAcceptance:
             min_ks_p = min(min_ks_p, ks_p)
 
             eigs = batched_statistic_eigs(numerators[factor], sop_e)[:, 0]
-            identity_err = np.max(np.abs(eigs - (nu_x[factor] / dofs.nu_e) * f_stats) / eigs)
+            identity_err = np.max(np.abs(eigs - (nu_x[factor] / nu_e) * f_stats) / eigs)
             assert identity_err < 1e-10
         print(
             f"ACCEPTANCE 10 PASS: univariate F calibration (min KS p {min_ks_p:.3f}) and "

@@ -33,7 +33,7 @@ from wishartmix import (
     subsample_balanced,
 )
 from wishartmix import design_io
-from wishartmix.manova import FACTOR_TESTS, _exact_pvalue, batched_statistic_eigs, dof_map, sop_arrays
+from wishartmix.manova import _exact_pvalue, batched_statistic_eigs, factor_tests, sop_arrays
 
 
 def write_csv(path, rows, header="factor_a,factor_b,r1,r2"):
@@ -352,10 +352,10 @@ class TestRunReport:
         import wishartmix.design_io as design_io_mod
 
         table = DesignTable(RngStream(6).generator().standard_normal((3, 4, 3, 1)))
-        dofs = dof_map(table.levels_a, table.levels_b, table.reps)
         sops = sop_arrays(table.responses)
         expected = [
-            _exact_pvalue(batched_statistic_eigs(sops[num], sops[den]), dofs[num], dofs[den]) for _, num, den in FACTOR_TESTS
+            _exact_pvalue(batched_statistic_eigs(sops[t.num], sops[t.den]), t.dof_num, t.dof_den)
+            for t in factor_tests(table.levels_a, table.levels_b, table.reps, table.dim)
         ]
         calls = []
 

@@ -27,7 +27,7 @@ from wishartmix import (
     UnsupportedDof,
     WishartParams,
     beta2_eigenvalues,
-    dof_map,
+    factor_tests,
     null_calibration,
     sample_beta2,
     sample_hierarchical,
@@ -101,7 +101,7 @@ class TestParams:
         with pytest.raises(ValueError, match="rows"):
             MatrixNormalParams(1.9, 0.0, SIGMA_2D)
         with pytest.raises(ValueError, match="a must"):
-            dof_map(5.7, 3, 3)
+            factor_tests(5.7, 3, 3, 1)
         with pytest.raises(ValueError, match="n_mc"):
             McConfig(n_mc=2500.7)
         with pytest.raises(ValueError, match="levels_a"):
@@ -148,7 +148,9 @@ class TestParams:
         # Integral floats, as parsed from JSON, are accepted and stored as ints.
         assert BetaIIParams(4.0, 10.0, dim=2.0).dim == 2
         assert MatrixNormalParams(2.0, 0.0, SIGMA_2D).rows == 2
-        assert dof_map(5.0, 3.0, 3.0) == (4, 2, 8, 30)
+        tests = factor_tests(5.0, 3.0, 3.0, 1)
+        assert [(t.dof_num, t.dof_den) for t in tests] == [(4, 30), (2, 30), (8, 30)]
+        assert {type(v) for t in tests for v in (t.dof_num, t.dof_den)} == {int}
         assert type(McConfig(n_mc=2500.0).n_mc) is int
         assert McConfig(n_mc=10**400).n_mc == 10**400  # ints never pass through float
         spec = SimulationSpec(3.0, 3.0, 2.0, 2.0, SIGMA_2D)

@@ -27,7 +27,7 @@ from wishartmix import (
     SpdMat,
     StatisticFunctional,
     UnbalancedDesign,
-    dof_map,
+    factor_tests,
     run_report,
     sample_beta2,
     scalar_statistic,
@@ -37,12 +37,22 @@ from wishartmix import (
     wishart_mean,
     WishartParams,
 )
-from wishartmix import manova
-from wishartmix.manova import FACTOR_TESTS, DofMap, _exact_pvalue, _test_dofs, batched_statistic_eigs, factor_tests
+from wishartmix.manova import _exact_pvalue, batched_statistic_eigs, statistic_eigs
 from wishartmix.symmat import _mirror_upper, sym_inv_sqrt
 from conftest import random_spd
 
 EYE2 = SpdMat(np.eye(2))
+
+# The two batteries written out, each test as (name, numerator, denominator, denominator name).
+LITERAL_TESTS = {
+    "fixed": (("A", 0, 3, "E"), ("B", 1, 3, "E"), ("AB", 2, 3, "E")),
+    "random": (("A", 0, 2, "AB"), ("B", 1, 2, "AB"), ("AB", 2, 3, "E")),
+}
+
+
+def literal_dofs(a: int, b: int, n: int) -> tuple[int, int, int, int]:
+    """The dofs of the four SOPs, written out: ``(a - 1, b - 1, (a - 1)(b - 1), ab(n - 1))``."""
+    return a - 1, b - 1, (a - 1) * (b - 1), a * b * (n - 1)
 
 
 def brute_force_sop(y: np.ndarray) -> list[np.ndarray]:
@@ -219,6 +229,67 @@ class TestStatisticEigs:
             np.testing.assert_allclose(batched[m], single, rtol=1e-9, atol=1e-12)
 
 
+class TestDenominatorScale:
+    """A denominator SOP is singular relative to the total SOP, not to itself."""
+
+    SHAPE = (4, 3, 3, 2)
+
+    def tables(self):
+        """Replicates identical per cell; exactly additive cell means; cell means all 0."""
+        gen = RngStream(70).generator()
+        a, b, n, d = self.SHAPE
+        noise = gen.standard_normal(self.SHAPE)
+        within = noise - noise.mean(axis=2, keepdims=True)
+        identical = np.broadcast_to(gen.standard_normal((a, b, 1, d)), self.SHAPE)
+        additive = gen.standard_normal((a, 1, 1, d)) + gen.standard_normal((1, b, 1, d)) + within
+        return identical, additive, within
+
+    def test_rounding_noise_denominators_rejected(self):
+        identical, additive, centred = self.tables()
+        cfg = McConfig(n_mc=1000, seed=0)
+        message = r"^denominator SOP {} is singular: smallest eigenvalue \S+ is at most 1e-12 \* \S+, the largest eigenvalue of the total SOP$"
+        for y, mode, den in ((identical, "fixed", "E"), (identical, "random", "E"), (additive, "random", "AB"), (centred, "random", "AB")):
+            sops = sop_arrays(y)
+            # the denominator's own largest eigenvalue is rounding noise too, so the pair test passes it
+            batched_statistic_eigs(sops[0], sops[{"AB": 2, "E": 3}[den]])
+            with pytest.raises(SingularErrorMatrix, match=message.format(den)):
+                run_report(DesignTable(y), cfg, interaction=mode)
+        # E is full rank in both, so the fixed-mode tests stand.
+        for y in (additive, centred):
+            run_report(DesignTable(y), cfg)
+
+    def test_constant_responses_give_zero_statistics_first(self):
+        for mode in ("fixed", "random"):
+            report = run_report(DesignTable(np.full(self.SHAPE, 5.0)), McConfig(n_mc=1000, seed=1), interaction=mode)
+            assert [(fr.observed, fr.p.p_hat) for fr in report.factors] == [(0.0, 1.0)] * 3
+
+    def test_stack_rejected_if_any_table_is_singular(self, gen):
+        y = gen.standard_normal((5, *self.SHAPE))
+        tests = factor_tests(*self.SHAPE, "random")
+        sops = sop_arrays(y)
+        for t, eigs in zip(tests, statistic_eigs(sops, tests)):
+            assert np.array_equal(eigs, batched_statistic_eigs(sops[t.num], sops[t.den]))
+        y[3] = self.tables()[2]
+        with pytest.raises(SingularErrorMatrix, match="^denominator SOP AB is singular"):
+            statistic_eigs(sop_arrays(y), tests)
+
+    def test_report_and_calibration_share_the_check(self, monkeypatch):
+        import wishartmix.design_io as design_io_mod
+        import wishartmix.mc as mc_mod
+
+        calls = []
+
+        def counting(sops, tests):
+            calls.append(np.shape(sops[0]))
+            return statistic_eigs(sops, tests)
+
+        monkeypatch.setattr(design_io_mod, "statistic_eigs", counting)
+        monkeypatch.setattr(mc_mod, "statistic_eigs", counting)
+        run_report(DesignTable(RngStream(71).generator().standard_normal(self.SHAPE)), McConfig(n_mc=1000))
+        mc_mod.null_calibration(SimulationSpec(*self.SHAPE, EYE2), 300, McConfig(n_mc=1000), RngStream(72))
+        assert calls == [(2, 2), (256, 2, 2), (44, 2, 2)]
+
+
 class TestScalarStatistic:
     def test_null_point(self):
         eigs = np.zeros(3)
@@ -255,33 +326,45 @@ class TestScalarStatistic:
 
 
 class TestDofMap:
+    """The dofs that :func:`factor_tests` gives each test."""
+
     def test_reference_designs(self):
-        assert tuple(dof_map(5, 6, 5)) == (4, 5, 20, 120)
-        assert tuple(dof_map(5, 7, 3)) == (4, 6, 24, 70)
-        assert tuple(dof_map(2, 2, 2)) == (1, 1, 1, 4)
+        for (a, b, n), expected in (((5, 6, 5), (4, 5, 20, 120)), ((5, 7, 3), (4, 6, 24, 70)), ((2, 2, 2), (1, 1, 1, 4))):
+            tests = factor_tests(a, b, n, 1)
+            assert [t.dof_num for t in tests] == list(expected[:3])
+            assert [t.dof_den for t in tests] == [expected[3]] * 3
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            dof_map(1, 3, 2)
+            factor_tests(1, 3, 2, 1)
         with pytest.raises(DegenerateDesign):
-            dof_map(3, 3, 1)
+            factor_tests(3, 3, 1, 1)
 
     @given(a=st.integers(2, 8), b=st.integers(2, 8), n=st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
     def test_dofs_partition_total(self, a, b, n):
-        dofs = dof_map(a, b, n)
-        assert dofs.nu_a + dofs.nu_b + dofs.nu_ab + dofs.nu_e == a * b * n - 1
+        fixed = factor_tests(a, b, n, 1)
+        dofs = (*(t.dof_num for t in fixed), fixed[2].dof_den)
+        assert dofs == literal_dofs(a, b, n)
+        assert sum(dofs) == a * b * n - 1
 
 
 class TestInteractionModes:
-    def test_batteries(self):
-        assert factor_tests("fixed") == FACTOR_TESTS == (("A", 0, 3), ("B", 1, 3), ("AB", 2, 3))
-        assert factor_tests("random") == (("A", 0, 2), ("B", 1, 2), ("AB", 2, 3))
+    @given(a=st.integers(2, 8), b=st.integers(2, 8), n=st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_batteries(self, a, b, n):
+        # The denominators derived from the expected mean squares are the written-out ones, in both modes.
+        dofs = literal_dofs(a, b, n)
+        for mode, literal in LITERAL_TESTS.items():
+            derived = factor_tests(a, b, n, 1, mode)
+            assert [(t.name, t.num, t.den, t.against) for t in derived] == list(literal)
+            assert [(t.dof_num, t.dof_den) for t in derived] == [(dofs[num], dofs[den]) for _, num, den, _ in literal]
+        assert factor_tests(a, b, n, 1) == factor_tests(a, b, n, 1, "fixed")
 
     def test_unknown_mode_raises(self):
         message = "interaction must be 'fixed' or 'random', got 'mixed'"
         with pytest.raises(ValueError, match=message):
-            factor_tests("mixed")
+            factor_tests(3, 3, 2, 1, "mixed")
         with pytest.raises(ValueError, match=message):
             run_report(DesignTable(np.zeros((3, 3, 2, 1))), McConfig(n_mc=1000), interaction="mixed")
 
@@ -292,23 +375,27 @@ class TestInteractionModes:
         outcomes = []
         for interaction in ("fixed", "random"):
             try:
-                outcomes.append(tuple(_test_dofs(a, b, n, dim, interaction)))
+                outcomes.append(tuple(t.dof_num for t in factor_tests(a, b, n, dim, interaction)))
             except DegenerateDesign as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
 
-    def test_denominator_is_checked_and_names_the_mode(self, monkeypatch):
-        # No balanced design has nu_AB < nu_A; a stand-in dof map shows the denominator check,
-        # which in random mode meets AB's dof as A's denominator, before AB's own test.
-        monkeypatch.setattr(manova, "dof_map", lambda a, b, n: DofMap(3, 3, 1, 20))
-        with pytest.raises(DegenerateDesign, match="^factor AB has 1 degrees of freedom"):
-            _test_dofs(4, 4, 3, 2, "fixed")
+    @given(a=st.integers(2, 12), b=st.integers(2, 12), n=st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_denominator_has_at_least_the_numerator_dof(self, a, b, n):
+        # Why factor_tests checks only the numerator's dof: its denominator's is never smaller.
+        for mode in LITERAL_TESTS:
+            for t in factor_tests(a, b, n, 1, mode):
+                assert t.dof_den >= t.dof_num, (mode, t)
+
+    def test_numerator_dof_message(self):
         message = (
-            "factor A is tested against AB (interaction = 'random'), whose 1 degrees of freedom "
-            "cannot support a 2-dimensional statistic"
+            "factor A has 2 degrees of freedom, which cannot support a 3-dimensional statistic "
+            "(need more factor levels or fewer responses)"
         )
-        with pytest.raises(DegenerateDesign, match=re.escape(message)):
-            _test_dofs(4, 4, 3, 2, "random")
+        for mode in LITERAL_TESTS:
+            with pytest.raises(DegenerateDesign, match=f"^{re.escape(message)}$"):
+                factor_tests(3, 5, 2, 3, mode)
 
 
 class TestUnivariateFTest:
@@ -317,8 +404,8 @@ class TestUnivariateFTest:
         """Factor A's ``F`` statistic, read off its eigenvalue, and exact p-value in a report on ``y``."""
         fr = run_report(DesignTable(y), McConfig(n_mc=1000, seed=0)).factors[0]
         assert fr.name == "A"
-        dofs = dof_map(*y.shape[:3])
-        return fr.eigenvalues[0] * dofs.nu_e / dofs.nu_a, fr.p_exact
+        nu_a, _, _, nu_e = literal_dofs(*y.shape[:3])
+        return fr.eigenvalues[0] * nu_e / nu_a, fr.p_exact
 
     def test_zero_statistic_has_pvalue_one(self):
         y = np.zeros((2, 2, 2, 1))
@@ -340,9 +427,9 @@ class TestUnivariateFTest:
         spec = SimulationSpec(5, 6, 5, 1, SpdMat(1.0))
         tables = simulate_design(spec, RngStream(50), size=500)
         sop_a, _, _, sop_e = sop_arrays(tables)
-        dofs = dof_map(5, 6, 5)
-        f = (sop_a[:, 0, 0] / dofs.nu_a) / (sop_e[:, 0, 0] / dofs.nu_e)
-        p = stats.f.sf(f, dofs.nu_a, dofs.nu_e)
+        nu_a, _, _, nu_e = literal_dofs(5, 6, 5)
+        f = (sop_a[:, 0, 0] / nu_a) / (sop_e[:, 0, 0] / nu_e)
+        p = stats.f.sf(f, nu_a, nu_e)
         assert stats.kstest(p, "uniform").pvalue > 0.01
 
     def test_pvalue_is_scipy_f_sf(self):
@@ -363,9 +450,9 @@ class TestUnivariateFTest:
     def test_report_pvalue_is_scipy_f_sf_for_every_functional(self, functional):
         table = DesignTable(RngStream(8).generator().standard_normal((3, 4, 3, 1)))
         sops = sop_arrays(table.responses)
-        dofs = dof_map(3, 4, 3)
+        dofs = literal_dofs(3, 4, 3)
         report = run_report(table, McConfig(n_mc=1000, seed=2, functional=functional))
-        for fr, (_, num, den) in zip(report.factors, FACTOR_TESTS):
+        for fr, (_, num, den, _) in zip(report.factors, LITERAL_TESTS["fixed"]):
             f_ratio = (sops[num][0, 0] / dofs[num]) / (sops[den][0, 0] / dofs[den])
             assert fr.p_exact == pytest.approx(float(stats.f.sf(f_ratio, dofs[num], dofs[den])), rel=1e-12, abs=0.0)
 
@@ -375,7 +462,7 @@ class TestUnivariateFTest:
         spec = SimulationSpec(4, 5, 3, 1, SpdMat(1.0), effect_ab=RandomEffect(SpdMat(2.0)))
         table = simulate_design(spec, RngStream(31))
         sops = sop_arrays(table.responses)
-        dofs = dof_map(4, 5, 3)
+        dofs = literal_dofs(4, 5, 3)
         report = run_report(table, McConfig(n_mc=1000, seed=2, functional=functional), interaction="random")
         for fr, (num, den) in zip(report.factors, ((0, 2), (1, 2), (2, 3))):
             f_ratio = (sops[num][0, 0] / dofs[num]) / (sops[den][0, 0] / dofs[den])
@@ -387,9 +474,9 @@ class TestUnivariateFTest:
         # F(nu_A, nu_AB); the ratio against SOP_E is not F(nu_A, nu_E) and over-rejects.
         spec = SimulationSpec(5, 6, 3, 1, SpdMat(1.0), effect_ab=RandomEffect(SpdMat(1.0)))
         sop_a, _, sop_ab, sop_e = sop_arrays(simulate_design(spec, RngStream(51), size=500))
-        dofs = dof_map(5, 6, 3)
-        p_random = stats.f.sf((sop_a[:, 0, 0] / dofs.nu_a) / (sop_ab[:, 0, 0] / dofs.nu_ab), dofs.nu_a, dofs.nu_ab)
-        p_fixed = stats.f.sf((sop_a[:, 0, 0] / dofs.nu_a) / (sop_e[:, 0, 0] / dofs.nu_e), dofs.nu_a, dofs.nu_e)
+        nu_a, _, nu_ab, nu_e = literal_dofs(5, 6, 3)
+        p_random = stats.f.sf((sop_a[:, 0, 0] / nu_a) / (sop_ab[:, 0, 0] / nu_ab), nu_a, nu_ab)
+        p_fixed = stats.f.sf((sop_a[:, 0, 0] / nu_a) / (sop_e[:, 0, 0] / nu_e), nu_a, nu_e)
         assert stats.kstest(p_random, "uniform").pvalue > 0.01
         assert stats.kstest(p_fixed, "uniform").pvalue < 1e-6
 
@@ -401,12 +488,12 @@ class TestUnivariateFTest:
 
 
 class TestSimulationSpecValidation:
-    def test_levels_named_like_dof_map(self):
+    def test_levels_named_like_factor_tests(self):
         message = "both factors need at least two levels, got a=1, b=2"
         with pytest.raises(ValueError, match=message):
             SimulationSpec(1, 2, 2, 1, SpdMat(1.0))
         with pytest.raises(ValueError, match=message):
-            dof_map(1, 2, 2)
+            factor_tests(1, 2, 2, 1)
 
     def test_fixed_effect_constraints_enforced(self):
         with pytest.raises(ValueError):
@@ -487,8 +574,8 @@ class TestSimulateDesign:
         sim_stats = scalar_statistic(
             batched_statistic_eigs(sop_a, sop_e), StatisticFunctional.HOTELLING_LAWLEY
         )
-        dofs = dof_map(3, 3, 2)
-        direct = sample_beta2(BetaIIParams(dofs.nu_a, dofs.nu_e, 2), RngStream(55), size=100_000)
+        nu_a, _, _, nu_e = literal_dofs(3, 3, 2)
+        direct = sample_beta2(BetaIIParams(nu_a, nu_e, 2), RngStream(55), size=100_000)
         direct_stats = np.trace(direct, axis1=1, axis2=2)
         assert abs(sim_stats.mean() - direct_stats.mean()) / direct_stats.mean() < 0.02
 

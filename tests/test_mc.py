@@ -386,19 +386,19 @@ def _per_dataset_pvalues(spec, n_datasets, cfg, rng, functionals):
 
     One null draw per dataset and factor is shared by all ``functionals``.
     """
-    from wishartmix.manova import batched_statistic_eigs, dof_map, simulate_design, sop_arrays
+    from wishartmix.manova import batched_statistic_eigs, simulate_design, sop_arrays
     from wishartmix.mc import _DATASET_CHUNK, _null_stream
 
     factors = ("A", "B", "AB")
-    dofs = dof_map(spec.levels_a, spec.levels_b, spec.reps)
-    dof1 = dict(zip(factors, (dofs.nu_a, dofs.nu_b, dofs.nu_ab)))
+    a, b, n = spec.levels_a, spec.levels_b, spec.reps
+    dof1, nu_e = dict(zip(factors, (a - 1, b - 1, (a - 1) * (b - 1)))), a * b * (n - 1)
     pvals = {(f, fn): [] for f in factors for fn in functionals}
     for chunk, done in enumerate(range(0, n_datasets, _DATASET_CHUNK)):
         m = min(_DATASET_CHUNK, n_datasets - done)
         sops = sop_arrays(simulate_design(spec, rng.generator(0, chunk), size=m))
         for factor, sop in zip(factors, sops):
             eigs_obs = batched_statistic_eigs(sop, sops[3])
-            params = BetaIIParams(dof1[factor], dofs.nu_e, spec.dim)
+            params = BetaIIParams(dof1[factor], nu_e, spec.dim)
             stream = _null_stream(cfg.seed, params.dof1, params.dof2, params.dim)
             for i in range(m):
                 eigs_null = _null_eigenvalues(params, stream.generator(done + i), cfg.n_mc)

@@ -19,7 +19,9 @@ draws, once at a cap of 200,000, where factor A's strong effect keeps its
 count short of 40 extreme draws, so it draws all 200,000 in doubling
 batches that reach the 65,536-draw batch cap (the null factors stop early), once on a
 square design (A and B share one null set), once on responses near 1e200,
-whose SOPs overflow (exit 2), and twice
+whose SOPs overflow (exit 2), once on replicates identical within each cell
+(``E`` is zero up to rounding, exit 2), once with ``--interaction random``
+on responses centred within each cell (``AB`` is, exit 2), and twice
 on a CSV of 1,020 records that spans several ingest blocks, with quoted
 labels, blank lines, CRLF line endings and short rows: once clean and once
 with an unparseable value in record 651 (exit 2);
@@ -92,6 +94,18 @@ def write_overflow_csv(path: Path) -> None:
     path.write_text("factor_a,factor_b,y1\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
 
+def write_degenerate_csv(path: Path, centred: bool) -> None:
+    """A 5 x 4 design with 5 rows per cell, responses ``y1,y2``, identical within each cell or, ``centred``, averaging to 0 in each."""
+    gen = np.random.default_rng(10)
+    lines = ["factor_a,factor_b,y1,y2"]
+    for i in range(LEVELS_A):
+        for j in range(LEVELS_B):
+            y = gen.standard_normal((ROWS_PER_CELL, 2))
+            y = y - y.mean(axis=0) if centred else np.broadcast_to(y[0], y.shape)
+            lines += [f"a{i},b{j}," + ",".join(repr(float(v)) for v in row) for row in y]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_messy_csv(path: Path, bad_record: int | None = None) -> None:
     """A 3 x 4 design of 1,020 records, responses ``y1,y2``, in the forms spreadsheets export.
 
@@ -116,12 +130,14 @@ def write_messy_csv(path: Path, bad_record: int | None = None) -> None:
 
 
 def write_inputs() -> None:
-    """The design CSVs (one overflowing), the ``--sigma`` matrix file and the ``sample`` parameter files, under ``inputs/``."""
+    """The design CSVs (one overflowing, two with a zero denominator SOP), the ``--sigma`` matrix file and the ``sample`` parameter files, under ``inputs/``."""
     Path("inputs").mkdir(exist_ok=True)
     for dim in (1, 2, 3):
         write_design_csv(Path(f"inputs/design_d{dim}.csv"), dim, seed=dim)
     write_design_csv(Path("inputs/design_square_d2.csv"), 2, seed=7, levels_a=LEVELS_B)
     write_overflow_csv(Path("inputs/overflow_d1.csv"))
+    write_degenerate_csv(Path("inputs/identical_d2.csv"), centred=False)
+    write_degenerate_csv(Path("inputs/centred_d2.csv"), centred=True)
     write_messy_csv(Path("inputs/messy_d2.csv"))
     write_messy_csv(Path("inputs/messy_bad_d2.csv"), bad_record=650)
     Path("inputs/sigma_d2.txt").write_text("2\n2.0 0.5\n0.5 1.0\n", encoding="utf-8")
@@ -166,6 +182,12 @@ def runs() -> list[tuple[str, list[str]]]:
     ]))
     out.append(("manova-messy-bad", ["manova", "--input", "inputs/messy_bad_d2.csv", "--responses", "y1,y2", "--n-per-cell", "4"]))
     out.append(("manova-overflow", ["manova", "--input", "inputs/overflow_d1.csv", "--responses", "y1", "--n-per-cell", "3"]))
+    out.append(("manova-identical-replicates", [
+        "manova", "--input", "inputs/identical_d2.csv", "--responses", "y1,y2", "--n-per-cell", "3",
+    ]))
+    out.append(("manova-random-cell-centred", [
+        "manova", "--input", "inputs/centred_d2.csv", "--responses", "y1,y2", "--n-per-cell", "5", "--interaction", "random",
+    ]))
     verify = [
         ("verify-central", ["--dim", "3", "--dof", "5", "--n-draws", "20000", "--central", "--specs", "2"]),
         ("verify-noncentral", ["--dim", "2", "--dof", "4", "--n-draws", "20000", "--specs", "2"]),
