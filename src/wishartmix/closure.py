@@ -11,10 +11,15 @@ in chunks, and never stored; three checks form one Bonferroni family at
 level :data:`VERIFY_ALPHA` per report:
 
 * distribution — for each ``a`` in ``{e_i, e_i + e_j}``, ``a'Xa / a'Va`` is
-  exactly ``chi^2_dof(a'Delta a / a'Va)``; the empirical CDF of ``a'Xa`` is
-  compared with ``k / 1000`` at the exact quantiles, and the largest gap is
-  bounded by the DKW-Massart ``eps = sqrt(ln(2 m / alpha) / (2 n))`` over
-  the ``m`` checks of the report;
+  exactly ``chi^2_dof(lambda)`` with ``lambda = a'Delta a / a'Va``; the
+  empirical CDF of ``a'Xa / a'Va`` is compared with the exact CDF at 999
+  points fixed before any draw, Patnaik's (1949) ``c chi^2_h`` quantiles at
+  ``k / 1000`` (``c = (dof + 2 lambda) / (dof + lambda)``,
+  ``h = (dof + lambda)^2 / (dof + 2 lambda)``, the exact quantiles when
+  ``lambda = 0``), and the largest gap is bounded by the DKW-Massart
+  ``eps = sqrt(ln(2 m / alpha) / (2 n))`` over the ``m`` checks of the
+  report, which holds over any set of points that does not depend on the
+  draws;
 * mean — each upper entry's empirical mean lies within ``z`` closed-form
   standard errors ``sqrt(Var X_ij / n)`` of ``dof V + Delta``;
 * MGF — at each probe ``T``, ``mean etr(T X)`` lies within ``z`` standard
@@ -86,8 +91,8 @@ MIN_VERIFY_DRAWS = 10_000
 # probability at most ``VERIFY_ALPHA``.
 VERIFY_ALPHA = 1e-6
 
-# The CDF check evaluates each projection at the exact quantiles of the
-# levels ``k / _GRID_POINTS``, ``0 < k < _GRID_POINTS``.
+# The CDF check evaluates each projection at ``_GRID_POINTS - 1`` points,
+# Patnaik's quantiles of the levels ``k / _GRID_POINTS``, ``0 < k < _GRID_POINTS``.
 _GRID_POINTS = 1000
 
 # Draws per verification chunk.  Small chunks keep the chunk temporaries,
@@ -286,20 +291,22 @@ def check_law(
     ``_VERIFY_CHUNK`` from the child streams ``rng.generator(1, k)``, and
     are not kept; a chunk of more draws than ``per_draw`` allows in one
     batch (see :func:`~wishartmix.distributions._batch`) is drawn in
-    batches.  Every array of a chunk (normals, factors, entry columns,
+    batches.  Every array of a chunk (normals, factors, entry rows,
     projections, ``etr(T X)``) is written into one
     :class:`~wishartmix.distributions._Workspace` allocated for the call,
     so memory freed after one chunk is not faulted in again for the
-    next.  The CDF grid, ``chndtrix`` at the levels ``k / 1000`` times
-    ``a'Va``, is set before any draw; each chunk's projections are sorted
-    and counted against it with ``searchsorted``.
+    next; the Gram entries are ``(entries, size)`` rows, one contiguous
+    row per entry, so every reduction runs along rows.  The CDF grid, the
+    Patnaik points times ``a'Va``, is set before any draw, and its levels
+    are the exact CDF ``chndtr`` at those points; each chunk's projections
+    are sorted and counted against the grid with ``searchsorted``.
     The mean bound uses ``Var X_ij = dof (V_ii V_jj + V_ij^2) + V_ii
     Delta_jj + V_jj Delta_ii + 2 V_ij Delta_ij``; the zero probe has error
     and bound 0.  The probes are :func:`default_probes` of the law's scale.
     A ``law`` other than the one ``source`` follows makes a negative
     control: ``check_law(_hierarchical_factor(spec), wrong_law, n, rng)``.
     """
-    from scipy.special import chndtrix, ndtri
+    from scipy.special import chdtri, chndtr, ndtri
 
     rng = _as_stream(rng, "check_law")
     n = _count(n_draws, "n_draws")
@@ -314,15 +321,18 @@ def check_law(
     m = iu.size
     off = np.where(iu == ju, 1.0, 2.0)
     # tr(T X) over the upper entries: T_ij X_ij, twice off the diagonal.
-    etr_weights = np.array([t.array[iu, ju] for t in probes]).T * off[:, None]
+    etr_weights = np.array([t.array[iu, ju] for t in probes]) * off
     # Projection p is a = e_i + e_j for entry (i, j), a = e_i on the diagonal;
     # a'Xa is the upper entries weighted a_k a_l, twice off the diagonal.
     a = np.zeros((m, dim))
     a[np.arange(m), iu] = a[np.arange(m), ju] = 1.0
     proj_weights = a[:, iu] * a[:, ju] * off
     a_scale = np.einsum("pi,ij,pj->p", a, v, a)
-    levels = np.arange(1, _GRID_POINTS) / _GRID_POINTS
-    grid = chndtrix(levels, dof, (np.einsum("pi,ij,pj->p", a, delta, a) / a_scale)[:, None]) * a_scale[:, None]
+    lam = (np.einsum("pi,ij,pj->p", a, delta, a) / a_scale)[:, None]
+    # Patnaik's c chi^2_h has the first two moments of chi^2_dof(lam), so its k / 1000 quantiles sit near the law's.
+    c, h = (dof + 2 * lam) / (dof + lam), (dof + lam) ** 2 / (dof + 2 * lam)
+    points = c * chdtri(h, 1 - np.arange(1, _GRID_POINTS) / _GRID_POINTS)
+    levels, grid = chndtr(points, dof, lam), points * a_scale[:, None]
 
     checks = 2 * m + len(probes)
     eps = math.sqrt(math.log(2 * checks / VERIFY_ALPHA) / (2 * n))
@@ -337,13 +347,13 @@ def check_law(
     etr_sums = np.zeros(len(probes))
     for k, _, size in _chunk_spans(n, _VERIFY_CHUNK):
         gen = rng.generator(1, k)
-        x = ws("x", (size, m))
+        x = ws("x", (m, size))
         for _, start, b in _chunk_spans(size, _batch(per_draw)):
-            _gram_columns(factor(gen, b, ws), x[start : start + b])
-        sums += x.sum(axis=0)
-        etr = np.matmul(x, etr_weights, out=ws("etr", (size, len(probes))))
-        etr_sums += np.exp(etr, out=etr).sum(axis=0)
-        proj = np.matmul(proj_weights, x.T, out=ws("proj", (m, size)))
+            _gram_columns(factor(gen, b, ws), x[:, start : start + b])
+        sums += x.sum(axis=1)
+        etr = np.matmul(etr_weights, x, out=ws("etr", (len(probes), size)))
+        etr_sums += np.exp(etr, out=etr).sum(axis=1)
+        proj = np.matmul(proj_weights, x, out=ws("proj", (m, size)))
         proj.sort(axis=1)
         for p, col in enumerate(proj):
             counts[p] += np.searchsorted(col, grid[p], "right")

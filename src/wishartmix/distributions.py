@@ -262,28 +262,29 @@ def _upper_pairs(dim: int) -> tuple[tuple[int, int], ...]:
 
 
 def _gram_columns(factor: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Upper-triangle entries of the Grams ``L' L`` of a factor stack, written to the ``(n, entries)`` ``out``.
+    """Upper-triangle entries of the Grams ``L' L`` of a factor stack, written to the ``(entries, n)`` ``out``.
 
-    Columns come in :func:`_upper_pairs` order; entry ``(i, j)`` is
-    ``einsum("nk,nk->n", L[:, :, i], L[:, :, j])``.  This is the one Gram
-    route: :func:`_gram` fills stacks from these columns, and
+    Rows come in :func:`_upper_pairs` order; entry ``(i, j)`` is
+    ``einsum("nk,nk->n", L[:, :, i], L[:, :, j])``, and each is stored
+    contiguously over the draws.  This is the one Gram route: :func:`_gram`
+    fills stacks from these rows, and
     :func:`~wishartmix.closure.check_law` works on them directly.
     """
     for e, (i, j) in enumerate(_upper_pairs(factor.shape[-1])):
-        np.einsum("nk,nk->n", factor[:, :, i], factor[:, :, j], out=out[:, e])
+        np.einsum("nk,nk->n", factor[:, :, i], factor[:, :, j], out=out[e])
     return out
 
 
 def _gram(factor: np.ndarray) -> np.ndarray:
     """Wishart draws ``L' L`` from a stack of factors ``L``.
 
-    Each column of :func:`_gram_columns` is placed at ``[i, j]`` and
+    Each row of :func:`_gram_columns` is placed at ``[i, j]`` and
     ``[j, i]``, so every draw is symmetric bitwise.
     """
     n, dim = factor.shape[0], factor.shape[-1]
     iu, ju = np.triu_indices(dim)
     out = np.empty((n, dim, dim))
-    out[:, iu, ju] = out[:, ju, iu] = _gram_columns(factor, np.empty((n, iu.size)))
+    out[:, iu, ju] = out[:, ju, iu] = _gram_columns(factor, np.empty((iu.size, n))).T
     return out
 
 

@@ -23,8 +23,9 @@ One path each, for one table or a stack: :func:`factor_tests` for the
 tests, :func:`sop_arrays` for the SOPs, :func:`statistic_eigs` for the
 statistics, which rejects a denominator SOP, raising
 :class:`SingularErrorMatrix`, when its smallest eigenvalue is at or below
-``PD_TOL`` times the largest of the total SOP, the relative test that
-:class:`~wishartmix.symmat.SpdMat` uses to certify a matrix positive definite.
+``PD_TOL ** 2`` times the largest of the total SOP.  A SOP is a sum of
+squares, so its rounding noise sits near the square of the relative
+precision of the data, ``eps ** 2`` of the total, not near ``eps``.
 
 Imports: ``scipy.special`` is imported inside :func:`_exact_pvalue`, its one
 user, so importing this module loads no scipy module, and only a ``d = 1``
@@ -269,19 +270,23 @@ def statistic_eigs(sops, tests: tuple[FactorTest, ...]) -> list[np.ndarray]:
     """Statistic eigenvalues ``(..., d)`` of each of ``tests`` (:func:`factor_tests`) on ``sops`` (:func:`sop_arrays`).
 
     Raises :class:`SingularErrorMatrix` when a denominator SOP has its
-    smallest eigenvalue at or below ``PD_TOL`` times the largest eigenvalue
-    of its table's total SOP, the sum of the four.  A denominator that is
-    zero up to rounding, as from identical replicates in every cell, passes
-    a test against its own largest eigenvalue and gives statistics of noise.
+    smallest eigenvalue at or below ``PD_TOL ** 2`` times the largest
+    eigenvalue of its table's total SOP, the sum of the four.  A denominator
+    that is zero up to rounding, as from identical replicates in every cell,
+    passes a test against its own largest eigenvalue and gives statistics of
+    noise.  Squared, because a SOP's rounding noise is a sum of squared
+    rounding errors: such denominators read 1e-33 to 1e-32 of the total.
+    A sound one reads near the squared ratio of noise to effect, so an
+    effect up to some 1e11 noise standard deviations passes.
     """
     top = np.linalg.eigvalsh(sum(sops))[..., -1]
     for den, name in {t.den: t.against for t in tests}.items():
         small = np.linalg.eigvalsh(sops[den])[..., 0]
-        singular = small <= PD_TOL * top
+        singular = small <= PD_TOL**2 * top
         if np.any(singular):
             raise SingularErrorMatrix(
                 f"denominator SOP {name} is singular: smallest eigenvalue {small[singular][0]:.6g} is at most "
-                f"{PD_TOL:g} * {top[singular][0]:.6g}, the largest eigenvalue of the total SOP"
+                f"{PD_TOL**2:g} * {top[singular][0]:.6g}, the largest eigenvalue of the total SOP"
             )
     return [batched_statistic_eigs(sops[t.num], sops[t.den]) for t in tests]
 

@@ -17,3 +17,22 @@ def random_psd(dim: int, gen: np.random.Generator) -> SpdMat:
 @pytest.fixture
 def gen() -> np.random.Generator:
     return RngStream(20260809).generator()
+
+
+@pytest.fixture
+def cdf_calls(monkeypatch) -> list:
+    """``(points, dof, lam, levels)`` of each ``scipy.special.chndtr`` call, as ``check_law`` makes them.
+
+    ``check_law`` imports ``chndtr`` when it runs, so it finds this wrapper.
+    """
+    import scipy.special
+
+    calls, chndtr = [], scipy.special.chndtr
+
+    def recording(x, dof, lam):
+        levels = chndtr(x, dof, lam)
+        calls.append((np.array(x), dof, np.array(lam), levels))
+        return levels
+
+    monkeypatch.setattr(scipy.special, "chndtr", recording)
+    return calls

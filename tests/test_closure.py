@@ -11,6 +11,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import chndtrix
 
 from wishartmix import (
     MixtureSpec,
@@ -31,6 +32,7 @@ from wishartmix import (
     wishart_mgf,
 )
 from wishartmix.closure import CHECKS, MIN_VERIFY_DRAWS, VERIFY_ALPHA, _hierarchical_factor, check_law
+from wishartmix.distributions import _wishart_factor
 from conftest import random_psd, random_spd
 
 # Relative bound on round trips such as ``C^{-1} (C X C) C^{-1} == X``.
@@ -240,6 +242,30 @@ class TestVerifyClosure:
         r1 = verify_closure(spec, 20_000, RngStream(46))
         r2 = verify_closure(spec, 20_000, RngStream(46))
         assert r1 == r2
+
+
+class TestCdfPoints:
+    @pytest.mark.parametrize("dim,dof", [(1, 2.5), (2, 4.0), (3, 6.0)])
+    def test_central_points_are_the_exact_quantiles(self, cdf_calls, dim, dof):
+        # lam = 0 gives c = 1 and h = dof: Patnaik's points are the exact
+        # quantiles of k / 1000, and their levels are k / 1000.
+        law = WishartParams(dof, random_spd(dim, RngStream(47, dim).generator()))
+        check_law(_wishart_factor(law), law, 1_000, RngStream(48))
+        ((points, _, lam, levels),) = cdf_calls
+        k = np.arange(1, 1000) / 1000
+        assert points.shape == levels.shape == (dim * (dim + 1) // 2, 999)
+        assert np.all(lam == 0.0)
+        np.testing.assert_allclose(levels, np.broadcast_to(k, levels.shape), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(points, np.broadcast_to(chndtrix(k, dof, 0.0), points.shape), rtol=1e-9, atol=0.0)
+
+    def test_noncentral_levels_sit_near_k_over_1000(self, cdf_calls):
+        spec = random_mixture_spec(3, 6.0, RngStream(49))
+        law = mixture_marginal_params(spec)
+        check_law(_hierarchical_factor(spec), law, 1_000, RngStream(50))
+        ((points, dof, lam, levels),) = cdf_calls
+        assert dof == law.dof and np.all(lam > 0.0)
+        assert np.all(np.diff(points, axis=1) > 0.0) and np.all(np.diff(levels, axis=1) > 0.0)
+        assert np.abs(levels - np.arange(1, 1000) / 1000).max() < 0.02
 
 
 class TestDefaultProbes:

@@ -9,9 +9,10 @@ The one-sample laws, the noncentral chi-square, the ``d = 1`` Beta Type II
 eigenvalue ``(nu_1 / nu_2) F(nu_1, nu_2)``, the projections ``a'Ba`` of
 ``sample_beta2``'s matrix draws at ``d = 2`` and ``3``, and the ``d = 2``
 null Wilks statistic (from ``mc``'s closed form and from the eigenvalues), are judged
-as ``check_law`` judges a projection: the empirical CDF at the exact
-quantiles of the levels ``k / 1000`` against the DKW-Massart band at
-``VERIFY_ALPHA``, with the same mutation gate (dof + 1, draws x 1.02).
+as ``check_law`` judges a projection, but at the exact quantiles of the
+levels ``k / 1000`` rather than at Patnaik's: the empirical CDF there
+against the DKW-Massart band at ``VERIFY_ALPHA``, with the same mutation
+gate (dof + 1, draws x 1.02).
 """
 
 import math
@@ -105,6 +106,14 @@ def test_wrong_laws_fail(dim):
     for name, bad in wrong.items():
         report = check_law(_hierarchical_factor(spec), bad, 200_000, RngStream(162, dim))
         assert not report.passed, name
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cdf_check_rejects_one_more_dof(dim):
+    # The CDF check on its own, at its Patnaik points, not only the report.
+    source, law = _hierarchical_case(dim, dim + 3.0, 1620 + dim)
+    report = check_law(source, mutations(law)["dof + 1"], N_LAW, RngStream(1621, dim))
+    assert report.worst()["cdf"] > 1.0
 
 
 def test_check_law_rejects_a_generator():

@@ -5,9 +5,9 @@ upper-triangle entry columns (``distributions._gram_columns``).  The stack
 path kept here is the former construction: a batched matmul
 ``swapaxes(L) @ L`` mirrored from its upper triangle, and a
 exact-law check of ``verify_closure`` computed from ``(n, d, d)`` stacks, with
-its quantile grid and normal quantile from ``scipy.stats``.  Both paths
-consume the same streams, so the CDF grid counts (which depend on
-comparisons only) agree bitwise, and the floating-point summaries agree to
+its CDF points, their levels and the normal quantile from ``scipy.stats``.
+Both paths consume the same streams, so the CDF grid counts (which depend on
+comparisons only) agree, and the floating-point summaries agree to
 rounding.
 """
 
@@ -35,7 +35,7 @@ from wishartmix import (
     wishart_mgf,
 )
 from wishartmix.closure import _VERIFY_CHUNK, CHECKS, VERIFY_ALPHA, _hierarchical_factor, check_law
-from wishartmix.distributions import _bartlett_factor, _batch, _draw_stack, _gram, _wishart_factor, _Workspace
+from wishartmix.distributions import _bartlett_factor, _batch, _draw_stack, _gram, _gram_columns, _wishart_factor, _Workspace
 from wishartmix.rng import _chunk_spans
 from wishartmix.symmat import _mirror_upper, sym_sqrt
 
@@ -53,8 +53,12 @@ def stack_draws(source, dim: int, gen: np.random.Generator, n: int) -> np.ndarra
 def stack_check_law(spec, n_draws: int, rng: RngStream):
     """``(errors, bounds)`` of the exact-law check from ``(n, d, d)`` stacks, by check name.
 
-    The quantile grid comes from ``scipy.stats.ncx2``, the projections from
-    ``a' X a`` on each stack, the normal quantile from ``scipy.stats.norm``.
+    Each projection's CDF points are Patnaik's ``c chi^2_h`` quantiles at
+    ``k / 1000`` from ``scipy.stats.chi2``, with ``c`` and ``h`` matching
+    the mean ``dof + lam`` and variance ``2 (dof + 2 lam)`` of
+    ``chi^2_dof(lam)``; their levels come from ``scipy.stats.ncx2``, the
+    projections from ``a' X a`` on each stack, the normal quantile from
+    ``scipy.stats.norm``.
     """
     law = mixture_marginal_params(spec)
     probes = default_probes(law.scale)
@@ -63,9 +67,12 @@ def stack_check_law(spec, n_draws: int, rng: RngStream):
     iu, ju = np.triu_indices(dim)
     a = [np.eye(dim)[i] + (np.eye(dim)[j] if i != j else 0.0) for i, j in zip(iu, ju)]
     a_scale = np.array([u @ v @ u for u in a])
-    levels = np.arange(1, 1000) / 1000
-    grid = [stats.ncx2.ppf(levels, dof, (u @ delta @ u) / s) * s for u, s in zip(a, a_scale)]
-    counts = np.zeros((iu.size, levels.size), dtype=np.int64)
+    noncen = [(u @ delta @ u) / s for u, s in zip(a, a_scale)]
+    quantiles = np.arange(1, 1000) / 1000
+    points = [(dof + 2 * lam) / (dof + lam) * stats.chi2.ppf(quantiles, (dof + lam) ** 2 / (dof + 2 * lam)) for lam in noncen]
+    levels = np.array([stats.ncx2.cdf(p, dof, lam) for p, lam in zip(points, noncen)])
+    grid = [p * s for p, s in zip(points, a_scale)]
+    counts = np.zeros((iu.size, quantiles.size), dtype=np.int64)
     sum_x = np.zeros((dim, dim))
     etr_sums = np.zeros(len(probes))
     for k, _, n in _chunk_spans(n_draws, _VERIFY_CHUNK):
@@ -116,11 +123,69 @@ def test_verify_matches_stack_path(dim, dof, central, n_draws):
     spec = random_mixture_spec(dim, dof, RngStream(90, dim), central=central)
     report = verify_closure(spec, n_draws, RngStream(91, dim))
     errors, bounds = stack_check_law(spec, n_draws, RngStream(91, dim))
-    # The grid counts depend on comparisons only, so the CDF gaps agree bitwise.
-    assert list(report.errors["cdf"]) == list(errors["cdf"])
+    # The grid counts depend on comparisons only, so the CDF gaps agree to
+    # the rounding of the levels; a count off by one would move a gap by 1 / n.
+    np.testing.assert_allclose(report.errors["cdf"], errors["cdf"], rtol=0.0, atol=1e-12)
     for check in CHECKS:
         np.testing.assert_allclose(report.errors[check], errors[check], rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(report.bounds[check], bounds[check], rtol=1e-9, atol=0.0)
+
+
+def column_layout_check(spec, n_draws: int, rng: RngStream, grid: np.ndarray):
+    """Grid counts, entry sums and ``etr`` sums of the exact-law check, with Gram entries stored ``(n, entries)``.
+
+    The layout ``check_law`` reduced before its entries became rows:
+    ``x.sum(axis=0)``, ``x @ etr_weights`` and ``proj_weights @ x.T`` run
+    over strided columns.  The draws are the same.
+    """
+    factor, per_draw = _hierarchical_factor(spec)
+    probes = default_probes(mixture_marginal_params(spec).scale)
+    iu, ju = np.triu_indices(spec.dim)
+    m = iu.size
+    off = np.where(iu == ju, 1.0, 2.0)
+    etr_weights = np.array([t.array[iu, ju] for t in probes]).T * off[:, None]
+    a = np.zeros((m, spec.dim))
+    a[np.arange(m), iu] = a[np.arange(m), ju] = 1.0
+    proj_weights = a[:, iu] * a[:, ju] * off
+    ws = _Workspace()
+    counts, sums, etr_sums = np.zeros(grid.shape, dtype=np.int64), np.zeros(m), np.zeros(len(probes))
+    for k, _, size in _chunk_spans(n_draws, _VERIFY_CHUNK):
+        gen = rng.generator(1, k)
+        x = np.empty((size, m))
+        for _, start, b in _chunk_spans(size, _batch(per_draw)):
+            x[start : start + b] = _gram_columns(factor(gen, b, ws), np.empty((m, b))).T
+        sums += x.sum(axis=0)
+        etr_sums += np.exp(x @ etr_weights).sum(axis=0)
+        proj = np.sort(proj_weights @ x.T, axis=1)
+        for p in range(m):
+            counts[p] += np.searchsorted(proj[p], grid[p], "right")
+    return counts, sums, etr_sums
+
+
+@pytest.mark.parametrize("dim,dof,n_draws", [(1, 3.0, 20_000), (3, 11.0, 20_000), (3, 90.0, 10_000)])
+def test_row_layout_matches_column_layout(cdf_calls, dim, dof, n_draws):
+    spec = random_mixture_spec(dim, dof, RngStream(102, dim))
+    law = mixture_marginal_params(spec)
+    report = verify_closure(spec, n_draws, RngStream(103, dim))
+    ((points, _, _, levels),) = cdf_calls
+    iu, ju = np.triu_indices(dim)
+    a = np.eye(dim)[iu] + np.eye(dim)[ju] * (iu != ju)[:, None]
+    a_scale = np.einsum("pi,ij,pj->p", a, law.scale.array, a)
+    counts, sums, etr_sums = column_layout_check(spec, n_draws, RngStream(103, dim), points * a_scale[:, None])
+    # Equal counts give bitwise equal gaps.
+    assert list(report.errors["cdf"]) == list(np.abs(counts / n_draws - levels).max(axis=1))
+    mean = sums / n_draws
+    assert np.all(np.abs(report.errors["mean"] - np.abs(mean - wishart_mean(law).array[iu, ju])) <= 1e-12 * np.abs(mean))
+    mgf = np.array([wishart_mgf(law, t) for t in default_probes(law.scale)])
+    etr_mean = etr_sums / n_draws
+    assert np.all(np.abs(report.errors["mgf"] - np.abs(etr_mean - mgf)) <= 1e-12 * etr_mean)
+
+
+def test_gram_is_symmetric_bitwise():
+    factor = RngStream(104).generator().standard_normal((1_000, 7, 4))
+    g = _gram(factor)
+    assert np.array_equal(g, np.swapaxes(g, -1, -2))
+    np.testing.assert_allclose(g, np.swapaxes(factor, -1, -2) @ factor, rtol=1e-12, atol=1e-12 * np.abs(g).max())
 
 
 def explicit_normal_factor(mean: np.ndarray, rows: int, root: np.ndarray, gen: np.random.Generator, n: int):
