@@ -4,10 +4,12 @@ Input data is long-format CSV with a header row: columns ``factor_a`` and
 ``factor_b`` hold level labels (taken verbatim after trimming surrounding
 whitespace), and the caller names the distinct response columns.  Records
 are read in blocks of ``_BLOCK_RECORDS``, each transposed in one call; a
-distinct label is one shared ``str`` and responses become floats within
-their block, so no field text outlives it.  A bad value is located by a
-second, record-by-record read once the first has tokenised the whole file
-(a csv or decoding error anywhere wins), and named by its physical line.
+label's field text gets an integer code the first time it appears (the few
+distinct texts are trimmed and sorted once, at the end) and responses become
+floats within their block, so no field text outlives it.  A bad value is
+located by a second, record-by-record read once the first has tokenised the
+whole file (a csv or decoding error anywhere wins), and named by its
+physical line.
 CSV and matrix files may start with a UTF-8 byte-order mark.  A seeded
 uniform subsample without replacement brings every cell to a common count.
 
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 import csv
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import islice, zip_longest
+from functools import cached_property
+from itertools import islice, product, zip_longest
 
 import numpy as np
 
@@ -53,27 +55,74 @@ _BLOCK_RECORDS = 512
 
 @dataclass(frozen=True)
 class RawDataset:
-    """Long-format observations before balancing: one label of each factor and finite responses per row."""
+    """Long-format observations before balancing, each factor's levels coded once.
 
-    factor_a: tuple[str, ...]
-    factor_b: tuple[str, ...]
+    ``levels_a`` and ``levels_b`` hold each factor's distinct labels in
+    increasing order.  Row ``r`` lies in level ``codes[r, 0]`` of ``factor_a``
+    and level ``codes[r, 1]`` of ``factor_b``, and holds the finite
+    ``responses[r]``, one column per name of ``response_names``.
+    """
+
+    levels_a: tuple[str, ...]
+    levels_b: tuple[str, ...]
+    codes: np.ndarray  # (n_rows, 2) intp
     responses: np.ndarray  # (n_rows, d)
     response_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not len(self.factor_a) == len(self.factor_b) == len(self.responses):
-            rows = f"{len(self.factor_a)}, {len(self.factor_b)} and {len(self.responses)}"
-            raise ValidationError(f"factor_a, factor_b and responses hold {rows} rows; they must match")
-        if not np.isfinite(self.responses).all():
+        y, codes, names = self.responses, self.codes, self.response_names
+        if not (isinstance(y, np.ndarray) and y.dtype.kind == "f" and y.shape[1:] == (len(names),)):
+            raise ValidationError(f"responses must be a 2-D float array with one column per response name ({len(names)})")
+        if len(set(names)) != len(names):
+            raise ValidationError(f"response_names {tuple(names)} must be distinct")
+        shaped = isinstance(codes, np.ndarray) and codes.dtype.kind in "iu" and codes.shape == (len(y), 2)
+        if not shaped or ((codes < 0) | (codes >= (len(self.levels_a), len(self.levels_b)))).any():
+            raise ValidationError(f"codes must be integers of shape ({len(y)}, 2) indexing levels_a and levels_b")
+        for name, levels in (("levels_a", self.levels_a), ("levels_b", self.levels_b)):
+            if any(lo >= hi for lo, hi in zip(levels, levels[1:])):
+                raise ValidationError(f"{name} must be strictly increasing")
+        if not np.isfinite(y).all():
             raise ValidationError("responses must be finite")
+
+    @classmethod
+    def from_labels(cls, factor_a, factor_b, responses, response_names) -> RawDataset:
+        """A dataset from each row's two labels, trimmed and coded as :func:`load_design_csv` codes a file's."""
+        if not len(factor_a) == len(factor_b) == len(responses):
+            rows = f"{len(factor_a)}, {len(factor_b)} and {len(responses)}"
+            raise ValidationError(f"factor_a, factor_b and responses hold {rows} rows; they must match")
+        a, b = _Codes(), _Codes()
+        levels, codes = zip(a.levels([a.rows(factor_a)]), b.levels([b.rows(factor_b)]))
+        return cls(*levels, np.column_stack(codes), responses, tuple(response_names))
+
+    # Each row's label, built on first use: a lookup per row would otherwise rebuild every row's.
+    factor_a = cached_property(lambda self: tuple(map(self.levels_a.__getitem__, self.codes[:, 0].tolist())))
+    factor_b = cached_property(lambda self: tuple(map(self.levels_b.__getitem__, self.codes[:, 1].tolist())))
 
     @property
     def n_rows(self) -> int:
-        return len(self.factor_a)
+        return len(self.responses)
 
     @property
     def dim(self) -> int:
         return self.responses.shape[1]
+
+
+class _Codes(dict):
+    """Raw label text to an integer code, numbered in order of first appearance."""
+
+    def __missing__(self, text: str) -> int:
+        code = self[text] = len(self)
+        return code
+
+    def rows(self, texts) -> np.ndarray:
+        """The code of each of ``texts``."""
+        return np.fromiter(map(self.__getitem__, texts), np.intp, len(texts))
+
+    def levels(self, rows: list[np.ndarray]) -> tuple[tuple[str, ...], np.ndarray]:
+        """The distinct trimmed labels in increasing order, and the blocks of codes ``rows`` remapped to index them."""
+        labels = [text.strip() for text in self]
+        levels = tuple(sorted(set(labels)))
+        return levels, np.searchsorted(np.array(levels, object), np.array(labels, object)).take(np.concatenate(rows))
 
 
 def load_design_csv(path, response_columns) -> RawDataset:
@@ -81,8 +130,10 @@ def load_design_csv(path, response_columns) -> RawDataset:
 
     Requires the header columns ``factor_a``, ``factor_b``, and every name in
     ``response_columns``, each named once and none a factor column.  Labels
-    are trimmed but otherwise verbatim; a short row's missing fields read as
-    empty and blank lines are skipped.  Every response value must parse as a
+    are trimmed but otherwise verbatim, and each factor's are coded once, as
+    :class:`RawDataset` holds them; a short row's missing fields read as
+    empty and blank lines are skipped.  Every response value, with any
+    surrounding whitespace that ``str.strip`` removes, must parse as a
     finite real, otherwise :class:`UnparseableValue` names the first bad
     value in file order by its physical line (where its record ends).  A
     record the ``csv`` module rejects anywhere, such as a field over its size
@@ -113,24 +164,27 @@ def load_design_csv(path, response_columns) -> RawDataset:
             index_a, index_b, *indices = [header.index(name) for name in needed]
             # leads each block, so zip_longest pads short records with "" up to the last needed column
             full_width = [""] * (max(index_a, index_b, *indices) + 1)
-            labels, factor_a, factor_b = _Labels(), [], []
-            values, parsed = [array("d") for _ in indices], True
+            codes_a, codes_b, rows_a, rows_b = _Codes(), _Codes(), [], []
+            values, parsed = [[] for _ in indices], True  # per response, one array per block
             records = filter(None, reader)  # a blank line reads as an empty record
             while block := list(islice(records, _BLOCK_RECORDS)):
                 if not parsed:
                     continue  # tokenise the rest, so a csv or decoding error still wins
                 columns = list(zip_longest(full_width, *block, fillvalue=""))
-                factor_a.extend(map(labels.__getitem__, columns[index_a][1:]))
-                factor_b.extend(map(labels.__getitem__, columns[index_b][1:]))
+                rows_a.append(codes_a.rows(columns[index_a][1:]))
+                rows_b.append(codes_b.rows(columns[index_b][1:]))
                 try:
-                    for column, index in zip(values, indices):
-                        column.extend(map(float, map(str.strip, columns[index][1:])))
+                    for parts, index in zip(values, indices):
+                        try:
+                            parts.append(np.fromiter(map(float, columns[index][1:]), float, len(block)))
+                        except ValueError:  # float() skips what str.strip() removes, but for ASCII \x1c-\x1f
+                            parts.append(np.fromiter(map(float, map(str.strip, columns[index][1:])), float, len(block)))
                 except ValueError:
                     parsed = False
-            if not factor_a:
+            if not rows_a:
                 raise EmptyFile(f"{path}: no data rows")
             if parsed:
-                responses = np.column_stack([np.frombuffer(column) for column in values])
+                responses = np.column_stack([np.concatenate(parts) for parts in values])
                 parsed = bool(np.isfinite(responses).all())
             if not parsed:  # read again, this time with line numbers
                 handle.seek(0)
@@ -140,16 +194,8 @@ def load_design_csv(path, response_columns) -> RawDataset:
             raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    return RawDataset(tuple(factor_a), tuple(factor_b), responses, tuple(response_columns))
-
-
-class _Labels(dict):
-    """Field text to its trimmed label, one shared ``str`` per distinct label."""
-
-    def __missing__(self, text: str) -> str:
-        label = text.strip()
-        label = self[text] = self.setdefault(label, label)
-        return label
+    levels, codes = zip(codes_a.levels(rows_a), codes_b.levels(rows_b))
+    return RawDataset(*levels, np.column_stack(codes), responses, tuple(response_columns))
 
 
 def _raise_first_unparseable(path, reader, indices, names) -> None:
@@ -166,52 +212,44 @@ def _raise_first_unparseable(path, reader, indices, names) -> None:
     raise ValidationError(f"{path}: changed while it was read: a second read finds no bad value")
 
 
-def _level_codes(levels: list[str], labels: tuple[str, ...]) -> np.ndarray:
-    """Index of each label in the sorted ``levels``."""
-    index = {label: k for k, label in enumerate(levels)}
-    return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
-
-
 def subsample_balanced(data: RawDataset, n_per_cell: int, seed: int) -> DesignTable:
     """Uniform, seeded subsample of ``n_per_cell`` rows per factor-level cell.
 
-    Levels are the distinct labels in lexicographic order; every cell of the
-    implied grid must hold at least ``n_per_cell`` rows, otherwise
+    Levels are ``data.levels_a`` and ``data.levels_b``, the distinct labels
+    in lexicographic order, and a row's cell comes from its codes; every cell
+    of the implied grid must hold at least ``n_per_cell`` rows, otherwise
     :class:`InsufficientCell` names the first deficient cell.  A cell holding
     exactly ``n_per_cell`` rows is passed through unchanged.  The table's
     level axes follow that order: ``responses[i, j]`` is the cell of the
     ``i``-th ``factor_a`` label and the ``j``-th ``factor_b`` label.
     """
     n_per_cell = _count(n_per_cell, "n_per_cell")
-    levels_a = sorted(set(data.factor_a))
-    levels_b = sorted(set(data.factor_b))
+    levels_a, levels_b = data.levels_a, data.levels_b
     # one stable (radix, on codes cast to their smallest type) sort groups each cell's rows, in file order
     n_cells = len(levels_a) * len(levels_b)
-    cell = _level_codes(levels_a, data.factor_a) * len(levels_b) + _level_codes(levels_b, data.factor_b)
+    cell = data.codes[:, 0] * len(levels_b) + data.codes[:, 1]
     by_cell = np.argsort(cell.astype(np.min_scalar_type(n_cells)), kind="stable")
     bounds = [0, *np.cumsum(np.bincount(cell, minlength=n_cells)).tolist()]
     gen = RngStream(seed).generator()
     y = data.responses
-    out = np.empty((len(levels_a), len(levels_b), n_per_cell, data.dim))
-    for i, la in enumerate(levels_a):
-        for j, lb in enumerate(levels_b):
-            k = i * len(levels_b) + j
-            rows = by_cell[bounds[k] : bounds[k + 1]]
-            if len(rows) < n_per_cell:
-                raise InsufficientCell(f"cell ({la!r}, {lb!r}) holds {len(rows)} rows, needs {n_per_cell}")
-            ranks = np.arange(n_per_cell)
-            if len(rows) > n_per_cell:
-                ranks = np.sort(gen.choice(len(rows), size=n_per_cell, replace=False))
-            # Ranks of a stable sort by the responses: sort in full only the rows whose first response
-            # equals one at a chosen rank.
-            first = y[rows, 0]
-            ordered = np.sort(first)
-            chosen = ordered[ranks]
-            tied = rows[np.isin(first, chosen)]
-            tied = tied[np.lexsort(y[tied].T[::-1])]
-            # move each rank from the start of its run of equal first responses to that run's start in ``tied``
-            out[i, j] = y[tied[ranks - np.searchsorted(ordered, chosen) + np.searchsorted(y[tied, 0], chosen)]]
-    return DesignTable(out)
+    out = np.empty((n_cells, n_per_cell, data.dim))
+    for k, (la, lb) in enumerate(product(levels_a, levels_b)):
+        rows = by_cell[bounds[k] : bounds[k + 1]]
+        if len(rows) < n_per_cell:
+            raise InsufficientCell(f"cell ({la!r}, {lb!r}) holds {len(rows)} rows, needs {n_per_cell}")
+        ranks = np.arange(n_per_cell)
+        if len(rows) > n_per_cell:
+            ranks = np.sort(gen.choice(len(rows), size=n_per_cell, replace=False))
+        # Ranks of a stable sort by the responses: sort in full only the rows whose first response
+        # equals one at a chosen rank.
+        first = y[rows, 0]
+        ordered = np.sort(first)
+        chosen = ordered[ranks]
+        tied = rows[np.isin(first, chosen)]
+        tied = tied[np.lexsort(y[tied].T[::-1])]
+        # move each rank from the start of its run of equal first responses to that run's start in ``tied``
+        out[k] = y[tied[ranks - np.searchsorted(ordered, chosen) + np.searchsorted(y[tied, 0], chosen)]]
+    return DesignTable(out.reshape(len(levels_a), len(levels_b), n_per_cell, data.dim))
 
 @dataclass(frozen=True)
 class FactorResult:
@@ -314,14 +352,7 @@ def read_matrix_file(path) -> SymMat:
 
 
 def _pvalue_dict(p: PValueEstimate) -> dict:
-    return {
-        "p_hat": p.p_hat,
-        "p_raw": p.p_raw,
-        "mc_se": p.mc_se,
-        "n_mc": p.n_mc,
-        "n_drawn": p.n_drawn,
-        "n_extreme": p.n_extreme,
-    }
+    return {key: getattr(p, key) for key in ("p_hat", "p_raw", "mc_se", "n_mc", "n_drawn", "n_extreme")}
 
 
 def report_to_dict(report: ReportTable) -> dict:

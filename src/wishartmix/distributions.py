@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import OutsideDomain, UnsupportedDof
 from .rng import RngStream, _chunk_spans, _count, _integral, as_generator
-from .symmat import SpdMat, SymMat, _as_spd, _mirror_upper, sym_sqrt
+from .symmat import SpdMat, SymMat, _as_spd, _inv_root, _mirror_upper, sym_sqrt
 
 __all__ = [
     "MatrixNormalParams",
@@ -394,8 +394,7 @@ def _beta2_draws(params: BetaIIParams, gens: list[np.random.Generator], size: in
 def _beta2_whiten(t1: list[list[np.ndarray]], t2: list[list[np.ndarray]]) -> np.ndarray:
     """``S2^{-1/2} S1 S2^{-1/2}`` for the Bartlett Grams ``S_i = T_i T_i'`` of the columns ``t1`` and ``t2``."""
     s1, s2 = (_gram(np.swapaxes(_lower_stack(t), -1, -2)) for t in (t1, t2))
-    w, v = np.linalg.eigh(s2)
-    inv_root = (v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v, -1, -2)
+    inv_root = _inv_root(*np.linalg.eigh(s2))
     return _mirror_upper(inv_root @ s1 @ inv_root)
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DegenerateDesign, SingularErrorMatrix, UnbalancedDesign
 from .rng import RngStream, _count, as_generator
-from .symmat import PD_TOL, SpdMat, _as_spd, _mirror_upper, sym_sqrt
+from .symmat import PD_TOL, SpdMat, _as_spd, _inv_root, _mirror_upper, sym_sqrt
 
 __all__ = [
     "DesignTable",
@@ -194,7 +194,7 @@ def batched_statistic_eigs(numerators, residuals) -> np.ndarray:
             f"residual SOP is singular: smallest eigenvalue {w_bad[0]:.6g} is at most "
             f"{PD_TOL:g} * largest {w_bad[-1]:.6g}"
         )
-    inv_root = _mirror_upper((v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v, -1, -2))
+    inv_root = _mirror_upper(_inv_root(w, v))
     b = _mirror_upper(inv_root @ numerators @ inv_root)
     return np.maximum(np.linalg.eigvalsh(b)[..., ::-1], 0.0)
 

@@ -64,6 +64,11 @@ def _mirror_upper(m: np.ndarray) -> np.ndarray:
     return np.triu(m) + np.swapaxes(np.triu(m, 1), -1, -2)
 
 
+def _inv_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``V diag(w)^(-1/2) V'`` from the eigenvalues ``w`` and eigenvectors ``v`` of a matrix, or of each of a stack."""
+    return (v * (1.0 / np.sqrt(w))[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
 class SymMat:
     """Real symmetric ``d x d`` matrix.
 
@@ -181,5 +186,4 @@ def sym_sqrt(p) -> SpdMat:
 def sym_inv_sqrt(p) -> SpdMat:
     """Symmetric inverse square root ``P^{-1/2}`` of a positive definite matrix."""
     m = _as_spd(p, "p", require_pd=True)
-    w, v = m._eigvals, m._eigvecs
-    return SpdMat((v * (1.0 / np.sqrt(w))) @ v.T)
+    return SpdMat(_inv_root(m._eigvals, m._eigvecs))

@@ -188,7 +188,7 @@ def toy_dataset(counts: dict[tuple[str, str], int], dim=1, seed=0) -> RawDataset
             fa.append(la)
             fb.append(lb)
             rows.append(gen.standard_normal(dim))
-    return RawDataset(tuple(fa), tuple(fb), np.array(rows), tuple(f"r{i}" for i in range(dim)))
+    return RawDataset.from_labels(tuple(fa), tuple(fb), np.array(rows), tuple(f"r{i}" for i in range(dim)))
 
 
 class TestSubsampleBalanced:
@@ -220,7 +220,7 @@ class TestSubsampleBalanced:
 
     def test_levels_sorted_lexicographically(self):
         cells = [("zebra", "9"), ("apple", "9"), ("zebra", "10"), ("apple", "10")]
-        data = RawDataset(*zip(*cells), np.arange(4.0)[:, None], ("r0",))
+        data = RawDataset.from_labels(*zip(*cells), np.arange(4.0)[:, None], ("r0",))
         table = subsample_balanced(data, 1, seed=0)
         # responses[i, j] is the row of the i-th of ("apple", "zebra") and the j-th of ("10", "9")
         assert table.responses[:, :, 0, 0].tolist() == [[3.0, 1.0], [2.0, 0.0]]
@@ -230,7 +230,7 @@ class TestSubsampleBalanced:
         # the same data plus fully duplicated records and a 0.0 / -0.0 pair tied in one cell
         dup = [0, 0, 5, 7]
         zeros = np.array([[0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]])
-        with_ties = RawDataset(
+        with_ties = RawDataset.from_labels(
             data.factor_a + tuple(data.factor_a[i] for i in dup) + ("y",) * 3,
             data.factor_b + tuple(data.factor_b[i] for i in dup) + ("v",) * 3,
             np.concatenate([data.responses, data.responses[dup], zeros]),
@@ -238,7 +238,7 @@ class TestSubsampleBalanced:
         )
         for raw in (data, with_ties):
             perm = RngStream(4).generator().permutation(raw.n_rows)
-            shuffled = RawDataset(
+            shuffled = RawDataset.from_labels(
                 tuple(raw.factor_a[i] for i in perm),
                 tuple(raw.factor_b[i] for i in perm),
                 raw.responses[perm],
@@ -260,7 +260,7 @@ class TestSubsampleBalanced:
         # them, and whose records repeat exactly; a small second cell beside it
         gen = np.random.default_rng(n_per_cell)
         big = np.column_stack([gen.choice([-0.0, 0.0, -1.0, 1.0, 2.5], 6000), gen.choice([0.5, -0.0, 0.0, 3.0], 6000)])
-        data = RawDataset(
+        data = RawDataset.from_labels(
             ("a",) * 6000 + ("c",) * 7,
             ("b",) * 6007,
             np.concatenate([big, gen.standard_normal((7, 2))]),
@@ -277,7 +277,7 @@ class TestSubsampleBalanced:
         values = np.random.default_rng(5).choice([np.nan, -1.0, 0.0, 2.0], size=(400, 2), p=[0.04, 0.32, 0.32, 0.32])
         for seed in range(12):
             with pytest.raises(ValidationError, match="^responses must be finite$"):
-                subsample_balanced(RawDataset(("a",) * 400, ("b",) * 400, values, ("r1", "r2")), 5, seed)
+                subsample_balanced(RawDataset.from_labels(("a",) * 400, ("b",) * 400, values, ("r1", "r2")), 5, seed)
 
     @pytest.mark.parametrize("rows_a,rows_b,rows_y", [(1, 8, 8), (8, 7, 8), (8, 8, 5)])
     def test_row_counts_must_match(self, rows_a, rows_b, rows_y):
@@ -285,13 +285,85 @@ class TestSubsampleBalanced:
         labels_a, labels_b, y = ("a", "b") * 4, ("u", "v") * 4, np.arange(float(rows_y))[:, None]
         message = f"factor_a, factor_b and responses hold {rows_a}, {rows_b} and {rows_y} rows; they must match"
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            RawDataset(labels_a[:rows_a], labels_b[:rows_b], y, ("y",))
+            RawDataset.from_labels(labels_a[:rows_a], labels_b[:rows_b], y, ("y",))
 
     def test_seed_changes_selection(self):
         data = toy_dataset({(a, b): 10 for a in "xy" for b in "uv"}, seed=6)
         t1 = subsample_balanced(data, 3, seed=1)
         t2 = subsample_balanced(data, 3, seed=2)
         assert not np.array_equal(t1.responses, t2.responses)
+
+
+class TestRawDataset:
+    """Each factor's levels coded once: sorted distinct labels and an ``(n_rows, 2)`` code array."""
+
+    def test_from_labels_codes_sorted_trimmed_levels(self):
+        data = RawDataset.from_labels(("y", " x", "y", "x "), ("10", "9", "9", "10"), np.arange(4.0)[:, None], ("r",))
+        assert (data.levels_a, data.levels_b) == (("x", "y"), ("10", "9"))
+        assert data.codes.tolist() == [[1, 0], [0, 1], [1, 1], [0, 0]]
+        assert data.codes.dtype == np.intp
+        assert (data.factor_a, data.factor_b) == (("y", "x", "y", "x"), ("10", "9", "9", "10"))
+        assert (data.n_rows, data.dim) == (4, 1)
+
+    def test_labels_are_read_only(self):
+        data = RawDataset.from_labels(("a",), ("b",), np.ones((1, 1)), ("r",))
+        with pytest.raises(AttributeError):
+            data.factor_a = ("c",)
+
+    @staticmethod
+    def build(**changes):
+        fields = {
+            "levels_a": ("a",),
+            "levels_b": ("b", "c"),
+            "codes": np.array([[0, 0], [0, 1]]),
+            "responses": np.array([[1.0], [2.0]]),
+            "response_names": ("r",),
+        }
+        return RawDataset(**{**fields, **changes})
+
+    def test_valid_fields_pass(self):
+        assert self.build().factor_b == ("b", "c")
+
+    def test_one_dimensional_responses_rejected(self):
+        # they used to pass, and subsample_balanced then failed with an IndexError
+        with pytest.raises(ValidationError, match="^responses must be a 2-D float array"):
+            RawDataset.from_labels(("a", "a"), ("b", "b"), np.array([1.0, 2.0]), ("r",))
+
+    def test_list_responses_rejected(self):
+        with pytest.raises(ValidationError, match="^responses must be a 2-D float array"):
+            RawDataset.from_labels(("a", "a"), ("b", "b"), [[1.0], [2.0]], ("r",))
+
+    def test_integer_responses_rejected(self):
+        with pytest.raises(ValidationError, match="^responses must be a 2-D float array"):
+            self.build(responses=np.array([[1], [2]]))
+
+    def test_one_column_per_response_name(self):
+        with pytest.raises(ValidationError, match=r"^responses .* one column per response name \(2\)$"):
+            self.build(response_names=("r", "s"))
+
+    def test_response_names_must_be_distinct(self):
+        with pytest.raises(ValidationError, match=r"^response_names \('r', 'r'\) must be distinct$"):
+            RawDataset.from_labels(("a", "a"), ("b", "b"), np.ones((2, 2)), ("r", "r"))
+
+    @pytest.mark.parametrize(
+        "codes",
+        [np.array([0, 1]), np.array([[0, 0, 0], [0, 1, 0]]), np.array([[0, 0]]), np.array([[0.0, 0.0], [0.0, 1.0]])],
+        ids=["one-dimensional", "three-columns", "one-row", "float"],
+    )
+    def test_codes_shape_and_type(self, codes):
+        with pytest.raises(ValidationError, match=r"^codes must be integers of shape \(2, 2\) indexing levels_a and levels_b$"):
+            self.build(codes=codes)
+
+    @pytest.mark.parametrize("codes", [[[0, 0], [1, 1]], [[0, 0], [0, 2]], [[0, -1], [0, 1]]], ids=["a", "b", "negative"])
+    def test_codes_must_index_the_levels(self, codes):
+        with pytest.raises(ValidationError, match="^codes must be integers of shape"):
+            self.build(codes=np.array(codes))
+
+    @pytest.mark.parametrize("name,levels", [("levels_a", ("b", "a")), ("levels_b", ("b", "b")), ("levels_b", ("c", "b"))])
+    def test_levels_strictly_increasing(self, name, levels):
+        codes = np.array([[0, 0], [0, 1]])
+        with pytest.raises(ValidationError, match=f"^{name} must be strictly increasing$"):
+            self.build(**{name: levels}, codes=codes)
 
 
 class TestRunReport:
@@ -496,7 +568,7 @@ def _load_row_by_row(path, response_columns) -> RawDataset:
             values.append(parsed)
     if not values:
         raise EmptyFile(f"{path}: no data rows")
-    return RawDataset(tuple(a_labels), tuple(b_labels), np.array(values), tuple(response_columns))
+    return RawDataset.from_labels(tuple(a_labels), tuple(b_labels), np.array(values), tuple(response_columns))
 
 
 def _subsample_by_sorted_key(data: RawDataset, n_per_cell: int, seed: int) -> DesignTable:
@@ -538,9 +610,9 @@ def _field(text: str, quote: bool) -> str:
     return text
 
 
-LABELS = ["a", "b", " a ", "b\t", "a,b", "x\ny", "", "\x1ca"]
-FINITE_TOKENS = ["-0.0", "0.0", "0", "1_0", " 2.5 ", "\x1c3\x1c", "1e-300", "-7"]
-BAD_TOKENS = ["inf", "-inf", "nan", "1e400", "x", "", "1__0", "\x003"]
+LABELS = ["a", "b", " a ", "b\t", "a,b", "x\ny", "", "\x1ca", " b"]
+FINITE_TOKENS = ["-0.0", "0.0", "0", "1_0", " 2.5 ", "\x1c3\x1c", "1e-300", "-7", "\xa04 ", "5\x85", "\x1f6", "7\x1d"]
+BAD_TOKENS = ["inf", "-inf", "nan", "1e400", "x", "", "1__0", "\x003", "\xa0", "\x1f", "8\x1c9", "\x1cnan"]
 COLUMNS = ["factor_a", "factor_b", "y1", "y2", "y3"]
 
 
@@ -623,6 +695,31 @@ class TestIngestMatchesRowByRowReference:
             assert new_t[1] == ref_t[1]
             return
         assert new_t[1].responses.tobytes() == ref_t[1].responses.tobytes()
+
+
+def test_wide_factor_matches_row_by_row_reference(tmp_path):
+    # 300 factor_b levels, so codes pass one byte; labels quoted and padded, responses padded with
+    # whitespace float() skips (\xa0, tabs) and with what it does not (\x1c), across several blocks
+    gen = np.random.default_rng(11)
+    lines = ["factor_a,factor_b,y1,y2"]
+    for k in range(3 * 2 * 300):
+        j = int(gen.integers(300))
+        label_b = f'" b{j} "' if k % 7 == 0 else f"b{j}"
+        y1, y2 = (repr(float(v)) for v in gen.standard_normal(2))
+        pad = ["", "\xa0", "\t", "\x1c"][k % 4] if k % 5 else ""
+        lines.append(f"{' a' if k % 3 else 'c '},{label_b},{pad}{y1}{pad},{y2}")
+    for j in range(300):  # at least two rows in every cell
+        lines += [f"a,b{j},{j}.5,1", f"c,b{j},-{j}.5,2", f"a,b{j},{j}.25,3", f"c,b{j},-{j}.25,4"]
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got, want = load_design_csv(path, ["y1", "y2"]), _load_row_by_row(path, ["y1", "y2"])
+    assert len(got.levels_b) == 300 and got.codes.max() > 255
+    assert (got.factor_a, got.factor_b) == (want.factor_a, want.factor_b)
+    assert got.responses.tobytes() == want.responses.tobytes()
+    for seed in range(3):
+        table = subsample_balanced(got, 2, seed)
+        assert table.responses.shape == (2, 300, 2, 2)
+        assert table.responses.tobytes() == _subsample_by_sorted_key(want, 2, seed).responses.tobytes()
 
 
 @st.composite

@@ -116,7 +116,7 @@ class TestParams:
             verify_closure(mixture, 10_000.9, 1)
         with pytest.raises(ValueError, match="n_draws"):
             verify_closure(mixture, 0, 1)
-        data = RawDataset(("x",) * 3, ("y",) * 3, np.arange(3.0)[:, None], ("r",))
+        data = RawDataset.from_labels(("x",) * 3, ("y",) * 3, np.arange(3.0)[:, None], ("r",))
         with pytest.raises(ValueError, match="n_per_cell must be a positive integer"):
             subsample_balanced(data, 2.7, 0)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):

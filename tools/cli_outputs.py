@@ -24,7 +24,10 @@ whose SOPs overflow (exit 2), once on replicates identical within each cell
 on responses centred within each cell (``AB`` is, exit 2), and twice
 on a CSV of 1,020 records that spans several ingest blocks, with quoted
 labels, blank lines, CRLF line endings and short rows: once clean and once
-with an unparseable value in record 651 (exit 2);
+with an unparseable value in record 651 (exit 2), and once at d = 1 on 2 x 300
+levels with 2 rows kept per cell (``manova-wide-levels``: level codes past
+one byte, labels quoted and padded, response fields padded with U+001C,
+U+00A0 and tabs);
 ``verify`` central, noncentral, below the draw floor, at d = 1 (one-row
 factors) and at d = 3 with 90 degrees of freedom (each verification chunk
 drawn in two batches); ``calibrate`` at d = 1, 2 and 3 with
@@ -129,6 +132,27 @@ def write_messy_csv(path: Path, bad_record: int | None = None) -> None:
     path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
+def write_wide_csv(path: Path) -> None:
+    """A 2 x 300 design with 3 rows per cell, response ``y1``, in file order of a random permutation.
+
+    Every 4th ``factor_b`` label is quoted and padded and every 3rd
+    ``factor_a`` label padded; response fields carry padding that
+    ``str.strip`` removes: U+001C (which ``float`` does not skip), U+00A0
+    or tabs, on one side or both.
+    """
+    gen = np.random.default_rng(12)
+    cells = [(i, j) for i in range(2) for j in range(300) for _ in range(3)]
+    pads = ["", "\x1c", "\xa0", "\t", "\t\t"]
+    lines = ["factor_a,factor_b,y1"]
+    for k, order in enumerate(gen.permutation(len(cells))):
+        i, j = cells[order]
+        y = f"{pads[k % 5]}{float(gen.standard_normal() + 0.5 * i)!r}{pads[k % 3]}"
+        label_a = f" a{i}" if k % 3 == 0 else f"a{i}"
+        label_b = f'" b{j:03d} "' if k % 4 == 0 else f"b{j:03d}"
+        lines.append(f"{label_a},{label_b},{y}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_inputs() -> None:
     """The design CSVs (one overflowing, two with a zero denominator SOP), the ``--sigma`` matrix file and the ``sample`` parameter files, under ``inputs/``."""
     Path("inputs").mkdir(exist_ok=True)
@@ -140,6 +164,7 @@ def write_inputs() -> None:
     write_degenerate_csv(Path("inputs/centred_d2.csv"), centred=True)
     write_messy_csv(Path("inputs/messy_d2.csv"))
     write_messy_csv(Path("inputs/messy_bad_d2.csv"), bad_record=650)
+    write_wide_csv(Path("inputs/wide_d1.csv"))
     Path("inputs/sigma_d2.txt").write_text("2\n2.0 0.5\n0.5 1.0\n", encoding="utf-8")
     for name, (_, params) in SAMPLE_PARAMS.items():
         Path(f"inputs/{name}.json").write_text(json.dumps(params) + "\n", encoding="utf-8")
@@ -179,6 +204,10 @@ def runs() -> list[tuple[str, list[str]]]:
     out.append(("manova-messy", [
         "manova", "--input", "inputs/messy_d2.csv", "--responses", "y1,y2", "--n-per-cell", "4",
         "--subsample-seed", "1", "--n-mc", "2000", "--mc-seed", "2", "--json", "manova-messy.json",
+    ]))
+    out.append(("manova-wide-levels", [
+        "manova", "--input", "inputs/wide_d1.csv", "--responses", "y1", "--n-per-cell", "2",
+        "--subsample-seed", "1", "--n-mc", "2000", "--mc-seed", "2", "--json", "manova-wide-levels.json",
     ]))
     out.append(("manova-messy-bad", ["manova", "--input", "inputs/messy_bad_d2.csv", "--responses", "y1,y2", "--n-per-cell", "4"]))
     out.append(("manova-overflow", ["manova", "--input", "inputs/overflow_d1.csv", "--responses", "y1", "--n-per-cell", "3"]))
